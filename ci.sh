@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, tier-1 tests (default and
-# `parallel` feature). Run from the repo root; exits non-zero on the
-# first failure.
+# Local CI gate: formatting, lints, build, tier-1 tests, every member
+# crate's tests, and tier-1 again with the `parallel` feature. Run from
+# the repo root; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -94,11 +94,21 @@ cargo clippy -p simdb --all-targets -- -D warnings -D clippy::unwrap_used
 echo "==> cargo clippy -p agentsim (-D clippy::panic)"
 cargo clippy -p agentsim --all-targets -- -D warnings -D clippy::panic
 
+# The platform facade and the e-commerce protocols it drives are held to
+# the same no-panic bar (their tests opt out locally).
+echo "==> cargo clippy -p abcrm-core -p ecp (-D clippy::panic)"
+cargo clippy -p abcrm-core -p ecp --all-targets -- -D warnings -D clippy::panic
+
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test (tier-1)"
 cargo test -q
+
+# Tier-1 runs only the umbrella package; this runs every member crate's
+# own unit and integration tests too.
+echo "==> cargo test --workspace"
+cargo test -q --workspace
 
 echo "==> cargo test --features parallel"
 cargo test -q --features parallel

@@ -125,6 +125,8 @@ impl AdmissionGate {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
 
     fn gate() -> AdmissionGate {

@@ -662,6 +662,8 @@ impl Agent for MobileBuyerAgent {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
     use agentsim::sim::SimWorld;
     use ecp::marketplace::{MarketplaceAgent, MARKETPLACE_TYPE};

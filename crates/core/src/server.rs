@@ -1,13 +1,15 @@
 //! The full platform harness: builds the Fig 3.1 architecture and drives
 //! consumer workflows end to end.
 //!
-//! [`Platform`] assembles a Coordinator Server, N Marketplaces with their
-//! Seller Servers, and a Buyer Agent Server provisioned through the
-//! Coordinator exactly as Fig 4.1 describes. It then exposes
-//! browser-level operations (`login`, `query`, `buy`, `auction`,
-//! `logout`) that inject [`FrontRequest`]s at the HttpA and read back the
-//! [`FrontResponse`]s — every hop in between is real agent traffic on the
-//! simulated network.
+//! [`PlatformOf`] assembles a Coordinator Server, N Marketplaces with
+//! their Seller Servers, and one Buyer Agent Server per shard, each
+//! provisioned through the Coordinator exactly as Fig 4.1 describes. It
+//! then exposes browser-level operations (`login`, `query`, `buy`,
+//! `auction`, `logout`) that inject [`FrontRequest`]s at the consumer's
+//! HttpA and read back the [`FrontResponse`]s — every hop in between is
+//! real agent traffic on the simulated network. [`Platform`] is the
+//! 1-shard platform, whose accessors hand out its one shard directly;
+//! [`ShardedPlatform`] has any number of shards.
 
 use crate::admission::AdmissionConfig;
 use crate::agents::msg::{
@@ -35,11 +37,14 @@ use ecp::protocol::{
     kinds as ecpk, AuctionOpen, Listing, RegisterServer, RequestBuyerServer, ServerRole,
 };
 use ecp::{CoordinatorAgent, MarketplaceAgent, SellerAgent};
+use std::marker::PhantomData;
 
-/// Builder for a [`Platform`].
+/// Builder for a [`Platform`] or, as [`ShardedPlatformBuilder`], a
+/// [`ShardedPlatform`]. Every setting applies to every shard.
 #[derive(Debug)]
-pub struct PlatformBuilder {
+pub struct PlatformBuilder<S = Single> {
     seed: u64,
+    shards: usize,
     topology: Topology,
     listings_per_market: Vec<Vec<Listing>>,
     learner: LearnerConfig,
@@ -55,14 +60,37 @@ pub struct PlatformBuilder {
     mailbox: Option<MailboxConfig>,
     durability: Option<DurabilityConfig>,
     supervision: Option<SupervisionConfig>,
+    shape: PhantomData<fn() -> S>,
 }
+
+/// Builder for a [`ShardedPlatform`].
+///
+/// Partitions the buyer side of the platform across `shards` parallel
+/// DES shards: the Coordinator, Marketplaces and Seller Servers live on
+/// shard 0, and each shard runs its own Buyer Agent Server (BSMA + HttpA +
+/// PA) provisioned through the shard-0 Coordinator exactly as Fig 4.1
+/// describes — for shards other than 0 the BSMA's self-dispatch is a real
+/// cross-shard migration. Consumers are routed to buyer servers by
+/// consistent hash of their id, so a consumer's whole session stays on
+/// one shard while marketplace traffic crosses the conservative
+/// time-window boundary.
+pub type ShardedPlatformBuilder = PlatformBuilder<Sharded>;
 
 impl PlatformBuilder {
     /// Start building with a seed; defaults to one marketplace with no
     /// listings and a LAN topology.
     pub fn new(seed: u64) -> Self {
+        Self::with_shards(seed, 1)
+    }
+}
+
+impl<S> PlatformBuilder<S> {
+    /// The defaults of [`PlatformBuilder::new`] at `shards` shards
+    /// (clamped to at least 1).
+    fn with_shards(seed: u64, shards: usize) -> Self {
         PlatformBuilder {
             seed,
+            shards: shards.max(1),
             topology: Topology::lan(),
             listings_per_market: vec![Vec::new()],
             learner: LearnerConfig::default(),
@@ -78,10 +106,11 @@ impl PlatformBuilder {
             mailbox: None,
             durability: None,
             supervision: None,
+            shape: PhantomData,
         }
     }
 
-    /// Use an explicit topology.
+    /// Use an explicit topology (applied to every shard).
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
         self
@@ -130,7 +159,7 @@ impl PlatformBuilder {
     }
 
     /// Enable token-bucket admission control with priority shedding at
-    /// the HttpA ingress.
+    /// every shard's HttpA ingress.
     pub fn admission(mut self, config: AdmissionConfig) -> Self {
         self.admission = Some(config);
         self
@@ -145,7 +174,7 @@ impl PlatformBuilder {
     }
 
     /// Guard each marketplace with a circuit breaker fed by MBA trip
-    /// reports.
+    /// reports (each shard's BSMA keeps its own breaker state).
     pub fn breaker(mut self, config: BreakerConfig) -> Self {
         self.breaker = Some(config);
         self
@@ -193,9 +222,15 @@ impl PlatformBuilder {
         self
     }
 
-    /// Assemble the world and run the Fig 4.1 creation workflow.
-    pub fn build(self) -> Platform {
-        let mut world = SimWorld::with_topology(self.seed, self.topology);
+    /// Assemble the world and run the Fig 4.1 creation workflow once per
+    /// shard. A 1-shard world installs no boundary state: it is the
+    /// unsharded world, event for event.
+    pub fn build(self) -> PlatformOf<S> {
+        let shards = self.shards;
+        let mut world = ShardedSimWorld::new(self.seed, shards);
+        for k in 0..shards {
+            *world.shard_mut(k).topology_mut() = self.topology.clone();
+        }
         if let Some(cfg) = self.durability {
             world.enable_durability(cfg);
         }
@@ -205,18 +240,20 @@ impl PlatformBuilder {
         if self.telemetry {
             world.enable_telemetry();
         }
-        register_all(world.registry_mut());
+        for k in 0..shards {
+            register_all(world.shard_mut(k).registry_mut());
+        }
 
-        // Coordinator Server with its CA.
-        let coordinator_host = world.add_host("coordinator-server");
+        // Coordinator Server with its CA — shard 0 owns the market side.
+        let coordinator_host = world.add_host(0, "coordinator-server");
         let coordinator = world
             .create_agent(coordinator_host, Box::new(CoordinatorAgent::new()))
             .expect("create coordinator");
 
-        // Marketplaces + their seller servers.
+        // Marketplaces + their seller servers, all on shard 0.
         let mut markets = Vec::new();
         for (i, listings) in self.listings_per_market.iter().enumerate() {
-            let market_host = world.add_host(format!("marketplace-{i}"));
+            let market_host = world.add_host(0, format!("marketplace-{i}"));
             let market_agent = world
                 .create_agent(
                     market_host,
@@ -238,7 +275,7 @@ impl PlatformBuilder {
             world
                 .send_external(coordinator, reg)
                 .expect("register marketplace");
-            let seller_host = world.add_host(format!("seller-{i}"));
+            let seller_host = world.add_host(0, format!("seller-{i}"));
             world
                 .create_agent(
                     seller_host,
@@ -253,56 +290,74 @@ impl PlatformBuilder {
         }
         world.run_until_idle();
 
-        // Buyer Agent Server, provisioned through the Coordinator
-        // (Fig 4.1 steps 1-6).
-        let buyer_host = world.add_host("buyer-agent-server");
-        let config = BsmaConfig {
-            target: buyer_host,
-            coordinator,
-            markets: markets.clone(),
-            name: "buyer-agent-server".into(),
-            learner: self.learner,
-            similarity: self.similarity.with_ann_seed(self.seed),
-            mba_timeout_us: self.mba_timeout_us,
-            collaborative_weight: self.collaborative_weight,
-            watch_retries: self.watch_retries,
-            bra_retry: self.bra_retry,
-            admission: self.admission,
-            request_deadline_us: self.request_deadline_us,
-            breaker: self.breaker,
-            durable: self.durability.is_some(),
-        };
-        let request = Message::new(ecpk::REQUEST_BUYER_SERVER)
-            .with_payload(&RequestBuyerServer {
-                host: buyer_host,
-                bsma_type: crate::agents::BSMA_TYPE.to_string(),
-                config: serde_json::json!({ "config": config }),
-            })
-            .expect("request serializes");
-        world
-            .send_external(coordinator, request)
-            .expect("request buyer server");
+        // One Buyer Agent Server per shard, each provisioned through the
+        // shard-0 Coordinator (Fig 4.1 steps 1-6). For k > 0 the BSMA's
+        // step-3 self-dispatch crosses the shard boundary. A lone server
+        // keeps the plain name.
+        let mut buyer_hosts = Vec::new();
+        for k in 0..shards {
+            let name = if shards == 1 {
+                "buyer-agent-server".to_string()
+            } else {
+                format!("buyer-agent-server-{k}")
+            };
+            let buyer_host = world.add_host(k, name.clone());
+            buyer_hosts.push(buyer_host);
+            let config = BsmaConfig {
+                target: buyer_host,
+                coordinator,
+                markets: markets.clone(),
+                name,
+                learner: self.learner,
+                similarity: self.similarity.with_ann_seed(self.seed),
+                mba_timeout_us: self.mba_timeout_us,
+                collaborative_weight: self.collaborative_weight,
+                watch_retries: self.watch_retries,
+                bra_retry: self.bra_retry,
+                admission: self.admission,
+                request_deadline_us: self.request_deadline_us,
+                breaker: self.breaker,
+                durable: self.durability.is_some(),
+            };
+            let request = Message::new(ecpk::REQUEST_BUYER_SERVER)
+                .with_payload(&RequestBuyerServer {
+                    host: buyer_host,
+                    bsma_type: crate::agents::BSMA_TYPE.to_string(),
+                    config: serde_json::json!({ "config": config }),
+                })
+                .expect("request serializes");
+            world
+                .send_external(coordinator, request)
+                .expect("request buyer server");
+        }
         world.run_until_idle();
 
-        // Locate the BSMA (it migrated to the buyer host) and its
-        // children.
-        let mut bsma_id = None;
-        let mut bsma_state = None;
-        for id in world.agents_on(buyer_host) {
-            if let Ok(snapshot) = world.snapshot_of(id) {
-                if let Ok(state) = serde_json::from_value::<Bsma>(snapshot) {
-                    if state.is_ready() {
-                        bsma_id = Some(id);
-                        bsma_state = Some(state);
-                        break;
+        // Locate each shard's BSMA (it migrated to that shard's buyer
+        // host) and its children.
+        let mut stacks = Vec::new();
+        for (k, &buyer_host) in buyer_hosts.iter().enumerate() {
+            let shard = world.shard(k);
+            let mut found = None;
+            for id in shard.agents_on(buyer_host) {
+                if let Ok(snapshot) = shard.snapshot_of(id) {
+                    if let Ok(state) = serde_json::from_value::<Bsma>(snapshot) {
+                        if state.is_ready() {
+                            found = Some((id, state));
+                            break;
+                        }
                     }
                 }
             }
+            let (bsma, state) = found.expect("bsma reached its shard's buyer host and set up");
+            stacks.push(BuyerStack {
+                buyer_host,
+                bsma,
+                httpa: state.httpa().expect("httpa created"),
+                pa: state.pa().expect("pa created"),
+                responses_read: 0,
+                unclaimed: Vec::new(),
+            });
         }
-        let bsma = bsma_id.expect("bsma reached the buyer host and set up");
-        let state = bsma_state.expect("bsma state available");
-        let httpa = state.httpa().expect("httpa created");
-        let pa = state.pa().expect("pa created");
 
         // Bound mailboxes only once the platform stands: provisioning
         // traffic must never be shed.
@@ -310,29 +365,80 @@ impl PlatformBuilder {
             world.set_mailbox(mailbox);
         }
 
-        Platform {
+        PlatformOf {
             world,
             coordinator,
-            buyer_host,
-            bsma,
-            httpa,
-            pa,
             markets,
-            responses_read: 0,
+            stacks,
+            shape: PhantomData,
         }
     }
 }
 
-/// A fully assembled e-commerce platform with one Buyer Agent Server.
-pub struct Platform {
-    world: SimWorld,
-    coordinator: AgentId,
+/// One shard's buyer-side stack (Buyer Agent Server host, BSMA, HttpA,
+/// PA) plus its front-door reply cursor and the replies read past that
+/// cursor which no call has claimed yet.
+#[derive(Debug)]
+struct BuyerStack {
     buyer_host: HostId,
     bsma: AgentId,
     httpa: AgentId,
     pa: AgentId,
-    markets: Vec<MarketRef>,
     responses_read: usize,
+    unclaimed: Vec<FrontResponse>,
+}
+
+impl BuyerStack {
+    /// Take the replies for `consumer` (for every consumer, with `None`)
+    /// from the unclaimed ones and those the HttpA logged since the last
+    /// drain, in arrival order; every other reply stays unclaimed.
+    fn drain(&mut self, shard: &SimWorld, consumer: Option<ConsumerId>) -> Vec<FrontResponse> {
+        let snapshot = shard.snapshot_of(self.httpa).expect("httpa active");
+        let state: crate::agents::HttpAgent =
+            serde_json::from_value(snapshot).expect("httpa state parses");
+        let all = state.responses();
+        self.unclaimed
+            .extend_from_slice(&all[self.responses_read.min(all.len())..]);
+        self.responses_read = all.len();
+        let (mine, rest) = std::mem::take(&mut self.unclaimed)
+            .into_iter()
+            .partition(|r| consumer.is_none_or(|c| r.consumer == c));
+        self.unclaimed = rest;
+        mine
+    }
+}
+
+/// Shape of a [`Platform`]: one shard, whose world and buyer-side agents
+/// its accessors hand out directly.
+#[derive(Debug)]
+pub enum Single {}
+
+/// Shape of a [`ShardedPlatform`]: any number of shards, addressed by
+/// index.
+#[derive(Debug)]
+pub enum Sharded {}
+
+/// A fully assembled e-commerce platform with one Buyer Agent Server.
+pub type Platform = PlatformOf<Single>;
+
+/// A platform whose buyer side is partitioned across parallel DES shards.
+///
+/// Shard 0 hosts the Coordinator, Marketplaces and Seller Servers; every
+/// shard runs a full Buyer Agent Server. Consumers hash onto shards by
+/// id, and each browser-level call routes to the owning shard's HttpA.
+pub type ShardedPlatform = PlatformOf<Sharded>;
+
+/// The platform, with the shape `S` choosing its accessors: [`Single`]
+/// for [`Platform`], [`Sharded`] for [`ShardedPlatform`]. Everything
+/// else — the build, the session operations and the reply drain — is one
+/// code path, and a [`Platform`] is exactly the 1-shard
+/// [`ShardedPlatform`].
+pub struct PlatformOf<S> {
+    world: ShardedSimWorld,
+    coordinator: AgentId,
+    markets: Vec<MarketRef>,
+    stacks: Vec<BuyerStack>,
+    shape: PhantomData<fn() -> S>,
 }
 
 impl Platform {
@@ -343,44 +449,114 @@ impl Platform {
 
     /// The underlying world (trace, metrics, clock).
     pub fn world(&self) -> &SimWorld {
-        &self.world
+        self.world.shard(0)
     }
 
     /// Mutable world access (topology changes, manual messages).
     pub fn world_mut(&mut self) -> &mut SimWorld {
-        &mut self.world
+        self.world.shard_mut(0)
     }
 
     /// The telemetry sink (span trees + latency registry). Empty unless
     /// the platform was built with [`PlatformBuilder::telemetry`].
     pub fn telemetry(&self) -> &agentsim::telemetry::Telemetry {
-        self.world.telemetry()
-    }
-
-    /// Install a [`ChaosPlan`] on the underlying world: its faults fire
-    /// at their scheduled sim times as the platform runs.
-    pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        self.world.install_chaos(plan);
-    }
-
-    /// Marketplace references, in creation order.
-    pub fn markets(&self) -> &[MarketRef] {
-        &self.markets
+        self.world().telemetry()
     }
 
     /// The BSMA's agent id.
     pub fn bsma(&self) -> AgentId {
-        self.bsma
+        self.stacks[0].bsma
     }
 
     /// The PA's agent id.
     pub fn pa(&self) -> AgentId {
-        self.pa
+        self.stacks[0].pa
     }
 
     /// The HttpA's agent id.
     pub fn httpa(&self) -> AgentId {
-        self.httpa
+        self.stacks[0].httpa
+    }
+
+    /// The Buyer Agent Server's host.
+    pub fn buyer_host(&self) -> HostId {
+        self.stacks[0].buyer_host
+    }
+
+    /// Snapshot of the BSMA for inspection.
+    pub fn bsma_state(&self) -> Bsma {
+        self.state_of(0, self.stacks[0].bsma)
+    }
+
+    /// Snapshot of the PA (store + UserDB) for inspection.
+    pub fn pa_state(&self) -> crate::agents::ProfileAgent {
+        self.state_of(0, self.stacks[0].pa)
+    }
+}
+
+impl ShardedPlatform {
+    /// Start building a platform with `shards` Buyer Agent Servers
+    /// (clamped to at least 1); defaults match [`Platform::builder`].
+    pub fn builder(seed: u64, shards: usize) -> ShardedPlatformBuilder {
+        ShardedPlatformBuilder::with_shards(seed, shards)
+    }
+
+    /// The underlying sharded world (merged trace, metrics, clock).
+    pub fn world(&self) -> &ShardedSimWorld {
+        &self.world
+    }
+
+    /// Mutable world access (per-shard topology changes, manual messages).
+    pub fn world_mut(&mut self) -> &mut ShardedSimWorld {
+        &mut self.world
+    }
+
+    /// Counters merged across every shard.
+    pub fn metrics(&self) -> agentsim::metrics::Metrics {
+        self.world.metrics()
+    }
+
+    /// Shard `k`'s Buyer Agent Server host.
+    pub fn buyer_host(&self, k: usize) -> HostId {
+        self.stacks[k].buyer_host
+    }
+
+    /// Shard `k`'s BSMA agent id.
+    pub fn bsma(&self, k: usize) -> AgentId {
+        self.stacks[k].bsma
+    }
+
+    /// Snapshot of shard `k`'s BSMA for inspection.
+    pub fn bsma_state(&self, k: usize) -> Bsma {
+        self.state_of(k, self.stacks[k].bsma)
+    }
+
+    /// Snapshot of shard `k`'s PA (store + UserDB) for inspection.
+    pub fn pa_state(&self, k: usize) -> crate::agents::ProfileAgent {
+        self.state_of(k, self.stacks[k].pa)
+    }
+}
+
+impl<S> PlatformOf<S> {
+    /// Number of shards (== number of Buyer Agent Servers).
+    pub fn shard_count(&self) -> usize {
+        self.stacks.len()
+    }
+
+    /// The shard that owns `consumer`'s session.
+    pub fn shard_of(&self, consumer: ConsumerId) -> usize {
+        agentsim::ids::shard_of(AgentId(consumer.0), self.stacks.len())
+    }
+
+    /// Install a [`ChaosPlan`] on every shard: its faults fire at their
+    /// scheduled sim times as the platform runs.
+    pub fn install_chaos(&mut self, plan: &ChaosPlan) {
+        self.world.install_chaos(plan);
+    }
+
+    /// Marketplace references, in creation order (all on shard 0).
+    pub fn markets(&self) -> &[MarketRef] {
+        &self.markets
     }
 
     /// The Coordinator Agent's id.
@@ -388,34 +564,31 @@ impl Platform {
         self.coordinator
     }
 
-    /// The Buyer Agent Server's host.
-    pub fn buyer_host(&self) -> HostId {
-        self.buyer_host
+    /// Snapshot of agent `id` on shard `k`, parsed as its state type.
+    fn state_of<T: serde::de::DeserializeOwned>(&self, k: usize, id: AgentId) -> T {
+        let snapshot = self.world.shard(k).snapshot_of(id).expect("agent active");
+        serde_json::from_value(snapshot).expect("agent state parses")
     }
 
     fn send_front(&mut self, request: FrontRequest) {
+        let shard = self.shard_of(request.consumer);
         let msg = Message::new(msgkinds::FRONT_REQUEST)
             .with_payload(&request)
             .expect("front request serializes");
         self.world
-            .send_external(self.httpa, msg)
+            .send_external(self.stacks[shard].httpa, msg)
             .expect("httpa reachable");
     }
 
-    /// Drain responses addressed to `consumer` that arrived since the
-    /// last call.
+    /// Drain the replies for `consumer` that its shard's HttpA logged and
+    /// no earlier call claimed.
     fn drain_responses(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        let snapshot = self.world.snapshot_of(self.httpa).expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<ResponseBody> = all[self.responses_read.min(all.len())..]
-            .iter()
-            .filter(|r| r.consumer == consumer)
-            .map(|r| r.body.clone())
-            .collect();
-        self.responses_read = all.len();
-        fresh
+        let k = self.shard_of(consumer);
+        self.stacks[k]
+            .drain(self.world.shard(k), Some(consumer))
+            .into_iter()
+            .map(|r| r.body)
+            .collect()
     }
 
     fn run_task(&mut self, consumer: ConsumerId, body: FrontRequestBody) -> Vec<ResponseBody> {
@@ -424,7 +597,7 @@ impl Platform {
         self.drain_responses(consumer)
     }
 
-    /// Log `consumer` in (creates their BRA).
+    /// Log `consumer` in (creates their BRA on their shard).
     pub fn login(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
         self.run_task(consumer, FrontRequestBody::Login)
     }
@@ -434,7 +607,8 @@ impl Platform {
         self.run_task(consumer, FrontRequestBody::Logout)
     }
 
-    /// Run the Fig 4.2 merchandise-query workflow.
+    /// Run the Fig 4.2 merchandise-query workflow on `consumer`'s shard;
+    /// its MBA migrates to the shard-0 marketplaces and back.
     pub fn query(
         &mut self,
         consumer: ConsumerId,
@@ -565,8 +739,8 @@ impl Platform {
     }
 
     /// Submit a task without running the world — use with
-    /// [`Platform::run_and_drain`] to let several consumers' tasks (e.g.
-    /// competing auction bids) overlap in time.
+    /// [`PlatformOf::run_and_drain`] to let several consumers' tasks
+    /// (e.g. competing auction bids) overlap in time across shards.
     pub fn submit_task(&mut self, consumer: ConsumerId, task: ConsumerTask) {
         self.send_front(FrontRequest {
             consumer,
@@ -574,24 +748,26 @@ impl Platform {
         });
     }
 
-    /// Run the world to idle, then return every fresh response as
-    /// `(consumer, body)` pairs.
+    /// Run the world to idle, then return every reply no per-consumer
+    /// call has claimed, as `(consumer, body)` pairs in shard order and
+    /// arrival order within a shard.
     pub fn run_and_drain(&mut self) -> Vec<(ConsumerId, ResponseBody)> {
         self.world.run_until_idle();
-        let snapshot = self.world.snapshot_of(self.httpa).expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<(ConsumerId, ResponseBody)> = all[self.responses_read.min(all.len())..]
-            .iter()
-            .map(|r| (r.consumer, r.body.clone()))
-            .collect();
-        self.responses_read = all.len();
-        fresh
+        let mut out = Vec::new();
+        for (k, stack) in self.stacks.iter_mut().enumerate() {
+            out.extend(
+                stack
+                    .drain(self.world.shard(k), None)
+                    .into_iter()
+                    .map(|r| (r.consumer, r.body)),
+            );
+        }
+        out
     }
 
-    /// Seed the PA's UserDB offline with behaviour history (population
-    /// bootstrap for experiments). Each tuple is one event.
+    /// Seed the PAs' UserDBs offline with behaviour history (population
+    /// bootstrap for experiments). Each tuple is one event, recorded by
+    /// the PA on the consumer's own shard.
     pub fn seed_events(&mut self, events: &[(ConsumerId, Merchandise, BehaviorKind)]) {
         for (consumer, item, kind) in events {
             let record = Message::new(msgkinds::PA_RECORD)
@@ -603,559 +779,16 @@ impl Platform {
                     at_us: self.world.now().as_micros(),
                 })
                 .expect("record serializes");
-            self.world
-                .send_external(self.pa, record)
-                .expect("pa reachable");
+            let pa = self.stacks[self.shard_of(*consumer)].pa;
+            self.world.send_external(pa, record).expect("pa reachable");
         }
         self.world.run_until_idle();
     }
-
-    /// Snapshot of the PA (store + UserDB) for inspection.
-    pub fn pa_state(&self) -> crate::agents::ProfileAgent {
-        serde_json::from_value(self.world.snapshot_of(self.pa).expect("pa active"))
-            .expect("pa state parses")
-    }
-
-    /// Snapshot of the BSMA for inspection.
-    pub fn bsma_state(&self) -> Bsma {
-        serde_json::from_value(self.world.snapshot_of(self.bsma).expect("bsma active"))
-            .expect("bsma state parses")
-    }
 }
 
-impl std::fmt::Debug for Platform {
+impl<S> std::fmt::Debug for PlatformOf<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Platform")
-            .field("markets", &self.markets.len())
-            .field("buyer_host", &self.buyer_host)
-            .finish()
-    }
-}
-
-/// Builder for a [`ShardedPlatform`].
-///
-/// Mirrors [`PlatformBuilder`] but partitions the buyer side of the
-/// platform across `shards` parallel DES shards: the Coordinator,
-/// Marketplaces and Seller Servers live on shard 0, and each shard runs
-/// its own Buyer Agent Server (BSMA + HttpA + PA) provisioned through the
-/// shard-0 Coordinator exactly as Fig 4.1 describes — for shards other
-/// than 0 the BSMA's self-dispatch is a real cross-shard migration.
-/// Consumers are routed to buyer servers by consistent hash of their id,
-/// so a consumer's whole session stays on one shard while marketplace
-/// traffic crosses the conservative time-window boundary.
-#[derive(Debug)]
-pub struct ShardedPlatformBuilder {
-    seed: u64,
-    shards: usize,
-    topology: Topology,
-    listings_per_market: Vec<Vec<Listing>>,
-    learner: LearnerConfig,
-    similarity: SimilarityConfig,
-    collaborative_weight: f64,
-    mba_timeout_us: u64,
-    watch_retries: u32,
-    bra_retry: BackoffPolicy,
-    telemetry: bool,
-    admission: Option<AdmissionConfig>,
-    request_deadline_us: u64,
-    breaker: Option<BreakerConfig>,
-    mailbox: Option<MailboxConfig>,
-    durability: Option<DurabilityConfig>,
-    supervision: Option<SupervisionConfig>,
-}
-
-impl ShardedPlatformBuilder {
-    /// Start building with a seed and shard count (clamped to at least 1);
-    /// defaults match [`PlatformBuilder::new`].
-    pub fn new(seed: u64, shards: usize) -> Self {
-        ShardedPlatformBuilder {
-            seed,
-            shards: shards.max(1),
-            topology: Topology::lan(),
-            listings_per_market: vec![Vec::new()],
-            learner: LearnerConfig::default(),
-            similarity: SimilarityConfig::default(),
-            collaborative_weight: 0.7,
-            mba_timeout_us: 600_000_000,
-            watch_retries: 1,
-            bra_retry: BackoffPolicy::default(),
-            telemetry: false,
-            admission: None,
-            request_deadline_us: 0,
-            breaker: None,
-            mailbox: None,
-            durability: None,
-            supervision: None,
-        }
-    }
-
-    /// Use an explicit topology (applied to every shard).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// One entry per marketplace: the listings its seller provides.
-    pub fn marketplaces(mut self, listings_per_market: Vec<Vec<Listing>>) -> Self {
-        self.listings_per_market = listings_per_market;
-        self
-    }
-
-    /// Profile learner configuration.
-    pub fn learner(mut self, learner: LearnerConfig) -> Self {
-        self.learner = learner;
-        self
-    }
-
-    /// Similarity configuration.
-    pub fn similarity(mut self, similarity: SimilarityConfig) -> Self {
-        self.similarity = similarity;
-        self
-    }
-
-    /// Hybrid collaborative weight (ablation knob).
-    pub fn collaborative_weight(mut self, w: f64) -> Self {
-        self.collaborative_weight = w;
-        self
-    }
-
-    /// MBA loss timeout in simulated microseconds.
-    pub fn mba_timeout_us(mut self, us: u64) -> Self {
-        self.mba_timeout_us = us;
-        self
-    }
-
-    /// Grace periods the BSMA watchdog grants an overdue MBA.
-    pub fn watch_retries(mut self, retries: u32) -> Self {
-        self.watch_retries = retries;
-        self
-    }
-
-    /// Backoff schedule BRAs use to re-dispatch a lost MBA.
-    pub fn bra_retry(mut self, policy: BackoffPolicy) -> Self {
-        self.bra_retry = policy;
-        self
-    }
-
-    /// Enable token-bucket admission control at every shard's HttpA.
-    pub fn admission(mut self, config: AdmissionConfig) -> Self {
-        self.admission = Some(config);
-        self
-    }
-
-    /// Mint an end-to-end deadline for every admitted task.
-    pub fn request_deadline_us(mut self, us: u64) -> Self {
-        self.request_deadline_us = us;
-        self
-    }
-
-    /// Guard each marketplace with a circuit breaker fed by MBA trip
-    /// reports (each shard's BSMA keeps its own breaker state).
-    pub fn breaker(mut self, config: BreakerConfig) -> Self {
-        self.breaker = Some(config);
-        self
-    }
-
-    /// Bound every agent mailbox on every shard (applied after the
-    /// creation workflow so provisioning traffic is never shed).
-    pub fn mailbox(mut self, config: MailboxConfig) -> Self {
-        self.mailbox = Some(config);
-        self
-    }
-
-    /// Turn on end-to-end request tracing and the latency registry.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    /// Give every host on every shard a WAL-backed durable store and
-    /// switch each shard's buyer-side agents to durable operation. See
-    /// [`PlatformBuilder::durability`].
-    pub fn durability(mut self, config: DurabilityConfig) -> Self {
-        self.durability = Some(config);
-        self
-    }
-
-    /// Arm self-healing supervision on every shard. See
-    /// [`PlatformBuilder::supervision`].
-    pub fn supervision(mut self, config: SupervisionConfig) -> Self {
-        self.supervision = Some(config);
-        self
-    }
-
-    /// Assemble the sharded world and run the Fig 4.1 creation workflow
-    /// once per shard.
-    pub fn build(self) -> ShardedPlatform {
-        let shards = self.shards;
-        let mut world = ShardedSimWorld::new(self.seed, shards);
-        for k in 0..shards {
-            *world.shard_mut(k).topology_mut() = self.topology.clone();
-        }
-        if let Some(cfg) = self.durability {
-            world.enable_durability(cfg);
-        }
-        if let Some(cfg) = self.supervision {
-            world.enable_supervision(cfg);
-        }
-        if self.telemetry {
-            world.enable_telemetry();
-        }
-        for k in 0..shards {
-            register_all(world.shard_mut(k).registry_mut());
-        }
-
-        // Coordinator Server with its CA — shard 0 owns the market side.
-        let coordinator_host = world.add_host(0, "coordinator-server");
-        let coordinator = world
-            .create_agent(coordinator_host, Box::new(CoordinatorAgent::new()))
-            .expect("create coordinator");
-
-        // Marketplaces + their seller servers, all on shard 0.
-        let mut markets = Vec::new();
-        for (i, listings) in self.listings_per_market.iter().enumerate() {
-            let market_host = world.add_host(0, format!("marketplace-{i}"));
-            let market_agent = world
-                .create_agent(
-                    market_host,
-                    Box::new(MarketplaceAgent::new(format!("m{i}"))),
-                )
-                .expect("create marketplace");
-            markets.push(MarketRef {
-                host: market_host,
-                agent: market_agent,
-            });
-            let reg = Message::new(ecpk::REGISTER_SERVER)
-                .with_payload(&RegisterServer {
-                    role: ServerRole::Marketplace,
-                    host: market_host,
-                    agent: market_agent,
-                    name: format!("m{i}"),
-                })
-                .expect("register serializes");
-            world
-                .send_external(coordinator, reg)
-                .expect("register marketplace");
-            let seller_host = world.add_host(0, format!("seller-{i}"));
-            world
-                .create_agent(
-                    seller_host,
-                    Box::new(SellerAgent::new(
-                        i as u32 + 1,
-                        format!("seller-{i}"),
-                        listings.clone(),
-                        vec![market_agent],
-                    )),
-                )
-                .expect("create seller");
-        }
-        world.run_until_idle();
-
-        // One Buyer Agent Server per shard, each provisioned through the
-        // shard-0 Coordinator (Fig 4.1 steps 1-6). For k > 0 the BSMA's
-        // step-3 self-dispatch crosses the shard boundary. The 1-shard
-        // host name matches [`PlatformBuilder::build`] exactly so the
-        // single-shard trace is byte-identical to the unsharded one.
-        let mut buyer_hosts = Vec::new();
-        for k in 0..shards {
-            let name = if shards == 1 {
-                "buyer-agent-server".to_string()
-            } else {
-                format!("buyer-agent-server-{k}")
-            };
-            let buyer_host = world.add_host(k, name.clone());
-            buyer_hosts.push(buyer_host);
-            let config = BsmaConfig {
-                target: buyer_host,
-                coordinator,
-                markets: markets.clone(),
-                name,
-                learner: self.learner,
-                similarity: self.similarity.with_ann_seed(self.seed),
-                mba_timeout_us: self.mba_timeout_us,
-                collaborative_weight: self.collaborative_weight,
-                watch_retries: self.watch_retries,
-                bra_retry: self.bra_retry,
-                admission: self.admission,
-                request_deadline_us: self.request_deadline_us,
-                breaker: self.breaker,
-                durable: self.durability.is_some(),
-            };
-            let request = Message::new(ecpk::REQUEST_BUYER_SERVER)
-                .with_payload(&RequestBuyerServer {
-                    host: buyer_host,
-                    bsma_type: crate::agents::BSMA_TYPE.to_string(),
-                    config: serde_json::json!({ "config": config }),
-                })
-                .expect("request serializes");
-            world
-                .send_external(coordinator, request)
-                .expect("request buyer server");
-        }
-        world.run_until_idle();
-
-        // Locate each shard's BSMA (it migrated to that shard's buyer
-        // host) and its children.
-        let mut stacks = Vec::new();
-        for (k, &buyer_host) in buyer_hosts.iter().enumerate() {
-            let shard = world.shard(k);
-            let mut found = None;
-            for id in shard.agents_on(buyer_host) {
-                if let Ok(snapshot) = shard.snapshot_of(id) {
-                    if let Ok(state) = serde_json::from_value::<Bsma>(snapshot) {
-                        if state.is_ready() {
-                            found = Some((id, state));
-                            break;
-                        }
-                    }
-                }
-            }
-            let (bsma, state) = found.expect("bsma reached its shard's buyer host and set up");
-            stacks.push(BuyerStack {
-                buyer_host,
-                bsma,
-                httpa: state.httpa().expect("httpa created"),
-                pa: state.pa().expect("pa created"),
-                responses_read: 0,
-            });
-        }
-
-        // Bound mailboxes only once the platform stands: provisioning
-        // traffic must never be shed.
-        if let Some(mailbox) = self.mailbox {
-            world.set_mailbox(mailbox);
-        }
-
-        ShardedPlatform {
-            world,
-            coordinator,
-            markets,
-            stacks,
-        }
-    }
-}
-
-/// One shard's buyer-side stack (Buyer Agent Server host, BSMA, HttpA,
-/// PA) plus its front-door response cursor.
-#[derive(Debug, Clone, Copy)]
-struct BuyerStack {
-    buyer_host: HostId,
-    bsma: AgentId,
-    httpa: AgentId,
-    pa: AgentId,
-    responses_read: usize,
-}
-
-/// A platform whose buyer side is partitioned across parallel DES shards.
-///
-/// Shard 0 hosts the Coordinator, Marketplaces and Seller Servers; every
-/// shard runs a full Buyer Agent Server. Consumers hash onto shards by
-/// id, and the same browser-level operations as [`Platform`] are exposed
-/// — each call routes to the owning shard's HttpA.
-pub struct ShardedPlatform {
-    world: ShardedSimWorld,
-    coordinator: AgentId,
-    markets: Vec<MarketRef>,
-    stacks: Vec<BuyerStack>,
-}
-
-impl ShardedPlatform {
-    /// Start building a sharded platform.
-    pub fn builder(seed: u64, shards: usize) -> ShardedPlatformBuilder {
-        ShardedPlatformBuilder::new(seed, shards)
-    }
-
-    /// Number of shards (== number of Buyer Agent Servers).
-    pub fn shard_count(&self) -> usize {
-        self.stacks.len()
-    }
-
-    /// The shard that owns `consumer`'s session.
-    pub fn shard_of(&self, consumer: ConsumerId) -> usize {
-        agentsim::ids::shard_of(AgentId(consumer.0), self.stacks.len())
-    }
-
-    /// The underlying sharded world (merged trace, metrics, clock).
-    pub fn world(&self) -> &ShardedSimWorld {
-        &self.world
-    }
-
-    /// Mutable world access (per-shard topology changes, manual messages).
-    pub fn world_mut(&mut self) -> &mut ShardedSimWorld {
-        &mut self.world
-    }
-
-    /// Counters merged across every shard.
-    pub fn metrics(&self) -> agentsim::metrics::Metrics {
-        self.world.metrics()
-    }
-
-    /// Install a [`ChaosPlan`] on every shard.
-    pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        self.world.install_chaos(plan);
-    }
-
-    /// Marketplace references, in creation order (all on shard 0).
-    pub fn markets(&self) -> &[MarketRef] {
-        &self.markets
-    }
-
-    /// The Coordinator Agent's id.
-    pub fn coordinator(&self) -> AgentId {
-        self.coordinator
-    }
-
-    /// Shard `k`'s Buyer Agent Server host.
-    pub fn buyer_host(&self, k: usize) -> HostId {
-        self.stacks[k].buyer_host
-    }
-
-    /// Shard `k`'s BSMA agent id.
-    pub fn bsma(&self, k: usize) -> AgentId {
-        self.stacks[k].bsma
-    }
-
-    fn send_front(&mut self, request: FrontRequest) {
-        let shard = self.shard_of(request.consumer);
-        let msg = Message::new(msgkinds::FRONT_REQUEST)
-            .with_payload(&request)
-            .expect("front request serializes");
-        self.world
-            .send_external(self.stacks[shard].httpa, msg)
-            .expect("httpa reachable");
-    }
-
-    /// Drain responses addressed to `consumer` that arrived at its
-    /// shard's HttpA since the last call.
-    fn drain_responses(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        let shard = self.shard_of(consumer);
-        let stack = &mut self.stacks[shard];
-        let snapshot = self
-            .world
-            .shard(shard)
-            .snapshot_of(stack.httpa)
-            .expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<ResponseBody> = all[stack.responses_read.min(all.len())..]
-            .iter()
-            .filter(|r| r.consumer == consumer)
-            .map(|r| r.body.clone())
-            .collect();
-        stack.responses_read = all.len();
-        fresh
-    }
-
-    fn run_task(&mut self, consumer: ConsumerId, body: FrontRequestBody) -> Vec<ResponseBody> {
-        self.send_front(FrontRequest { consumer, body });
-        self.world.run_until_idle();
-        self.drain_responses(consumer)
-    }
-
-    /// Log `consumer` in (creates their BRA on their shard).
-    pub fn login(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        self.run_task(consumer, FrontRequestBody::Login)
-    }
-
-    /// Log `consumer` out (disposes their BRA).
-    pub fn logout(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        self.run_task(consumer, FrontRequestBody::Logout)
-    }
-
-    /// Run the Fig 4.2 merchandise-query workflow on `consumer`'s shard;
-    /// its MBA migrates to the shard-0 marketplaces and back.
-    pub fn query(
-        &mut self,
-        consumer: ConsumerId,
-        keywords: &[&str],
-        max_results: usize,
-    ) -> Vec<ResponseBody> {
-        self.run_task(
-            consumer,
-            FrontRequestBody::Task(ConsumerTask::Query {
-                keywords: keywords.iter().map(|s| s.to_string()).collect(),
-                category: None,
-                max_results,
-            }),
-        )
-    }
-
-    /// Run the Fig 4.3 buy workflow against marketplace `market_index`.
-    pub fn buy(
-        &mut self,
-        consumer: ConsumerId,
-        item: ItemId,
-        market_index: usize,
-        mode: BuyMode,
-    ) -> Vec<ResponseBody> {
-        let market = self.markets[market_index];
-        self.run_task(
-            consumer,
-            FrontRequestBody::Task(ConsumerTask::Buy { item, market, mode }),
-        )
-    }
-
-    /// Submit a task without running the world — use with
-    /// [`ShardedPlatform::run_and_drain`] to let many consumers' tasks
-    /// overlap in time across shards.
-    pub fn submit_task(&mut self, consumer: ConsumerId, task: ConsumerTask) {
-        self.send_front(FrontRequest {
-            consumer,
-            body: FrontRequestBody::Task(task),
-        });
-    }
-
-    /// Run the world to idle, then return every fresh response from
-    /// every shard's HttpA as `(consumer, body)` pairs, in shard order.
-    pub fn run_and_drain(&mut self) -> Vec<(ConsumerId, ResponseBody)> {
-        self.world.run_until_idle();
-        let mut out = Vec::new();
-        for (k, stack) in self.stacks.iter_mut().enumerate() {
-            let snapshot = self
-                .world
-                .shard(k)
-                .snapshot_of(stack.httpa)
-                .expect("httpa active");
-            let state: crate::agents::HttpAgent =
-                serde_json::from_value(snapshot).expect("httpa state parses");
-            let all: Vec<FrontResponse> = state.responses().to_vec();
-            out.extend(
-                all[stack.responses_read.min(all.len())..]
-                    .iter()
-                    .map(|r| (r.consumer, r.body.clone())),
-            );
-            stack.responses_read = all.len();
-        }
-        out
-    }
-
-    /// Snapshot of shard `k`'s BSMA for inspection.
-    pub fn bsma_state(&self, k: usize) -> Bsma {
-        serde_json::from_value(
-            self.world
-                .shard(k)
-                .snapshot_of(self.stacks[k].bsma)
-                .expect("bsma active"),
-        )
-        .expect("bsma state parses")
-    }
-
-    /// Snapshot of shard `k`'s PA (store + UserDB) for inspection.
-    pub fn pa_state(&self, k: usize) -> crate::agents::ProfileAgent {
-        serde_json::from_value(
-            self.world
-                .shard(k)
-                .snapshot_of(self.stacks[k].pa)
-                .expect("pa active"),
-        )
-        .expect("pa state parses")
-    }
-}
-
-impl std::fmt::Debug for ShardedPlatform {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedPlatform")
             .field("shards", &self.stacks.len())
             .field("markets", &self.markets.len())
             .finish()
@@ -1189,6 +822,8 @@ pub fn listing(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
     use crate::workflow;
 
@@ -1527,6 +1162,81 @@ mod tests {
         );
         assert_eq!(p.pa_state(1).userdb().transaction_count(), 1);
         assert_eq!(p.pa_state(0).userdb().transaction_count(), 0);
+    }
+
+    #[test]
+    fn replies_for_other_consumers_wait_to_be_claimed() {
+        let book_query = || ConsumerTask::Query {
+            keywords: vec!["book".into()],
+            category: None,
+            max_results: 5,
+        };
+        for shards in [1, 2] {
+            let mut p = small_sharded_platform(23, shards);
+            // two consumers whose replies land in the same HttpA log
+            let a = ConsumerId(1);
+            let b = (2u64..)
+                .map(ConsumerId)
+                .find(|&c| p.shard_of(c) == p.shard_of(a))
+                .expect("hash covers shard");
+            p.login(a);
+            p.submit_task(a, book_query());
+            assert_eq!(p.login(b), vec![ResponseBody::LoggedIn]);
+            let left = p.run_and_drain();
+            assert!(
+                matches!(left.as_slice(), [(c, ResponseBody::Recommendations { .. })] if *c == a),
+                "{shards} shards: a's reply outlives b's login: {left:?}"
+            );
+            // a consumer's own next call also collects what others left
+            p.submit_task(a, book_query());
+            assert_eq!(p.logout(b), vec![ResponseBody::LoggedOut]);
+            let got = p.query(a, &["book"], 5);
+            assert_eq!(got.len(), 2, "{shards} shards: {got:?}");
+            assert!(p.run_and_drain().is_empty());
+        }
+    }
+
+    #[test]
+    fn seed_events_land_in_the_owning_shards_pa() {
+        let mut p = small_sharded_platform(24, 2);
+        let consumers = consumer_on_each_shard(&p);
+        let rust = listing(1, "Rust Book", "books", "programming", 30, &[("rust", 1.0)]).item;
+        let events: Vec<_> = consumers
+            .iter()
+            .map(|&c| (c, rust.clone(), BehaviorKind::Purchase))
+            .collect();
+        p.seed_events(&events);
+        for (k, &consumer) in consumers.iter().enumerate() {
+            let own = p.pa_state(k);
+            let other = p.pa_state(1 - k);
+            assert!(own.store().profile(consumer).is_some(), "shard {k}");
+            assert!(other.store().profile(consumer).is_none(), "shard {k}");
+        }
+    }
+
+    #[test]
+    fn auction_from_a_far_shard_settles_across_the_boundary() {
+        let mut p = small_sharded_platform(25, 2);
+        let far = consumer_on_each_shard(&p)[1];
+        p.login(far);
+        p.open_auction(
+            0,
+            ItemId(2),
+            Money::from_units(5),
+            Money::from_units(1),
+            SimDuration::from_secs(30),
+        );
+        let before = p.metrics().boundary_migrations;
+        let responses = p.auction(far, ItemId(2), 0, Money::from_units(40));
+        match &responses[0] {
+            ResponseBody::AuctionResult { won, price, .. } => {
+                assert!(won);
+                assert_eq!(*price, Some(Money::from_units(5)));
+            }
+            other => panic!("expected auction result, got {other:?}"),
+        }
+        let crossed = p.metrics().boundary_migrations - before;
+        assert!(crossed >= 2, "the MBA went to shard 0 and back: {crossed}");
     }
 
     #[test]

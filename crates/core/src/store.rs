@@ -435,6 +435,8 @@ impl RecommendStore {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
     use ecp::merchandise::{CategoryPath, Money};
     use ecp::terms::TermVector;

@@ -331,6 +331,8 @@ impl DutchAuction {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
 
     fn money(u: u64) -> Money {

@@ -280,6 +280,8 @@ pub fn negotiate(seller: SellerPolicy, buyer: BuyerPolicy) -> Outcome {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
 
     fn seller(list: u64, reservation: u64) -> SellerPolicy {
