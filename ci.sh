@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, build, tier-1 tests, every member
-# crate's tests, and tier-1 again with the `parallel` feature. Run from
-# the repo root; exits non-zero on the first failure.
+# crate's tests, perfbench's quick-mode checks, and tier-1 again with the
+# `parallel` feature. Run from the repo root; exits non-zero on the first
+# failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -109,6 +110,13 @@ cargo test -q
 # own unit and integration tests too.
 echo "==> cargo test --workspace"
 cargo test -q --workspace
+
+# perfbench is a workspace of its own, so the step above skips it. Its
+# tests run every workload at toy size through the same checks a full
+# run makes: the reply digest and simulated counters repeat, exactly one
+# reply per request, at-most-once settlement.
+echo "==> perfbench quick-mode checks"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test --features parallel"
 cargo test -q --features parallel

@@ -202,6 +202,8 @@ pub enum Action {
         id: AgentId,
         delta: serde_json::Value,
     },
+    /// Append `payload` to the calling agent's outbox (see [`Ctx::emit`]).
+    Emit { payload: Payload },
 }
 
 impl fmt::Debug for Box<dyn Agent> {
@@ -533,6 +535,21 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::JournalDelta {
             id: self.self_id,
             delta,
+        });
+    }
+
+    /// Hand `payload` to the world outside the agents: it lands in this
+    /// agent's outbox, in emit order, until the code running the world
+    /// takes it with `take_outbox`. An emit is not a message — no mailbox, link,
+    /// latency, chaos or message counter — and the outbox survives host
+    /// crashes and failover, since it stands for the far side of a
+    /// connection. On a durable host the world forces the host's WAL sync
+    /// after the callback's capsule is journalled and before releasing
+    /// its emits (output commit), so no crash can roll back the state
+    /// that produced an emitted payload.
+    pub fn emit(&mut self, payload: impl Into<Payload>) {
+        self.actions.push(Action::Emit {
+            payload: payload.into(),
         });
     }
 }

@@ -16,6 +16,9 @@
 //!   (fsync-on-commit), so a logged intent is never lost;
 //! * capsule and delta records batch: the watermark advances once
 //!   `sync_every` unsynced records accumulate (1 = sync everything);
+//! * output commit: before the runtime releases anything an agent emitted
+//!   to the outside world, it forces the watermark through every record
+//!   so far with [`DurableStore::sync`];
 //! * a checkpoint serializes the materialized state into a snapshot and
 //!   truncates the log, bounding replay cost.
 
@@ -343,10 +346,24 @@ impl DurableStore {
         self.counters.wal_records_appended += 1;
         self.since_checkpoint += 1;
         if force_sync || self.wal.len() - self.synced >= self.cfg.sync_every.max(1) {
-            self.synced = self.wal.len();
-            if let Some(f) = self.file.as_mut() {
-                f.wal.sync()?;
-            }
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Force the fsync watermark through every record appended so far, so
+    /// all of it survives a crash. A no-op when nothing is unsynced.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Io`] only on a file-backed store whose log fails to sync.
+    pub fn sync(&mut self) -> Result<()> {
+        if self.synced == self.wal.len() {
+            return Ok(());
+        }
+        self.synced = self.wal.len();
+        if let Some(f) = self.file.as_mut() {
+            f.wal.sync()?;
         }
         Ok(())
     }
@@ -589,6 +606,19 @@ mod tests {
             rec.state.intents.get(&42),
             Some(IntentState::Pending(_))
         ));
+    }
+
+    #[test]
+    fn explicit_sync_makes_the_batched_tail_survive_a_crash() {
+        let mut s = DurableStore::new(cfg(100));
+        s.put_capsule(1, json!({"a": 1}), true).unwrap();
+        s.sync().unwrap();
+        assert_eq!(s.synced_len(), 1);
+        s.put_capsule(2, json!({"b": 2}), true).unwrap();
+        s.crash().unwrap();
+        let rec = s.recover().unwrap();
+        assert!(rec.state.capsules.contains_key(&1), "synced record kept");
+        assert!(!rec.state.capsules.contains_key(&2), "later tail lost");
     }
 
     #[test]

@@ -47,6 +47,7 @@ use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::net::Topology;
 use crate::overload::{deadline_expired, EnqueueVerdict, MailboxConfig, MailboxState};
+use crate::payload::Payload;
 use crate::security::{Authenticator, TravelPermit};
 use crate::storage::DeactivatedStore;
 use crate::supervise::{RestoreDecision, SupervisionConfig, Supervisor, Verdict};
@@ -278,6 +279,10 @@ pub struct SimWorld {
     /// no detector events and takes no recovery seams: traces stay
     /// byte-identical and every supervision counter stays zero.
     supervision: Option<SupervisionState>,
+    /// Payloads agents emitted with [`Ctx::emit`], per emitting agent, in
+    /// emit order, until [`SimWorld::take_outbox`] takes them. World-level,
+    /// so host crashes and failover leave it alone.
+    outbox: HashMap<AgentId, Vec<Payload>>,
 }
 
 impl SimWorld {
@@ -316,6 +321,7 @@ impl SimWorld {
             boundary: None,
             durability: None,
             supervision: None,
+            outbox: HashMap::new(),
         }
     }
 
@@ -756,6 +762,12 @@ impl SimWorld {
             .get(&host)
             .map(|h| h.auth.rejections())
             .unwrap_or(0)
+    }
+
+    /// Take everything `agent` has emitted with [`Ctx::emit`] since the
+    /// last take, in emit order. Each payload is handed out exactly once.
+    pub fn take_outbox(&mut self, agent: AgentId) -> Vec<Payload> {
+        self.outbox.remove(&agent).unwrap_or_default()
     }
 
     /// Snapshot of an *active* agent's state, for inspection in tests.
@@ -1577,12 +1589,16 @@ impl SimWorld {
         if let Some(h) = self.hosts.get_mut(&host) {
             h.active.insert(id, agent);
         }
-        self.apply_actions(id, host, actions);
+        let mut emits = Vec::new();
+        self.apply_actions(id, host, actions, &mut emits);
         // Callback boundary = journaling boundary: if the agent is still
         // active here on a durable host, capture its (possibly mutated)
         // capsule so a crash replays it at this point.
         if self.durability.is_some() && self.locations.get(&id) == Some(&Location::Active(host)) {
             self.journal_live_capsule(host, id);
+        }
+        if !emits.is_empty() {
+            self.release_emits(host, id, emits);
         }
         if let Some(h) = handler {
             let now = self.now;
@@ -1601,7 +1617,24 @@ impl SimWorld {
         self.current_deadline = saved_deadline;
     }
 
-    fn apply_actions(&mut self, actor: AgentId, host: HostId, actions: Vec<Action>) {
+    /// Output commit: force `host`'s WAL through the capsule the callback
+    /// just journalled, then release its emits to `actor`'s outbox.
+    fn release_emits(&mut self, host: HostId, actor: AgentId, emits: Vec<Payload>) {
+        if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut()) {
+            let _ = store.sync();
+        }
+        self.outbox.entry(actor).or_default().extend(emits);
+    }
+
+    /// Apply a callback's actions; its emits are collected into `emits`
+    /// for [`SimWorld::release_emits`] once the capsule is journalled.
+    fn apply_actions(
+        &mut self,
+        actor: AgentId,
+        host: HostId,
+        actions: Vec<Action>,
+        emits: &mut Vec<Payload>,
+    ) {
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.do_send(host, to, msg),
@@ -1802,6 +1835,7 @@ impl SimWorld {
                         self.drain_durable_counters(host);
                     }
                 }
+                Action::Emit { payload } => emits.push(payload),
             }
         }
     }
@@ -2920,6 +2954,7 @@ mod tests {
                     let target: u64 = msg.payload_as().unwrap();
                     ctx.send(AgentId(target), Message::new("ping"));
                 }
+                "emit" => ctx.emit(Payload::encode(&self.count).unwrap()),
                 _ => {}
             }
         }
@@ -2944,6 +2979,78 @@ mod tests {
         w.run_until_idle();
         assert_eq!(w.metrics().messages_delivered, 1);
         assert_eq!(w.snapshot_of(id).unwrap()["count"], 1);
+    }
+
+    #[test]
+    fn emits_leave_through_the_outbox_once_and_are_not_messages() {
+        let (mut w, a, _) = world_with_two_hosts();
+        let id = w.create_agent(a, Box::new(Worker::default())).unwrap();
+        w.send_external(id, Message::new("emit")).unwrap();
+        w.send_external(id, Message::new("emit")).unwrap();
+        w.run_until_idle();
+        assert_eq!(w.metrics().messages_delivered, 2, "only the two requests");
+        let out: Vec<u32> = w
+            .take_outbox(id)
+            .iter()
+            .map(|p| p.typed().unwrap())
+            .collect();
+        assert_eq!(out, vec![1, 2], "emit order kept");
+        assert!(w.take_outbox(id).is_empty(), "each payload handed out once");
+    }
+
+    #[test]
+    fn emits_are_output_committed_and_survive_a_host_crash() {
+        let (mut w, a, _) = world_with_two_hosts();
+        w.enable_durability(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 64,
+        });
+        let id = w.create_agent(a, Box::new(Worker::default())).unwrap();
+        w.send_external(id, Message::new("hello")).unwrap();
+        w.run_until_idle();
+        let store = w.durable_store(a).unwrap();
+        assert!(store.synced_len() < store.wal_len(), "batched, unsynced");
+        w.send_external(id, Message::new("emit")).unwrap();
+        w.run_until_idle();
+        let store = w.durable_store(a).unwrap();
+        assert_eq!(store.synced_len(), store.wal_len(), "forced before release");
+        w.crash_host(a).unwrap();
+        w.restart_host(a).unwrap();
+        w.run_until_idle();
+        assert_eq!(
+            w.snapshot_of(id).unwrap()["count"],
+            2,
+            "the state behind the emit survived"
+        );
+        let out: Vec<u32> = w
+            .take_outbox(id)
+            .iter()
+            .map(|p| p.typed().unwrap())
+            .collect();
+        assert_eq!(out, vec![2], "the crash left the outbox alone");
+    }
+
+    #[test]
+    fn emits_survive_an_automatic_failover() {
+        let (mut w, a, _) = world_with_two_hosts();
+        w.enable_durability(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 64,
+        });
+        w.enable_supervision(SupervisionConfig::default());
+        let id = w.create_agent(a, Box::new(Worker::default())).unwrap();
+        w.send_external(id, Message::new("emit")).unwrap();
+        w.run_until_idle();
+        w.crash_host(a).unwrap();
+        w.run_until_idle();
+        let standby = w.failover_of(a).expect("supervisor failed the host over");
+        assert_eq!(w.location(id), Some(Location::Active(standby)));
+        let out: Vec<u32> = w
+            .take_outbox(id)
+            .iter()
+            .map(|p| p.typed().unwrap())
+            .collect();
+        assert_eq!(out, vec![1], "the failover left the outbox alone");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::intern::InternedStr;
 use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::overload::{deadline_expired, EnqueueVerdict, MailboxConfig, MailboxState};
+use crate::payload::Payload;
 use crate::security::{Authenticator, TravelPermit};
 use crate::storage::DeactivatedStore;
 use crate::supervise::{RestoreDecision, SupervisionConfig, Supervisor, Verdict};
@@ -148,6 +149,9 @@ struct Shared {
     supervision: Option<Mutex<Supervisor>>,
     /// Tells the supervisor thread to exit at shutdown.
     supervisor_stop: AtomicBool,
+    /// Payloads agents emitted, per emitting agent, in emit order, until
+    /// [`ThreadWorld::take_outbox`] takes them (the DES world's outbox).
+    outbox: Mutex<HashMap<AgentId, Vec<Payload>>>,
 }
 
 impl Shared {
@@ -417,6 +421,7 @@ impl ThreadWorldBuilder {
             durability: self.durability,
             supervision: self.supervision.map(|cfg| Mutex::new(Supervisor::new(cfg))),
             supervisor_stop: AtomicBool::new(false),
+            outbox: Mutex::new(HashMap::new()),
         });
         let mut handles = Vec::new();
         let mut hosts = Vec::new();
@@ -524,6 +529,12 @@ impl ThreadWorld {
             return Err(PlatformError::UnknownHost(host));
         }
         Ok(id)
+    }
+
+    /// Take everything `agent` has emitted with [`Ctx::emit`] since the
+    /// last take, in emit order. Each payload is handed out exactly once.
+    pub fn take_outbox(&self, agent: AgentId) -> Vec<Payload> {
+        self.shared.outbox.lock().remove(&agent).unwrap_or_default()
     }
 
     /// Highest mailbox depth observed so far.
@@ -1593,10 +1604,18 @@ fn run_callback<F>(
         f(agent.as_mut(), &mut ctx);
     }
     host.active.insert(id, agent);
-    apply_actions(host, shared, id, actions);
+    let mut emits = Vec::new();
+    apply_actions(host, shared, id, actions, &mut emits);
     // Callback boundary = journaling boundary (see the DES twin).
     if host.durable.is_some() && host.active.contains_key(&id) {
         journal_live_capsule(host, shared, id);
+    }
+    if !emits.is_empty() {
+        // Output commit, as in the DES twin: sync, then release.
+        if let Some(store) = host.durable.as_mut() {
+            let _ = store.sync();
+        }
+        shared.outbox.lock().entry(id).or_default().extend(emits);
     }
     if let Some(h) = handler {
         let now = shared.now();
@@ -1613,7 +1632,15 @@ fn run_callback<F>(
     host.current_deadline = saved_deadline;
 }
 
-fn apply_actions(host: &mut HostState, shared: &Arc<Shared>, actor: AgentId, actions: Vec<Action>) {
+/// Apply a callback's actions; its emits are collected into `emits` for
+/// release once the capsule is journalled.
+fn apply_actions(
+    host: &mut HostState,
+    shared: &Arc<Shared>,
+    actor: AgentId,
+    actions: Vec<Action>,
+    emits: &mut Vec<Payload>,
+) {
     for action in actions {
         match action {
             Action::Send { to, mut msg } => {
@@ -1944,6 +1971,7 @@ fn apply_actions(host: &mut HostState, shared: &Arc<Shared>, actor: AgentId, act
                     drain_durable_counters(host, shared);
                 }
             }
+            Action::Emit { payload } => emits.push(payload),
         }
     }
 }
@@ -2126,6 +2154,8 @@ mod tests {
             if msg.is("hop") {
                 let dest: u32 = msg.payload_as().unwrap();
                 ctx.dispatch_self(HostId(dest));
+            } else if msg.is("emit") {
+                ctx.emit(Payload::encode(&self.hops).unwrap());
             }
         }
         fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
@@ -2158,6 +2188,26 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.label.contains("hopper arrived at host-2")));
+    }
+
+    #[test]
+    fn threaded_emits_leave_through_the_outbox_once() {
+        let mut builder = ThreadWorldBuilder::new(19);
+        builder.register_serde::<Hopper>("hopper");
+        let a = builder.add_host("a");
+        let world = builder.start();
+        let id = world.create_agent(a, Box::new(Hopper { hops: 3 })).unwrap();
+        world.send_external(id, Message::new("emit")).unwrap();
+        assert!(world.run_until_idle(Duration::from_secs(5)).is_idle());
+        let out: Vec<u32> = world
+            .take_outbox(id)
+            .iter()
+            .map(|p| p.typed().unwrap())
+            .collect();
+        assert_eq!(out, vec![3]);
+        assert!(world.take_outbox(id).is_empty(), "handed out once");
+        let (metrics, _) = world.shutdown();
+        assert_eq!(metrics.messages_delivered, 1, "an emit is not a message");
     }
 
     #[test]

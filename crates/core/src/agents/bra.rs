@@ -15,9 +15,9 @@
 
 use crate::agents::mba::{MbaTask, MobileBuyerAgent};
 use crate::agents::msg::{
-    kinds, BraResponse, ConsumerTask, MarketRef, MarketStatus, MbaLost, MbaRegister, MbaResult,
-    PaLoad, PaProfile, PaRecord, PaSimilar, PaSimilarReply, RecommendedItem, ResponseBody,
-    RoutedTask,
+    kinds, BraResponse, ConsumerTask, FrontTask, MarketRef, MarketStatus, MbaLost, MbaRegister,
+    MbaResult, PaLoad, PaProfile, PaRecord, PaSimilar, PaSimilarReply, RecommendedItem,
+    ResponseBody,
 };
 use crate::learning::BehaviorKind;
 use crate::profile::{ConsumerId, Profile};
@@ -114,6 +114,9 @@ pub struct BuyerRecommendAgent {
     /// Purchase intents minted by this BRA so far (intent-id sequence).
     #[serde(default)]
     intents_minted: u64,
+    /// Front-door request id of the current task, echoed in its reply.
+    #[serde(default)]
+    request: u64,
 }
 
 impl BuyerRecommendAgent {
@@ -141,6 +144,7 @@ impl BuyerRecommendAgent {
             blocked_markets: Vec::new(),
             durable: false,
             intents_minted: 0,
+            request: 0,
         }
     }
 
@@ -169,7 +173,12 @@ impl BuyerRecommendAgent {
         self
     }
 
-    fn respond(&mut self, ctx: &mut Ctx<'_>, body: ResponseBody) {
+    /// Answer the current task's request.
+    fn respond(&self, ctx: &mut Ctx<'_>, body: ResponseBody) {
+        self.respond_to(ctx, self.request, body);
+    }
+
+    fn respond_to(&self, ctx: &mut Ctx<'_>, request: u64, body: ResponseBody) {
         // The reply itself must never be dropped as expired: a degraded
         // answer at (or just past) the deadline still beats silence, so
         // strip the deadline before the send stamps it.
@@ -179,18 +188,30 @@ impl BuyerRecommendAgent {
         let msg = Message::new(kinds::BRA_RESPONSE)
             .with_payload(&BraResponse {
                 consumer: self.consumer,
+                request,
                 body,
             })
             .expect("response serializes");
         ctx.send(self.httpa, msg);
     }
 
-    fn start_task(&mut self, ctx: &mut Ctx<'_>, task: ConsumerTask, blocked: Vec<MarketRef>) {
+    fn start_task(&mut self, ctx: &mut Ctx<'_>, routed: FrontTask) {
         if self.pending.is_some() {
-            self.respond(ctx, ResponseBody::Error("busy with a previous task".into()));
+            self.respond_to(
+                ctx,
+                routed.request,
+                ResponseBody::Error("busy with a previous task".into()),
+            );
             return;
         }
-        self.blocked_markets = blocked;
+        let FrontTask {
+            task,
+            blocked_markets,
+            request,
+            ..
+        } = routed;
+        self.request = request;
+        self.blocked_markets = blocked_markets;
         // A buy/auction aimed at a circuit-open marketplace cannot
         // proceed at all: fail fast rather than loading a profile for a
         // dispatch that is already refused.
@@ -572,8 +593,8 @@ impl Agent for BuyerRecommendAgent {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         match msg.kind.as_str() {
             kinds::BRA_TASK => {
-                if let Ok(routed) = msg.payload_as::<RoutedTask>() {
-                    self.start_task(ctx, routed.task, routed.blocked_markets);
+                if let Ok(routed) = msg.payload_as::<FrontTask>() {
+                    self.start_task(ctx, routed);
                 }
             }
             kinds::PA_PROFILE => {

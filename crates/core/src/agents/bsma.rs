@@ -18,8 +18,8 @@ use crate::admission::AdmissionConfig;
 use crate::agents::bra::BuyerRecommendAgent;
 use crate::agents::httpa::HttpAgent;
 use crate::agents::msg::{
-    kinds, ConsumerTask, EcInfo, MarketRef, MarketStatus, MbaLost, MbaRegister, MbaReturned,
-    RoutedTask, SessionOpen, SessionRequest,
+    kinds, ConsumerTask, EcInfo, FrontTask, MarketRef, MarketStatus, MbaLost, MbaRegister,
+    MbaReturned, SessionOpen, SessionRequest,
 };
 use crate::agents::pa::ProfileAgent;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -340,7 +340,7 @@ impl Bsma {
             .collect()
     }
 
-    fn handle_route(&mut self, ctx: &mut Ctx<'_>, msg: &Message, routed: RoutedTask) {
+    fn handle_route(&mut self, ctx: &mut Ctx<'_>, msg: &Message, routed: FrontTask) {
         match self.session_of(routed.consumer.0) {
             Some(bra) => {
                 let fig = routed.task.figure();
@@ -354,7 +354,7 @@ impl Bsma {
                             market.agent
                         ));
                     }
-                    let annotated = RoutedTask {
+                    let annotated = FrontTask {
                         blocked_markets: blocked,
                         ..routed
                     };
@@ -365,16 +365,13 @@ impl Bsma {
                     return;
                 }
                 // forward the already-encoded payload: no re-serialization,
-                // the BRA reads the same RoutedTask bytes we received
+                // the BRA reads the same FrontTask bytes we received
                 let task = Message::new(kinds::BRA_TASK).carrying(msg.payload.clone());
                 ctx.send(bra, task);
             }
             None => {
-                let reply = Message::new(kinds::NO_SESSION)
-                    .with_payload(&SessionRequest {
-                        consumer: routed.consumer,
-                    })
-                    .expect("session serializes");
+                // hand the refused task back: it names the request to settle
+                let reply = Message::new(kinds::NO_SESSION).carrying(msg.payload.clone());
                 ctx.reply(msg, reply);
             }
         }
@@ -501,7 +498,7 @@ impl Agent for Bsma {
                 }
             }
             kinds::ROUTE_TASK => {
-                if let Ok(routed) = msg.payload_as::<RoutedTask>() {
+                if let Ok(routed) = msg.payload_as::<FrontTask>() {
                     self.handle_route(ctx, &msg, routed);
                 }
             }

@@ -5,31 +5,46 @@
 //! the aglet message between Web interface and agent or mobile agent."*
 //!
 //! The "browser" is modelled as external messages injected with
-//! [`agentsim::sim::SimWorld::send_external`]; responses accumulate in
-//! the HttpA's state, where the driving harness reads them back — the
-//! same request/translate/respond path a servlet front would take.
+//! [`agentsim::sim::SimWorld::send_external`]. Each reply goes back
+//! through [`Ctx::emit`]: stamped with the next sequence number, it lands
+//! in the HttpA's outbox, where the driving harness takes it — the same
+//! request/translate/respond path a servlet front would take. The HttpA
+//! keeps no reply history; its state holds only counters and the
+//! requests still in flight.
 
 use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionVerdict, Priority};
 use crate::agents::msg::{
-    kinds, BraResponse, ConsumerTask, FrontRequest, FrontRequestBody, FrontResponse, ResponseBody,
-    RoutedTask, SessionOpen, SessionRequest,
+    kinds, BraResponse, ConsumerTask, FrontRequest, FrontRequestBody, FrontResponse, FrontTask,
+    ResponseBody, SessionOpen, SessionRequest,
 };
 use crate::profile::ConsumerId;
 use agentsim::agent::{Agent, Ctx};
 use agentsim::clock::SimDuration;
 use agentsim::ids::AgentId;
 use agentsim::message::Message;
+use agentsim::payload::Payload;
 use serde::{Deserialize, Serialize};
 
 /// Agent-type tag of [`HttpAgent`].
 pub const HTTPA_TYPE: &str = "httpa";
 
+/// A task admitted under a deadline and not yet answered.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct InFlight {
+    /// The HttpA's id for the request (its `requests_seen` at arrival).
+    request: u64,
+    consumer: ConsumerId,
+    started_us: u64,
+}
+
 /// The Http front agent.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct HttpAgent {
     bsma: AgentId,
-    responses: Vec<FrontResponse>,
     requests_seen: u32,
+    /// Replies emitted so far, which is the next reply's `seq`.
+    #[serde(default)]
+    replies_sent: u64,
     /// Ingress admission gate; `None` (the default) admits everything.
     #[serde(default)]
     admission: Option<AdmissionGate>,
@@ -37,11 +52,12 @@ pub struct HttpAgent {
     /// deadline propagation.
     #[serde(default)]
     deadline_us: u64,
-    /// Tasks admitted but not yet answered: `(consumer, started_us)`.
-    /// A watchdog timer per entry guarantees the browser always hears
-    /// back, even if the request is dropped mid-pipeline.
+    /// Tasks admitted under a deadline but not yet answered. A watchdog
+    /// timer per entry, tagged with its request id, guarantees the
+    /// browser always hears back, even if the request is dropped
+    /// mid-pipeline.
     #[serde(default)]
-    inflight: Vec<(ConsumerId, u64)>,
+    inflight: Vec<InFlight>,
 }
 
 impl HttpAgent {
@@ -49,8 +65,8 @@ impl HttpAgent {
     pub fn new(bsma: AgentId) -> Self {
         HttpAgent {
             bsma,
-            responses: Vec::new(),
             requests_seen: 0,
+            replies_sent: 0,
             admission: None,
             deadline_us: 0,
             inflight: Vec::new(),
@@ -70,11 +86,6 @@ impl HttpAgent {
         self
     }
 
-    /// Responses delivered so far (the browser's view).
-    pub fn responses(&self) -> &[FrontResponse] {
-        &self.responses
-    }
-
     /// Number of front requests processed.
     pub fn requests_seen(&self) -> u32 {
         self.requests_seen
@@ -91,10 +102,48 @@ impl HttpAgent {
         }
     }
 
-    /// Drop `consumer` from the inflight set; true when it was there.
-    fn settle(&mut self, consumer: ConsumerId) -> Option<u64> {
-        let pos = self.inflight.iter().position(|(c, _)| *c == consumer)?;
-        Some(self.inflight.remove(pos).1)
+    /// Take `request` out of the inflight set, if it is there.
+    fn settle(&mut self, request: u64) -> Option<InFlight> {
+        let pos = self.inflight.iter().position(|f| f.request == request)?;
+        Some(self.inflight.remove(pos))
+    }
+
+    /// Emit the next reply to the browser.
+    fn reply(&mut self, ctx: &mut Ctx<'_>, consumer: ConsumerId, body: ResponseBody) {
+        let response = FrontResponse {
+            seq: self.replies_sent,
+            consumer,
+            body,
+        };
+        self.replies_sent += 1;
+        ctx.emit(Payload::encode(&response).expect("reply serializes"));
+    }
+
+    /// Answer task `request` with `body`, unless its deadline watchdog
+    /// already did: under deadlines every task of ours is in flight until
+    /// its first answer, and a later one would be a second reply.
+    fn answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        request: u64,
+        consumer: ConsumerId,
+        body: ResponseBody,
+    ) {
+        match self.settle(request) {
+            Some(f) => ctx.observe(
+                "e2e.latency_us",
+                ctx.now().as_micros().saturating_sub(f.started_us),
+            ),
+            None if self.deadline_us > 0 && request != 0 => {
+                ctx.note(format!(
+                    "httpa: late reply to consumer {} dropped: the deadline already answered it",
+                    consumer.0
+                ));
+                return;
+            }
+            None => {}
+        }
+        self.reply(ctx, consumer, body);
     }
 }
 
@@ -115,6 +164,7 @@ impl Agent for HttpAgent {
                     return;
                 };
                 self.requests_seen += 1;
+                let request = u64::from(self.requests_seen);
                 if let Some(gate) = &mut self.admission {
                     let class = Self::class_of(&req.body);
                     let verdict = gate.try_admit(ctx.now().as_micros(), class);
@@ -124,10 +174,11 @@ impl Agent for HttpAgent {
                             "httpa: shed {class:?} request from consumer {} (retry in {retry_after_us} us)",
                             req.consumer.0
                         ));
-                        self.responses.push(FrontResponse {
-                            consumer: req.consumer,
-                            body: ResponseBody::Overloaded { retry_after_us },
-                        });
+                        self.reply(
+                            ctx,
+                            req.consumer,
+                            ResponseBody::Overloaded { retry_after_us },
+                        );
                         return;
                     }
                 }
@@ -160,17 +211,22 @@ impl Agent for HttpAgent {
                             ctx.set_deadline(
                                 ctx.now() + SimDuration::from_micros(self.deadline_us),
                             );
-                            self.inflight.push((req.consumer, ctx.now().as_micros()));
+                            self.inflight.push(InFlight {
+                                request,
+                                consumer: req.consumer,
+                                started_us: ctx.now().as_micros(),
+                            });
                             ctx.set_timer(
                                 SimDuration::from_micros(self.deadline_us + self.deadline_us / 2),
-                                req.consumer.0,
+                                request,
                             );
                         }
                         let route = Message::new(kinds::ROUTE_TASK)
-                            .with_payload(&RoutedTask {
+                            .with_payload(&FrontTask {
                                 consumer: req.consumer,
                                 task,
                                 blocked_markets: Vec::new(),
+                                request,
                             })
                             .expect("route serializes");
                         ctx.send(self.bsma, route);
@@ -179,41 +235,27 @@ impl Agent for HttpAgent {
             }
             kinds::SESSION_OPEN => {
                 if let Ok(open) = msg.payload_as::<SessionOpen>() {
-                    self.responses.push(FrontResponse {
-                        consumer: open.consumer,
-                        body: ResponseBody::LoggedIn,
-                    });
+                    self.reply(ctx, open.consumer, ResponseBody::LoggedIn);
                 }
             }
             kinds::SESSION_CLOSED => {
                 if let Ok(req) = msg.payload_as::<SessionRequest>() {
-                    self.responses.push(FrontResponse {
-                        consumer: req.consumer,
-                        body: ResponseBody::LoggedOut,
-                    });
+                    self.reply(ctx, req.consumer, ResponseBody::LoggedOut);
                 }
             }
             kinds::NO_SESSION => {
-                if let Ok(req) = msg.payload_as::<SessionRequest>() {
-                    self.settle(req.consumer);
-                    self.responses.push(FrontResponse {
-                        consumer: req.consumer,
-                        body: ResponseBody::Error("not logged in".into()),
-                    });
+                if let Ok(task) = msg.payload_as::<FrontTask>() {
+                    self.answer(
+                        ctx,
+                        task.request,
+                        task.consumer,
+                        ResponseBody::Error("not logged in".into()),
+                    );
                 }
             }
             kinds::BRA_RESPONSE => {
                 if let Ok(resp) = msg.payload_as::<BraResponse>() {
-                    if let Some(started_us) = self.settle(resp.consumer) {
-                        ctx.observe(
-                            "e2e.latency_us",
-                            ctx.now().as_micros().saturating_sub(started_us),
-                        );
-                    }
-                    self.responses.push(FrontResponse {
-                        consumer: resp.consumer,
-                        body: resp.body,
-                    });
+                    self.answer(ctx, resp.request, resp.consumer, resp.body);
                 }
             }
             other => {
@@ -223,17 +265,18 @@ impl Agent for HttpAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        // Deadline watchdog: the tag is the consumer id. A stale timer
+        // Deadline watchdog: the tag is the request id. A stale timer
         // (request already answered) is a no-op.
-        let consumer = ConsumerId(tag);
-        if self.settle(consumer).is_some() {
+        if let Some(f) = self.settle(tag) {
             ctx.note(format!(
-                "httpa: request from consumer {tag} missed its deadline with no reply"
+                "httpa: request from consumer {} missed its deadline with no reply",
+                f.consumer.0
             ));
-            self.responses.push(FrontResponse {
-                consumer,
-                body: ResponseBody::Error("request deadline exceeded".into()),
-            });
+            self.reply(
+                ctx,
+                f.consumer,
+                ResponseBody::Error("request deadline exceeded".into()),
+            );
         }
     }
 }
@@ -245,13 +288,17 @@ mod tests {
 
     #[test]
     fn httpa_state_round_trips() {
-        let mut h = HttpAgent::new(AgentId(5));
-        h.responses.push(FrontResponse {
+        let mut h = HttpAgent::new(AgentId(5)).with_deadline_us(1_000);
+        h.replies_sent = 3;
+        h.inflight.push(InFlight {
+            request: 4,
             consumer: ConsumerId(1),
-            body: ResponseBody::LoggedIn,
+            started_us: 10,
         });
         let back: HttpAgent = serde_json::from_value(h.snapshot()).unwrap();
-        assert_eq!(back.responses().len(), 1);
         assert_eq!(back.bsma, AgentId(5));
+        assert_eq!(back.replies_sent, 3);
+        assert_eq!(back.inflight.len(), 1);
+        assert_eq!(back.inflight[0].request, 4);
     }
 }

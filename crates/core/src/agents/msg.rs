@@ -24,14 +24,16 @@ pub mod kinds {
     pub const LOGOUT: &str = "logout";
     /// BSMA → HttpA: session closed.
     pub const SESSION_CLOSED: &str = "session-closed";
-    /// HttpA → BSMA: route a consumer task to their BRA.
+    /// HttpA → BSMA: route a consumer task to their BRA
+    /// ([`super::FrontTask`]).
     pub const ROUTE_TASK: &str = "route-task";
-    /// BSMA → HttpA: routing failed (no session).
+    /// BSMA → HttpA: routing failed (no session); carries the refused
+    /// [`super::FrontTask`] back.
     pub const NO_SESSION: &str = "no-session";
 
-    /// BSMA → BRA: perform a task ([`super::ConsumerTask`]).
+    /// BSMA → BRA: perform a task ([`super::FrontTask`]).
     pub const BRA_TASK: &str = "bra-task";
-    /// BRA → HttpA: response for the consumer ([`super::ResponseBody`]).
+    /// BRA → HttpA: response for the consumer ([`super::BraResponse`]).
     pub const BRA_RESPONSE: &str = "bra-response";
 
     /// BRA → PA: load (or create) the consumer's profile.
@@ -173,9 +175,13 @@ pub enum FrontRequestBody {
     Task(ConsumerTask),
 }
 
-/// Response delivered to the consumer's browser (read from HttpA state).
+/// Response delivered to the consumer's browser: emitted by the HttpA to
+/// its outbox, where the platform takes it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrontResponse {
+    /// Position of this reply in its HttpA's output: 0, 1, 2, … with no
+    /// gaps, so a reader can check it saw every reply exactly once.
+    pub seq: u64,
     /// Consumer the response is for.
     pub consumer: ConsumerId,
     /// Response body.
@@ -260,7 +266,8 @@ pub struct SessionOpen {
     pub bra: AgentId,
 }
 
-/// Payload of [`kinds::ROUTE_TASK`] and [`kinds::BRA_TASK`].
+/// A task injected straight at the BSMA ([`kinds::ROUTE_TASK`]) without
+/// a front-door request id; it reads as a [`FrontTask`] of request 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutedTask {
     /// Consumer the task belongs to.
@@ -271,6 +278,25 @@ pub struct RoutedTask {
     /// route the MBA there (empty when breakers are off or all closed).
     #[serde(default)]
     pub blocked_markets: Vec<MarketRef>,
+}
+
+/// Payload of [`kinds::ROUTE_TASK`], [`kinds::BRA_TASK`] and
+/// [`kinds::NO_SESSION`]: the [`RoutedTask`] fields plus the id of the
+/// front-door request the task answers, which the BRA echoes in its
+/// [`BraResponse`] so the HttpA settles exactly that request.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FrontTask {
+    /// Consumer the task belongs to.
+    pub consumer: ConsumerId,
+    /// The task.
+    pub task: ConsumerTask,
+    /// Marketplaces whose circuit breaker is open: the BRA must not
+    /// route the MBA there (empty when breakers are off or all closed).
+    #[serde(default)]
+    pub blocked_markets: Vec<MarketRef>,
+    /// The HttpA's id for the request (0 = not from the HttpA).
+    #[serde(default)]
+    pub request: u64,
 }
 
 /// Payload of [`kinds::PA_LOAD`].
@@ -421,6 +447,9 @@ pub struct EcInfo {
 pub struct BraResponse {
     /// Consumer the response is for.
     pub consumer: ConsumerId,
+    /// The front-door request answered ([`FrontTask::request`]).
+    #[serde(default)]
+    pub request: u64,
     /// The response body, forwarded verbatim to the browser.
     pub body: ResponseBody,
 }

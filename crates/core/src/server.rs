@@ -354,7 +354,6 @@ impl<S> PlatformBuilder<S> {
                 bsma,
                 httpa: state.httpa().expect("httpa created"),
                 pa: state.pa().expect("pa created"),
-                responses_read: 0,
                 unclaimed: Vec::new(),
             });
         }
@@ -376,30 +375,28 @@ impl<S> PlatformBuilder<S> {
 }
 
 /// One shard's buyer-side stack (Buyer Agent Server host, BSMA, HttpA,
-/// PA) plus its front-door reply cursor and the replies read past that
-/// cursor which no call has claimed yet.
+/// PA) plus the replies taken from the HttpA's outbox which no call has
+/// claimed yet.
 #[derive(Debug)]
 struct BuyerStack {
     buyer_host: HostId,
     bsma: AgentId,
     httpa: AgentId,
     pa: AgentId,
-    responses_read: usize,
     unclaimed: Vec<FrontResponse>,
 }
 
 impl BuyerStack {
     /// Take the replies for `consumer` (for every consumer, with `None`)
-    /// from the unclaimed ones and those the HttpA logged since the last
-    /// drain, in arrival order; every other reply stays unclaimed.
-    fn drain(&mut self, shard: &SimWorld, consumer: Option<ConsumerId>) -> Vec<FrontResponse> {
-        let snapshot = shard.snapshot_of(self.httpa).expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all = state.responses();
-        self.unclaimed
-            .extend_from_slice(&all[self.responses_read.min(all.len())..]);
-        self.responses_read = all.len();
+    /// from the unclaimed ones and those the HttpA emitted since the last
+    /// drain, in emit order; every other reply stays unclaimed.
+    fn drain(&mut self, shard: &mut SimWorld, consumer: Option<ConsumerId>) -> Vec<FrontResponse> {
+        self.unclaimed.extend(
+            shard
+                .take_outbox(self.httpa)
+                .iter()
+                .map(|p| p.typed::<FrontResponse>().expect("httpa reply decodes")),
+        );
         let (mine, rest) = std::mem::take(&mut self.unclaimed)
             .into_iter()
             .partition(|r| consumer.is_none_or(|c| r.consumer == c));
@@ -580,12 +577,12 @@ impl<S> PlatformOf<S> {
             .expect("httpa reachable");
     }
 
-    /// Drain the replies for `consumer` that its shard's HttpA logged and
+    /// Drain the replies for `consumer` that its shard's HttpA emitted and
     /// no earlier call claimed.
     fn drain_responses(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
         let k = self.shard_of(consumer);
         self.stacks[k]
-            .drain(self.world.shard(k), Some(consumer))
+            .drain(self.world.shard_mut(k), Some(consumer))
             .into_iter()
             .map(|r| r.body)
             .collect()
@@ -757,7 +754,7 @@ impl<S> PlatformOf<S> {
         for (k, stack) in self.stacks.iter_mut().enumerate() {
             out.extend(
                 stack
-                    .drain(self.world.shard(k), None)
+                    .drain(self.world.shard_mut(k), None)
                     .into_iter()
                     .map(|r| (r.consumer, r.body)),
             );
@@ -1193,6 +1190,87 @@ mod tests {
             let got = p.query(a, &["book"], 5);
             assert_eq!(got.len(), 2, "{shards} shards: {got:?}");
             assert!(p.run_and_drain().is_empty());
+        }
+    }
+
+    /// Serialized size of each shard's HttpA and the front requests it
+    /// has seen.
+    fn front_doors(p: &ShardedPlatform) -> Vec<(usize, u32)> {
+        (0..p.shard_count())
+            .map(|k| {
+                let snapshot = p.world.shard(k).snapshot_of(p.stacks[k].httpa).unwrap();
+                let state: crate::agents::HttpAgent =
+                    serde_json::from_value(snapshot.clone()).unwrap();
+                (snapshot.to_string().len(), state.requests_seen())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn front_door_state_is_constant_and_replies_are_sequenced() {
+        for shards in [1, 2] {
+            let mut p = small_sharded_platform(26, shards);
+            let consumers: Vec<ConsumerId> = (1..=8).map(ConsumerId).collect();
+            let mut replies: Vec<Vec<FrontResponse>> = vec![Vec::new(); shards];
+            let mut sent = std::collections::BTreeMap::<ConsumerId, usize>::new();
+            // Send `n` requests, at most one per consumer in flight, and
+            // collect every reply with its seq straight from the stacks.
+            let mut run =
+                |p: &mut ShardedPlatform, n: usize, body: &dyn Fn() -> FrontRequestBody| {
+                    for wave in (0..n).collect::<Vec<_>>().chunks(consumers.len()) {
+                        for &i in wave {
+                            let consumer = consumers[i % consumers.len()];
+                            p.send_front(FrontRequest {
+                                consumer,
+                                body: body(),
+                            });
+                            *sent.entry(consumer).or_default() += 1;
+                        }
+                        p.world.run_until_idle();
+                        for (k, got) in replies.iter_mut().enumerate() {
+                            got.extend(p.stacks[k].drain(p.world.shard_mut(k), None));
+                        }
+                    }
+                };
+            let query = || {
+                FrontRequestBody::Task(ConsumerTask::Query {
+                    keywords: vec!["book".into()],
+                    category: None,
+                    max_results: 5,
+                })
+            };
+            run(&mut p, consumers.len(), &|| FrontRequestBody::Login);
+            // Counters serialise as decimal: warm up until every shard's
+            // have three digits, so the two probes below compare like
+            // with like.
+            while front_doors(&p).iter().any(|&(_, seen)| seen < 100) {
+                run(&mut p, consumers.len(), &query);
+            }
+            run(&mut p, 20, &query);
+            let after_20 = front_doors(&p);
+            run(&mut p, 180, &query);
+            let after_200 = front_doors(&p);
+            for k in 0..shards {
+                let (bytes, seen) = after_200[k];
+                assert!(seen < 1000, "{shards} shards: still three digits");
+                assert_eq!(after_20[k].0, bytes, "{shards} shards, shard {k}");
+                assert!(bytes <= 1024, "{shards} shards, shard {k}: {bytes} bytes");
+                let seqs: Vec<u64> = replies[k].iter().map(|r| r.seq).collect();
+                let expected: Vec<u64> = (0..seqs.len() as u64).collect();
+                assert_eq!(seqs, expected, "{shards} shards, shard {k}: gapless seqs");
+            }
+            let mut answered = std::collections::BTreeMap::<ConsumerId, usize>::new();
+            for r in replies.iter().flatten() {
+                assert!(
+                    matches!(
+                        r.body,
+                        ResponseBody::LoggedIn | ResponseBody::Recommendations { .. }
+                    ),
+                    "{shards} shards: {r:?}"
+                );
+                *answered.entry(r.consumer).or_default() += 1;
+            }
+            assert_eq!(answered, sent, "{shards} shards: one reply per request");
         }
     }
 

@@ -162,9 +162,10 @@ fn deadline_expiry_still_answers_the_consumer() {
         LinkSpec::with_latency(SimDuration::from_micros(200_000)),
     );
     let replies = p.query(consumer, &["rust"], 5);
-    assert!(
-        !replies.is_empty(),
-        "an expired request must still be answered"
+    assert_eq!(
+        replies.len(),
+        1,
+        "an expired request is answered exactly once: {replies:?}"
     );
     for body in &replies {
         assert!(
@@ -178,6 +179,68 @@ fn deadline_expiry_still_answers_the_consumer() {
     assert!(
         p.world().metrics().deadline_drops >= 1,
         "the stale work itself was dropped"
+    );
+}
+
+/// A deadline watchdog answers only the request that armed it: a stale
+/// watchdog from an earlier, already answered request must not settle the
+/// same consumer's next request with a deadline error.
+#[test]
+fn stale_deadline_watchdog_leaves_the_next_request_alone() {
+    let mut p = builder(5).request_deadline_us(50_000).build();
+    let consumer = ConsumerId(1);
+    p.login(consumer);
+    let buyer = p.buyer_host();
+    let market_host = p.markets()[0].host;
+    p.world_mut().topology_mut().set_link_symmetric(
+        buyer,
+        market_host,
+        LinkSpec::with_latency(SimDuration::from_micros(20_000)),
+    );
+    let query = || ConsumerTask::Query {
+        keywords: vec!["rust".into()],
+        category: None,
+        max_results: 5,
+    };
+    // A is answered in ~40 ms; B arrives before A's watchdog (75 ms) fires
+    p.submit_task(consumer, query());
+    p.world_mut().run_for(SimDuration::from_micros(45_000));
+    p.submit_task(consumer, query());
+    let replies: Vec<ResponseBody> = p.run_and_drain().into_iter().map(|(_, r)| r).collect();
+    assert_eq!(replies.len(), 2, "one reply per request: {replies:?}");
+    assert!(
+        replies
+            .iter()
+            .all(|r| matches!(r, ResponseBody::Recommendations { .. })),
+        "both requests complete within their deadline: {replies:?}"
+    );
+}
+
+/// A request whose real reply comes back after its deadline watchdog
+/// already answered it gets no second reply: the watchdog's error was the
+/// answer, and the late one is dropped at the front door.
+#[test]
+fn late_reply_after_the_watchdog_is_not_a_second_answer() {
+    let mut p = builder(5).request_deadline_us(50_000).build();
+    let consumer = ConsumerId(1);
+    p.login(consumer);
+    // slow local hops: the pipeline's deadline-free reply reaches the
+    // HttpA only after the watchdog (75 ms) has answered
+    p.world_mut()
+        .topology_mut()
+        .set_local_delay(SimDuration::from_micros(10_000));
+    let replies = p.query(consumer, &["rust"], 5);
+    assert_eq!(
+        replies,
+        vec![ResponseBody::Error("request deadline exceeded".into())],
+        "the watchdog's answer is the only one"
+    );
+    assert!(
+        !p.world()
+            .trace()
+            .labels_with_prefix("httpa: late reply")
+            .is_empty(),
+        "a late reply did arrive and was dropped"
     );
 }
 

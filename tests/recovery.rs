@@ -506,6 +506,62 @@ fn crash_sweep_over_the_buy_window_is_exactly_once_everywhere() {
 }
 
 // ---------------------------------------------------------------------
+// replies across a buyer-host crash with batched WAL syncs
+// ---------------------------------------------------------------------
+
+/// A crash of the Buyer Agent Server host while a wave of queries is in
+/// flight must not lose or repeat replies, even when the WAL syncs only
+/// every few records: a reply that has left the HttpA was output-committed
+/// first, and every query still in flight is re-driven to exactly one
+/// answer.
+#[test]
+fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
+    let consumers: Vec<ConsumerId> = (1..=6).map(ConsumerId).collect();
+    let query = || ConsumerTask::Query {
+        keywords: vec!["rust".into()],
+        category: None,
+        max_results: 5,
+    };
+    for sync_every in [2usize, 16, 64] {
+        for offset_ms in (0..=57u64).step_by(3) {
+            let mut p = Platform::builder(11)
+                .marketplaces(listings())
+                .mba_timeout_us(2_000_000)
+                .durability(DurabilityConfig {
+                    checkpoint_every: 0,
+                    sync_every,
+                })
+                .build();
+            for &c in &consumers {
+                p.login(c);
+            }
+            for &c in &consumers {
+                p.submit_task(c, query());
+            }
+            p.run_and_drain();
+            for &c in &consumers {
+                p.submit_task(c, query());
+            }
+            p.world_mut()
+                .run_for(SimDuration::from_micros(offset_ms * 1_000));
+            let host = p.buyer_host();
+            p.world_mut().crash_host(host).unwrap();
+            p.world_mut().restart_host(host).unwrap();
+            let wave = p.run_and_drain();
+            let per_consumer: Vec<usize> = consumers
+                .iter()
+                .map(|c| wave.iter().filter(|(r, _)| r == c).count())
+                .collect();
+            assert_eq!(
+                per_consumer,
+                vec![1; consumers.len()],
+                "sync_every {sync_every}, crash {offset_ms} ms into wave 2: {wave:?}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // durability off: byte-identical traces, zero counters
 // ---------------------------------------------------------------------
 
