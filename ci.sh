@@ -6,6 +6,23 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run `cargo test` with a name filter and fail unless the filter selected
+# at least one test: a filter that matches nothing passes silently
+# otherwise, and a renamed or moved test would drop out of the stress
+# loops unnoticed.
+filtered_test() {
+  local out
+  if ! out="$(cargo test "$@" 2>&1)"; then
+    printf '%s\n' "$out"
+    return 1
+  fi
+  if ! grep -Eq 'test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+    printf '%s\n' "$out"
+    echo "error: 'cargo test $*' ran no test" >&2
+    return 1
+  fi
+}
+
 # --shard-stress: loop the cross-runtime equivalence suite and the
 # multi-worker ThreadWorld tests 20x to shake out scheduling races in
 # the sharded/threaded paths, then exit. Does not run the normal gate.
@@ -41,9 +58,9 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     echo "--- iteration $i/10 ---"
     cargo test -q --release --test recovery
     cargo test -q --release --test recovery --features parallel
-    cargo test -q --release --test properties durable_replay
-    cargo test -q --release --test properties any_torn_log_prefix
-    cargo test -q --release --test properties crash_preserves
+    filtered_test -q --release --test properties durable_replay
+    filtered_test -q --release --test properties any_torn_log_prefix
+    filtered_test -q --release --test properties crash_preserves
   done
   echo "==> full E14 recovery series"
   cargo bench -p bench --bench recovery
@@ -55,8 +72,8 @@ if [[ "${1:-}" == "--query-stress" ]]; then
   for i in $(seq 1 10); do
     echo "--- iteration $i/10 ---"
     ANN_USERS=10000 cargo test -q --release --test ann
-    cargo test -q --release --test properties incremental_index_matches_rebuild
-    cargo test -q --release --test properties ann_neighbours_subset
+    filtered_test -q --release --test properties incremental_index_matches_rebuild
+    filtered_test -q --release --test properties ann_neighbours_subset
   done
   echo "==> full query scaling bench (QUERY_BENCH_FULL=1: 10^4/10^5/10^6 axis)"
   QUERY_BENCH_FULL=1 cargo bench -p bench --bench query_hot_path
@@ -68,9 +85,10 @@ if [[ "${1:-}" == "--shard-stress" ]]; then
   echo "==> shard stress (20x cross-runtime equivalence + multi-worker thread tests)"
   for i in $(seq 1 20); do
     echo "--- iteration $i/20 ---"
-    cargo test -q --test equivalence cross_runtime
-    cargo test -q -p agentsim thread_net::tests::multi_worker
-    cargo test -q -p agentsim thread_net::tests::dispose_while_deactivated
+    filtered_test -q --test equivalence cross_runtime
+    filtered_test -q -p agentsim thread_net::tests::multi_worker
+    filtered_test -q -p agentsim thread_net::tests::dispose_while_deactivated
+    filtered_test -q -p agentsim sim::tests::dispose_while_deactivated
   done
   echo "shard stress green."
   exit 0

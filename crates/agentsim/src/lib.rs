@@ -22,6 +22,10 @@
 //! * [`thread_net::ThreadWorld`] — one OS thread per host over crossbeam
 //!   channels (demonstrates runtime-agnosticism on real concurrency).
 //!
+//! Both are schedulers around one host kernel (the crate-internal `host`
+//! module): the lifecycle, migration, delivery, journaling and recovery
+//! rules exist once and run unchanged on either.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -67,6 +71,7 @@ pub mod chaos;
 pub mod clock;
 pub mod durable;
 pub mod error;
+pub(crate) mod host;
 pub mod ids;
 pub mod intern;
 pub mod message;

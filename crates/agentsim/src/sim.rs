@@ -6,7 +6,9 @@
 //! given seed always produces the identical execution. This is the runtime
 //! used by every benchmark; the thread-backed runtime in
 //! [`crate::thread_net`] exercises the same [`Agent`] API on real
-//! concurrency.
+//! concurrency. Both schedule the same per-host kernel,
+//! `host::HostCore`; this module is the event queue, the link
+//! model, chaos, sharding and supervision around it.
 //!
 //! # Example
 //!
@@ -36,40 +38,27 @@
 //! # }
 //! ```
 
-use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, DurablePolicy, FaultCounter};
+use crate::agent::{Agent, AgentCapsule, AgentRegistry, Ctx};
 use crate::chaos::{ChaosEvent, ChaosPlan, Fault};
 use crate::clock::{SimDuration, SimTime};
 use crate::durable::{DurabilityConfig, DurableStore};
 use crate::error::{PlatformError, Result};
+pub use crate::host::Location;
+use crate::host::{admit, dead_letter, HostCore, HostEnv, Reach, Routed, Timer};
 use crate::ids::{AgentId, HostId, MessageId};
-use crate::intern::InternedStr;
 use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::net::Topology;
-use crate::overload::{deadline_expired, EnqueueVerdict, MailboxConfig, MailboxState};
+use crate::overload::{EnqueueVerdict, MailboxConfig, MailboxState};
 use crate::payload::Payload;
-use crate::security::{Authenticator, TravelPermit};
-use crate::storage::DeactivatedStore;
 use crate::supervise::{RestoreDecision, SupervisionConfig, Supervisor, Verdict};
-use crate::telemetry::{HopKind, SpanEventKind, Telemetry, TraceCtx};
+use crate::telemetry::{HopKind, SpanEventKind, Telemetry};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
-/// Where an agent currently is, from the world's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Location {
-    /// Live on a host, receiving messages.
-    Active(HostId),
-    /// Serialized in a host's stable store.
-    Deactivated(HostId),
-    /// Travelling between hosts.
-    InTransit,
-}
-
-#[derive(Debug)]
 enum EventKind {
     Deliver(Message),
     Arrive {
@@ -79,8 +68,14 @@ enum EventKind {
     Timer {
         agent: AgentId,
         tag: u64,
-        trace: Option<TraceCtx>,
+        trace: Option<crate::telemetry::TraceCtx>,
         deadline: Option<SimTime>,
+    },
+    /// A lifecycle operation for an agent on another host, handed to that
+    /// host's core.
+    Routed {
+        host: HostId,
+        op: Routed,
     },
     /// Apply (`heal == false`) or heal (`heal == true`) the chaos plan's
     /// fault at `index`.
@@ -108,7 +103,6 @@ struct ChaosState {
     delivered: HashSet<MessageId>,
 }
 
-#[derive(Debug)]
 struct QueuedEvent {
     at: SimTime,
     /// Shard that scheduled the event (0 in unsharded worlds). Part of the
@@ -180,21 +174,14 @@ struct BoundaryState {
     announce: Vec<(AgentId, HostId)>,
 }
 
+/// Scheduler-side state of a host; its agents and stores live in its
+/// [`HostCore`].
 struct Host {
     name: String,
-    active: HashMap<AgentId, Box<dyn Agent>>,
-    store: DeactivatedStore,
-    auth: Authenticator,
-    /// Messages for deactivated agents, replayed on activation.
-    pending: HashMap<AgentId, Vec<Message>>,
     /// Crashed by the chaos engine: refuses arrivals and deliveries until
     /// restarted. The authenticator survives (stable-storage semantics),
     /// so genuine returning agents still verify after a restart.
     crashed: bool,
-    /// WAL-backed stable storage, present when durability is enabled on
-    /// the world. Survives crashes (only the unsynced log tail is lost);
-    /// replayed by the recovery pass on restart.
-    durable: Option<DurableStore>,
     /// Wedged by a chaos hang fault: the host is up and accepts arrivals,
     /// but deliveries and timer callbacks stall into the buffers below
     /// until the hang heals or the supervisor bounces the host.
@@ -202,7 +189,7 @@ struct Host {
     /// Deliveries that landed while hung, replayed on heal/bounce.
     stalled: Vec<Message>,
     /// Timer callbacks that came due while hung, fired on heal/bounce.
-    stalled_timers: Vec<(AgentId, u64, Option<TraceCtx>, Option<SimTime>)>,
+    stalled_timers: Vec<Timer>,
 }
 
 /// Live self-healing state, present after [`SimWorld::enable_supervision`].
@@ -232,10 +219,12 @@ pub struct SimWorld {
     seq: u64,
     events: BinaryHeap<Reverse<QueuedEvent>>,
     hosts: BTreeMap<HostId, Host>,
+    /// Each host's agents and stores. Taken out of the world while one of
+    /// them runs (see [`SimWorld::with_core`]), so the world itself can
+    /// serve as the core's [`HostEnv`].
+    cores: BTreeMap<HostId, HostCore>,
     locations: HashMap<AgentId, Location>,
     homes: HashMap<AgentId, HostId>,
-    /// Permit currently carried by each travelling (or visiting) agent.
-    permits: HashMap<AgentId, TravelPermit>,
     topology: Topology,
     registry: AgentRegistry,
     metrics: Metrics,
@@ -251,13 +240,6 @@ pub struct SimWorld {
     chaos: Option<ChaosState>,
     /// Telemetry sink (request tracing + metrics registry), off by default.
     telemetry: Telemetry,
-    /// Handler span of the callback currently executing, threaded through
-    /// nested callbacks by save/restore in [`SimWorld::run_callback`].
-    current_trace: Option<TraceCtx>,
-    /// Ambient request deadline of the callback currently executing,
-    /// stamped onto everything it sends. Same save/restore discipline as
-    /// `current_trace`.
-    current_deadline: Option<SimTime>,
     /// Bounded-mailbox state, present after [`SimWorld::set_mailbox`].
     /// `None` keeps the unbounded pre-overload behaviour byte-identical.
     mailbox: Option<MailboxState>,
@@ -298,9 +280,9 @@ impl SimWorld {
             seq: 0,
             events: BinaryHeap::new(),
             hosts: BTreeMap::new(),
+            cores: BTreeMap::new(),
             locations: HashMap::new(),
             homes: HashMap::new(),
-            permits: HashMap::new(),
             topology,
             registry: AgentRegistry::new(),
             metrics: Metrics::new(),
@@ -313,8 +295,6 @@ impl SimWorld {
             processed_events: 0,
             chaos: None,
             telemetry: Telemetry::new(),
-            current_trace: None,
-            current_deadline: None,
             mailbox: None,
             ingress_deadline: None,
             shard: 0,
@@ -333,9 +313,9 @@ impl SimWorld {
     /// by default (zero cost, byte-identical traces).
     pub fn enable_durability(&mut self, cfg: DurabilityConfig) {
         self.durability = Some(cfg);
-        for h in self.hosts.values_mut() {
-            if h.durable.is_none() {
-                h.durable = Some(DurableStore::new(cfg));
+        for core in self.cores.values_mut() {
+            if core.durable.is_none() {
+                core.durable = Some(DurableStore::new(cfg));
             }
         }
     }
@@ -347,7 +327,7 @@ impl SimWorld {
 
     /// Read access to a host's durable store (tests, benches).
     pub fn durable_store(&self, host: HostId) -> Option<&DurableStore> {
-        self.hosts.get(&host)?.durable.as_ref()
+        self.cores.get(&host)?.durable.as_ref()
     }
 
     /// Turn on the self-healing supervision layer: a crashed host is
@@ -417,17 +397,14 @@ impl SimWorld {
             id,
             Host {
                 name: name.into(),
-                active: HashMap::new(),
-                store: DeactivatedStore::new(),
-                auth: Authenticator::new(secret),
-                pending: HashMap::new(),
                 crashed: false,
-                durable: self.durability.map(DurableStore::new),
                 hung: false,
                 stalled: Vec::new(),
                 stalled_timers: Vec::new(),
             },
         );
+        let durable = self.durability.map(DurableStore::new);
+        self.cores.insert(id, HostCore::new(id, secret, durable));
         id
     }
 
@@ -458,7 +435,7 @@ impl SimWorld {
         }
         let id = AgentId(self.next_agent_id);
         self.next_agent_id += 1;
-        self.install_agent(host, id, agent, true);
+        self.with_core(host, |core, w| core.install(w, id, agent, false));
         Ok(id)
     }
 
@@ -514,120 +491,59 @@ impl SimWorld {
         self.now = event.at;
         match event.kind {
             EventKind::Deliver(msg) => self.handle_deliver(msg),
-            EventKind::Arrive { capsule, dest } => self.handle_arrival(capsule, dest),
+            EventKind::Arrive { capsule, dest } => {
+                self.with_core(dest, |core, w| core.land(w, capsule));
+            }
             EventKind::Timer {
                 agent,
                 tag,
                 trace,
                 deadline,
-            } => self.handle_timer(agent, tag, trace, deadline),
+            } => self.handle_timer(Timer {
+                agent,
+                tag,
+                trace,
+                deadline,
+            }),
+            EventKind::Routed { host, op } => {
+                let actor = op.agent();
+                self.with_core(host, |core, w| core.handle(w, actor, op));
+            }
             EventKind::Chaos { index, heal } => self.handle_chaos(index, heal),
             EventKind::SupervisionTick => self.handle_supervision_tick(),
         }
         if self.durability.is_some() {
-            self.maybe_checkpoint();
+            let mut cores = std::mem::take(&mut self.cores);
+            for core in cores.values_mut() {
+                core.maybe_checkpoint(self);
+            }
+            self.cores = cores;
         }
         true
     }
 
-    /// Checkpoint any durable store whose journal has grown past the
-    /// configured threshold: fold the live capsules of delta-journalled
-    /// agents into the state, snapshot it, and truncate the WAL. Bounds
-    /// replay cost at recovery time.
-    fn maybe_checkpoint(&mut self) {
-        let hosts: Vec<HostId> = self.hosts.keys().copied().collect();
-        for host in hosts {
-            let due = self
-                .hosts
-                .get(&host)
-                .and_then(|h| h.durable.as_ref())
-                .is_some_and(DurableStore::should_checkpoint);
-            if !due {
-                continue;
-            }
-            // Delta-journalled agents only hit the WAL as deltas; capture
-            // their live capsules now so the snapshot is self-contained
-            // and their replayed delta history can be dropped.
-            let mut fresh: Vec<(u64, serde_json::Value, bool)> = Vec::new();
-            if let Some(h) = self.hosts.get(&host) {
-                let mut ids: Vec<AgentId> = h
-                    .active
-                    .iter()
-                    .filter(|(_, a)| matches!(a.durable_policy(), DurablePolicy::Deltas))
-                    .map(|(id, _)| *id)
-                    .collect();
-                ids.sort_unstable();
-                for id in ids {
-                    let Some(agent) = h.active.get(&id) else {
-                        continue;
-                    };
-                    let home = self.homes.get(&id).copied().unwrap_or(host);
-                    let permit = self.permits.get(&id).copied();
-                    let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-                    let value = serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null);
-                    fresh.push((id.0, value, true));
-                }
-            }
-            if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut()) {
-                // in-memory checkpoints cannot fail; the runtimes never
-                // install file-backed stores
-                let _ = store.checkpoint(fresh);
-            }
-            self.drain_durable_counters(host);
-        }
+    /// Run `f` on `host`'s core with the world as its [`HostEnv`]. The
+    /// cores are taken out of the world for the call; nothing a core asks
+    /// of its env touches them.
+    fn with_core<R>(
+        &mut self,
+        host: HostId,
+        f: impl FnOnce(&mut HostCore, &mut Self) -> R,
+    ) -> Option<R> {
+        let mut cores = std::mem::take(&mut self.cores);
+        let out = cores.get_mut(&host).map(|core| f(core, self));
+        self.cores = cores;
+        out
     }
 
-    /// Fold a host's durable-store counters into the world metrics.
-    fn drain_durable_counters(&mut self, host: HostId) {
-        if let Some(counters) = self
-            .hosts
-            .get_mut(&host)
-            .and_then(|h| h.durable.as_mut())
-            .map(DurableStore::take_counters)
-        {
-            counters.merge_into(&mut self.metrics);
-        }
-    }
-
-    /// Journal the live capsule of an agent active on a durable host.
-    /// Capsule-journalled agents are captured after every callback;
-    /// delta-journalled agents only get a baseline capture (their ongoing
-    /// history travels as deltas, folded in at checkpoints).
-    fn journal_live_capsule(&mut self, host: HostId, id: AgentId) {
-        let home = self.homes.get(&id).copied().unwrap_or(host);
-        let permit = self.permits.get(&id).copied();
-        let Some(h) = self.hosts.get_mut(&host) else {
-            return;
-        };
-        let has_capsule = h
-            .durable
-            .as_ref()
-            .is_some_and(|s| s.state().capsules.contains_key(&id.0));
-        if h.durable.is_none() {
-            return;
-        }
-        let value = {
-            let Some(agent) = h.active.get(&id) else {
-                return;
-            };
-            if matches!(agent.durable_policy(), DurablePolicy::Deltas) && has_capsule {
-                return;
-            }
-            let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-            serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null)
-        };
-        if let Some(store) = h.durable.as_mut() {
-            let _ = store.put_capsule(id.0, value, true);
-        }
-        self.drain_durable_counters(host);
-    }
-
-    /// Journal the removal of an agent's capsule from a host's durable
-    /// store (departure or disposal — a crash deliberately does not).
-    fn journal_capsule_gone(&mut self, host: HostId, id: AgentId) {
-        if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut()) {
-            let _ = store.remove_capsule(id.0);
-            self.drain_durable_counters(host);
+    /// Run a callback on `id` wherever it is active (world-level callers:
+    /// recovery and failover).
+    fn callback_on<F>(&mut self, id: AgentId, name: &str, f: F)
+    where
+        F: FnOnce(&mut dyn Agent, &mut Ctx<'_>),
+    {
+        if let Some(Location::Active(host)) = self.location(id) {
+            self.with_core(host, |core, w| core.run_callback(w, id, None, name, f));
         }
     }
 
@@ -720,30 +636,30 @@ impl SimWorld {
 
     /// Ids of agents active on `host`, sorted for determinism.
     pub fn agents_on(&self, host: HostId) -> Vec<AgentId> {
-        let Some(h) = self.hosts.get(&host) else {
+        let Some(core) = self.cores.get(&host) else {
             return Vec::new();
         };
-        let mut ids: Vec<AgentId> = h.active.keys().copied().collect();
+        let mut ids: Vec<AgentId> = core.active.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// Number of active agents on `host`.
     pub fn active_count(&self, host: HostId) -> usize {
-        self.hosts.get(&host).map(|h| h.active.len()).unwrap_or(0)
+        self.cores.get(&host).map(|c| c.active.len()).unwrap_or(0)
     }
 
     /// Bytes of deactivated capsules in `host`'s stable store.
     pub fn stored_bytes(&self, host: HostId) -> usize {
-        self.hosts
+        self.cores
             .get(&host)
-            .map(|h| h.store.stored_bytes())
+            .map(|c| c.store.stored_bytes())
             .unwrap_or(0)
     }
 
     /// Number of deactivated agents stored on `host`.
     pub fn stored_count(&self, host: HostId) -> usize {
-        self.hosts.get(&host).map(|h| h.store.len()).unwrap_or(0)
+        self.cores.get(&host).map(|c| c.store.len()).unwrap_or(0)
     }
 
     /// Host display name.
@@ -758,9 +674,9 @@ impl SimWorld {
 
     /// Count of failed return-authentications on `host`.
     pub fn auth_rejections(&self, host: HostId) -> u64 {
-        self.hosts
+        self.cores
             .get(&host)
-            .map(|h| h.auth.rejections())
+            .map(|c| c.auth.rejections())
             .unwrap_or(0)
     }
 
@@ -779,11 +695,11 @@ impl SimWorld {
         let Some(Location::Active(host)) = self.locations.get(&agent).copied() else {
             return Err(PlatformError::UnknownAgent(agent));
         };
-        let h = self
-            .hosts
+        let core = self
+            .cores
             .get(&host)
             .ok_or(PlatformError::UnknownHost(host))?;
-        let a = h
+        let a = core
             .active
             .get(&agent)
             .ok_or(PlatformError::UnknownAgent(agent))?;
@@ -798,7 +714,7 @@ impl SimWorld {
     pub fn deactivate_agent(&mut self, agent: AgentId) -> Result<()> {
         match self.locations.get(&agent).copied() {
             Some(Location::Active(host)) => {
-                self.do_deactivate(host, agent);
+                self.with_core(host, |core, w| core.do_deactivate(w, agent));
                 Ok(())
             }
             Some(Location::Deactivated(_)) => Err(PlatformError::AgentDeactivated(agent)),
@@ -814,7 +730,9 @@ impl SimWorld {
     /// [`PlatformError::UnknownAgent`] if unknown.
     pub fn activate_agent(&mut self, agent: AgentId) -> Result<()> {
         match self.locations.get(&agent).copied() {
-            Some(Location::Deactivated(host)) => self.do_activate(host, agent),
+            Some(Location::Deactivated(host)) => self
+                .with_core(host, |core, w| core.do_activate(w, agent))
+                .unwrap_or(Err(PlatformError::UnknownHost(host))),
             Some(Location::Active(_)) => Err(PlatformError::AgentAlreadyActive(agent)),
             _ => Err(PlatformError::UnknownAgent(agent)),
         }
@@ -867,35 +785,18 @@ impl SimWorld {
             return Ok(());
         }
         h.crashed = true;
-        let mut lost: Vec<AgentId> = h.active.keys().copied().collect();
-        h.active.clear();
-        lost.extend(h.store.drain());
-        h.pending.clear();
         // A crash while hung loses the stall buffers with the host.
         h.hung = false;
         let stalled_lost = h.stalled.len() as u64;
         h.stalled.clear();
         h.stalled_timers.clear();
-        if let Some(store) = h.durable.as_mut() {
-            // Stable storage survives the crash, minus the unsynced WAL
-            // tail. The agents still count as lost here; the recovery
-            // pass on restart is what brings them back.
-            let _ = store.crash();
-        }
-        for id in &lost {
-            self.locations.remove(id);
-            self.permits.remove(id);
-            if let Some(mb) = &mut self.mailbox {
-                mb.forget(*id);
-            }
-        }
+        let lost = self.with_core(host, |core, w| core.crash(w)).unwrap_or(0);
         self.metrics.host_crashes += 1;
-        self.metrics.agents_lost_in_crash += lost.len() as u64;
         self.metrics.messages_lost += stalled_lost;
         self.trace.record(
             self.now,
             None,
-            format!("chaos: {host} crashed ({} agents lost)", lost.len()),
+            format!("chaos: {host} crashed ({lost} agents lost)"),
         );
         let now_us = self.now.as_micros();
         if let Some(state) = self.supervision.as_mut() {
@@ -923,119 +824,15 @@ impl SimWorld {
             .ok_or(PlatformError::UnknownHost(host))?;
         if h.crashed {
             h.crashed = false;
-            let durable = h.durable.is_some();
             self.trace
                 .record(self.now, None, format!("chaos: {host} restarted"));
-            if durable {
-                self.recover_host(host);
-            }
+            self.with_core(host, |core, w| core.recover(w));
             // A scripted/chaos heal cancels any pending automatic failover.
             if let Some(state) = self.supervision.as_mut() {
                 state.supervisor.observe_restart(host);
             }
         }
         Ok(())
-    }
-
-    /// Replay a restarted host's durable store and restore its agents.
-    fn recover_host(&mut self, host: HostId) {
-        let recovered = match self
-            .hosts
-            .get(&host)
-            .and_then(|h| h.durable.as_ref())
-            .map(DurableStore::recover)
-        {
-            Some(Ok(r)) => r,
-            Some(Err(e)) => {
-                self.trace
-                    .record(self.now, None, format!("recovery: {host} failed: {e}"));
-                return;
-            }
-            None => return,
-        };
-        self.metrics.hosts_recovered += 1;
-        self.metrics.wal_records_replayed += recovered.replayed as u64;
-        let mut restored_active: Vec<AgentId> = Vec::new();
-        let mut restored = 0u64;
-        for (raw, rec) in &recovered.state.capsules {
-            let id = AgentId(*raw);
-            // Poison protection: an agent that keeps crash-looping through
-            // recovery passes is quarantined to dead-letters instead of
-            // being restored yet again.
-            let decision = self
-                .supervision
-                .as_mut()
-                .map(|s| s.supervisor.note_restore(id));
-            if matches!(decision, Some(RestoreDecision::Quarantine)) {
-                self.metrics.agents_quarantined += 1;
-                self.trace.record(
-                    self.now,
-                    Some(id),
-                    format!("supervisor: {id} quarantined (restart budget exhausted)"),
-                );
-                continue;
-            }
-            let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.trace.record(
-                        self.now,
-                        None,
-                        format!("recovery: {host} capsule for {id} unreadable: {e}"),
-                    );
-                    continue;
-                }
-            };
-            let home = capsule.home;
-            let permit = capsule.permit;
-            if rec.active {
-                match self.registry.rehydrate(&capsule) {
-                    Ok(agent) => {
-                        if let Some(h) = self.hosts.get_mut(&host) {
-                            h.active.insert(id, agent);
-                        }
-                        self.locations.insert(id, Location::Active(host));
-                        self.homes.insert(id, home);
-                        if let Some(p) = permit {
-                            self.permits.insert(id, p);
-                        }
-                        restored_active.push(id);
-                        restored += 1;
-                    }
-                    Err(e) => {
-                        self.trace.record(
-                            self.now,
-                            None,
-                            format!("recovery: {host} cannot rehydrate {id}: {e}"),
-                        );
-                    }
-                }
-            } else {
-                if let Some(h) = self.hosts.get_mut(&host) {
-                    h.store.store(capsule);
-                }
-                self.locations.insert(id, Location::Deactivated(host));
-                self.homes.insert(id, home);
-                restored += 1;
-            }
-        }
-        self.metrics.agents_recovered += restored;
-        self.trace.record(
-            self.now,
-            None,
-            format!(
-                "recovery: {host} replayed {} wal records, restored {restored} agents",
-                recovered.replayed
-            ),
-        );
-        restored_active.sort_unstable();
-        for id in restored_active {
-            let deltas = recovered.state.deltas_for(id.0);
-            self.metrics.profile_deltas_replayed += deltas.len() as u64;
-            self.run_callback(id, None, "on_recovered", move |agent, ctx| {
-                agent.on_recovered(ctx, &deltas);
-            });
-        }
     }
 
     /// Whether `host` is currently crashed.
@@ -1133,9 +930,9 @@ impl SimWorld {
         // Move (not copy) the durable store: the dead host must not be
         // able to resurrect a second copy of these agents if a scripted
         // heal restarts it later.
-        let moved = self.hosts.get_mut(&dead).and_then(|h| h.durable.take());
+        let moved = self.cores.get_mut(&dead).and_then(|c| c.durable.take());
         if let Some(store) = moved {
-            if let Some(s) = self.hosts.get_mut(&standby) {
+            if let Some(s) = self.cores.get_mut(&standby) {
                 s.durable = Some(store);
             }
         }
@@ -1145,11 +942,11 @@ impl SimWorld {
             None,
             format!("supervisor: {dead} failed over to {standby} ({base_name}+failover)"),
         );
-        self.recover_host(standby);
+        self.with_core(standby, |core, w| core.recover(w));
         let restored_any = self
-            .hosts
+            .cores
             .get(&standby)
-            .map(|h| !h.active.is_empty() || !h.store.is_empty())
+            .map(|c| !c.active.is_empty() || !c.store.is_empty())
             .unwrap_or(false);
         let mut orphans: Vec<AgentId> = self
             .homes
@@ -1167,7 +964,7 @@ impl SimWorld {
                     if let Some(state) = self.supervision.as_mut() {
                         state.rehomed.insert(id, standby);
                     }
-                    self.run_callback(id, None, "on_rehomed", move |agent, ctx| {
+                    self.callback_on(id, "on_rehomed", move |agent, ctx| {
                         agent.on_rehomed(ctx, standby)
                     });
                 }
@@ -1185,7 +982,7 @@ impl SimWorld {
                         Some(id),
                         format!("supervisor: roaming {id} re-bound to {standby}"),
                     );
-                    self.run_callback(id, None, "on_rehomed", move |agent, ctx| {
+                    self.callback_on(id, "on_rehomed", move |agent, ctx| {
                         agent.on_rehomed(ctx, standby)
                     });
                 }
@@ -1198,7 +995,7 @@ impl SimWorld {
                         Some(id),
                         format!("supervisor: orphan {id} retired (home {dead} lost)"),
                     );
-                    self.do_dispose(at, id);
+                    self.with_core(at, |core, w| core.do_dispose(w, id));
                 }
                 Some(Location::InTransit) => {
                     // Cannot be disposed mid-flight: dropped on arrival.
@@ -1277,16 +1074,8 @@ impl SimWorld {
             let at = self.now + self.topology.local_delay();
             self.enqueue_deliver(at, msg);
         }
-        for (agent, tag, trace, deadline) in timers {
-            self.schedule_at(
-                self.now,
-                EventKind::Timer {
-                    agent,
-                    tag,
-                    trace,
-                    deadline,
-                },
-            );
+        for timer in timers {
+            self.schedule_timer(self.now, timer);
         }
     }
 
@@ -1418,13 +1207,6 @@ impl SimWorld {
         }
     }
 
-    /// Push an announcement for the other shards, if this world is sharded.
-    fn announce(&mut self, id: AgentId, host: HostId) {
-        if let Some(b) = &mut self.boundary {
-            b.announce.push((id, host));
-        }
-    }
-
     /// Host an agent is known to occupy on another shard, if any.
     fn remote_host_of(&self, agent: AgentId) -> Option<HostId> {
         self.boundary
@@ -1528,437 +1310,49 @@ impl SimWorld {
         self.trace.record(self.now, None, label);
     }
 
-    fn install_agent(&mut self, host: HostId, id: AgentId, agent: Box<dyn Agent>, fresh: bool) {
-        let h = self.hosts.get_mut(&host).expect("install on known host");
-        h.active.insert(id, agent);
-        self.locations.insert(id, Location::Active(host));
-        if fresh {
-            self.homes.insert(id, host);
-            self.metrics.agents_created += 1;
-            self.announce(id, host);
-            self.run_callback(id, None, "on_creation", |agent, ctx| agent.on_creation(ctx));
-        }
+    fn schedule_timer(&mut self, at: SimTime, timer: Timer) {
+        let Timer {
+            agent,
+            tag,
+            trace,
+            deadline,
+        } = timer;
+        self.schedule_at(
+            at,
+            EventKind::Timer {
+                agent,
+                tag,
+                trace,
+                deadline,
+            },
+        );
     }
 
-    /// Run `f` against the (active) agent, then apply the actions it
-    /// queued. When the triggering hop carries a trace context (`parent`),
-    /// the callback runs under a fresh handler span named `name`, which
-    /// becomes the parent of every hop the callback causes.
-    fn run_callback<F>(&mut self, id: AgentId, parent: Option<TraceCtx>, name: &str, f: F)
-    where
-        F: FnOnce(&mut dyn Agent, &mut Ctx<'_>),
-    {
-        let Some(Location::Active(host)) = self.locations.get(&id).copied() else {
-            return;
-        };
-        let Some(mut agent) = self.hosts.get_mut(&host).and_then(|h| h.active.remove(&id)) else {
-            return;
-        };
-        let handler = parent.map(|p| {
-            self.telemetry.child(
-                p,
-                HopKind::Handler,
-                InternedStr::new(name),
-                Some(id),
-                Some(host),
-                self.now,
-            )
-        });
-        let saved = std::mem::replace(&mut self.current_trace, handler);
-        // Nested callbacks (on_creation from a Create action, etc.) inherit
-        // the caller's ambient deadline; event handlers overwrite it from
-        // the carried value before calling in.
-        let saved_deadline = self.current_deadline;
-        let mut actions = Vec::new();
-        {
-            let mut ctx = Ctx::new(
-                id,
-                host,
-                self.now,
-                &mut self.rng,
-                &mut actions,
-                &mut self.next_agent_id,
-            )
-            .with_trace(handler)
-            .with_deadline(self.current_deadline);
-            f(agent.as_mut(), &mut ctx);
-        }
-        // Reinsert before applying actions so that actions targeting the
-        // agent itself (deactivate_self, dispose_self, dispatch_self) see a
-        // consistent world.
-        if let Some(h) = self.hosts.get_mut(&host) {
-            h.active.insert(id, agent);
-        }
-        let mut emits = Vec::new();
-        self.apply_actions(id, host, actions, &mut emits);
-        // Callback boundary = journaling boundary: if the agent is still
-        // active here on a durable host, capture its (possibly mutated)
-        // capsule so a crash replays it at this point.
-        if self.durability.is_some() && self.locations.get(&id) == Some(&Location::Active(host)) {
-            self.journal_live_capsule(host, id);
-        }
-        if !emits.is_empty() {
-            self.release_emits(host, id, emits);
-        }
-        if let Some(h) = handler {
-            let now = self.now;
-            self.telemetry.end(h.span_id, now);
-            if let Some(wall) = self
-                .telemetry
-                .span(h.span_id)
-                .and_then(|s| s.wall_end_ns.map(|e| e.saturating_sub(s.wall_start_ns)))
-            {
-                self.telemetry
-                    .registry_mut()
-                    .observe("stage.handler_wall_ns", wall);
-            }
-        }
-        self.current_trace = saved;
-        self.current_deadline = saved_deadline;
-    }
-
-    /// Output commit: force `host`'s WAL through the capsule the callback
-    /// just journalled, then release its emits to `actor`'s outbox.
-    fn release_emits(&mut self, host: HostId, actor: AgentId, emits: Vec<Payload>) {
-        if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut()) {
-            let _ = store.sync();
-        }
-        self.outbox.entry(actor).or_default().extend(emits);
-    }
-
-    /// Apply a callback's actions; its emits are collected into `emits`
-    /// for [`SimWorld::release_emits`] once the capsule is journalled.
-    fn apply_actions(
-        &mut self,
-        actor: AgentId,
-        host: HostId,
-        actions: Vec<Action>,
-        emits: &mut Vec<Payload>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => self.do_send(host, to, msg),
-                Action::Create { id, agent } => {
-                    let h = self.hosts.get_mut(&host).expect("actor host exists");
-                    h.active.insert(id, agent);
-                    self.locations.insert(id, Location::Active(host));
-                    self.homes.insert(id, host);
-                    self.metrics.agents_created += 1;
-                    self.announce(id, host);
-                    let parent = self.current_trace;
-                    self.run_callback(id, parent, "on_creation", |agent, ctx| {
-                        agent.on_creation(ctx)
-                    });
-                }
-                Action::CreateOfType {
-                    id,
-                    agent_type,
-                    state,
-                } => {
-                    let capsule = AgentCapsule {
-                        id,
-                        agent_type,
-                        state,
-                        home: host,
-                        permit: None,
-                        trace: None,
-                        deadline: None,
-                    };
-                    match self.registry.rehydrate(&capsule) {
-                        Ok(agent) => {
-                            let h = self.hosts.get_mut(&host).expect("actor host exists");
-                            h.active.insert(id, agent);
-                            self.locations.insert(id, Location::Active(host));
-                            self.homes.insert(id, host);
-                            self.metrics.agents_created += 1;
-                            self.announce(id, host);
-                            let parent = self.current_trace;
-                            self.run_callback(id, parent, "on_creation", |agent, ctx| {
-                                agent.on_creation(ctx)
-                            });
-                        }
-                        Err(e) => {
-                            self.trace.record(
-                                self.now,
-                                Some(actor),
-                                format!("create-of-type failed for {id}: {e}"),
-                            );
-                        }
-                    }
-                }
-                Action::DispatchSelf { dest } => self.do_dispatch(host, actor, dest),
-                Action::CloneSelf { id } => self.do_clone(host, actor, id),
-                Action::Retract { id, to } => match self.locations.get(&id).copied() {
-                    Some(Location::Active(at)) => {
-                        if at == to {
-                            self.trace.record(
-                                self.now,
-                                Some(actor),
-                                format!("retract ignored: {id} already at {to}"),
-                            );
-                        } else {
-                            self.do_dispatch(at, id, to);
-                        }
-                    }
-                    other => {
-                        self.trace.record(
-                            self.now,
-                            Some(actor),
-                            format!("retract failed: {id} not active ({other:?})"),
-                        );
-                    }
-                },
-                Action::Deactivate { id } => {
-                    if self.locations.get(&id) == Some(&Location::Active(host)) {
-                        self.do_deactivate(host, id);
-                    } else {
-                        self.trace.record(
-                            self.now,
-                            Some(actor),
-                            format!("deactivate ignored: {id} not active on {host}"),
-                        );
-                    }
-                }
-                Action::Activate { id } => {
-                    if self.locations.get(&id) == Some(&Location::Deactivated(host)) {
-                        let _ = self.do_activate(host, id);
-                    } else {
-                        self.trace.record(
-                            self.now,
-                            Some(actor),
-                            format!("activate ignored: {id} not stored on {host}"),
-                        );
-                    }
-                }
-                Action::Dispose { id } => self.do_dispose(host, id),
-                Action::SetTimer { id, delay, tag } => {
-                    // A pending timer is a hop of the request that armed
-                    // it: span opens at arm, closes at fire.
-                    let trace = self.current_trace.map(|p| {
-                        self.telemetry.child(
-                            p,
-                            HopKind::Timer,
-                            InternedStr::new("timer"),
-                            Some(id),
-                            Some(host),
-                            self.now,
-                        )
-                    });
-                    let deadline = self.current_deadline;
-                    self.schedule(
-                        delay,
-                        EventKind::Timer {
-                            agent: id,
-                            tag,
-                            trace,
-                            deadline,
-                        },
-                    );
-                }
-                Action::SetDeadline { deadline } => self.current_deadline = deadline,
-                Action::Note { label } => {
-                    if let Some(tc) = self.current_trace {
-                        self.telemetry.event(
-                            tc.span_id,
-                            SpanEventKind::Note,
-                            label.clone(),
-                            self.now,
-                        );
-                    }
-                    self.trace.record(self.now, Some(actor), label);
-                }
-                Action::CountFault { counter } => {
-                    let (kind, label) = match counter {
-                        FaultCounter::Retry => {
-                            self.metrics.retries += 1;
-                            (SpanEventKind::Retry, "retry attempt")
-                        }
-                        FaultCounter::DegradedReply => {
-                            self.metrics.degraded_replies += 1;
-                            (SpanEventKind::Degraded, "degraded reply")
-                        }
-                        FaultCounter::Shed => {
-                            self.metrics.requests_shed += 1;
-                            (SpanEventKind::Shed, "request shed")
-                        }
-                        FaultCounter::BreakerRejection => {
-                            self.metrics.breaker_rejections += 1;
-                            (SpanEventKind::Breaker, "dispatch suppressed: circuit open")
-                        }
-                        FaultCounter::LedgerResolution => {
-                            self.metrics.intents_resolved_by_ledger += 1;
-                            (
-                                SpanEventKind::Note,
-                                "purchase resolved from marketplace ledger",
-                            )
-                        }
-                    };
-                    if let Some(tc) = self.current_trace {
-                        self.telemetry.event(tc.span_id, kind, label, self.now);
-                    }
-                }
-                Action::Observe { name, value } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.registry_mut().observe(name.as_str(), value);
-                    }
-                }
-                Action::IncCounter { name, by } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.registry_mut().inc(name.as_str(), by);
-                    }
-                }
-                Action::JournalIntent { intent, detail } => {
-                    if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut())
-                    {
-                        let _ = store.log_intent(intent, detail);
-                        self.drain_durable_counters(host);
-                    }
-                }
-                Action::JournalCommit { intent, detail } => {
-                    if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut())
-                    {
-                        let _ = store.log_commit(intent, detail);
-                        self.drain_durable_counters(host);
-                    }
-                }
-                Action::JournalAbort { intent, reason } => {
-                    if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut())
-                    {
-                        let _ = store.log_abort(intent, reason);
-                        self.drain_durable_counters(host);
-                    }
-                }
-                Action::JournalDelta { id, delta } => {
-                    if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut())
-                    {
-                        let _ = store.log_delta(id.0, delta);
-                        self.drain_durable_counters(host);
-                    }
-                }
-                Action::Emit { payload } => emits.push(payload),
-            }
-        }
-    }
-
-    fn do_send(&mut self, from_host: HostId, to: AgentId, mut msg: Message) {
-        msg.id = MessageId(self.next_msg_id);
-        self.next_msg_id += 1;
-        msg.deadline = self.current_deadline;
-        // Every send is a fresh hop: any context the message already
-        // carried names a hop that ended at its delivery (forwarded or
-        // re-sent messages must not reuse a closed span).
-        msg.trace = self.current_trace.map(|p| {
-            self.telemetry.child(
-                p,
-                HopKind::Message,
-                msg.kind.clone(),
-                msg.from,
-                Some(from_host),
-                self.now,
-            )
-        });
-        let to_host = match self.locations.get(&to) {
-            Some(Location::Active(h)) | Some(Location::Deactivated(h)) => *h,
-            Some(Location::InTransit) | None => {
-                if let Some(remote) = self.remote_host_of(to) {
-                    self.send_boundary_message(from_host, remote, msg);
-                    return;
-                }
-                self.metrics.messages_dead_lettered += 1;
-                self.telemetry.registry_mut().dead_letter(msg.kind.as_str());
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::DeadLetter,
-                        format!("{} to {} (unreachable)", msg.kind, to),
-                        self.now,
-                    );
-                    self.telemetry.end(tc.span_id, self.now);
-                }
-                self.trace.record(
-                    self.now,
-                    msg.from,
-                    format!("dead-letter: {} to {} (unreachable)", msg.kind, to),
-                );
-                return;
-            }
-        };
-        let bytes = msg.wire_size();
-        let loss = self.topology.loss(from_host, to_host);
+    /// Roll the link's loss for a hop from `from` to `to`: `Some(chaos)`
+    /// if the hop is lost, `chaos` telling whether a chaos fault (rather
+    /// than the base link) dropped it. Counts the loss.
+    fn roll_loss(&mut self, from: HostId, to: HostId) -> Option<bool> {
+        let loss = self.topology.loss(from, to);
         if loss > 0.0 && self.rng.gen::<f64>() < loss {
             self.metrics.messages_lost += 1;
-            let chaos_fault = self.topology.fault_active(from_host, to_host);
+            let chaos_fault = self.topology.fault_active(from, to);
             if chaos_fault {
                 self.metrics.chaos_drops += 1;
             }
-            if let Some(tc) = msg.trace {
-                let label = if chaos_fault {
-                    "dropped: chaos fault on link"
-                } else {
-                    "dropped: link loss"
-                };
-                self.telemetry
-                    .event(tc.span_id, SpanEventKind::Chaos, label, self.now);
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            return;
-        }
-        if from_host != to_host {
-            self.metrics.remote_message_bytes += bytes as u64;
-        }
-        let mut delay = self.topology.delivery_time(from_host, to_host, bytes);
-        if self.chaos.is_none() {
-            let at = self.now + delay;
-            self.enqueue_deliver(at, msg);
-            return;
-        }
-        let chaos = self.chaos.as_mut().expect("checked above");
-        // Bounded reordering: extra jitter on some deliveries, clamped so
-        // per-(sender, receiver)-pair FIFO order is preserved (TCP-like;
-        // only cross-pair interleavings change).
-        let mut jittered = false;
-        if chaos.reorder_probability > 0.0 && self.rng.gen::<f64>() < chaos.reorder_probability {
-            delay = delay + SimDuration(self.rng.gen_range(0..=chaos.max_jitter_us));
-            self.metrics.chaos_delays += 1;
-            jittered = true;
-        }
-        let key = (msg.from, msg.to);
-        let mut at = self.now + delay;
-        if let Some(&last) = chaos.fifo.get(&key) {
-            at = at.max(last);
-        }
-        // Duplication: a second copy with the *same* message id, scheduled
-        // at or after the original; the receiver suppresses it.
-        let dup_at = if chaos.dup_probability > 0.0 && self.rng.gen::<f64>() < chaos.dup_probability
-        {
-            self.metrics.chaos_dupes += 1;
-            Some(at + SimDuration(self.rng.gen_range(0..=chaos.max_jitter_us.max(1))))
+            Some(chaos_fault)
         } else {
             None
+        }
+    }
+
+    /// Close a lost message's hop span.
+    fn drop_lost(&mut self, msg: &Message, chaos_fault: bool) {
+        let label = if chaos_fault {
+            "dropped: chaos fault on link"
+        } else {
+            "dropped: link loss"
         };
-        chaos.fifo.insert(key, dup_at.unwrap_or(at));
-        if let Some(tc) = msg.trace {
-            if jittered {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    "reorder jitter injected",
-                    self.now,
-                );
-            }
-            if dup_at.is_some() {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    "duplicated by chaos",
-                    self.now,
-                );
-            }
-        }
-        if let Some(dup_at) = dup_at {
-            self.enqueue_deliver(dup_at, msg.clone());
-        }
-        self.enqueue_deliver(at, msg);
+        self.close_span(msg.trace, SpanEventKind::Chaos, label);
     }
 
     /// Hand a message to an agent owned by another shard: faults on the
@@ -1968,165 +1362,25 @@ impl SimWorld {
     /// a delivery time no earlier than the epoch end.
     fn send_boundary_message(&mut self, from_host: HostId, to_host: HostId, mut msg: Message) {
         let bytes = msg.wire_size();
-        let loss = self.topology.loss(from_host, to_host);
-        if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            self.metrics.messages_lost += 1;
-            let chaos_fault = self.topology.fault_active(from_host, to_host);
-            if chaos_fault {
-                self.metrics.chaos_drops += 1;
-            }
-            if let Some(tc) = msg.trace {
-                let label = if chaos_fault {
-                    "dropped: chaos fault on link"
-                } else {
-                    "dropped: link loss"
-                };
-                self.telemetry
-                    .event(tc.span_id, SpanEventKind::Chaos, label, self.now);
-                self.telemetry.end(tc.span_id, self.now);
-            }
+        if let Some(chaos_fault) = self.roll_loss(from_host, to_host) {
+            self.drop_lost(&msg, chaos_fault);
             return;
         }
         self.metrics.remote_message_bytes += bytes as u64;
-        if let Some(tc) = msg.strip_trace() {
-            self.telemetry.event(
-                tc.span_id,
-                SpanEventKind::Boundary,
-                format!("{} to {} crossed shard boundary", msg.kind, msg.to),
-                self.now,
-            );
-            self.telemetry.end(tc.span_id, self.now);
-        }
-        let latency = self
-            .boundary
-            .as_ref()
-            .map(|b| b.latency)
-            .unwrap_or_default();
-        let delay = self
-            .topology
-            .delivery_time(from_host, to_host, bytes)
-            .max(latency);
-        let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        let origin_shard = self.shard;
-        if let Some(b) = &mut self.boundary {
-            b.outbox.push(BoundaryItem {
-                at,
-                origin_shard,
-                origin_seq: seq,
-                payload: BoundaryPayload::Deliver(msg),
-            });
-        }
+        let label = format!("{} to {} crossed shard boundary", msg.kind, msg.to);
+        self.close_span(msg.strip_trace(), SpanEventKind::Boundary, label);
+        let delay = self.topology.delivery_time(from_host, to_host, bytes);
+        self.push_boundary(delay, BoundaryPayload::Deliver(msg));
     }
 
-    /// Dispatch an agent to a host owned by another shard. Mirrors the
-    /// local [`SimWorld::do_dispatch`] step for step — refusal on
-    /// partition/remote crash, `on_dispatch`, permit issue, loss roll —
-    /// then ships the capsule through the outbox instead of the local
-    /// event queue. The agent leaves this shard's directory eagerly so
-    /// follow-up messages forward across the boundary.
-    fn dispatch_boundary(&mut self, host: HostId, id: AgentId, dest: HostId) {
-        if self.locations.get(&id) != Some(&Location::Active(host)) {
-            return; // already departed or disposed this round
-        }
-        let down = self
-            .boundary
-            .as_ref()
-            .is_some_and(|b| b.remote_down.contains(&dest));
-        if self.topology.is_partitioned(host, dest) || down {
-            self.metrics.chaos_drops += 1;
-            if let Some(tc) = self.current_trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    format!("dispatch refused: {dest} unreachable"),
-                    self.now,
-                );
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("dispatch refused: {dest} unreachable"),
-            );
-            let parent = self.current_trace;
-            self.run_callback(id, parent, "on_dispatch_failed", move |agent, ctx| {
-                agent.on_dispatch_failed(ctx, dest)
-            });
-            return;
-        }
-        let parent = self.current_trace;
-        self.run_callback(id, parent, "on_dispatch", |agent, ctx| {
-            agent.on_dispatch(ctx)
-        });
-        if self.locations.get(&id) != Some(&Location::Active(host)) {
-            return;
-        }
-        let Some(agent) = self.hosts.get_mut(&host).and_then(|h| h.active.remove(&id)) else {
-            return;
-        };
-        let home = self.homes.get(&id).copied().unwrap_or(host);
-        let permit = if host == home {
-            let h = self.hosts.get_mut(&host).expect("home host exists");
-            let p = h.auth.issue(id);
-            self.permits.insert(id, p);
-            Some(p)
-        } else {
-            self.permits.get(&id).copied()
-        };
-        let mut capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        drop(agent);
-        capsule.deadline = self.current_deadline;
-        capsule.trace = self.current_trace.map(|p| {
-            self.telemetry.child(
-                p,
-                HopKind::Migration,
-                capsule.agent_type.clone(),
-                Some(id),
-                Some(host),
-                self.now,
-            )
-        });
-        self.journal_capsule_gone(host, id);
-        // The migration hop ends at the boundary: span ids are shard-local.
-        if let Some(tc) = capsule.strip_trace() {
-            self.telemetry.event(
-                tc.span_id,
-                SpanEventKind::Boundary,
-                format!("{id} crossed shard boundary to {dest}"),
-                self.now,
-            );
-            self.telemetry.end(tc.span_id, self.now);
-        }
-        let bytes = capsule.wire_size();
-        let loss = self.topology.loss(host, dest);
-        if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            self.locations.remove(&id);
-            self.permits.remove(&id);
-            self.metrics.messages_lost += 1;
-            if self.topology.fault_active(host, dest) {
-                self.metrics.chaos_drops += 1;
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("agent lost in transit to {dest}"),
-            );
-            return;
-        }
-        self.metrics.migration_bytes += bytes as u64;
+    /// Queue a boundary item no earlier than the boundary latency from now.
+    fn push_boundary(&mut self, delay: SimDuration, payload: BoundaryPayload) {
         let latency = self
             .boundary
             .as_ref()
             .map(|b| b.latency)
             .unwrap_or_default();
-        let delay = self.topology.delivery_time(host, dest, bytes).max(latency);
-        let at = self.now + delay;
-        // Departed for good as far as this shard is concerned: directory
-        // entries move to the remote side so follow-up sends forward.
-        self.locations.remove(&id);
-        self.permits.remove(&id);
-        self.register_remote_agent(id, dest);
+        let at = self.now + delay.max(latency);
         let seq = self.seq;
         self.seq += 1;
         let origin_shard = self.shard;
@@ -2135,7 +1389,7 @@ impl SimWorld {
                 at,
                 origin_shard,
                 origin_seq: seq,
-                payload: BoundaryPayload::Arrive { capsule, dest },
+                payload,
             });
         }
     }
@@ -2155,16 +1409,11 @@ impl SimWorld {
     /// stream byte for byte. `Some` pins the origin key of a boundary
     /// item so injected deliveries keep their global total order.
     fn enqueue_deliver_keyed(&mut self, at: SimTime, key: Option<(u16, u64)>, msg: Message) {
-        if self.mailbox.is_none() {
+        let Some(mailbox) = self.mailbox.as_mut() else {
             self.schedule_deliver(at, key, msg);
             return;
-        }
-        let verdict = self
-            .mailbox
-            .as_mut()
-            .expect("checked above")
-            .on_enqueue(msg.to, msg.id);
-        match verdict {
+        };
+        match mailbox.on_enqueue(msg.to, msg.id) {
             EnqueueVerdict::Admit => self.schedule_deliver(at, key, msg),
             EnqueueVerdict::AdmitEvictingOldest => {
                 self.metrics.mailbox_rejections += 1;
@@ -2177,15 +1426,8 @@ impl SimWorld {
             }
             EnqueueVerdict::Reject => {
                 self.metrics.mailbox_rejections += 1;
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::Shed,
-                        format!("shed: mailbox full at {}", msg.to),
-                        self.now,
-                    );
-                    self.telemetry.end(tc.span_id, self.now);
-                }
+                let label = format!("shed: mailbox full at {}", msg.to);
+                self.close_span(msg.trace, SpanEventKind::Shed, label);
                 self.trace.record(
                     self.now,
                     msg.from,
@@ -2193,16 +1435,11 @@ impl SimWorld {
                 );
             }
             EnqueueVerdict::Defer => {
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::Note,
-                        format!("mailbox full at {}: delivery deferred", msg.to),
-                        self.now,
-                    );
+                let label = format!("mailbox full at {}: delivery deferred", msg.to);
+                self.span_event(msg.trace, SpanEventKind::Note, label);
+                if let Some(mailbox) = self.mailbox.as_mut() {
+                    mailbox.defer(msg);
                 }
-                let mailbox = self.mailbox.as_mut().expect("mailbox present");
-                mailbox.defer(msg);
             }
         }
         let max_depth = self
@@ -2233,205 +1470,34 @@ impl SimWorld {
         }
     }
 
-    fn handle_deliver(&mut self, mut msg: Message) {
-        let to = msg.to;
-        if let Some(mailbox) = &mut self.mailbox {
-            let outcome = mailbox.on_consume(to, msg.id);
-            if let Some(released) = outcome.released {
-                // A deferred (block policy) message takes the freed slot;
-                // it was already admitted, so schedule it directly.
-                let at = self.now;
-                self.schedule_at(at, EventKind::Deliver(released));
-            }
-            if outcome.tombstoned {
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::Shed,
-                        "evicted: mailbox overflow (reject-oldest)",
-                        self.now,
-                    );
-                    self.telemetry.end(tc.span_id, self.now);
-                }
-                self.trace.record(
-                    self.now,
-                    msg.from,
-                    format!("evicted from {}'s mailbox: {}", to, msg.kind),
-                );
-                return;
-            }
-        }
-        if deadline_expired(msg.deadline, self.now) {
-            self.metrics.deadline_drops += 1;
-            if let Some(tc) = msg.trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::DeadlineExceeded,
-                    format!("dropped: deadline passed before {} delivery", msg.kind),
-                    self.now,
-                );
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            self.trace.record(
-                self.now,
-                msg.from,
-                format!("deadline exceeded: {} to {} dropped", msg.kind, to),
-            );
+    fn handle_deliver(&mut self, msg: Message) {
+        let Some(mut msg) = admit(self, msg) else {
             return;
-        }
+        };
+        let to = msg.to;
         match self.locations.get(&to).copied() {
-            Some(Location::Active(host)) => {
+            Some(Location::Active(host)) if self.host_hung(host) => {
                 // A hung host accepts the connection but never drains it:
                 // the delivery stalls (before duplicate suppression, so
                 // the replayed copy is not mistaken for a chaos dupe).
-                if self.hosts.get(&host).is_some_and(|h| h.hung) {
-                    if let Some(tc) = msg.trace {
-                        self.telemetry.event(
-                            tc.span_id,
-                            SpanEventKind::Note,
-                            format!("stalled: {host} hung"),
-                            self.now,
-                        );
-                    }
-                    if let Some(h) = self.hosts.get_mut(&host) {
-                        h.stalled.push(msg);
-                    }
-                    return;
-                }
-                // Receiver-side duplicate suppression: a chaos-injected
-                // copy carries the original's id and is dropped here.
-                if let Some(chaos) = &mut self.chaos {
-                    if !chaos.delivered.insert(msg.id) {
-                        self.metrics.dupes_suppressed += 1;
-                        if let Some(tc) = msg.trace {
-                            self.telemetry.event(
-                                tc.span_id,
-                                SpanEventKind::Chaos,
-                                "duplicate suppressed at receiver",
-                                self.now,
-                            );
-                        }
-                        return;
-                    }
-                }
-                self.metrics.messages_delivered += 1;
-                let _ = host;
-                if let Some(tc) = msg.trace {
-                    if let Some(dur) = self.telemetry.end(tc.span_id, self.now) {
-                        let reg = self.telemetry.registry_mut();
-                        reg.observe("stage.transfer_us", dur);
-                        reg.observe(&format!("latency_us.{}", msg.kind), dur);
-                        reg.inc(&format!("delivered.{}", msg.kind), 1);
-                    }
-                }
-                let parent = msg.trace;
-                let kind = msg.kind.clone();
-                self.current_deadline = msg.deadline;
-                self.run_callback(to, parent, kind.as_str(), move |agent, ctx| {
-                    agent.on_message(ctx, msg)
-                });
-                self.current_deadline = None;
-            }
-            Some(Location::Deactivated(host)) => {
-                // Held until the agent is activated, like a mailbox; the
-                // hop span stays open until the replayed copy lands.
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::Note,
-                        "parked: recipient deactivated",
-                        self.now,
-                    );
-                }
+                let label = format!("stalled: {host} hung");
+                self.span_event(msg.trace, SpanEventKind::Note, label);
                 if let Some(h) = self.hosts.get_mut(&host) {
-                    h.pending.entry(to).or_default().push(msg);
+                    h.stalled.push(msg);
                 }
             }
-            Some(Location::InTransit) | None => {
-                if let Some(remote) = self.remote_host_of(to) {
-                    // The recipient moved to another shard after this
-                    // delivery was queued: forward across the boundary
-                    // instead of dead-lettering.
-                    if let Some(tc) = msg.strip_trace() {
-                        self.telemetry.event(
-                            tc.span_id,
-                            SpanEventKind::Boundary,
-                            format!("{} to {} forwarded across shard boundary", msg.kind, to),
-                            self.now,
-                        );
-                        self.telemetry.end(tc.span_id, self.now);
-                    }
-                    let latency = self
-                        .boundary
-                        .as_ref()
-                        .map(|b| b.latency)
-                        .unwrap_or_default();
-                    let at = self.now + latency;
-                    let seq = self.seq;
-                    self.seq += 1;
-                    let origin_shard = self.shard;
-                    let _ = remote;
-                    if let Some(b) = &mut self.boundary {
-                        b.outbox.push(BoundaryItem {
-                            at,
-                            origin_shard,
-                            origin_seq: seq,
-                            payload: BoundaryPayload::Deliver(msg),
-                        });
-                    }
-                    return;
-                }
-                self.metrics.messages_dead_lettered += 1;
-                self.telemetry.registry_mut().dead_letter(msg.kind.as_str());
-                if let Some(tc) = msg.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::DeadLetter,
-                        format!("{} to {} (gone at delivery)", msg.kind, to),
-                        self.now,
-                    );
-                    self.telemetry.end(tc.span_id, self.now);
-                }
-                self.trace.record(
-                    self.now,
-                    msg.from,
-                    format!("dead-letter: {} to {} (gone at delivery)", msg.kind, to),
-                );
+            Some(Location::Active(host)) | Some(Location::Deactivated(host)) => {
+                self.with_core(host, |core, w| core.deliver(w, msg));
             }
-        }
-    }
-
-    /// Clone `actor` (active on `host`) under the fresh id `clone_id`.
-    fn do_clone(&mut self, host: HostId, actor: AgentId, clone_id: AgentId) {
-        let capsule = {
-            let Some(h) = self.hosts.get(&host) else {
-                return;
-            };
-            let Some(agent) = h.active.get(&actor) else {
-                return;
-            };
-            AgentCapsule::capture(clone_id, agent.as_ref(), host, None)
-        };
-        match self.registry.rehydrate(&capsule) {
-            Ok(copy) => {
-                let h = self.hosts.get_mut(&host).expect("actor host exists");
-                h.active.insert(clone_id, copy);
-                self.locations.insert(clone_id, Location::Active(host));
-                self.homes.insert(clone_id, host);
-                self.metrics.agents_created += 1;
-                self.announce(clone_id, host);
-                let parent = self.current_trace;
-                self.run_callback(clone_id, parent, "on_clone", |agent, ctx| {
-                    agent.on_clone(ctx)
-                });
+            Some(Location::InTransit) | None if self.remote_host_of(to).is_some() => {
+                // The recipient moved to another shard after this
+                // delivery was queued: forward across the boundary
+                // instead of dead-lettering.
+                let label = format!("{} to {} forwarded across shard boundary", msg.kind, to);
+                self.close_span(msg.strip_trace(), SpanEventKind::Boundary, label);
+                self.push_boundary(SimDuration::default(), BoundaryPayload::Deliver(msg));
             }
-            Err(e) => {
-                self.trace.record(
-                    self.now,
-                    Some(actor),
-                    format!("clone failed for {actor}: {e}"),
-                );
-            }
+            Some(Location::InTransit) | None => dead_letter(self, msg, "gone at delivery"),
         }
     }
 
@@ -2449,7 +1515,7 @@ impl SimWorld {
         match self.locations.get(&agent).copied() {
             Some(Location::Active(at)) => {
                 if at != to {
-                    self.do_dispatch(at, agent, to);
+                    self.with_core(at, |core, w| core.dispatch(w, agent, to));
                 }
                 Ok(())
             }
@@ -2457,445 +1523,242 @@ impl SimWorld {
         }
     }
 
-    fn do_dispatch(&mut self, host: HostId, id: AgentId, dest: HostId) {
-        if !self.hosts.contains_key(&dest) {
-            let is_remote = self
-                .boundary
-                .as_ref()
-                .is_some_and(|b| b.remote_hosts.contains(&dest));
-            if is_remote {
-                self.dispatch_boundary(host, id, dest);
+    fn handle_timer(&mut self, timer: Timer) {
+        match self.locations.get(&timer.agent).copied() {
+            Some(Location::Active(host)) => {
+                // Wedged scheduler: the callback only fires once the hang
+                // clears (heal or supervisor bounce).
+                match self.hosts.get_mut(&host) {
+                    Some(h) if h.hung => h.stalled_timers.push(timer),
+                    _ => {
+                        self.with_core(host, |core, w| core.fire_timer(w, timer));
+                    }
+                }
+            }
+            _ => {
+                // Agent gone (disposed, migrated, crashed): the
+                // pending-timer hop still closes.
+                self.end_span(timer.trace);
+            }
+        }
+    }
+}
+
+impl HostEnv for SimWorld {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn ctx_parts(&mut self) -> (&mut StdRng, &mut u64) {
+        (&mut self.rng, &mut self.next_agent_id)
+    }
+
+    fn next_msg_id(&mut self) -> MessageId {
+        let id = MessageId(self.next_msg_id);
+        self.next_msg_id += 1;
+        id
+    }
+
+    fn registry(&self) -> &AgentRegistry {
+        &self.registry
+    }
+
+    fn locate(&self, id: AgentId) -> Option<Location> {
+        self.locations.get(&id).copied()
+    }
+
+    fn set_location(&mut self, id: AgentId, loc: Option<Location>) {
+        match loc {
+            Some(loc) => self.locations.insert(id, loc),
+            None => self.locations.remove(&id),
+        };
+    }
+
+    fn home_of(&self, id: AgentId) -> Option<HostId> {
+        self.homes.get(&id).copied()
+    }
+
+    fn set_home(&mut self, id: AgentId, home: HostId) {
+        self.homes.insert(id, home);
+    }
+
+    fn reach(&self, from: HostId, dest: HostId) -> Reach {
+        let down = match (self.hosts.get(&dest), &self.boundary) {
+            (Some(h), _) => h.crashed,
+            (None, Some(b)) if b.remote_hosts.contains(&dest) => b.remote_down.contains(&dest),
+            (None, _) => return Reach::Unknown,
+        };
+        if down || self.topology.is_partitioned(from, dest) {
+            Reach::Refused
+        } else {
+            Reach::Open
+        }
+    }
+
+    fn is_down(&self, host: HostId) -> bool {
+        self.host_crashed(host)
+    }
+
+    fn metrics(&mut self) -> impl std::ops::DerefMut<Target = Metrics> + '_ {
+        &mut self.metrics
+    }
+
+    fn trace(&mut self) -> impl std::ops::DerefMut<Target = Trace> + '_ {
+        &mut self.trace
+    }
+
+    fn telemetry(&mut self) -> impl std::ops::DerefMut<Target = Telemetry> + '_ {
+        &mut self.telemetry
+    }
+
+    fn tracing(&self) -> bool {
+        self.telemetry.is_enabled()
+    }
+
+    fn send(&mut self, from_host: HostId, msg: Message) {
+        let to = msg.to;
+        let to_host = match self.locations.get(&to) {
+            Some(Location::Active(h)) | Some(Location::Deactivated(h)) => *h,
+            Some(Location::InTransit) | None => {
+                match self.remote_host_of(to) {
+                    Some(remote) => self.send_boundary_message(from_host, remote, msg),
+                    None => dead_letter(self, msg, "unreachable"),
+                }
                 return;
             }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("dispatch failed: unknown {dest}"),
-            );
+        };
+        let bytes = msg.wire_size();
+        if let Some(chaos_fault) = self.roll_loss(from_host, to_host) {
+            self.drop_lost(&msg, chaos_fault);
             return;
         }
-        if self.locations.get(&id) != Some(&Location::Active(host)) {
-            return; // already departed or disposed this round
+        if from_host != to_host {
+            self.metrics.remote_message_bytes += bytes as u64;
         }
-        // A partitioned or crashed destination refuses the dispatch
-        // synchronously: the agent stays put and may route around it.
-        if self.topology.is_partitioned(host, dest) || self.host_crashed(dest) {
-            self.metrics.chaos_drops += 1;
-            if let Some(tc) = self.current_trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    format!("dispatch refused: {dest} unreachable"),
-                    self.now,
-                );
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("dispatch refused: {dest} unreachable"),
-            );
-            let parent = self.current_trace;
-            self.run_callback(id, parent, "on_dispatch_failed", move |agent, ctx| {
-                agent.on_dispatch_failed(ctx, dest)
-            });
-            return;
-        }
-        // Lifecycle callback before departure; its actions execute on the
-        // origin host.
-        let parent = self.current_trace;
-        self.run_callback(id, parent, "on_dispatch", |agent, ctx| {
-            agent.on_dispatch(ctx)
-        });
-        // The callback may have disposed or deactivated the agent.
-        if self.locations.get(&id) != Some(&Location::Active(host)) {
-            return;
-        }
-        let Some(agent) = self.hosts.get_mut(&host).and_then(|h| h.active.remove(&id)) else {
+        let mut delay = self.topology.delivery_time(from_host, to_host, bytes);
+        let Some(chaos) = self.chaos.as_mut() else {
+            let at = self.now + delay;
+            self.enqueue_deliver(at, msg);
             return;
         };
-        let home = self.homes.get(&id).copied().unwrap_or(host);
-        let permit = if host == home {
-            let h = self.hosts.get_mut(&host).expect("home host exists");
-            let p = h.auth.issue(id);
-            self.permits.insert(id, p);
-            Some(p)
+        // Bounded reordering: extra jitter on some deliveries, clamped so
+        // per-(sender, receiver)-pair FIFO order is preserved (TCP-like;
+        // only cross-pair interleavings change).
+        let mut jittered = false;
+        if chaos.reorder_probability > 0.0 && self.rng.gen::<f64>() < chaos.reorder_probability {
+            delay = delay + SimDuration(self.rng.gen_range(0..=chaos.max_jitter_us));
+            self.metrics.chaos_delays += 1;
+            jittered = true;
+        }
+        let key = (msg.from, msg.to);
+        let mut at = self.now + delay;
+        if let Some(&last) = chaos.fifo.get(&key) {
+            at = at.max(last);
+        }
+        // Duplication: a second copy with the *same* message id, scheduled
+        // at or after the original; the receiver suppresses it.
+        let dup_at = if chaos.dup_probability > 0.0 && self.rng.gen::<f64>() < chaos.dup_probability
+        {
+            self.metrics.chaos_dupes += 1;
+            Some(at + SimDuration(self.rng.gen_range(0..=chaos.max_jitter_us.max(1))))
         } else {
-            self.permits.get(&id).copied()
+            None
         };
-        let mut capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        drop(agent); // the live instance stays behind and is destroyed
-        capsule.deadline = self.current_deadline;
-        // The travelling capsule is a migration hop of the request that
-        // asked for the dispatch.
-        capsule.trace = self.current_trace.map(|p| {
-            self.telemetry.child(
-                p,
-                HopKind::Migration,
-                capsule.agent_type.clone(),
-                Some(id),
-                Some(host),
-                self.now,
-            )
-        });
-        self.locations.insert(id, Location::InTransit);
-        // The agent has left: its capsule is no longer this host's to
-        // restore. Journalled (forced) so a crash cannot resurrect a
-        // second copy of an agent that already departed.
-        self.journal_capsule_gone(host, id);
+        chaos.fifo.insert(key, dup_at.unwrap_or(at));
+        if jittered {
+            self.span_event(msg.trace, SpanEventKind::Chaos, "reorder jitter injected");
+        }
+        if let Some(dup_at) = dup_at {
+            self.span_event(msg.trace, SpanEventKind::Chaos, "duplicated by chaos");
+            self.enqueue_deliver(dup_at, msg.clone());
+        }
+        self.enqueue_deliver(at, msg);
+    }
+
+    fn arm_timer(&mut self, _host: HostId, delay: SimDuration, timer: Timer) {
+        self.schedule_timer(self.now + delay, timer);
+    }
+
+    /// A local destination gets an arrival event after the link delay; a
+    /// host owned by another shard gets the capsule through the boundary
+    /// outbox, and the agent leaves this shard's directory so follow-up
+    /// messages forward across the boundary. The migration hop ends at the
+    /// boundary: span ids are shard-local.
+    fn ship(&mut self, from: HostId, mut capsule: AgentCapsule, dest: HostId) {
+        let id = capsule.id;
+        let remote = !self.hosts.contains_key(&dest);
+        if remote {
+            let label = format!("{id} crossed shard boundary to {dest}");
+            self.close_span(capsule.strip_trace(), SpanEventKind::Boundary, label);
+        }
         let bytes = capsule.wire_size();
-        let loss = self.topology.loss(host, dest);
-        if loss > 0.0 && self.rng.gen::<f64>() < loss {
+        if self.roll_loss(from, dest).is_some() {
             // The capsule is lost in transit: the agent is gone.
             self.locations.remove(&id);
-            self.permits.remove(&id);
-            self.metrics.messages_lost += 1;
-            if self.topology.fault_active(host, dest) {
-                self.metrics.chaos_drops += 1;
-            }
-            if let Some(tc) = capsule.trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    format!("agent lost in transit to {dest}"),
-                    self.now,
-                );
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("agent lost in transit to {dest}"),
-            );
+            let label = format!("agent lost in transit to {dest}");
+            self.close_span(capsule.trace, SpanEventKind::Chaos, label.clone());
+            self.trace.record(self.now, Some(id), label);
             return;
         }
         self.metrics.migration_bytes += bytes as u64;
-        let delay = self.topology.delivery_time(host, dest, bytes);
-        self.schedule(delay, EventKind::Arrive { capsule, dest });
+        let delay = self.topology.delivery_time(from, dest, bytes);
+        if remote {
+            self.locations.remove(&id);
+            self.register_remote_agent(id, dest);
+            self.push_boundary(delay, BoundaryPayload::Arrive { capsule, dest });
+        } else {
+            self.schedule(delay, EventKind::Arrive { capsule, dest });
+        }
     }
 
-    fn handle_arrival(&mut self, capsule: AgentCapsule, dest: HostId) {
-        let id = capsule.id;
-        // A crash while the capsule was in flight loses the agent.
-        if self.host_crashed(dest) {
-            self.locations.remove(&id);
-            self.permits.remove(&id);
-            self.metrics.agents_lost_in_crash += 1;
-            self.metrics.chaos_drops += 1;
-            if let Some(tc) = capsule.trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::Chaos,
-                    format!("arrival failed: {dest} crashed; agent lost"),
-                    self.now,
-                );
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("arrival failed: {dest} crashed; {id} lost"),
-            );
-            return;
+    fn redeliver(&mut self, _host: HostId, msg: Message) {
+        let at = self.now + self.topology.local_delay();
+        self.enqueue_deliver(at, msg);
+    }
+
+    fn release(&mut self, msg: Message) {
+        // Already admitted when it was deferred: schedule it directly.
+        self.schedule_at(self.now, EventKind::Deliver(msg));
+    }
+
+    fn route(&mut self, host: HostId, op: Routed) {
+        self.schedule_at(self.now, EventKind::Routed { host, op });
+    }
+
+    fn emit(&mut self, actor: AgentId, payloads: Vec<Payload>) {
+        self.outbox.entry(actor).or_default().extend(payloads);
+    }
+
+    fn mailbox(&mut self) -> Option<impl std::ops::DerefMut<Target = MailboxState> + '_> {
+        self.mailbox.as_mut()
+    }
+
+    fn first_delivery(&mut self, id: MessageId) -> bool {
+        self.chaos.as_mut().is_none_or(|c| c.delivered.insert(id))
+    }
+
+    fn restore_decision(&mut self, id: AgentId) -> Option<RestoreDecision> {
+        self.supervision
+            .as_mut()
+            .map(|s| s.supervisor.note_restore(id))
+    }
+
+    fn announce(&mut self, id: AgentId, host: HostId) {
+        if let Some(b) = &mut self.boundary {
+            b.announce.push((id, host));
         }
-        // An orphan marked for retirement while in transit (its home
-        // failed over with no restored owner) is dropped here rather
-        // than leaked.
-        if self
-            .supervision
+    }
+
+    fn retire_on_arrival(&mut self, id: AgentId) -> bool {
+        self.supervision
+            .as_mut()
+            .is_some_and(|s| s.retired.remove(&id))
+    }
+
+    fn rehomed(&self, id: AgentId) -> Option<HostId> {
+        self.supervision
             .as_ref()
-            .is_some_and(|s| s.retired.contains(&id))
-        {
-            if let Some(state) = self.supervision.as_mut() {
-                state.retired.remove(&id);
-            }
-            self.locations.remove(&id);
-            self.permits.remove(&id);
-            self.metrics.agents_retired += 1;
-            if let Some(tc) = capsule.trace {
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("supervisor: orphan {id} retired on arrival at {dest}"),
-            );
-            return;
-        }
-        // Work past its deadline is cancelled rather than landed: the
-        // requester has already been answered (or timed out) by now.
-        if deadline_expired(capsule.deadline, self.now) {
-            self.locations.remove(&id);
-            self.permits.remove(&id);
-            self.metrics.deadline_drops += 1;
-            if let Some(tc) = capsule.trace {
-                self.telemetry.event(
-                    tc.span_id,
-                    SpanEventKind::DeadlineExceeded,
-                    format!("cancelled: deadline passed before arrival at {dest}"),
-                    self.now,
-                );
-                self.telemetry.end(tc.span_id, self.now);
-            }
-            self.trace.record(
-                self.now,
-                Some(id),
-                format!("deadline exceeded: {id} cancelled before arrival at {dest}"),
-            );
-            return;
-        }
-        // Returning home: the paper demands authentication (§4.1 p.2).
-        if dest == capsule.home {
-            let expects = self
-                .hosts
-                .get(&dest)
-                .map(|h| h.auth.expects(id))
-                .unwrap_or(false);
-            if expects {
-                let ok = match capsule.permit {
-                    Some(permit) => self
-                        .hosts
-                        .get_mut(&dest)
-                        .map(|h| h.auth.verify(id, &permit))
-                        .unwrap_or(false),
-                    None => {
-                        if let Some(h) = self.hosts.get_mut(&dest) {
-                            // no permit presented: count as a rejection
-                            let bogus = TravelPermit {
-                                agent: id,
-                                nonce: 0,
-                                mac: 0,
-                            };
-                            h.auth.verify(id, &bogus);
-                        }
-                        false
-                    }
-                };
-                if !ok {
-                    self.metrics.migrations_rejected += 1;
-                    self.locations.remove(&id);
-                    self.permits.remove(&id);
-                    if let Some(tc) = capsule.trace {
-                        self.telemetry.event(
-                            tc.span_id,
-                            SpanEventKind::Note,
-                            format!("arrival rejected at {dest}: authentication failed"),
-                            self.now,
-                        );
-                        self.telemetry.end(tc.span_id, self.now);
-                    }
-                    self.trace.record(
-                        self.now,
-                        Some(id),
-                        format!("arrival rejected at {dest}: authentication failed"),
-                    );
-                    return;
-                }
-                self.permits.remove(&id);
-            }
-        } else if let Some(p) = capsule.permit {
-            // Keep carrying the home permit while visiting foreign hosts.
-            self.permits.insert(id, p);
-        }
-        match self.registry.rehydrate(&capsule) {
-            Ok(agent) => {
-                self.metrics.migrations += 1;
-                let h = self.hosts.get_mut(&dest).expect("arrival host exists");
-                h.active.insert(id, agent);
-                self.locations.insert(id, Location::Active(dest));
-                // A no-op for local migrations (already set at creation);
-                // records the true home of cross-shard arrivals so their
-                // later dispatches carry the right permit expectations.
-                self.homes.insert(id, capsule.home);
-                // A capsule that left before its home failed over still
-                // carries the dead home: re-bind it from the rehome map.
-                let rehome = self
-                    .supervision
-                    .as_ref()
-                    .and_then(|s| s.rehomed.get(&id).copied())
-                    .filter(|new_home| *new_home != capsule.home);
-                if let Some(new_home) = rehome {
-                    self.homes.insert(id, new_home);
-                    self.run_callback(id, None, "on_rehomed", move |agent, ctx| {
-                        agent.on_rehomed(ctx, new_home)
-                    });
-                }
-                self.announce(id, dest);
-                if let Some(tc) = capsule.trace {
-                    if let Some(dur) = self.telemetry.end(tc.span_id, self.now) {
-                        self.telemetry
-                            .registry_mut()
-                            .observe("stage.migration_us", dur);
-                    }
-                }
-                self.current_deadline = capsule.deadline;
-                self.run_callback(id, capsule.trace, "on_arrival", |agent, ctx| {
-                    agent.on_arrival(ctx)
-                });
-                self.current_deadline = None;
-            }
-            Err(e) => {
-                self.metrics.migrations_rejected += 1;
-                self.locations.remove(&id);
-                self.permits.remove(&id);
-                if let Some(tc) = capsule.trace {
-                    self.telemetry.event(
-                        tc.span_id,
-                        SpanEventKind::Note,
-                        format!("arrival rejected at {dest}: {e}"),
-                        self.now,
-                    );
-                    self.telemetry.end(tc.span_id, self.now);
-                }
-                self.trace.record(
-                    self.now,
-                    Some(id),
-                    format!("arrival rejected at {dest}: {e}"),
-                );
-            }
-        }
-    }
-
-    fn do_deactivate(&mut self, host: HostId, id: AgentId) {
-        let parent = self.current_trace;
-        self.run_callback(id, parent, "on_deactivation", |agent, ctx| {
-            agent.on_deactivation(ctx)
-        });
-        // The callback may itself have changed the agent's state.
-        if self.locations.get(&id) != Some(&Location::Active(host)) {
-            return;
-        }
-        let Some(agent) = self.hosts.get_mut(&host).and_then(|h| h.active.remove(&id)) else {
-            return;
-        };
-        let home = self.homes.get(&id).copied().unwrap_or(host);
-        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, None);
-        let journalled = serde_json::to_value(&capsule).ok();
-        let h = self.hosts.get_mut(&host).expect("host exists");
-        h.store.store(capsule);
-        if let (Some(store), Some(value)) = (h.durable.as_mut(), journalled) {
-            let _ = store.put_capsule(id.0, value, false);
-        }
-        self.drain_durable_counters(host);
-        self.locations.insert(id, Location::Deactivated(host));
-        self.metrics.deactivations += 1;
-    }
-
-    fn do_activate(&mut self, host: HostId, id: AgentId) -> Result<()> {
-        let capsule = {
-            let h = self
-                .hosts
-                .get_mut(&host)
-                .ok_or(PlatformError::UnknownHost(host))?;
-            h.store.load(id).ok_or(PlatformError::UnknownAgent(id))?
-        };
-        let agent = match self.registry.rehydrate(&capsule) {
-            Ok(a) => a,
-            Err(e) => {
-                // Put the capsule back: activation failed but the agent is
-                // not lost.
-                if let Some(h) = self.hosts.get_mut(&host) {
-                    h.store.store(capsule);
-                }
-                return Err(e);
-            }
-        };
-        let h = self.hosts.get_mut(&host).expect("host exists");
-        h.active.insert(id, agent);
-        self.locations.insert(id, Location::Active(host));
-        self.metrics.activations += 1;
-        let parent = self.current_trace;
-        self.run_callback(id, parent, "on_activation", |agent, ctx| {
-            agent.on_activation(ctx)
-        });
-        // Replay messages that arrived while deactivated.
-        let pending = self
-            .hosts
-            .get_mut(&host)
-            .and_then(|h| h.pending.remove(&id))
-            .unwrap_or_default();
-        for msg in pending {
-            let delay = self.topology.local_delay();
-            let at = self.now + delay;
-            self.enqueue_deliver(at, msg);
-        }
-        Ok(())
-    }
-
-    fn do_dispose(&mut self, host: HostId, id: AgentId) {
-        match self.locations.get(&id).copied() {
-            Some(Location::Active(h)) if h == host => {
-                let parent = self.current_trace;
-                self.run_callback(id, parent, "on_disposal", |agent, ctx| {
-                    agent.on_disposal(ctx)
-                });
-                if let Some(hh) = self.hosts.get_mut(&host) {
-                    hh.active.remove(&id);
-                    hh.pending.remove(&id);
-                }
-                self.locations.remove(&id);
-                self.permits.remove(&id);
-                if let Some(mb) = &mut self.mailbox {
-                    mb.forget(id);
-                }
-                self.journal_capsule_gone(host, id);
-                self.metrics.agents_disposed += 1;
-            }
-            Some(Location::Deactivated(h)) if h == host => {
-                if let Some(hh) = self.hosts.get_mut(&host) {
-                    hh.store.load(id);
-                    hh.pending.remove(&id);
-                }
-                self.locations.remove(&id);
-                if let Some(mb) = &mut self.mailbox {
-                    mb.forget(id);
-                }
-                self.journal_capsule_gone(host, id);
-                self.metrics.agents_disposed += 1;
-            }
-            _ => {
-                self.trace.record(
-                    self.now,
-                    Some(id),
-                    format!("dispose ignored: {id} not on {host}"),
-                );
-            }
-        }
-    }
-
-    fn handle_timer(
-        &mut self,
-        agent: AgentId,
-        tag: u64,
-        trace: Option<TraceCtx>,
-        deadline: Option<SimTime>,
-    ) {
-        if let Some(Location::Active(host)) = self.locations.get(&agent).copied() {
-            // Wedged scheduler: the callback only fires once the hang
-            // clears (heal or supervisor bounce).
-            if self.hosts.get(&host).is_some_and(|h| h.hung) {
-                if let Some(h) = self.hosts.get_mut(&host) {
-                    h.stalled_timers.push((agent, tag, trace, deadline));
-                }
-                return;
-            }
-            self.metrics.timers_fired += 1;
-            if let Some(tc) = trace {
-                if let Some(dur) = self.telemetry.end(tc.span_id, self.now) {
-                    self.telemetry
-                        .registry_mut()
-                        .observe("stage.timer_wait_us", dur);
-                }
-            }
-            // Timers fire even past the deadline: a watchdog is often the
-            // very thing that turns an expired request into a reply.
-            self.current_deadline = deadline;
-            self.run_callback(agent, trace, "on_timer", move |a, ctx| a.on_timer(ctx, tag));
-            self.current_deadline = None;
-        } else if let Some(tc) = trace {
-            // Agent gone (disposed, migrated, crashed): the pending-timer
-            // hop still closes.
-            self.telemetry.end(tc.span_id, self.now);
-        }
+            .and_then(|s| s.rehomed.get(&id).copied())
     }
 }
 
@@ -3453,5 +2316,47 @@ mod tests {
         // shard 0 keeps the legacy bases: byte-identity with unsharded runs
         assert_eq!(h0, HostId(1));
         assert_eq!(a0, AgentId(1));
+    }
+
+    /// Disposing a deactivated agent dead-letters the messages parked for
+    /// it instead of dropping them silently.
+    #[test]
+    fn dispose_while_deactivated_dead_letters_parked_messages() {
+        #[derive(Serialize, Deserialize)]
+        struct Janitor {
+            target: AgentId,
+        }
+        impl Agent for Janitor {
+            fn agent_type(&self) -> &'static str {
+                "janitor"
+            }
+            fn snapshot(&self) -> serde_json::Value {
+                serde_json::to_value(self).unwrap()
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
+                ctx.dispose(self.target);
+            }
+        }
+        let mut w = SimWorld::new(29);
+        w.registry_mut().register_serde::<Worker>("worker");
+        let a = w.add_host("a");
+        let id = w.create_agent(a, Box::new(Worker::default())).unwrap();
+        let janitor = w.create_agent(a, Box::new(Janitor { target: id })).unwrap();
+        w.send_external(id, Message::new("sleep")).unwrap();
+        w.run_until_idle();
+        w.send_external(id, Message::new("nudge")).unwrap();
+        w.send_external(id, Message::new("nudge")).unwrap();
+        w.run_until_idle();
+        w.send_external(janitor, Message::new("scrap")).unwrap();
+        w.run_until_idle();
+        assert_eq!(w.location(id), None);
+        assert_eq!(w.metrics().agents_disposed, 1);
+        assert_eq!(
+            w.metrics().messages_dead_lettered,
+            2,
+            "parked messages dead-letter on dispose instead of leaking"
+        );
+        let label = "dead-letter: nudge to agent-1 (recipient disposed while parked)";
+        assert_eq!(w.trace().labels_with_prefix(label).len(), 2);
     }
 }

@@ -2,7 +2,9 @@
 //! the network.
 //!
 //! The same [`Agent`] implementations that run on the deterministic
-//! [`crate::sim::SimWorld`] run unchanged here on real concurrency. This
+//! [`crate::sim::SimWorld`] run unchanged here on real concurrency, on the
+//! same per-host kernel: each worker thread drives one
+//! `host::HostCore` with itself as the core's environment. This
 //! runtime exists to demonstrate that the platform API is runtime-agnostic
 //! (and to catch accidental determinism assumptions in agent code); all
 //! benchmarks use the DES world because wall-clock interleavings are not
@@ -12,19 +14,17 @@
 //! (channels deliver as fast as the OS schedules) — timers are honoured via
 //! real `thread::sleep`.
 
-use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, DurablePolicy, FaultCounter};
+use crate::agent::{Agent, AgentCapsule, AgentRegistry};
 use crate::chaos::ChaosKnobs;
-use crate::clock::SimTime;
+use crate::clock::{SimDuration, SimTime};
 use crate::durable::{DurabilityConfig, DurableStore};
 use crate::error::{PlatformError, Result};
+use crate::host::{admit, dead_letter, HostCore, HostEnv, Location, Reach, Routed, Timer};
 use crate::ids::{AgentId, HostId, MessageId};
-use crate::intern::InternedStr;
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::overload::{deadline_expired, EnqueueVerdict, MailboxConfig, MailboxState};
+use crate::overload::{EnqueueVerdict, MailboxConfig, MailboxState};
 use crate::payload::Payload;
-use crate::security::{Authenticator, TravelPermit};
-use crate::storage::DeactivatedStore;
 use crate::supervise::{RestoreDecision, SupervisionConfig, Supervisor, Verdict};
 use crate::telemetry::{HopKind, SpanEventKind, Telemetry, TraceCtx};
 use crate::trace::Trace;
@@ -34,6 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -42,26 +43,10 @@ use std::time::{Duration, Instant};
 enum Envelope {
     Deliver(Message),
     Arrive(AgentCapsule),
-    Create {
-        id: AgentId,
-        agent: Box<dyn Agent>,
-        /// Born by `clone_self` rather than `create`: the landing worker
-        /// runs `on_clone` instead of `on_creation`.
-        cloned: bool,
-    },
-    Timer {
-        agent: AgentId,
-        tag: u64,
-        trace: Option<TraceCtx>,
-        deadline: Option<SimTime>,
-    },
-    AdminDeactivate(AgentId),
-    AdminActivate(AgentId),
-    AdminDispose(AgentId),
-    AdminRetract {
-        agent: AgentId,
-        to: HostId,
-    },
+    Timer(Timer),
+    /// A lifecycle operation for the agent's owning worker (external
+    /// create, admin calls, and forwards from sibling workers or hosts).
+    Routed(Routed),
     /// Chaos: wipe the host's agents and stores (the crash itself; the
     /// unreachability flag lives in [`Shared::chaos`]). Broadcast to every
     /// worker of the host.
@@ -82,12 +67,8 @@ impl Envelope {
         match self {
             Envelope::Deliver(msg) => Some(msg.to),
             Envelope::Arrive(capsule) => Some(capsule.id),
-            Envelope::Create { id, .. } => Some(*id),
-            Envelope::Timer { agent, .. } => Some(*agent),
-            Envelope::AdminDeactivate(a)
-            | Envelope::AdminActivate(a)
-            | Envelope::AdminDispose(a) => Some(*a),
-            Envelope::AdminRetract { agent, .. } => Some(*agent),
+            Envelope::Timer(timer) => Some(timer.agent),
+            Envelope::Routed(op) => Some(op.agent()),
             Envelope::AdminCrash
             | Envelope::AdminRestart
             | Envelope::AdminResume
@@ -163,21 +144,6 @@ impl Shared {
         self.telemetry_on.load(Ordering::Relaxed)
     }
 
-    /// Open a child span under `parent`, if tracing is on and the hop has
-    /// a parent context at all.
-    fn child_span(
-        &self,
-        parent: Option<TraceCtx>,
-        kind: HopKind,
-        name: InternedStr,
-        agent: Option<AgentId>,
-        host: Option<HostId>,
-    ) -> Option<TraceCtx> {
-        let p = parent?;
-        let now = self.now();
-        Some(self.telemetry.lock().child(p, kind, name, agent, host, now))
-    }
-
     /// Emit an event on the span `tc` names, if any.
     fn span_event(&self, tc: Option<TraceCtx>, kind: SpanEventKind, label: impl Into<String>) {
         if let Some(tc) = tc {
@@ -193,16 +159,9 @@ impl Shared {
         self.telemetry.lock().end(tc.span_id, now)
     }
 
-    /// Record a dead-lettered message in the registry and, when the hop is
-    /// traced, annotate and close its span.
-    fn dead_letter(&self, kind: &str, tc: Option<TraceCtx>, label: String) {
-        let now = self.now();
-        let mut t = self.telemetry.lock();
-        t.registry_mut().dead_letter(kind);
-        if let Some(tc) = tc {
-            t.event(tc.span_id, SpanEventKind::DeadLetter, label, now);
-            t.end(tc.span_id, now);
-        }
+    /// Whether chaos has marked `host` crashed.
+    fn crashed(&self, host: HostId) -> bool {
+        self.chaos_on.load(Ordering::Relaxed) && self.chaos.lock().crashed.contains(&host)
     }
 
     /// Which worker of a host owns `agent`. Stable for an agent's whole
@@ -488,11 +447,11 @@ impl ThreadWorld {
         self.shared.homes.lock().insert(id, host);
         if !self.shared.send_envelope(
             host,
-            Envelope::Create {
+            Envelope::Routed(Routed::Create {
                 id,
                 agent,
                 cloned: false,
-            },
+            }),
         ) {
             self.shared.locations.lock().remove(&id);
             return Err(PlatformError::UnknownHost(host));
@@ -561,7 +520,7 @@ impl ThreadWorld {
             .copied()
             .ok_or(PlatformError::UnknownAgent(agent))?;
         self.shared
-            .send_envelope(host, Envelope::AdminDeactivate(agent));
+            .send_envelope(host, Envelope::Routed(Routed::Deactivate(agent)));
         Ok(())
     }
 
@@ -575,7 +534,7 @@ impl ThreadWorld {
             .copied()
             .ok_or(PlatformError::UnknownAgent(agent))?;
         self.shared
-            .send_envelope(host, Envelope::AdminActivate(agent));
+            .send_envelope(host, Envelope::Routed(Routed::Activate(agent)));
         Ok(())
     }
 
@@ -865,34 +824,22 @@ impl fmt::Display for StallDiagnostic {
     }
 }
 
-struct HostState {
-    id: HostId,
+/// One worker thread's side of a host: the [`HostEnv`] its core runs
+/// against.
+struct Worker {
+    shared: Arc<Shared>,
+    host: HostId,
     /// This thread's worker index within the host (always 0 in the
     /// classic 1-worker mode).
-    worker: usize,
-    active: HashMap<AgentId, Box<dyn Agent>>,
-    store: DeactivatedStore,
-    auth: Authenticator,
-    pending: HashMap<AgentId, Vec<Message>>,
-    carried_permits: HashMap<AgentId, TravelPermit>,
-    /// Message ids already delivered here; chaos-injected duplicates are
-    /// suppressed against this set.
-    seen: HashSet<MessageId>,
+    index: usize,
     rng: StdRng,
     /// Local id allocation window fetched in batches from the shared
     /// counter so `Ctx` keeps its simple `&mut u64` interface.
     id_cursor: u64,
     id_end: u64,
-    /// Trace context of the callback currently running on this host's
-    /// thread; parents every hop the callback causes. Saved/restored
-    /// around nested callbacks by [`run_callback`].
-    current_trace: Option<TraceCtx>,
-    /// Ambient request deadline of the running callback, stamped onto
-    /// everything it sends. Same save/restore discipline.
-    current_deadline: Option<SimTime>,
-    /// This worker's WAL-backed stable storage for the agents it owns;
-    /// present when the world was built with durability.
-    durable: Option<DurableStore>,
+    /// Message ids already delivered here; chaos-injected duplicates are
+    /// suppressed against this set.
+    seen: HashSet<MessageId>,
     /// Envelopes parked while the host is hung; each still holds an
     /// in-flight slot so `run_until_idle` blocks through the hang. Drained
     /// (replayed) by [`Envelope::AdminResume`], dropped by a crash.
@@ -902,35 +849,25 @@ struct HostState {
 const ID_BATCH: u64 = 1 << 16;
 
 fn host_loop(id: HostId, worker: usize, seed: u64, rx: Receiver<Envelope>, shared: Arc<Shared>) {
-    let mut host = HostState {
-        id,
-        worker,
-        active: HashMap::new(),
-        store: DeactivatedStore::new(),
-        auth: Authenticator::new(seed ^ 0x5ee5_ee5e),
-        pending: HashMap::new(),
-        carried_permits: HashMap::new(),
-        seen: HashSet::new(),
+    let durable = shared.durability.map(DurableStore::new);
+    let mut core = HostCore::new(id, seed ^ 0x5ee5_ee5e, durable);
+    let mut w = Worker {
+        shared,
+        host: id,
+        index: worker,
         rng: StdRng::seed_from_u64(seed),
         id_cursor: 0,
         id_end: 0,
-        current_trace: None,
-        current_deadline: None,
-        durable: shared.durability.map(DurableStore::new),
+        seen: HashSet::new(),
         stalled: Vec::new(),
     };
     while let Ok(env) = rx.recv() {
-        let shutdown = matches!(env, Envelope::Shutdown);
-        handle_envelope(&mut host, env, &shared);
-        if host.durable.is_some() {
-            maybe_checkpoint(&mut host, &shared);
-        }
-        if !shutdown {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-        if shutdown {
+        if matches!(env, Envelope::Shutdown) {
             break;
         }
+        w.handle(&mut core, env);
+        core.maybe_checkpoint(&mut w);
+        w.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1011,1131 +948,315 @@ fn supervisor_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Fold the worker's durable-store counters into the shared metrics.
-fn drain_durable_counters(host: &mut HostState, shared: &Arc<Shared>) {
-    if let Some(counters) = host.durable.as_mut().map(DurableStore::take_counters) {
-        counters.merge_into(&mut shared.metrics.lock());
-    }
-}
-
-/// Journal the live capsule of an agent this worker owns (see the DES
-/// twin in [`crate::sim::SimWorld`]: every callback for capsule-policy
-/// agents, baseline only for delta-policy agents).
-fn journal_live_capsule(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    if host.durable.is_none() {
-        return;
-    }
-    let has_capsule = host
-        .durable
-        .as_ref()
-        .is_some_and(|s| s.state().capsules.contains_key(&id.0));
-    let value = {
-        let Some(agent) = host.active.get(&id) else {
-            return;
-        };
-        if matches!(agent.durable_policy(), DurablePolicy::Deltas) && has_capsule {
+impl Worker {
+    fn handle(&mut self, core: &mut HostCore, env: Envelope) {
+        let shared = Arc::clone(&self.shared);
+        let chaos_on = shared.chaos_on.load(Ordering::Relaxed);
+        // A hung host accepts the connection but never drains it:
+        // deliveries and timer callbacks park in the stall buffer. The
+        // extra in-flight slot cancels the decrement in `host_loop`, so the
+        // envelope counts as pending until a heal or supervisor bounce
+        // replays it.
+        if chaos_on
+            && matches!(env, Envelope::Deliver(_) | Envelope::Timer(_))
+            && shared.chaos.lock().hung.contains(&self.host)
+        {
+            shared.in_flight.fetch_add(1, Ordering::SeqCst);
+            self.stalled.push(env);
             return;
         }
-        let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
-        let permit = host.carried_permits.get(&id).copied();
-        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null)
-    };
-    if let Some(store) = host.durable.as_mut() {
-        let _ = store.put_capsule(id.0, value, true);
-    }
-    drain_durable_counters(host, shared);
-}
-
-/// Journal the removal of an agent's capsule (departure or disposal).
-fn journal_capsule_gone(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    if let Some(store) = host.durable.as_mut() {
-        let _ = store.remove_capsule(id.0);
-        drain_durable_counters(host, shared);
-    }
-}
-
-/// Checkpoint this worker's durable store once its journal has grown past
-/// the configured threshold (see the DES twin for the policy).
-fn maybe_checkpoint(host: &mut HostState, shared: &Arc<Shared>) {
-    if !host
-        .durable
-        .as_ref()
-        .is_some_and(DurableStore::should_checkpoint)
-    {
-        return;
-    }
-    let mut ids: Vec<AgentId> = host
-        .active
-        .iter()
-        .filter(|(_, a)| matches!(a.durable_policy(), DurablePolicy::Deltas))
-        .map(|(id, _)| *id)
-        .collect();
-    ids.sort_unstable();
-    let mut fresh: Vec<(u64, serde_json::Value, bool)> = Vec::new();
-    for id in ids {
-        let Some(agent) = host.active.get(&id) else {
-            continue;
-        };
-        let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
-        let permit = host.carried_permits.get(&id).copied();
-        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        fresh.push((
-            id.0,
-            serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null),
-            true,
-        ));
-    }
-    if let Some(store) = host.durable.as_mut() {
-        // in-memory checkpoints cannot fail; the runtimes never install
-        // file-backed stores
-        let _ = store.checkpoint(fresh);
-    }
-    drain_durable_counters(host, shared);
-}
-
-/// Recovery pass for one worker of a restarted host: replay the durable
-/// store and restore the agents this worker owns.
-fn recover_worker(host: &mut HostState, shared: &Arc<Shared>) {
-    let recovered = match host.durable.as_ref().map(DurableStore::recover) {
-        Some(Ok(r)) => r,
-        Some(Err(e)) => {
-            shared.trace.lock().record(
-                shared.now(),
-                None,
-                format!("recovery: {} failed: {e}", host.id),
-            );
-            return;
-        }
-        None => return,
-    };
-    {
-        let mut m = shared.metrics.lock();
-        if host.worker == 0 {
-            m.hosts_recovered += 1;
-        }
-        m.wal_records_replayed += recovered.replayed as u64;
-    }
-    let mut restored_active: Vec<AgentId> = Vec::new();
-    let mut restored = 0u64;
-    for (raw, rec) in &recovered.state.capsules {
-        let id = AgentId(*raw);
-        // Poison protection: a crash-looping agent is quarantined to
-        // dead-letters instead of being restored yet again.
-        let decision = shared
-            .supervision
-            .as_ref()
-            .map(|s| s.lock().note_restore(id));
-        if matches!(decision, Some(RestoreDecision::Quarantine)) {
-            shared.metrics.lock().agents_quarantined += 1;
-            shared.trace.lock().record(
-                shared.now(),
-                Some(id),
-                format!("supervisor: {id} quarantined (restart budget exhausted)"),
-            );
-            continue;
-        }
-        let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
-            Ok(c) => c,
-            Err(e) => {
-                shared.trace.lock().record(
-                    shared.now(),
-                    None,
-                    format!("recovery: {} capsule for {id} unreadable: {e}", host.id),
-                );
-                continue;
-            }
-        };
-        let home = capsule.home;
-        let permit = capsule.permit;
-        if rec.active {
-            match shared.registry.rehydrate(&capsule) {
-                Ok(agent) => {
-                    host.active.insert(id, agent);
-                    shared.locations.lock().insert(id, host.id);
-                    shared.homes.lock().insert(id, home);
-                    if let Some(p) = permit {
-                        if home != host.id {
-                            host.carried_permits.insert(id, p);
-                        }
+        match env {
+            Envelope::Deliver(msg) => {
+                let Some(msg) = admit(self, msg) else {
+                    return;
+                };
+                if shared.crashed(self.host) {
+                    {
+                        let mut m = shared.metrics.lock();
+                        m.messages_lost += 1;
+                        m.chaos_drops += 1;
                     }
-                    restored_active.push(id);
-                    restored += 1;
-                }
-                Err(e) => {
-                    shared.trace.lock().record(
-                        shared.now(),
-                        None,
-                        format!("recovery: {} cannot rehydrate {id}: {e}", host.id),
-                    );
-                }
-            }
-        } else {
-            host.store.store(capsule);
-            shared.locations.lock().insert(id, host.id);
-            shared.homes.lock().insert(id, home);
-            restored += 1;
-        }
-    }
-    shared.metrics.lock().agents_recovered += restored;
-    if host.worker == 0 || restored > 0 {
-        shared.trace.lock().record(
-            shared.now(),
-            None,
-            format!(
-                "recovery: {} replayed {} wal records, restored {restored} agents",
-                host.id, recovered.replayed
-            ),
-        );
-    }
-    restored_active.sort_unstable();
-    for id in restored_active {
-        let deltas = recovered.state.deltas_for(id.0);
-        shared.metrics.lock().profile_deltas_replayed += deltas.len() as u64;
-        run_callback(host, shared, id, None, "on_recovered", move |a, ctx| {
-            a.on_recovered(ctx, &deltas)
-        });
-    }
-}
-
-fn handle_envelope(host: &mut HostState, env: Envelope, shared: &Arc<Shared>) {
-    let chaos_on = shared.chaos_on.load(Ordering::Relaxed);
-    // A hung host accepts the connection but never drains it: deliveries
-    // and timer callbacks park in the stall buffer. The extra in-flight
-    // slot cancels the decrement in `host_loop`, so the envelope counts as
-    // pending until a heal or supervisor bounce replays it.
-    if chaos_on
-        && matches!(env, Envelope::Deliver(_) | Envelope::Timer { .. })
-        && shared.chaos.lock().hung.contains(&host.id)
-    {
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        host.stalled.push(env);
-        return;
-    }
-    match env {
-        Envelope::Deliver(msg) => {
-            // The scheduled delivery leaves the mailbox now, whatever its
-            // fate; a freed slot may release a deferred message.
-            let outcome = shared.mailbox.lock().on_consume(msg.to, msg.id);
-            if let Some(released) = outcome.released {
-                let dest = shared.locations.lock().get(&released.to).copied();
-                match dest {
-                    Some(h) => {
-                        shared.send_envelope(h, Envelope::Deliver(released));
-                    }
-                    None => {
-                        shared.metrics.lock().messages_dead_lettered += 1;
-                        shared.dead_letter(
-                            released.kind.as_str(),
-                            released.trace,
-                            format!("{} to {} (gone at release)", released.kind, released.to),
-                        );
-                    }
-                }
-            }
-            if outcome.tombstoned {
-                shared.span_event(
-                    msg.trace,
-                    SpanEventKind::Shed,
-                    "evicted: mailbox overflow (reject-oldest)",
-                );
-                shared.end_span(msg.trace);
-                return;
-            }
-            if deadline_expired(msg.deadline, shared.now()) {
-                shared.metrics.lock().deadline_drops += 1;
-                shared.span_event(
-                    msg.trace,
-                    SpanEventKind::DeadlineExceeded,
-                    format!("dropped: deadline passed before {} delivery", msg.kind),
-                );
-                shared.end_span(msg.trace);
-                shared.trace.lock().record(
-                    shared.now(),
-                    msg.from,
-                    format!("deadline exceeded: {} to {} dropped", msg.kind, msg.to),
-                );
-                return;
-            }
-            if chaos_on && shared.chaos.lock().crashed.contains(&host.id) {
-                let mut m = shared.metrics.lock();
-                m.messages_lost += 1;
-                m.chaos_drops += 1;
-                drop(m);
-                shared.span_event(
-                    msg.trace,
-                    SpanEventKind::Chaos,
-                    "dropped: destination crashed",
-                );
-                shared.end_span(msg.trace);
-                return;
-            }
-            let to = msg.to;
-            if host.active.contains_key(&to) {
-                if chaos_on && !host.seen.insert(msg.id) {
-                    shared.metrics.lock().dupes_suppressed += 1;
-                    shared.span_event(
+                    self.close_span(
                         msg.trace,
                         SpanEventKind::Chaos,
-                        "duplicate suppressed at receiver",
+                        "dropped: destination crashed",
                     );
                     return;
                 }
-                shared.metrics.lock().messages_delivered += 1;
-                if let Some(dur) = shared.end_span(msg.trace) {
-                    let mut t = shared.telemetry.lock();
-                    let reg = t.registry_mut();
-                    reg.observe("stage.transfer_us", dur);
-                    reg.observe(&format!("latency_us.{}", msg.kind), dur);
-                    reg.inc(&format!("delivered.{}", msg.kind), 1);
-                }
-                let parent = msg.trace;
-                let kind = msg.kind.clone();
-                host.current_deadline = msg.deadline;
-                run_callback(host, shared, to, parent, kind.as_str(), move |a, ctx| {
-                    a.on_message(ctx, msg)
-                });
-                host.current_deadline = None;
-            } else if host.store.contains(to) {
-                // Held until the agent is activated; the hop span stays
-                // open until the replayed copy lands.
-                shared.span_event(
-                    msg.trace,
-                    SpanEventKind::Note,
-                    "parked: recipient deactivated",
-                );
-                host.pending.entry(to).or_default().push(msg);
-                *shared.parked.lock().entry(to).or_insert(0) += 1;
-            } else {
-                shared.metrics.lock().messages_dead_lettered += 1;
-                shared.dead_letter(
-                    msg.kind.as_str(),
-                    msg.trace,
-                    format!("{} to {} (gone at delivery)", msg.kind, to),
-                );
+                core.deliver(self, msg);
             }
+            Envelope::Arrive(capsule) => core.land(self, capsule),
+            Envelope::Timer(timer) => core.fire_timer(self, timer),
+            Envelope::Routed(op) => core.handle(self, op.agent(), op),
+            Envelope::AdminCrash => {
+                self.seen.clear();
+                // A crash while hung loses the stall buffer with the host;
+                // release the in-flight slots the parked envelopes held.
+                let stalled = std::mem::take(&mut self.stalled);
+                if !stalled.is_empty() {
+                    let lost = stalled
+                        .iter()
+                        .filter(|env| matches!(env, Envelope::Deliver(_)))
+                        .count();
+                    shared.metrics.lock().messages_lost += lost as u64;
+                    shared
+                        .in_flight
+                        .fetch_sub(stalled.len() as i64, Ordering::SeqCst);
+                }
+                let lost = core.crash(self);
+                // The crash is broadcast to every worker of the host but
+                // is one event; worker 0 owns the host-level bookkeeping.
+                if self.lead() {
+                    shared.metrics.lock().host_crashes += 1;
+                    self.record(
+                        None,
+                        format!("chaos: {} crashed ({lost} agents lost)", self.host),
+                    );
+                }
+            }
+            Envelope::AdminRestart => {
+                if self.lead() {
+                    self.record(None, format!("chaos: {} restarted", self.host));
+                }
+                core.recover(self);
+            }
+            Envelope::AdminResume => {
+                let stalled = std::mem::take(&mut self.stalled);
+                if self.lead() && !stalled.is_empty() {
+                    self.record(
+                        None,
+                        format!(
+                            "chaos: {} resumed ({} stalled envelopes replayed)",
+                            self.host,
+                            stalled.len()
+                        ),
+                    );
+                }
+                for env in stalled {
+                    // Replay through the normal path (a re-park if the host
+                    // hung again keeps the slot; otherwise release it).
+                    self.handle(core, env);
+                    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+            Envelope::Shutdown => {}
         }
-        Envelope::Arrive(capsule) => {
-            if chaos_on && shared.chaos.lock().crashed.contains(&host.id) {
-                shared.locations.lock().remove(&capsule.id);
-                let mut m = shared.metrics.lock();
-                m.agents_lost_in_crash += 1;
-                m.chaos_drops += 1;
-                drop(m);
-                shared.span_event(
-                    capsule.trace,
+    }
+}
+
+impl HostEnv for Worker {
+    fn now(&self) -> SimTime {
+        self.shared.now()
+    }
+
+    fn ctx_parts(&mut self) -> (&mut StdRng, &mut u64) {
+        if self.id_end - self.id_cursor < 1024 {
+            self.id_cursor = self
+                .shared
+                .next_agent_id
+                .fetch_add(ID_BATCH, Ordering::SeqCst);
+            self.id_end = self.id_cursor + ID_BATCH;
+        }
+        (&mut self.rng, &mut self.id_cursor)
+    }
+
+    fn next_msg_id(&mut self) -> MessageId {
+        MessageId(self.shared.next_msg_id.fetch_add(1, Ordering::SeqCst))
+    }
+
+    fn registry(&self) -> &AgentRegistry {
+        &self.shared.registry
+    }
+
+    /// The shared directory only knows hosts: an agent it places is
+    /// reported active there.
+    fn locate(&self, id: AgentId) -> Option<Location> {
+        self.shared
+            .locations
+            .lock()
+            .get(&id)
+            .map(|h| Location::Active(*h))
+    }
+
+    fn set_location(&mut self, id: AgentId, loc: Option<Location>) {
+        let mut locations = self.shared.locations.lock();
+        match loc {
+            Some(Location::Active(h) | Location::Deactivated(h)) => locations.insert(id, h),
+            Some(Location::InTransit) | None => locations.remove(&id),
+        };
+    }
+
+    fn home_of(&self, id: AgentId) -> Option<HostId> {
+        self.shared.homes.lock().get(&id).copied()
+    }
+
+    fn set_home(&mut self, id: AgentId, home: HostId) {
+        self.shared.homes.lock().insert(id, home);
+    }
+
+    fn owns(&self, id: AgentId) -> bool {
+        self.shared.worker_of(id) == self.index
+    }
+
+    fn lead(&self) -> bool {
+        self.index == 0
+    }
+
+    fn reach(&self, from: HostId, dest: HostId) -> Reach {
+        if !self.shared.routes.lock().contains_key(&dest) {
+            Reach::Unknown
+        } else if self.shared.chaos_on.load(Ordering::Relaxed)
+            && self.shared.chaos.lock().blocks(from, dest)
+        {
+            Reach::Refused
+        } else {
+            Reach::Open
+        }
+    }
+
+    fn is_down(&self, host: HostId) -> bool {
+        self.shared.crashed(host)
+    }
+
+    fn metrics(&mut self) -> impl DerefMut<Target = Metrics> + '_ {
+        self.shared.metrics.lock()
+    }
+
+    fn trace(&mut self) -> impl DerefMut<Target = Trace> + '_ {
+        self.shared.trace.lock()
+    }
+
+    fn telemetry(&mut self) -> impl DerefMut<Target = Telemetry> + '_ {
+        self.shared.telemetry.lock()
+    }
+
+    fn tracing(&self) -> bool {
+        self.shared.tracing()
+    }
+
+    fn send(&mut self, from: HostId, msg: Message) {
+        let shared = Arc::clone(&self.shared);
+        let Some(h) = shared.locations.lock().get(&msg.to).copied() else {
+            return dead_letter(self, msg, "unreachable");
+        };
+        let mut duplicate = false;
+        if shared.chaos_on.load(Ordering::Relaxed) {
+            let (blocked, drop_p, dup_p) = {
+                let knobs = shared.chaos.lock();
+                (
+                    knobs.blocks(from, h),
+                    knobs.drop_probability,
+                    knobs.dup_probability,
+                )
+            };
+            let dropped = blocked
+                || (h != from && drop_p > 0.0 && shared.chaos_rng.lock().gen::<f64>() < drop_p);
+            if dropped {
+                {
+                    let mut m = shared.metrics.lock();
+                    m.messages_lost += 1;
+                    m.chaos_drops += 1;
+                }
+                self.close_span(
+                    msg.trace,
                     SpanEventKind::Chaos,
-                    format!("arrival failed: {} crashed; agent lost", host.id),
-                );
-                shared.end_span(capsule.trace);
-                shared.trace.lock().record(
-                    shared.now(),
-                    Some(capsule.id),
-                    format!("arrival failed: {} crashed; {} lost", host.id, capsule.id),
+                    "dropped: chaos fault on link",
                 );
                 return;
             }
-            handle_arrival(host, capsule, shared)
-        }
-        Envelope::Create { id, agent, cloned } => {
-            host.active.insert(id, agent);
-            shared.metrics.lock().agents_created += 1;
-            if cloned {
-                run_callback(host, shared, id, None, "on_clone", |a, ctx| a.on_clone(ctx));
-            } else {
-                run_callback(host, shared, id, None, "on_creation", |a, ctx| {
-                    a.on_creation(ctx)
-                });
+            if dup_p > 0.0 && shared.chaos_rng.lock().gen::<f64>() < dup_p {
+                duplicate = true;
+                shared.metrics.lock().chaos_dupes += 1;
+                self.span_event(msg.trace, SpanEventKind::Chaos, "duplicated by chaos");
             }
         }
-        Envelope::Timer {
-            agent,
-            tag,
-            trace,
-            deadline,
-        } => {
-            if host.active.contains_key(&agent) {
-                shared.metrics.lock().timers_fired += 1;
-                if let Some(dur) = shared.end_span(trace) {
-                    shared
-                        .telemetry
-                        .lock()
-                        .registry_mut()
-                        .observe("stage.timer_wait_us", dur);
-                }
-                // Timers fire even past the deadline: a watchdog is often
-                // the very thing that turns an expired request into a
-                // reply.
-                host.current_deadline = deadline;
-                run_callback(host, shared, agent, trace, "on_timer", move |a, ctx| {
-                    a.on_timer(ctx, tag)
-                });
-                host.current_deadline = None;
-            } else {
-                shared.end_span(trace);
-            }
+        if h != from {
+            shared.metrics.lock().remote_message_bytes += msg.wire_size() as u64;
         }
-        Envelope::AdminDeactivate(agent) => do_deactivate(host, shared, agent),
-        Envelope::AdminActivate(agent) => do_activate(host, shared, agent),
-        Envelope::AdminDispose(agent) => do_dispose(host, shared, agent),
-        Envelope::AdminRetract { agent, to } => {
-            if host.active.contains_key(&agent) {
-                do_dispatch(host, shared, agent, to);
-            }
+        if duplicate {
+            shared.enqueue_deliver(h, msg.clone());
         }
-        Envelope::AdminCrash => {
-            let mut lost: Vec<AgentId> = host.active.keys().copied().collect();
-            host.active.clear();
-            lost.extend(host.store.drain());
-            host.pending.clear();
-            host.seen.clear();
-            host.carried_permits.clear();
-            // A crash while hung loses the stall buffer with the host;
-            // release the in-flight slots the parked envelopes held.
-            let stalled = std::mem::take(&mut host.stalled);
-            if !stalled.is_empty() {
-                let mut m = shared.metrics.lock();
-                for env in &stalled {
-                    if matches!(env, Envelope::Deliver(_)) {
-                        m.messages_lost += 1;
-                    }
-                }
-                drop(m);
-                shared
-                    .in_flight
-                    .fetch_sub(stalled.len() as i64, Ordering::SeqCst);
-            }
-            if let Some(store) = host.durable.as_mut() {
-                // Stable storage survives, minus the unsynced WAL tail;
-                // the agents still count as lost until recovery.
-                let _ = store.crash();
-            }
-            {
-                let mut locs = shared.locations.lock();
-                for id in &lost {
-                    locs.remove(id);
-                }
-            }
-            {
-                let mut mb = shared.mailbox.lock();
-                let mut parked = shared.parked.lock();
-                for id in &lost {
-                    mb.forget(*id);
-                    parked.remove(id);
-                }
-            }
-            {
-                let mut m = shared.metrics.lock();
-                // The crash is broadcast to every worker of the host but
-                // is one event; worker 0 owns the host-level bookkeeping.
-                if host.worker == 0 {
-                    m.host_crashes += 1;
-                }
-                m.agents_lost_in_crash += lost.len() as u64;
-            }
-            if host.worker == 0 {
-                shared.trace.lock().record(
-                    shared.now(),
-                    None,
-                    format!("chaos: {} crashed ({} agents lost)", host.id, lost.len()),
-                );
-            }
-        }
-        Envelope::AdminRestart => {
-            if host.worker == 0 {
-                shared.trace.lock().record(
-                    shared.now(),
-                    None,
-                    format!("chaos: {} restarted", host.id),
-                );
-            }
-            recover_worker(host, shared);
-        }
-        Envelope::AdminResume => {
-            let stalled = std::mem::take(&mut host.stalled);
-            if host.worker == 0 && !stalled.is_empty() {
-                shared.trace.lock().record(
-                    shared.now(),
-                    None,
-                    format!(
-                        "chaos: {} resumed ({} stalled envelopes replayed)",
-                        host.id,
-                        stalled.len()
-                    ),
-                );
-            }
-            for env in stalled {
-                // Replay through the normal path (a re-park if the host
-                // hung again keeps the slot; otherwise release it).
-                handle_envelope(host, env, shared);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        Envelope::Shutdown => {}
+        shared.enqueue_deliver(h, msg);
     }
-}
 
-fn handle_arrival(host: &mut HostState, capsule: AgentCapsule, shared: &Arc<Shared>) {
-    let id = capsule.id;
-    // Work past its deadline is cancelled rather than landed: the
-    // requester has already been answered (or timed out) by now.
-    if deadline_expired(capsule.deadline, shared.now()) {
-        shared.locations.lock().remove(&id);
-        shared.metrics.lock().deadline_drops += 1;
-        shared.span_event(
-            capsule.trace,
-            SpanEventKind::DeadlineExceeded,
-            format!("cancelled: deadline passed before arrival at {}", host.id),
-        );
-        shared.end_span(capsule.trace);
-        shared.trace.lock().record(
-            shared.now(),
-            Some(id),
-            format!(
-                "deadline exceeded: {id} cancelled before arrival at {}",
-                host.id
-            ),
-        );
-        return;
-    }
-    if capsule.home == host.id && host.auth.expects(id) {
-        let ok = capsule
-            .permit
-            .map(|p| host.auth.verify(id, &p))
-            .unwrap_or(false);
-        if !ok {
-            shared.metrics.lock().migrations_rejected += 1;
-            shared.locations.lock().remove(&id);
-            shared.span_event(
-                capsule.trace,
-                SpanEventKind::Note,
-                format!("arrival rejected at {}: authentication failed", host.id),
-            );
-            shared.end_span(capsule.trace);
-            shared.trace.lock().record(
-                shared.now(),
-                Some(id),
-                format!("arrival rejected at {}: authentication failed", host.id),
-            );
-            return;
-        }
-    } else if let Some(p) = capsule.permit {
-        host.carried_permits.insert(id, p);
-    }
-    match shared.registry.rehydrate(&capsule) {
-        Ok(agent) => {
-            {
-                let mut m = shared.metrics.lock();
-                m.migrations += 1;
-                m.migration_bytes += capsule.wire_size() as u64;
-            }
-            host.active.insert(id, agent);
-            shared.locations.lock().insert(id, host.id);
-            if let Some(dur) = shared.end_span(capsule.trace) {
-                shared
-                    .telemetry
-                    .lock()
-                    .registry_mut()
-                    .observe("stage.migration_us", dur);
-            }
-            host.current_deadline = capsule.deadline;
-            run_callback(host, shared, id, capsule.trace, "on_arrival", |a, ctx| {
-                a.on_arrival(ctx)
-            });
-            host.current_deadline = None;
-        }
-        Err(e) => {
-            shared.metrics.lock().migrations_rejected += 1;
-            shared.locations.lock().remove(&id);
-            shared.span_event(
-                capsule.trace,
-                SpanEventKind::Note,
-                format!("arrival rejected: {e}"),
-            );
-            shared.end_span(capsule.trace);
-            shared
-                .trace
+    fn arm_timer(&mut self, host: HostId, delay: SimDuration, timer: Timer) {
+        let shared = Arc::clone(&self.shared);
+        shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        thread::spawn(move || {
+            thread::sleep(Duration::from_micros(delay.as_micros()));
+            // route to wherever the agent is now
+            let dest = shared
+                .locations
                 .lock()
-                .record(shared.now(), Some(id), format!("arrival rejected: {e}"));
-        }
-    }
-}
-
-fn run_callback<F>(
-    host: &mut HostState,
-    shared: &Arc<Shared>,
-    id: AgentId,
-    parent: Option<TraceCtx>,
-    name: &str,
-    f: F,
-) where
-    F: FnOnce(&mut dyn Agent, &mut Ctx<'_>),
-{
-    let Some(mut agent) = host.active.remove(&id) else {
-        return;
-    };
-    if host.id_end - host.id_cursor < 1024 {
-        host.id_cursor = shared.next_agent_id.fetch_add(ID_BATCH, Ordering::SeqCst);
-        host.id_end = host.id_cursor + ID_BATCH;
-    }
-    let handler = shared.child_span(
-        parent,
-        HopKind::Handler,
-        InternedStr::new(name),
-        Some(id),
-        Some(host.id),
-    );
-    let saved = std::mem::replace(&mut host.current_trace, handler);
-    // Nested callbacks inherit the caller's ambient deadline; envelope
-    // handlers overwrite it from the carried value before calling in.
-    let saved_deadline = host.current_deadline;
-    let mut actions = Vec::new();
-    {
-        let mut ctx = Ctx::new(
-            id,
-            host.id,
-            shared.now(),
-            &mut host.rng,
-            &mut actions,
-            &mut host.id_cursor,
-        )
-        .with_trace(handler)
-        .with_deadline(host.current_deadline);
-        f(agent.as_mut(), &mut ctx);
-    }
-    host.active.insert(id, agent);
-    let mut emits = Vec::new();
-    apply_actions(host, shared, id, actions, &mut emits);
-    // Callback boundary = journaling boundary (see the DES twin).
-    if host.durable.is_some() && host.active.contains_key(&id) {
-        journal_live_capsule(host, shared, id);
-    }
-    if !emits.is_empty() {
-        // Output commit, as in the DES twin: sync, then release.
-        if let Some(store) = host.durable.as_mut() {
-            let _ = store.sync();
-        }
-        shared.outbox.lock().entry(id).or_default().extend(emits);
-    }
-    if let Some(h) = handler {
-        let now = shared.now();
-        let mut t = shared.telemetry.lock();
-        t.end(h.span_id, now);
-        if let Some(wall) = t
-            .span(h.span_id)
-            .and_then(|s| s.wall_end_ns.map(|e| e.saturating_sub(s.wall_start_ns)))
-        {
-            t.registry_mut().observe("stage.handler_wall_ns", wall);
-        }
-    }
-    host.current_trace = saved;
-    host.current_deadline = saved_deadline;
-}
-
-/// Apply a callback's actions; its emits are collected into `emits` for
-/// release once the capsule is journalled.
-fn apply_actions(
-    host: &mut HostState,
-    shared: &Arc<Shared>,
-    actor: AgentId,
-    actions: Vec<Action>,
-    emits: &mut Vec<Payload>,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, mut msg } => {
-                msg.id = MessageId(shared.next_msg_id.fetch_add(1, Ordering::SeqCst));
-                msg.deadline = host.current_deadline;
-                // Every send is a fresh hop: any context the message
-                // already carried names a hop that ended at its delivery.
-                msg.trace = shared.child_span(
-                    host.current_trace,
-                    HopKind::Message,
-                    msg.kind.clone(),
-                    msg.from,
-                    Some(host.id),
-                );
-                let dest = shared.locations.lock().get(&to).copied();
-                match dest {
-                    Some(h) => {
-                        let mut duplicate = false;
-                        if shared.chaos_on.load(Ordering::Relaxed) {
-                            let (blocked, drop_p, dup_p) = {
-                                let knobs = shared.chaos.lock();
-                                (
-                                    knobs.blocks(host.id, h),
-                                    knobs.drop_probability,
-                                    knobs.dup_probability,
-                                )
-                            };
-                            let dropped = blocked
-                                || (h != host.id
-                                    && drop_p > 0.0
-                                    && shared.chaos_rng.lock().gen::<f64>() < drop_p);
-                            if dropped {
-                                let mut m = shared.metrics.lock();
-                                m.messages_lost += 1;
-                                m.chaos_drops += 1;
-                                drop(m);
-                                shared.span_event(
-                                    msg.trace,
-                                    SpanEventKind::Chaos,
-                                    "dropped: chaos fault on link",
-                                );
-                                shared.end_span(msg.trace);
-                                continue;
-                            }
-                            if dup_p > 0.0 && shared.chaos_rng.lock().gen::<f64>() < dup_p {
-                                duplicate = true;
-                                shared.metrics.lock().chaos_dupes += 1;
-                                shared.span_event(
-                                    msg.trace,
-                                    SpanEventKind::Chaos,
-                                    "duplicated by chaos",
-                                );
-                            }
-                        }
-                        if h != host.id {
-                            shared.metrics.lock().remote_message_bytes += msg.wire_size() as u64;
-                        }
-                        if duplicate {
-                            shared.enqueue_deliver(h, msg.clone());
-                        }
-                        shared.enqueue_deliver(h, msg);
-                    }
-                    None => {
-                        shared.metrics.lock().messages_dead_lettered += 1;
-                        shared.dead_letter(
-                            msg.kind.as_str(),
-                            msg.trace,
-                            format!("{} to {} (unreachable)", msg.kind, to),
-                        );
-                    }
-                }
-            }
-            Action::Create { id, agent } => {
-                shared.locations.lock().insert(id, host.id);
-                shared.homes.lock().insert(id, host.id);
-                if shared.worker_of(id) != host.worker {
-                    // The id hashes to a sibling worker: install it there,
-                    // or every future envelope for it would miss.
-                    shared.send_envelope(
-                        host.id,
-                        Envelope::Create {
-                            id,
-                            agent,
-                            cloned: false,
-                        },
-                    );
-                    continue;
-                }
-                host.active.insert(id, agent);
-                shared.metrics.lock().agents_created += 1;
-                let parent = host.current_trace;
-                run_callback(host, shared, id, parent, "on_creation", |a, ctx| {
-                    a.on_creation(ctx)
-                });
-            }
-            Action::CreateOfType {
-                id,
-                agent_type,
-                state,
-            } => {
-                let capsule = AgentCapsule {
-                    id,
-                    agent_type,
-                    state,
-                    home: host.id,
-                    permit: None,
-                    trace: None,
-                    deadline: None,
-                };
-                match shared.registry.rehydrate(&capsule) {
-                    Ok(agent) => {
-                        shared.locations.lock().insert(id, host.id);
-                        shared.homes.lock().insert(id, host.id);
-                        if shared.worker_of(id) != host.worker {
-                            shared.send_envelope(
-                                host.id,
-                                Envelope::Create {
-                                    id,
-                                    agent,
-                                    cloned: false,
-                                },
-                            );
-                            continue;
-                        }
-                        host.active.insert(id, agent);
-                        shared.metrics.lock().agents_created += 1;
-                        let parent = host.current_trace;
-                        run_callback(host, shared, id, parent, "on_creation", |a, ctx| {
-                            a.on_creation(ctx)
-                        });
-                    }
-                    Err(e) => {
-                        shared.trace.lock().record(
-                            shared.now(),
-                            Some(actor),
-                            format!("create-of-type failed for {id}: {e}"),
-                        );
-                    }
-                }
-            }
-            Action::DispatchSelf { dest } => do_dispatch(host, shared, actor, dest),
-            Action::CloneSelf { id } => {
-                let Some(capsule) = host
-                    .active
-                    .get(&actor)
-                    .map(|a| AgentCapsule::capture(id, a.as_ref(), host.id, None))
-                else {
-                    continue;
-                };
-                match shared.registry.rehydrate(&capsule) {
-                    Ok(copy) => {
-                        shared.locations.lock().insert(id, host.id);
-                        shared.homes.lock().insert(id, host.id);
-                        if shared.worker_of(id) != host.worker {
-                            shared.send_envelope(
-                                host.id,
-                                Envelope::Create {
-                                    id,
-                                    agent: copy,
-                                    cloned: true,
-                                },
-                            );
-                            continue;
-                        }
-                        host.active.insert(id, copy);
-                        shared.metrics.lock().agents_created += 1;
-                        let parent = host.current_trace;
-                        run_callback(host, shared, id, parent, "on_clone", |a, ctx| {
-                            a.on_clone(ctx)
-                        });
-                    }
-                    Err(e) => {
-                        shared.trace.lock().record(
-                            shared.now(),
-                            Some(actor),
-                            format!("clone failed for {actor}: {e}"),
-                        );
-                    }
-                }
-            }
-            Action::Retract { id, to } => {
-                let location = shared.locations.lock().get(&id).copied();
-                match location {
-                    Some(at) if at == host.id && shared.worker_of(id) == host.worker => {
-                        do_dispatch(host, shared, id, to)
-                    }
-                    Some(at) => {
-                        shared.send_envelope(at, Envelope::AdminRetract { agent: id, to });
-                    }
-                    None => {
-                        shared.metrics.lock().messages_dead_lettered += 1;
-                    }
-                }
-            }
-            Action::Deactivate { id } => {
-                if let Some(at) = forward_admin(host, shared, id) {
-                    shared.send_envelope(at, Envelope::AdminDeactivate(id));
-                } else {
-                    do_deactivate(host, shared, id);
-                }
-            }
-            Action::Activate { id } => {
-                if let Some(at) = forward_admin(host, shared, id) {
-                    shared.send_envelope(at, Envelope::AdminActivate(id));
-                } else {
-                    do_activate(host, shared, id);
-                }
-            }
-            Action::Dispose { id } => {
-                if let Some(at) = forward_admin(host, shared, id) {
-                    shared.send_envelope(at, Envelope::AdminDispose(id));
-                } else {
-                    do_dispose(host, shared, id);
-                }
-            }
-            Action::SetTimer { id, delay, tag } => {
-                // A pending timer is a hop of the request that armed it:
-                // span opens at arm, closes at fire.
-                let trace = shared.child_span(
-                    host.current_trace,
-                    HopKind::Timer,
-                    InternedStr::new("timer"),
-                    Some(id),
-                    Some(host.id),
-                );
-                let shared2 = Arc::clone(shared);
-                let host_id = host.id;
-                let deadline = host.current_deadline;
-                shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                thread::spawn(move || {
-                    thread::sleep(Duration::from_micros(delay.as_micros()));
-                    // route to wherever the agent is now
-                    let dest = shared2
-                        .locations
-                        .lock()
-                        .get(&id)
-                        .copied()
-                        .unwrap_or(host_id);
-                    shared2.send_envelope(
-                        dest,
-                        Envelope::Timer {
-                            agent: id,
-                            tag,
-                            trace,
-                            deadline,
-                        },
-                    );
-                    shared2.in_flight.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Action::SetDeadline { deadline } => host.current_deadline = deadline,
-            Action::Note { label } => {
-                if host.current_trace.is_some() {
-                    shared.span_event(host.current_trace, SpanEventKind::Note, label.clone());
-                }
-                shared.trace.lock().record(shared.now(), Some(actor), label);
-            }
-            Action::CountFault { counter } => {
-                let (kind, label) = {
-                    let mut m = shared.metrics.lock();
-                    match counter {
-                        FaultCounter::Retry => {
-                            m.retries += 1;
-                            (SpanEventKind::Retry, "retry attempt")
-                        }
-                        FaultCounter::DegradedReply => {
-                            m.degraded_replies += 1;
-                            (SpanEventKind::Degraded, "degraded reply")
-                        }
-                        FaultCounter::Shed => {
-                            m.requests_shed += 1;
-                            (SpanEventKind::Shed, "request shed")
-                        }
-                        FaultCounter::BreakerRejection => {
-                            m.breaker_rejections += 1;
-                            (SpanEventKind::Breaker, "dispatch suppressed: circuit open")
-                        }
-                        FaultCounter::LedgerResolution => {
-                            m.intents_resolved_by_ledger += 1;
-                            (
-                                SpanEventKind::Note,
-                                "purchase resolved from marketplace ledger",
-                            )
-                        }
-                    }
-                };
-                shared.span_event(host.current_trace, kind, label);
-            }
-            Action::Observe { name, value } => {
-                if shared.tracing() {
-                    shared
-                        .telemetry
-                        .lock()
-                        .registry_mut()
-                        .observe(name.as_str(), value);
-                }
-            }
-            Action::IncCounter { name, by } => {
-                if shared.tracing() {
-                    shared
-                        .telemetry
-                        .lock()
-                        .registry_mut()
-                        .inc(name.as_str(), by);
-                }
-            }
-            Action::JournalIntent { intent, detail } => {
-                if let Some(store) = host.durable.as_mut() {
-                    let _ = store.log_intent(intent, detail);
-                    drain_durable_counters(host, shared);
-                }
-            }
-            Action::JournalCommit { intent, detail } => {
-                if let Some(store) = host.durable.as_mut() {
-                    let _ = store.log_commit(intent, detail);
-                    drain_durable_counters(host, shared);
-                }
-            }
-            Action::JournalAbort { intent, reason } => {
-                if let Some(store) = host.durable.as_mut() {
-                    let _ = store.log_abort(intent, reason);
-                    drain_durable_counters(host, shared);
-                }
-            }
-            Action::JournalDelta { id, delta } => {
-                if let Some(store) = host.durable.as_mut() {
-                    let _ = store.log_delta(id.0, delta);
-                    drain_durable_counters(host, shared);
-                }
-            }
-            Action::Emit { payload } => emits.push(payload),
-        }
-    }
-}
-
-fn do_dispatch(host: &mut HostState, shared: &Arc<Shared>, id: AgentId, dest: HostId) {
-    if !shared.routes.lock().contains_key(&dest) {
-        shared.trace.lock().record(
-            shared.now(),
-            Some(id),
-            format!("dispatch failed: unknown {dest}"),
-        );
-        return;
-    }
-    if !host.active.contains_key(&id) {
-        return;
-    }
-    // Same semantics as the DES world: an unreachable (partitioned or
-    // crashed) destination refuses the dispatch synchronously.
-    if shared.chaos_on.load(Ordering::Relaxed) && shared.chaos.lock().blocks(host.id, dest) {
-        shared.metrics.lock().chaos_drops += 1;
-        shared.span_event(
-            host.current_trace,
-            SpanEventKind::Chaos,
-            format!("dispatch refused: {dest} unreachable"),
-        );
-        shared.trace.lock().record(
-            shared.now(),
-            Some(id),
-            format!("dispatch refused: {dest} unreachable"),
-        );
-        let parent = host.current_trace;
-        run_callback(
-            host,
-            shared,
-            id,
-            parent,
-            "on_dispatch_failed",
-            move |a, ctx| a.on_dispatch_failed(ctx, dest),
-        );
-        return;
-    }
-    let parent = host.current_trace;
-    run_callback(host, shared, id, parent, "on_dispatch", |a, ctx| {
-        a.on_dispatch(ctx)
-    });
-    let Some(agent) = host.active.remove(&id) else {
-        return;
-    };
-    let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
-    let permit = if host.id == home {
-        Some(host.auth.issue(id))
-    } else {
-        host.carried_permits.remove(&id)
-    };
-    let mut capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-    capsule.deadline = host.current_deadline;
-    capsule.trace = shared.child_span(
-        host.current_trace,
-        HopKind::Migration,
-        capsule.agent_type.clone(),
-        Some(id),
-        Some(host.id),
-    );
-    shared.locations.lock().remove(&id);
-    // The agent has left this worker; forget its capsule (forced, so a
-    // crash cannot resurrect a second copy).
-    journal_capsule_gone(host, shared, id);
-    shared.send_envelope(dest, Envelope::Arrive(capsule));
-}
-
-/// Whether an admin action (deactivate / activate / dispose) on `id` must
-/// be forwarded to the worker that owns the agent instead of applied
-/// inline; `Some(host)` names where to send it. With one worker per host
-/// the answer is always "inline", which is exactly the classic runtime
-/// (inline handlers no-op when the agent is not local).
-fn forward_admin(host: &HostState, shared: &Arc<Shared>, id: AgentId) -> Option<HostId> {
-    if shared.workers == 1 || shared.worker_of(id) == host.worker {
-        return None;
-    }
-    shared.locations.lock().get(&id).copied()
-}
-
-fn do_dispose(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    let was_active = host.active.contains_key(&id);
-    if !was_active && !host.store.contains(id) {
-        return;
-    }
-    if was_active {
-        let parent = host.current_trace;
-        run_callback(host, shared, id, parent, "on_disposal", |a, ctx| {
-            a.on_disposal(ctx)
+                .get(&timer.agent)
+                .copied()
+                .unwrap_or(host);
+            shared.send_envelope(dest, Envelope::Timer(timer));
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         });
-        host.active.remove(&id);
-    } else {
-        host.store.load(id);
     }
-    // Messages parked while the agent was deactivated can never replay
-    // now: dead-letter them (closing their still-open hop spans) rather
-    // than leaking them — and their parked-depth gauge — forever.
-    for msg in host.pending.remove(&id).unwrap_or_default() {
-        shared.metrics.lock().messages_dead_lettered += 1;
-        shared.dead_letter(
-            msg.kind.as_str(),
-            msg.trace,
-            format!("{} to {} (recipient disposed while parked)", msg.kind, id),
-        );
-    }
-    shared.locations.lock().remove(&id);
-    shared.mailbox.lock().forget(id);
-    shared.parked.lock().remove(&id);
-    journal_capsule_gone(host, shared, id);
-    shared.metrics.lock().agents_disposed += 1;
-}
 
-fn do_deactivate(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    if !host.active.contains_key(&id) {
-        return;
+    fn ship(&mut self, _from: HostId, capsule: AgentCapsule, dest: HostId) {
+        self.shared.metrics.lock().migration_bytes += capsule.wire_size() as u64;
+        self.shared.send_envelope(dest, Envelope::Arrive(capsule));
     }
-    let parent = host.current_trace;
-    run_callback(host, shared, id, parent, "on_deactivation", |a, ctx| {
-        a.on_deactivation(ctx)
-    });
-    let Some(agent) = host.active.remove(&id) else {
-        return;
-    };
-    let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
-    let capsule = AgentCapsule::capture(id, agent.as_ref(), home, None);
-    if let Some(store) = host.durable.as_mut() {
-        if let Ok(value) = serde_json::to_value(&capsule) {
-            let _ = store.put_capsule(id.0, value, false);
-        }
-        drain_durable_counters(host, shared);
-    }
-    host.store.store(capsule);
-    shared.metrics.lock().deactivations += 1;
-}
 
-fn do_activate(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    let Some(capsule) = host.store.load(id) else {
-        return;
-    };
-    match shared.registry.rehydrate(&capsule) {
-        Ok(agent) => {
-            host.active.insert(id, agent);
-            shared.metrics.lock().activations += 1;
-            let parent = host.current_trace;
-            run_callback(host, shared, id, parent, "on_activation", |a, ctx| {
-                a.on_activation(ctx)
-            });
-            let pending = host.pending.remove(&id).unwrap_or_default();
-            shared.parked.lock().remove(&id);
-            for msg in pending {
-                shared.enqueue_deliver(host.id, msg);
+    fn redeliver(&mut self, host: HostId, msg: Message) {
+        self.shared.enqueue_deliver(host, msg);
+    }
+
+    fn release(&mut self, msg: Message) {
+        let dest = self.shared.locations.lock().get(&msg.to).copied();
+        match dest {
+            Some(h) => {
+                self.shared.send_envelope(h, Envelope::Deliver(msg));
             }
+            None => dead_letter(self, msg, "gone at release"),
         }
-        Err(_) => {
-            host.store.store(capsule);
+    }
+
+    fn route(&mut self, host: HostId, op: Routed) {
+        self.shared.send_envelope(host, Envelope::Routed(op));
+    }
+
+    fn emit(&mut self, actor: AgentId, payloads: Vec<Payload>) {
+        self.shared
+            .outbox
+            .lock()
+            .entry(actor)
+            .or_default()
+            .extend(payloads);
+    }
+
+    fn mailbox(&mut self) -> Option<impl DerefMut<Target = MailboxState> + '_> {
+        Some(self.shared.mailbox.lock())
+    }
+
+    fn parked(&mut self, id: AgentId, depth: usize) {
+        let mut parked = self.shared.parked.lock();
+        if depth == 0 {
+            parked.remove(&id);
+        } else {
+            parked.insert(id, depth);
         }
+    }
+
+    fn first_delivery(&mut self, id: MessageId) -> bool {
+        !self.shared.chaos_on.load(Ordering::Relaxed) || self.seen.insert(id)
+    }
+
+    fn restore_decision(&mut self, id: AgentId) -> Option<RestoreDecision> {
+        self.shared
+            .supervision
+            .as_ref()
+            .map(|s| s.lock().note_restore(id))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::Ctx;
     use serde::{Deserialize, Serialize};
 
     #[derive(Debug, Default, Serialize, Deserialize)]

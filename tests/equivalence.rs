@@ -1181,3 +1181,293 @@ mod shard_sweep {
         }
     }
 }
+
+/// DES ≡ threaded runtime on the host lifecycle itself: create, dispatch,
+/// return authentication, retract, deactivate/activate/dispose, parked
+/// mail and dead letters. Both runtimes run agents through the same host
+/// kernel, so each scripted case must leave the same trace lines and
+/// lifecycle counters on both, and the counters the table pins.
+mod cross_runtime_lifecycle {
+    use agentsim::agent::{Agent, Ctx};
+    use agentsim::durable::DurabilityConfig;
+    use agentsim::ids::{AgentId, HostId};
+    use agentsim::message::Message;
+    use agentsim::metrics::Metrics;
+    use agentsim::sim::SimWorld;
+    use agentsim::thread_net::ThreadWorldBuilder;
+    use agentsim::trace::Trace;
+    use serde::{Deserialize, Serialize};
+    use std::time::Duration;
+
+    /// Carries out the lifecycle request each message names.
+    #[derive(Debug, Default, Serialize, Deserialize)]
+    struct Rover;
+
+    impl Agent for Rover {
+        fn agent_type(&self) -> &'static str {
+            "rover"
+        }
+        fn snapshot(&self) -> serde_json::Value {
+            serde_json::json!(null)
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let (agent, host): (u64, u32) = msg.payload_as().unwrap_or((0, 0));
+            let (agent, host) = (AgentId(agent), HostId(host));
+            match msg.kind.as_str() {
+                "go" => ctx.dispatch_self(host),
+                "sleep" => ctx.deactivate_self(),
+                "retract" => ctx.retract(agent, host),
+                "deactivate" => ctx.deactivate(agent),
+                "activate" => ctx.activate(agent),
+                "dispose" => ctx.dispose(agent),
+                "sendto" => ctx.send(agent, Message::new("ping")),
+                _ => {}
+            }
+        }
+        fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.note(format!("{} arrived at {}", ctx.self_id(), ctx.host()));
+        }
+    }
+
+    const A: HostId = HostId(1);
+    const B: HostId = HostId(2);
+
+    /// One scripted step. Rovers are numbered by creation order from 1;
+    /// rover 0 names an agent that never existed.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Create a rover on the host.
+        Create(HostId),
+        /// Send rover `n` a request about `(rover, host)`.
+        Tell(usize, &'static str, usize, HostId),
+        Crash(HostId),
+        Restart(HostId),
+        /// Operator-side activation of a stored agent.
+        Activate(usize),
+    }
+
+    struct Case {
+        name: &'static str,
+        durable: bool,
+        steps: &'static [Step],
+        /// Trace lines that must appear (substring match).
+        labels: &'static [&'static str],
+        /// `(migrations, migrations_rejected, messages_dead_lettered,
+        /// deactivations, agents_disposed)`.
+        counters: (u64, u64, u64, u64, u64),
+    }
+
+    use Step::*;
+
+    const CASES: &[Case] = &[
+        Case {
+            name: "retract follows the agent to another host",
+            durable: false,
+            steps: &[
+                Create(A),
+                Create(A),
+                Tell(1, "go", 0, B),
+                Tell(2, "retract", 1, A),
+            ],
+            labels: &["rover-1 arrived at host-2", "rover-1 arrived at host-1"],
+            counters: (2, 0, 0, 0, 0),
+        },
+        Case {
+            name: "retract of an unknown agent traces a failure, not a dead letter",
+            durable: false,
+            steps: &[Create(A), Tell(1, "retract", 0, A)],
+            labels: &["retract failed: rover-0 not active (None)"],
+            counters: (0, 0, 0, 0, 0),
+        },
+        Case {
+            name: "a home arrival without a permit is an authentication rejection",
+            durable: true,
+            steps: &[
+                Create(A),
+                Tell(1, "go", 0, B),
+                Tell(1, "sleep", 0, A),
+                Crash(B),
+                Restart(B),
+                Activate(1),
+                Tell(1, "go", 0, A),
+            ],
+            labels: &["arrival rejected at host-1: authentication failed"],
+            counters: (1, 1, 0, 1, 0),
+        },
+        Case {
+            name: "undeliverable sends write a dead-letter trace line",
+            durable: false,
+            steps: &[Create(A), Tell(1, "sendto", 0, A)],
+            labels: &["dead-letter: ping to rover-0 (unreachable)"],
+            counters: (0, 0, 1, 0, 0),
+        },
+        Case {
+            name: "disposing a deactivated agent dead-letters its parked mail",
+            durable: false,
+            steps: &[
+                Create(A),
+                Create(A),
+                Tell(2, "sleep", 0, A),
+                Tell(1, "sendto", 2, A),
+                Tell(1, "dispose", 2, A),
+            ],
+            labels: &["dead-letter: ping to rover-2 (recipient disposed while parked)"],
+            counters: (0, 0, 1, 1, 1),
+        },
+        Case {
+            name: "lifecycle requests about an agent on another host are ignored",
+            durable: false,
+            steps: &[
+                Create(A),
+                Create(B),
+                Tell(1, "deactivate", 2, A),
+                Tell(1, "activate", 2, A),
+                Tell(1, "dispose", 2, A),
+            ],
+            labels: &[
+                "deactivate ignored: rover-2 not active on host-1",
+                "activate ignored: rover-2 not stored on host-1",
+                "dispose ignored: rover-2 not on host-1",
+            ],
+            counters: (0, 0, 0, 0, 0),
+        },
+    ];
+
+    /// The id of an agent that never existed.
+    const NOBODY: AgentId = AgentId(4_000_000_000);
+
+    /// Rover `n`'s id (the runtimes allocate ids differently).
+    fn rover(ids: &[AgentId], n: usize) -> AgentId {
+        if n == 0 {
+            NOBODY
+        } else {
+            ids[n - 1]
+        }
+    }
+
+    fn tell(ids: &[AgentId], kind: &str, n: usize, host: HostId) -> Message {
+        let target = rover(ids, n).0;
+        Message::new(kind).with_payload(&(target, host.0)).unwrap()
+    }
+
+    /// Rewrite every agent id in `label` as its rover name.
+    fn rename(label: &str, ids: &[AgentId]) -> String {
+        let mut out = String::new();
+        let mut rest = label;
+        while let Some(at) = rest.find("agent-") {
+            out.push_str(&rest[..at]);
+            let digits = rest[at + 6..]
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len() - at - 6);
+            let raw: u64 = rest[at + 6..at + 6 + digits].parse().unwrap_or(0);
+            let n = ids.iter().position(|id| id.0 == raw).map_or(0, |i| i + 1);
+            out.push_str(&format!("rover-{n}"));
+            rest = &rest[at + 6 + digits..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Trace lines both runtimes write identically (crash and recovery
+    /// lines are per worker on threads), sorted, plus the compared
+    /// counters including the migration bytes.
+    fn observe(trace: &Trace, m: &Metrics, ids: &[AgentId]) -> (Vec<String>, [u64; 7]) {
+        let mut labels: Vec<String> = trace
+            .labels()
+            .into_iter()
+            .filter(|l| !l.starts_with("chaos:") && !l.starts_with("recovery:"))
+            .map(|l| rename(l, ids))
+            .collect();
+        labels.sort();
+        let counters = [
+            m.migrations,
+            m.migrations_rejected,
+            m.messages_dead_lettered,
+            m.deactivations,
+            m.agents_disposed,
+            m.activations,
+            m.migration_bytes,
+        ];
+        (labels, counters)
+    }
+
+    fn run_on_des(case: &Case) -> (Vec<String>, [u64; 7]) {
+        let mut w = SimWorld::new(5);
+        w.registry_mut().register_serde::<Rover>("rover");
+        w.add_host("a");
+        w.add_host("b");
+        if case.durable {
+            w.enable_durability(DurabilityConfig::default());
+        }
+        let mut ids = Vec::new();
+        for step in case.steps {
+            match *step {
+                Create(host) => ids.push(w.create_agent(host, Box::new(Rover)).unwrap()),
+                Tell(n, kind, target, host) => {
+                    let msg = tell(&ids, kind, target, host);
+                    w.send_external(rover(&ids, n), msg).unwrap();
+                }
+                Crash(host) => w.crash_host(host).unwrap(),
+                Restart(host) => w.restart_host(host).unwrap(),
+                Activate(n) => w.activate_agent(rover(&ids, n)).unwrap(),
+            }
+            w.run_until_idle();
+        }
+        observe(w.trace(), w.metrics(), &ids)
+    }
+
+    fn run_on_threads(case: &Case) -> (Vec<String>, [u64; 7]) {
+        let mut builder = ThreadWorldBuilder::new(5);
+        builder.register_serde::<Rover>("rover");
+        // Two workers per host: same-host requests cross workers, so the
+        // sibling forwarding path runs too.
+        builder.workers(2);
+        builder.add_host("a");
+        builder.add_host("b");
+        if case.durable {
+            builder.durability(DurabilityConfig::default());
+        }
+        let world = builder.start();
+        let mut ids = Vec::new();
+        for step in case.steps {
+            match *step {
+                Create(host) => ids.push(world.create_agent(host, Box::new(Rover)).unwrap()),
+                Tell(n, kind, target, host) => {
+                    let msg = tell(&ids, kind, target, host);
+                    world.send_external(rover(&ids, n), msg).unwrap();
+                }
+                Crash(host) => world.crash_host(host).unwrap(),
+                Restart(host) => world.restart_host(host).unwrap(),
+                Activate(n) => world.activate_agent(rover(&ids, n)).unwrap(),
+            }
+            let status = world.run_until_idle(Duration::from_secs(10));
+            assert!(status.is_idle(), "{}: {status}", case.name);
+        }
+        let (metrics, trace) = world.shutdown();
+        observe(&trace, &metrics, &ids)
+    }
+
+    #[test]
+    fn lifecycle_cases_agree_across_runtimes() {
+        for case in CASES {
+            let des = run_on_des(case);
+            let threads = run_on_threads(case);
+            assert_eq!(des, threads, "{}: DES and threads diverge", case.name);
+            for label in case.labels {
+                assert!(
+                    des.0.iter().any(|l| l.contains(label)),
+                    "{}: missing {label:?} in {:?}",
+                    case.name,
+                    des.0
+                );
+            }
+            let (mig, rejected, dead, deact, disposed) = case.counters;
+            assert_eq!(
+                &des.1[..5],
+                &[mig, rejected, dead, deact, disposed],
+                "{}: counters",
+                case.name
+            );
+        }
+    }
+}

@@ -509,13 +509,11 @@ fn crash_sweep_over_the_buy_window_is_exactly_once_everywhere() {
 // replies across a buyer-host crash with batched WAL syncs
 // ---------------------------------------------------------------------
 
-/// A crash of the Buyer Agent Server host while a wave of queries is in
-/// flight must not lose or repeat replies, even when the WAL syncs only
-/// every few records: a reply that has left the HttpA was output-committed
-/// first, and every query still in flight is re-driven to exactly one
-/// answer.
-#[test]
-fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
+/// Crash the Buyer Agent Server host `offset_us` into a second wave of
+/// queries, for each offset and several WAL sync batch sizes, and assert
+/// that every consumer hears back exactly once. `deadline_us` 0 keeps
+/// request deadlines off.
+fn assert_one_reply_per_query_across_crashes(deadline_us: u64, offsets_us: &[u64]) {
     let consumers: Vec<ConsumerId> = (1..=6).map(ConsumerId).collect();
     let query = || ConsumerTask::Query {
         keywords: vec!["rust".into()],
@@ -523,10 +521,11 @@ fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
         max_results: 5,
     };
     for sync_every in [2usize, 16, 64] {
-        for offset_ms in (0..=57u64).step_by(3) {
+        for &offset_us in offsets_us {
             let mut p = Platform::builder(11)
                 .marketplaces(listings())
                 .mba_timeout_us(2_000_000)
+                .request_deadline_us(deadline_us)
                 .durability(DurabilityConfig {
                     checkpoint_every: 0,
                     sync_every,
@@ -542,8 +541,7 @@ fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
             for &c in &consumers {
                 p.submit_task(c, query());
             }
-            p.world_mut()
-                .run_for(SimDuration::from_micros(offset_ms * 1_000));
+            p.world_mut().run_for(SimDuration::from_micros(offset_us));
             let host = p.buyer_host();
             p.world_mut().crash_host(host).unwrap();
             p.world_mut().restart_host(host).unwrap();
@@ -555,10 +553,34 @@ fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
             assert_eq!(
                 per_consumer,
                 vec![1; consumers.len()],
-                "sync_every {sync_every}, crash {offset_ms} ms into wave 2: {wave:?}"
+                "sync_every {sync_every}, crash {offset_us} µs into wave 2: {wave:?}"
             );
         }
     }
+}
+
+/// A crash of the Buyer Agent Server host while a wave of queries is in
+/// flight must not lose or repeat replies, even when the WAL syncs only
+/// every few records: a reply that has left the HttpA was output-committed
+/// first, and every query still in flight is re-driven to exactly one
+/// answer.
+#[test]
+fn buyer_host_crash_with_batched_syncs_answers_every_query_once() {
+    let offsets_us: Vec<u64> = (0..=57u64).step_by(3).map(|ms| ms * 1_000).collect();
+    assert_one_reply_per_query_across_crashes(0, &offsets_us);
+}
+
+/// The deadline variant: admitting a task under a deadline records it in
+/// the HttpA's in-flight set and emits nothing, so the admission itself
+/// must be forced to stable storage. Otherwise a crash rolls the
+/// in-flight entry back, the late reply is dropped as if the watchdog had
+/// answered, and the consumer never hears back. The window lies between
+/// the admissions and the first forced sync (the MBA's departure), a few
+/// microseconds into the wave, so this sweep steps in microseconds.
+#[test]
+fn buyer_host_crash_with_batched_syncs_and_deadlines_answers_every_query_once() {
+    let offsets_us: Vec<u64> = (0..=40).collect();
+    assert_one_reply_per_query_across_crashes(3_000_000, &offsets_us);
 }
 
 // ---------------------------------------------------------------------
