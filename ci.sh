@@ -27,7 +27,8 @@ filtered_test() {
 # multi-worker ThreadWorld tests 20x to shake out scheduling races in
 # the sharded/threaded paths, then exit. Does not run the normal gate.
 # --query-stress: hammer the ANN query tier — 10 iterations of the ANN
-# suite at 10^4 consumers plus the query-tier property tests, then the
+# suite at 10^4 consumers plus the query-tier property tests (including
+# the re-rank kernel ≡ merge reference properties in core), then the
 # full-scale query bench including the 10^6-consumer axis. Does not run
 # the normal gate.
 # --recovery-stress: loop the crash-point matrix and WAL property tests
@@ -74,6 +75,7 @@ if [[ "${1:-}" == "--query-stress" ]]; then
     ANN_USERS=10000 cargo test -q --release --test ann
     filtered_test -q --release --test properties incremental_index_matches_rebuild
     filtered_test -q --release --test properties ann_neighbours_subset
+    filtered_test -q --release -p abcrm-core ann::tests::kernel_matches_merge
   done
   echo "==> full query scaling bench (QUERY_BENCH_FULL=1: 10^4/10^5/10^6 axis)"
   QUERY_BENCH_FULL=1 cargo bench -p bench --bench query_hot_path
@@ -172,7 +174,8 @@ done
 
 # ANN smoke: oracle equivalence, subset/score agreement and the 0.95
 # recall floor at 10^4 consumers, on both feature sets — plus the
-# zero-allocation gate on the warm candidate path.
+# allocation gates on the warm exact candidate path (zero) and the warm
+# ANN query (top-k heap only, whatever the candidate count).
 echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users, both feature sets)"
 ANN_USERS=10000 cargo test -q --release --test ann
 ANN_USERS=10000 cargo test -q --release --test ann --features parallel

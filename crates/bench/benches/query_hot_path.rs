@@ -23,8 +23,10 @@
 //!
 //! **Allocation gate** — the binary runs under a counting allocator and
 //! asserts that a warm `ProfileIndex::candidates_into` performs zero
-//! allocations (the reusable-scratch contract). Pass `--assert-no-alloc`
-//! to run only this gate.
+//! allocations, and that a warm ANN `RecommendStore::nearest_neighbours`
+//! allocates only its top-k heap and result, however many candidates it
+//! re-ranks (the reusable-scratch contract). Pass `--assert-no-alloc` to
+//! run only this gate.
 
 use abcrm_core::learning::BehaviorKind;
 use abcrm_core::profile::ConsumerId;
@@ -88,6 +90,48 @@ fn assert_candidates_no_alloc(store: &RecommendStore) {
         "warm candidates_into allocated {allocs} times over 1000 queries"
     );
     println!("no-alloc gate: 1000 warm candidates_into calls, 0 allocations");
+}
+
+/// Allocations a warm ANN query may make: the top-k heap, whose buffer
+/// the returned `Vec` reuses. The probe, dedup and re-rank scratch live
+/// in the store.
+const ANN_QUERY_ALLOCS: u64 = 1;
+
+/// A warm ANN `nearest_neighbours` must make the same, constant number
+/// of allocations for every consumer, whatever its candidate count:
+/// checked under two LSH shapes whose candidate volumes differ widely.
+fn assert_ann_query_constant_alloc(store: &RecommendStore) {
+    let consumers: Vec<ConsumerId> = (1..=500).step_by(7).map(ConsumerId).collect();
+    for bits in [8u8, 3] {
+        let cfg = SimilarityConfig {
+            ann: Some(AnnConfig {
+                bits,
+                tables: 8,
+                probes: 8,
+                seed: 42,
+            }),
+            ..SimilarityConfig::default()
+        };
+        store.warm_ann(&cfg);
+        for c in &consumers {
+            store.nearest_neighbours(*c, &cfg, 10); // size the scratch
+        }
+        let mut counts = std::collections::BTreeSet::new();
+        for c in &consumers {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let found = std::hint::black_box(store.nearest_neighbours(*c, &cfg, 10));
+            counts.insert(ALLOCATIONS.load(Ordering::Relaxed) - before);
+            assert!(!found.is_empty(), "probe consumer {c} has neighbours");
+        }
+        println!(
+            "ann alloc gate: {} warm ANN queries at {bits} bits, allocations per query {counts:?}",
+            consumers.len()
+        );
+        assert!(
+            counts.len() == 1 && counts.iter().all(|n| *n <= ANN_QUERY_ALLOCS),
+            "warm ANN queries allocated {counts:?} times (at most {ANN_QUERY_ALLOCS}, constant)"
+        );
+    }
 }
 
 // --- micro section: synthetic clustered store --------------------------
@@ -267,6 +311,7 @@ fn bench(c: &mut Criterion) {
         let store = build_store(users);
         if users == 10_000 {
             assert_candidates_no_alloc(&store);
+            assert_ann_query_constant_alloc(&store);
         }
         let cfg = hybrid.similarity;
         group.bench_with_input(BenchmarkId::new("hybrid_indexed", users), &store, |b, s| {
@@ -295,7 +340,9 @@ fn bench(c: &mut Criterion) {
 
 fn run(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--assert-no-alloc") {
-        assert_candidates_no_alloc(&build_store(10_000));
+        let store = build_store(10_000);
+        assert_candidates_no_alloc(&store);
+        assert_ann_query_constant_alloc(&store);
         return;
     }
     bench(c);

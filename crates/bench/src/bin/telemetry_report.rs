@@ -101,10 +101,8 @@ fn print_latency_table(platform: &Platform) {
             h.max()
         );
     }
-    let hits = reg.counter("cache.item_sim.hits");
-    let misses = reg.counter("cache.item_sim.misses");
     println!(
-        "\ncounters: {} similar requests, item-sim cache {hits} hits / {misses} misses",
+        "\ncounters: {} similar requests",
         reg.counter("pa.similar_requests")
     );
     if !reg.dead_letter_kinds().is_empty() {

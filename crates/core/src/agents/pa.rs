@@ -53,16 +53,6 @@ pub struct ProfileAgent {
     maintenance: Option<MaintenanceConfig>,
     #[serde(default)]
     maintenance_passes: u32,
-    /// Item-sim cache tallies already exported to the telemetry registry
-    /// (the delta base, so counters stay exact across migrations).
-    #[serde(default)]
-    cache_hits_emitted: u64,
-    #[serde(default)]
-    cache_misses_emitted: u64,
-    #[serde(default)]
-    cache_invalidated_emitted: u64,
-    #[serde(default)]
-    cache_capacity_evicted_emitted: u64,
     /// Journal every recorded behaviour as a WAL delta instead of having
     /// the platform snapshot the (large) full PA capsule per callback.
     #[serde(default)]
@@ -78,10 +68,6 @@ impl ProfileAgent {
             similarity,
             maintenance: None,
             maintenance_passes: 0,
-            cache_hits_emitted: 0,
-            cache_misses_emitted: 0,
-            cache_invalidated_emitted: 0,
-            cache_capacity_evicted_emitted: 0,
             durable: false,
         }
     }
@@ -334,31 +320,6 @@ impl Agent for ProfileAgent {
                     let reply_payload = self.similar(&req);
                     ctx.inc_counter("pa.similar_requests", 1);
                     ctx.observe("pa.neighbours_found", reply_payload.neighbours.len() as u64);
-                    // export the item-sim cache effectiveness as deltas
-                    let (hits, misses) = self.store.item_sim_cache_stats();
-                    ctx.inc_counter(
-                        "cache.item_sim.hits",
-                        hits.saturating_sub(self.cache_hits_emitted),
-                    );
-                    ctx.inc_counter(
-                        "cache.item_sim.misses",
-                        misses.saturating_sub(self.cache_misses_emitted),
-                    );
-                    self.cache_hits_emitted = hits;
-                    self.cache_misses_emitted = misses;
-                    // eviction causes, so dashboards can tell matrix
-                    // churn from an undersized cache
-                    let (invalidated, capacity_evicted) = self.store.item_sim_eviction_stats();
-                    ctx.inc_counter(
-                        "cache.item_sim.invalidated",
-                        invalidated.saturating_sub(self.cache_invalidated_emitted),
-                    );
-                    ctx.inc_counter(
-                        "cache.item_sim.capacity_evicted",
-                        capacity_evicted.saturating_sub(self.cache_capacity_evicted_emitted),
-                    );
-                    self.cache_invalidated_emitted = invalidated;
-                    self.cache_capacity_evicted_emitted = capacity_evicted;
                     let reply = Message::new(kinds::PA_SIMILAR_REPLY)
                         .with_payload(&reply_payload)
                         .expect("similar reply serializes");

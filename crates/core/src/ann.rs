@@ -13,16 +13,19 @@
 //!   and multiprobe depth (`probes`). Hash seeds derive from the platform
 //!   seed (see [`AnnConfig::resolve_seed`]), so the whole structure is a
 //!   deterministic function of `(profiles, config)`.
-//! * [`LshIndex`] — multi-table signature buckets over the flat-profile
-//!   cache, maintained incrementally: a Fig 4.5 feedback delta re-hashes
-//!   the consumer's signature from the already-maintained flat vector
-//!   (no re-flatten) and moves the consumer only between the buckets
-//!   whose signature actually changed.
-//! * [`score_packed`] — the batched re-rank kernel: candidates are
-//!   scored in fixed-size blocks against interned, contiguous
-//!   `(term-id, weight)` arrays (no string compares, no B-tree walks),
-//!   with a reusable shared-pair scratch, composing with the `parallel`
-//!   feature's deterministic chunk-order merge.
+//! * [`LshIndex`] — multi-table signature buckets over the slots of
+//!   [`crate::index::ProfileIndex`], maintained incrementally: a Fig 4.5
+//!   feedback delta re-hashes the consumer's signature from the
+//!   already-maintained flat vector (no re-flatten) and moves the slot
+//!   only between the buckets whose signature actually changed. Empty
+//!   vectors are never bucketed: they score `0.0` against everyone.
+//! * [`rerank`] — the re-rank kernel: the target's row is scattered once
+//!   into a vocabulary-indexed weight array, then each candidate is
+//!   scored in one linear pass over its slot row (no map lookups, no
+//!   string compares, no per-candidate allocation), composing with the
+//!   `parallel` feature's deterministic block fan-out. Shared terms come
+//!   out in ascending term id, the order a two-pointer merge of the two
+//!   sorted rows yields, so every measure sums in the same order.
 //!
 //! Because the re-rank applies the *exact* similarity semantics
 //! (discard threshold, `min_overlap`, the configured method) and the
@@ -31,6 +34,7 @@
 //! never invent them. `tests/ann.rs` and the property suite hold it to a
 //! measured recall floor.
 
+use crate::index::{top_k, ProfileIndex, SlotRow};
 use crate::similarity::SimilarityConfig;
 use ecp::terms::TermVector;
 use serde::{Deserialize, Serialize};
@@ -133,25 +137,55 @@ fn sign_word(th: u64, table: usize) -> u64 {
 }
 
 /// Random-hyperplane LSH over flattened profile vectors: per table, a
-/// consumer lands in the bucket keyed by the sign pattern of its vector
-/// projected on `bits` pseudo-random ±1 hyperplanes. Cosine-similar
-/// vectors agree on most signs and collide in at least one table with
-/// high probability.
+/// consumer's slot lands in the bucket keyed by the sign pattern of its
+/// vector projected on `bits` pseudo-random ±1 hyperplanes.
+/// Cosine-similar vectors agree on most signs and collide in at least
+/// one table with high probability.
 #[derive(Debug, Clone)]
 pub(crate) struct LshIndex {
     cfg: AnnConfig,
-    /// Per-consumer signature, one `u32` per table.
-    sigs: HashMap<u64, Box<[u32]>>,
-    /// Per-table `signature → consumers` buckets (unordered members —
-    /// every read path sorts + dedups the union).
-    buckets: Vec<HashMap<u32, Vec<u64>>>,
+    /// Slot-indexed signatures, `tables` words per slot; meaningful only
+    /// where `linked` is set.
+    sigs: Vec<u32>,
+    /// Whether each slot sits in the buckets (empty vectors do not).
+    linked: Vec<bool>,
+    /// Per-table `signature → slots` buckets. Members are unordered
+    /// (`swap_remove` on unlink); the probe deduplicates the union.
+    buckets: Vec<HashMap<u32, Vec<u32>>>,
+}
+
+/// Reusable per-store query scratch for the ANN path: the probe's
+/// projections, flip order and generation-stamped seen array, the
+/// candidate slots it yields, and the re-rank's dense weight array and
+/// shared-pair buffer. Once warm, a query allocates none of it.
+#[derive(Debug, Default)]
+pub(crate) struct AnnScratch {
+    proj: Vec<f64>,
+    flip_order: Vec<usize>,
+    /// `seen[slot] == generation` ⇔ the slot is already a candidate of
+    /// the current query.
+    seen: Vec<u32>,
+    generation: u32,
+    candidates: Vec<u32>,
+    /// Vocabulary-indexed target weights; all `0.0` between queries.
+    weights: Vec<f64>,
+    shared: Vec<(f64, f64)>,
+}
+
+#[cfg(test)]
+impl AnnScratch {
+    /// Candidate slots of the last probe.
+    pub(crate) fn candidates(&self) -> &[u32] {
+        &self.candidates
+    }
 }
 
 impl LshIndex {
     pub(crate) fn new(cfg: AnnConfig) -> Self {
         LshIndex {
             buckets: (0..cfg.tables()).map(|_| HashMap::new()).collect(),
-            sigs: HashMap::new(),
+            sigs: Vec::new(),
+            linked: Vec::new(),
             cfg,
         }
     }
@@ -164,22 +198,31 @@ impl LshIndex {
             && self.cfg.resolved_seed() == cfg.resolved_seed()
     }
 
-    /// Number of indexed consumers.
+    /// Number of bucketed slots.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.sigs.len()
+        self.linked.iter().filter(|l| **l).count()
+    }
+
+    /// Every bucket member of every table, with repeats.
+    #[cfg(test)]
+    pub(crate) fn members(&self) -> impl Iterator<Item = u32> + '_ {
+        self.buckets
+            .iter()
+            .flat_map(|table| table.values().flatten().copied())
     }
 
     /// Projections of `vector` on every table's hyperplanes, in table ×
-    /// bit order. Iterates the vector in term order, so the result — and
-    /// therefore every signature — is a pure function of `(vector, cfg)`:
-    /// an incrementally maintained vector hashes bit-identically to a
-    /// rebuilt one.
-    fn projections(&self, vector: &TermVector) -> Vec<f64> {
+    /// bit order, into `proj`. Iterates the vector in term order, so the
+    /// result — and therefore every signature — is a pure function of
+    /// `(vector, cfg)`: an incrementally maintained vector hashes
+    /// bit-identically to a rebuilt one.
+    fn project(&self, vector: &TermVector, proj: &mut Vec<f64>) {
         let bits = self.cfg.bits() as usize;
         let tables = self.cfg.tables();
         let seed = self.cfg.resolved_seed();
-        let mut proj = vec![0.0f64; tables * bits];
+        proj.clear();
+        proj.resize(tables * bits, 0.0);
         for (term, w) in vector.iter() {
             let th = term_hash(seed, term);
             for t in 0..tables {
@@ -194,7 +237,6 @@ impl LshIndex {
                 }
             }
         }
-        proj
     }
 
     fn signature_of(proj: &[f64], bits: usize, table: usize) -> u32 {
@@ -208,66 +250,114 @@ impl LshIndex {
         sig
     }
 
-    /// Insert or refresh `id` after its flat vector changed. The
+    /// Insert or refresh `slot` after its flat vector changed. The
     /// signature is re-hashed from the maintained vector (O(terms ×
-    /// tables) integer mixing, no allocation beyond the projection
-    /// scratch) and the consumer moves only between buckets whose
-    /// signature actually changed.
-    pub(crate) fn update(&mut self, id: u64, vector: &TermVector) {
-        let bits = self.cfg.bits() as usize;
-        let proj = self.projections(vector);
-        let fresh: Vec<u32> = (0..self.cfg.tables())
-            .map(|t| Self::signature_of(&proj, bits, t))
-            .collect();
-        match self.sigs.get_mut(&id) {
-            Some(old) => {
-                for (t, (o, n)) in old.iter_mut().zip(fresh.iter()).enumerate() {
-                    if *o != *n {
-                        remove_member(&mut self.buckets[t], *o, id);
-                        self.buckets[t].entry(*n).or_default().push(id);
-                        *o = *n;
-                    }
-                }
-            }
-            None => {
-                for (t, sig) in fresh.iter().enumerate() {
-                    self.buckets[t].entry(*sig).or_default().push(id);
-                }
-                self.sigs.insert(id, fresh.into_boxed_slice());
-            }
+    /// tables) integer mixing) and the slot moves only between buckets
+    /// whose signature actually changed. An empty vector projects to
+    /// `0.0` on every hyperplane, which would put every empty profile in
+    /// the all-ones bucket of every table although it can never score
+    /// above zero: it is unlinked instead.
+    pub(crate) fn update(&mut self, slot: u32, vector: &TermVector) {
+        if vector.is_empty() {
+            self.remove(slot);
+            return;
         }
+        let bits = self.cfg.bits() as usize;
+        let tables = self.cfg.tables();
+        let mut proj = Vec::new();
+        self.project(vector, &mut proj);
+        let s = slot as usize;
+        if self.linked.len() <= s {
+            self.linked.resize(s + 1, false);
+            self.sigs.resize((s + 1) * tables, 0);
+        }
+        let was_linked = self.linked[s];
+        for (t, table) in self.buckets.iter_mut().enumerate() {
+            let fresh = Self::signature_of(&proj, bits, t);
+            let old = &mut self.sigs[s * tables + t];
+            if was_linked {
+                if *old == fresh {
+                    continue;
+                }
+                remove_member(table, *old, slot);
+            }
+            table.entry(fresh).or_default().push(slot);
+            *old = fresh;
+        }
+        self.linked[s] = true;
     }
 
-    /// Drop `id` from every table. The store currently invalidates the
-    /// whole LSH index on profile removal (only the wholesale decay pass
-    /// removes profiles), so this is exercised by tests only.
-    #[cfg(test)]
-    pub(crate) fn remove(&mut self, id: u64) {
-        if let Some(sigs) = self.sigs.remove(&id) {
-            for (t, sig) in sigs.iter().enumerate() {
-                remove_member(&mut self.buckets[t], *sig, id);
-            }
+    /// Drop `slot` from every table, if bucketed.
+    pub(crate) fn remove(&mut self, slot: u32) {
+        let s = slot as usize;
+        if !self.linked.get(s).copied().unwrap_or(false) {
+            return;
         }
+        let tables = self.cfg.tables();
+        for (t, table) in self.buckets.iter_mut().enumerate() {
+            remove_member(table, self.sigs[s * tables + t], slot);
+        }
+        self.linked[s] = false;
     }
 
     /// Union of the target's buckets across all tables, multiprobed:
     /// per table the primary bucket plus `probes` single-bit flips,
-    /// least-confident (smallest |projection|) bit first. `out` is
-    /// cleared and left sorted + deduplicated.
-    pub(crate) fn candidates(&self, target: &TermVector, probes: u8, out: &mut Vec<u64>) {
-        out.clear();
+    /// least-confident (smallest |projection|) bit first. The union is
+    /// left in `scratch.candidates`, deduplicated by stamping each slot
+    /// with the query's generation, in probe order, and without
+    /// `exclude` (the target's own slot). An empty target yields no
+    /// candidate: it scores `0.0` against everyone.
+    pub(crate) fn candidates(
+        &self,
+        target: &TermVector,
+        probes: u8,
+        exclude: u32,
+        scratch: &mut AnnScratch,
+    ) {
+        let AnnScratch {
+            proj,
+            flip_order,
+            seen,
+            generation,
+            candidates,
+            ..
+        } = scratch;
+        candidates.clear();
+        if target.is_empty() {
+            return;
+        }
         let bits = self.cfg.bits() as usize;
-        let proj = self.projections(target);
-        let probes = usize::from(probes).min(bits);
-        let mut flip_order: Vec<usize> = (0..bits).collect();
-        for (t, table) in self.buckets.iter().enumerate() {
-            let sig = Self::signature_of(&proj, bits, t);
-            if let Some(members) = table.get(&sig) {
-                out.extend_from_slice(members);
+        self.project(target, proj);
+        seen.resize(self.linked.len(), 0);
+        *generation = generation.wrapping_add(1);
+        if *generation == 0 {
+            seen.fill(0);
+            *generation = 1;
+        }
+        let stamp = *generation;
+        if let Some(own) = seen.get_mut(exclude as usize) {
+            *own = stamp;
+        }
+        let mut take = |members: Option<&Vec<u32>>| {
+            for slot in members.into_iter().flatten() {
+                let mark = &mut seen[*slot as usize];
+                if *mark != stamp {
+                    *mark = stamp;
+                    candidates.push(*slot);
+                }
             }
+        };
+        let probes = usize::from(probes).min(bits);
+        flip_order.clear();
+        flip_order.extend(0..bits);
+        for (t, table) in self.buckets.iter().enumerate() {
+            let sig = Self::signature_of(proj, bits, t);
+            take(table.get(&sig));
             if probes > 0 {
                 let row = &proj[t * bits..(t + 1) * bits];
-                flip_order.sort_by(|a, b| {
+                // a total order (ties by bit index), so the unstable
+                // sort is deterministic and allocation-free
+                flip_order.sort_unstable_by(|a, b| {
                     row[*a]
                         .abs()
                         .partial_cmp(&row[*b].abs())
@@ -275,20 +365,16 @@ impl LshIndex {
                         .then(a.cmp(b))
                 });
                 for bit in flip_order.iter().take(probes) {
-                    if let Some(members) = table.get(&(sig ^ (1 << bit))) {
-                        out.extend_from_slice(members);
-                    }
+                    take(table.get(&(sig ^ (1 << bit))));
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
-fn remove_member(table: &mut HashMap<u32, Vec<u64>>, sig: u32, id: u64) {
+fn remove_member(table: &mut HashMap<u32, Vec<u32>>, sig: u32, slot: u32) {
     if let Some(members) = table.get_mut(&sig) {
-        if let Some(pos) = members.iter().position(|m| *m == id) {
+        if let Some(pos) = members.iter().position(|m| *m == slot) {
             members.swap_remove(pos);
         }
         if members.is_empty() {
@@ -297,109 +383,138 @@ fn remove_member(table: &mut HashMap<u32, Vec<u64>>, sig: u32, id: u64) {
     }
 }
 
-/// Candidates are re-ranked in blocks of this many consumers; under the
-/// `parallel` feature the blocks fan out across cores and concatenate in
-/// block order (deterministic merge, same recipe as
+/// Under the `parallel` feature, candidate lists of at least four blocks
+/// of this many slots fan out across cores and concatenate in block
+/// order (deterministic merge, same recipe as
 /// [`crate::index::par_map`]).
+#[cfg(feature = "parallel")]
 const RERANK_BLOCK: usize = 64;
 
-/// Score `candidates` against `target` over the index's interned packed
-/// vectors, applying the full [`SimilarityConfig`] semantics (discard
-/// threshold, `min_overlap`, method) plus the neighbour-floor filter.
+/// Score the candidates left in `scratch` by [`LshIndex::candidates`]
+/// against the `target` slot, applying the full [`SimilarityConfig`]
+/// semantics (discard threshold, `min_overlap`, method) plus the
+/// neighbour-floor filter, and keep the best `k` under the reference
+/// ranking (score desc, id asc).
 ///
-/// The packed representation is a contiguous `(term-id, weight)` array
-/// sorted by term id; scoring is a two-pointer merge over two flat
-/// arrays — no string comparisons, no per-candidate allocation (one
-/// shared-pair scratch per block). Scores can differ from the exact
-/// scanner only in summation order (last-ulp), which is why the exact
-/// path stays byte-identical by never routing through this kernel.
-pub(crate) fn score_packed(
-    index: &crate::index::ProfileIndex,
-    target_packed: &[(u32, f64)],
-    target_norm: f64,
-    target_len: usize,
-    candidates: &[u64],
+/// The target's row is scattered once into `scratch`'s
+/// vocabulary-indexed weight array (and cleared again afterwards); a
+/// candidate then costs one pass over its own row, reading the target
+/// weight of each of its terms by index. Scores stream into the top-k
+/// heap, so the sequential path allocates only that heap and the result.
+pub(crate) fn rerank(
+    index: &ProfileIndex,
+    target: u32,
     config: &SimilarityConfig,
+    scratch: &mut AnnScratch,
+    k: usize,
 ) -> Vec<(u64, f64)> {
-    let score_block = |block: &&[u64]| -> Vec<(u64, f64)> {
-        let mut out = Vec::with_capacity(block.len());
-        let mut shared: Vec<(f64, f64)> = Vec::new();
-        for id in block.iter() {
-            let Some((packed, norm, len)) = index.packed(*id) else {
-                continue;
-            };
-            let s = score_pair(
-                target_packed,
-                target_norm,
-                target_len,
-                packed,
-                norm,
-                len,
-                config,
-                &mut shared,
-            );
-            if s > config.neighbour_floor {
-                out.push((*id, s));
-            }
-        }
-        out
-    };
-    let blocks: Vec<&[u64]> = candidates.chunks(RERANK_BLOCK).collect();
-    #[cfg(feature = "parallel")]
-    if candidates.len() >= 4 * RERANK_BLOCK {
-        return crate::index::par_map(&blocks, score_block)
-            .into_iter()
-            .flatten()
-            .collect();
+    let AnnScratch {
+        candidates,
+        weights,
+        shared,
+        ..
+    } = scratch;
+    let target = index.row(target);
+    if weights.len() < index.vocab_len() {
+        weights.resize(index.vocab_len(), 0.0);
     }
-    blocks.iter().flat_map(score_block).collect()
+    for (tid, w) in target.term_ids.iter().zip(&target.weights) {
+        weights[*tid as usize] = *w;
+    }
+    let best = score_candidates(index, target, weights, candidates, config, shared, k);
+    for tid in &target.term_ids {
+        weights[*tid as usize] = 0.0;
+    }
+    best
 }
 
-/// One pair scored from packed vectors — mirrors
-/// `similarity::similarity_impl` exactly (same discard rule, same
-/// `min_overlap` gate, same measures) over the merge-ordered shared
-/// terms.
-#[allow(clippy::too_many_arguments)]
-fn score_pair(
-    a: &[(u32, f64)],
-    a_norm: f64,
-    a_len: usize,
-    b: &[(u32, f64)],
-    b_norm: f64,
-    b_len: usize,
+fn score_candidates(
+    index: &ProfileIndex,
+    target: &SlotRow,
+    weights: &[f64],
+    candidates: &[u32],
+    config: &SimilarityConfig,
+    shared: &mut Vec<(f64, f64)>,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let score = |slot: &u32, shared: &mut Vec<(f64, f64)>| -> Option<(u64, f64)> {
+        let row = index.row(*slot);
+        let s = score_scattered(target, weights, row, config, shared);
+        (s > config.neighbour_floor).then_some((row.id, s))
+    };
+    #[cfg(feature = "parallel")]
+    if candidates.len() >= 4 * RERANK_BLOCK {
+        let blocks: Vec<&[u32]> = candidates.chunks(RERANK_BLOCK).collect();
+        let scored = crate::index::par_map(&blocks, |block| {
+            let mut shared = Vec::new();
+            block
+                .iter()
+                .filter_map(|slot| score(slot, &mut shared))
+                .collect::<Vec<_>>()
+        });
+        return top_k(scored.into_iter().flatten(), k);
+    }
+    top_k(candidates.iter().filter_map(|slot| score(slot, shared)), k)
+}
+
+/// One candidate row scored against the target scattered into
+/// `weights`. Walking the candidate's ascending term ids yields the
+/// shared terms in ascending term id — the order a two-pointer merge of
+/// the two rows yields — so [`measure`] sums exactly what the merge
+/// would. A `0.0` weight means the target lacks the term (row weights
+/// are always positive); the candidate's own weight array is read only
+/// for shared terms.
+fn score_scattered(
+    target: &SlotRow,
+    weights: &[f64],
+    row: &SlotRow,
     config: &SimilarityConfig,
     shared: &mut Vec<(f64, f64)>,
 ) -> f64 {
-    use crate::similarity::SimilarityMethod;
     shared.clear();
     let mut intersection = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (wa, wb) = (a[i].1, b[j].1);
-                i += 1;
-                j += 1;
-                intersection += 1;
-                if let Some(threshold) = config.discard_threshold {
-                    let ratio = if wa >= wb { wa / wb } else { wb / wa };
-                    if ratio > threshold {
-                        continue;
-                    }
-                }
-                shared.push((wa, wb));
-            }
+    for (pos, tid) in row.term_ids.iter().enumerate() {
+        let wa = weights[*tid as usize];
+        if wa == 0.0 {
+            continue;
         }
+        intersection += 1;
+        let wb = row.weights[pos];
+        if discarded(wa, wb, config) {
+            continue;
+        }
+        shared.push((wa, wb));
     }
+    measure(shared, intersection, target, row, config)
+}
+
+/// The Fig 4.2 discard rule: drop a shared term whose larger weight is
+/// more than `threshold` times the smaller.
+fn discarded(wa: f64, wb: f64, config: &SimilarityConfig) -> bool {
+    config.discard_threshold.is_some_and(|threshold| {
+        let ratio = if wa >= wb { wa / wb } else { wb / wa };
+        ratio > threshold
+    })
+}
+
+/// The configured measure over the surviving shared pairs — mirrors
+/// `similarity::similarity_impl` exactly (same `min_overlap` gate, same
+/// measures). `intersection` counts every shared term, discarded or not.
+fn measure(
+    shared: &[(f64, f64)],
+    intersection: usize,
+    a: &SlotRow,
+    b: &SlotRow,
+    config: &SimilarityConfig,
+) -> f64 {
+    use crate::similarity::SimilarityMethod;
     if shared.len() < config.min_overlap {
         return 0.0;
     }
     match config.method {
         SimilarityMethod::Cosine => {
             let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
-            let denom = a_norm * b_norm;
+            let denom = a.norm * b.norm;
             if denom == 0.0 {
                 0.0
             } else {
@@ -429,7 +544,7 @@ fn score_pair(
             }
         }
         SimilarityMethod::Jaccard => {
-            let union = a_len + b_len - intersection;
+            let union = a.term_ids.len() + b.term_ids.len() - intersection;
             if union == 0 {
                 0.0
             } else {
@@ -437,6 +552,31 @@ fn score_pair(
             }
         }
     }
+}
+
+/// Reference kernel: one pair scored by a two-pointer merge of the two
+/// sorted rows. [`score_scattered`] must match it bit for bit.
+#[cfg(test)]
+pub(crate) fn score_pair(a: &SlotRow, b: &SlotRow, config: &SimilarityConfig) -> f64 {
+    let mut shared = Vec::new();
+    let mut intersection = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.term_ids.len() && j < b.term_ids.len() {
+        match a.term_ids[i].cmp(&b.term_ids[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let (wa, wb) = (a.weights[i], b.weights[j]);
+                i += 1;
+                j += 1;
+                intersection += 1;
+                if !discarded(wa, wb, config) {
+                    shared.push((wa, wb));
+                }
+            }
+        }
+    }
+    measure(&shared, intersection, a, b, config)
 }
 
 #[cfg(test)]
@@ -447,15 +587,58 @@ mod tests {
         TermVector::from_pairs(pairs.iter().map(|(t, w)| (t.to_string(), *w)))
     }
 
+    /// The probed candidate slots of `target`, sorted; `u32::MAX`
+    /// excludes nobody.
+    fn probe(lsh: &LshIndex, target: &TermVector, exclude: u32) -> Vec<u32> {
+        let mut scratch = AnnScratch::default();
+        lsh.candidates(target, lsh.cfg.probes, exclude, &mut scratch);
+        let mut out = scratch.candidates;
+        out.sort_unstable();
+        out
+    }
+
+    fn sigs_of(lsh: &LshIndex, slot: u32) -> Vec<u32> {
+        let tables = lsh.cfg.tables();
+        lsh.sigs[slot as usize * tables..(slot as usize + 1) * tables].to_vec()
+    }
+
     #[test]
     fn identical_vectors_share_every_signature() {
         let mut lsh = LshIndex::new(AnnConfig::default());
         let v = vec_of(&[("a", 1.0), ("b", 0.5)]);
         lsh.update(1, &v);
         lsh.update(2, &v);
-        let mut out = Vec::new();
-        lsh.candidates(&v, lsh.cfg.probes, &mut out);
-        assert_eq!(out, vec![1, 2]);
+        assert_eq!(probe(&lsh, &v, u32::MAX), vec![1, 2]);
+        // the target's own slot is never its own candidate
+        assert_eq!(probe(&lsh, &v, 1), vec![2]);
+    }
+
+    #[test]
+    fn probe_union_is_deduplicated_across_tables_and_queries() {
+        // one bit, probes flip it: every table yields both buckets, so a
+        // slot is reached up to 2 × tables times but listed once
+        let mut lsh = LshIndex::new(AnnConfig {
+            bits: 1,
+            tables: 4,
+            probes: 1,
+            seed: 9,
+        });
+        for slot in 0..20u32 {
+            lsh.update(slot, &vec_of(&[(&format!("t{slot}"), 1.0)]));
+        }
+        let mut scratch = AnnScratch::default();
+        let target = vec_of(&[("t3", 1.0)]);
+        for _ in 0..3 {
+            lsh.candidates(&target, 1, 3, &mut scratch);
+            let mut got = scratch.candidates.clone();
+            got.sort_unstable();
+            assert_eq!(got, (0..20).filter(|s| *s != 3).collect::<Vec<_>>());
+        }
+        // a wrapped generation counter resets the stamps
+        scratch.generation = u32::MAX;
+        lsh.candidates(&target, 1, 3, &mut scratch);
+        assert_eq!(scratch.generation, 1);
+        assert_eq!(scratch.candidates.len(), 19);
     }
 
     #[test]
@@ -469,13 +652,11 @@ mod tests {
         let before = vec_of(&[("a", 1.0)]);
         let after = vec_of(&[("zzz", 3.0)]);
         lsh.update(1, &before);
-        let old_sigs = lsh.sigs.get(&1).unwrap().clone();
+        let old_sigs = sigs_of(&lsh, 1);
         lsh.update(1, &after);
-        let new_sigs = lsh.sigs.get(&1).unwrap().clone();
-        // membership is consistent: id 1 is reachable from `after`…
-        let mut out = Vec::new();
-        lsh.candidates(&after, lsh.cfg.probes, &mut out);
-        assert_eq!(out, vec![1]);
+        let new_sigs = sigs_of(&lsh, 1);
+        // membership is consistent: slot 1 is reachable from `after`…
+        assert_eq!(probe(&lsh, &after, u32::MAX), vec![1]);
         // …and no stale bucket still holds it
         for (t, table) in lsh.buckets.iter().enumerate() {
             for (sig, members) in table {
@@ -496,9 +677,7 @@ mod tests {
         lsh.update(1, &v);
         lsh.remove(1);
         assert_eq!(lsh.len(), 0);
-        let mut out = Vec::new();
-        lsh.candidates(&v, lsh.cfg.probes, &mut out);
-        assert!(out.is_empty());
+        assert!(probe(&lsh, &v, u32::MAX).is_empty());
         for table in &lsh.buckets {
             assert!(table.is_empty());
         }
@@ -521,10 +700,7 @@ mod tests {
         incremental.update(1, &final_v);
         let mut fresh = LshIndex::new(cfg);
         fresh.update(1, &final_v);
-        assert_eq!(
-            incremental.sigs.get(&1).unwrap(),
-            fresh.sigs.get(&1).unwrap()
-        );
+        assert_eq!(sigs_of(&incremental, 1), sigs_of(&fresh, 1));
     }
 
     #[test]
@@ -556,9 +732,12 @@ mod tests {
         let near = vec_of(&[("a", 1.1), ("b", 0.9), ("c", 1.0), ("d", 1.0)]);
         let far = vec_of(&[("x", 2.0), ("y", 0.1), ("z", 5.0)]);
         let bits = cfg.bits() as usize;
-        let pt = lsh.projections(&target);
-        let pn = lsh.projections(&near);
-        let pf = lsh.projections(&far);
+        let project = |v: &TermVector| {
+            let mut proj = Vec::new();
+            lsh.project(v, &mut proj);
+            proj
+        };
+        let (pt, pn, pf) = (project(&target), project(&near), project(&far));
         let agree = |a: &[f64], b: &[f64]| {
             (0..cfg.tables())
                 .filter(|t| {
@@ -567,5 +746,241 @@ mod tests {
                 .count()
         };
         assert!(agree(&pt, &pn) > agree(&pt, &pf));
+    }
+
+    /// Every config the kernel must honour: the three measures, the
+    /// discard rule on and off, `min_overlap` 0–3.
+    fn kernel_configs(threshold: f64) -> Vec<SimilarityConfig> {
+        use crate::similarity::SimilarityMethod;
+        let mut out = Vec::new();
+        for method in [
+            SimilarityMethod::Cosine,
+            SimilarityMethod::Pearson,
+            SimilarityMethod::Jaccard,
+        ] {
+            for discard_threshold in [None, Some(threshold)] {
+                for min_overlap in 0..=3 {
+                    out.push(SimilarityConfig {
+                        method,
+                        discard_threshold,
+                        min_overlap,
+                        ..SimilarityConfig::default()
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Every live `(consumer, slot)` of `index`.
+    fn live_slots(index: &ProfileIndex) -> Vec<(u64, u32)> {
+        index
+            .flats()
+            .map(|(id, _)| (id, index.slot(id).expect("indexed consumers hold a slot")))
+            .collect()
+    }
+
+    /// Check the dense-scatter kernel against the merge reference on
+    /// every ordered pair of live slots: per-pair score bits, and
+    /// [`rerank`] against the reference top-k over the same candidates.
+    fn assert_kernel_matches_merge(
+        index: &ProfileIndex,
+        configs: &[SimilarityConfig],
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let live = live_slots(index);
+        let mut scratch = AnnScratch::default();
+        for config in configs {
+            for (target_id, target) in &live {
+                scratch.candidates.clear();
+                scratch
+                    .candidates
+                    .extend(live.iter().map(|(_, s)| *s).filter(|s| s != target));
+                let mut reference = Vec::new();
+                for slot in &scratch.candidates {
+                    let (a, b) = (index.row(*target), index.row(*slot));
+                    let merged = score_pair(a, b, config);
+                    if merged > config.neighbour_floor {
+                        reference.push((b.id, merged));
+                    }
+                    let mut weights = vec![0.0; index.vocab_len()];
+                    for (tid, w) in a.term_ids.iter().zip(&a.weights) {
+                        weights[*tid as usize] = *w;
+                    }
+                    let scattered = score_scattered(a, &weights, b, config, &mut Vec::new());
+                    prop_assert_eq!(
+                        scattered.to_bits(),
+                        merged.to_bits(),
+                        "{:?}: {} vs {} under {:?}",
+                        (target_id, b.id),
+                        scattered,
+                        merged,
+                        config
+                    );
+                }
+                let got = rerank(index, *target, config, &mut scratch, 1_000);
+                let want = top_k(reference, 1_000);
+                prop_assert_eq!(
+                    got.iter()
+                        .map(|(id, s)| (*id, s.to_bits()))
+                        .collect::<Vec<_>>(),
+                    want.iter()
+                        .map(|(id, s)| (*id, s.to_bits()))
+                        .collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    scratch.weights.iter().filter(|w| **w != 0.0).count(),
+                    0,
+                    "weight scratch left dirty"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The dense-scatter kernel is bit-identical to the two-pointer
+        /// merge over random vectors whose slots are assigned, updated
+        /// wholesale, patched by feedback deltas and recycled after
+        /// removal.
+        #[test]
+        fn kernel_matches_merge_over_random_vectors(
+            ops in proptest::collection::vec(
+                (
+                    1u64..8,
+                    0u8..6,
+                    "[a-b]{1}",
+                    proptest::collection::vec(("[a-f]{1,2}", 0.01f64..3.0), 0..5),
+                ),
+                1..30,
+            ),
+            threshold in 1.0f64..4.0,
+        ) {
+            use crate::learning::{BehaviorEvent, BehaviorKind, LearnerConfig, ProfileLearner};
+            use crate::profile::Profile;
+            use ecp::merchandise::CategoryPath;
+            use std::collections::BTreeMap;
+
+            let learner = ProfileLearner::new(LearnerConfig {
+                max_terms: 6,
+                ..LearnerConfig::default()
+            });
+            let mut profiles: BTreeMap<u64, Profile> = BTreeMap::new();
+            let mut index = ProfileIndex::new();
+            for (id, op, cat, terms) in ops {
+                match op {
+                    0 => {
+                        profiles.remove(&id);
+                        index.remove(id);
+                    }
+                    1 => {
+                        let mut p = Profile::new();
+                        for (t, w) in &terms {
+                            p.category_mut(&cat).sub_mut("s").add(t.clone(), *w);
+                        }
+                        index.update(id, &p);
+                        profiles.insert(id, p);
+                    }
+                    _ => {
+                        let profile = profiles.entry(id).or_default();
+                        let event = BehaviorEvent::new(
+                            BehaviorKind::Purchase,
+                            CategoryPath::new(cat, "s"),
+                            TermVector::from_pairs(terms),
+                        );
+                        index.apply_delta(id, &learner.apply_indexed(profile, &event));
+                    }
+                }
+            }
+            assert_kernel_matches_merge(&index, &kernel_configs(threshold))?;
+        }
+
+        /// The same equivalence on a store driven through its public
+        /// mutators — feedback events, wholesale profile imports
+        /// (including empty ones) and the decay pass that rebuilds every
+        /// slot — and end to end through an exhaustive ANN query, whose
+        /// LSH index is built part-way and then maintained incrementally.
+        #[test]
+        fn kernel_matches_merge_over_store_interleavings(
+            ops in proptest::collection::vec((1u64..10, 0u8..10, 0u64..8), 1..50),
+            build_at in 0usize..50,
+            threshold in 1.0f64..4.0,
+        ) {
+            use crate::learning::BehaviorKind;
+            use crate::profile::{ConsumerId, Profile};
+            use crate::store::RecommendStore;
+            use ecp::merchandise::{CategoryPath, ItemId, Merchandise, Money};
+            use proptest::prop_assert_eq;
+
+            const KINDS: [BehaviorKind; 4] = [
+                BehaviorKind::Query,
+                BehaviorKind::Browse,
+                BehaviorKind::Bid,
+                BehaviorKind::Purchase,
+            ];
+            let mut store = RecommendStore::new();
+            for id in 0..8u64 {
+                store.upsert_item(Merchandise {
+                    id: ItemId(id),
+                    name: format!("item{id}"),
+                    category: CategoryPath::new(["books", "music"][(id % 2) as usize], "s"),
+                    terms: TermVector::from_pairs([
+                        (format!("t{id}"), 1.0),
+                        (format!("t{}", (id + 1) % 8), 0.3),
+                    ]),
+                    list_price: Money::from_units(10),
+                    seller: 1,
+                });
+            }
+            let exhaustive = SimilarityConfig {
+                ann: Some(AnnConfig { bits: 1, tables: 1, probes: 1, seed: 3 }),
+                ..SimilarityConfig::default()
+            };
+            for (step, (user, op, item)) in ops.into_iter().enumerate() {
+                if step == build_at {
+                    store.warm_ann(&exhaustive);
+                }
+                match op {
+                    0 => store.decay_all_profiles(0.5),
+                    1 => store.put_profile(ConsumerId(user), Profile::new()),
+                    2 => {
+                        let mut p = Profile::new();
+                        p.category_mut("books").sub_mut("s").set(format!("t{item}"), 0.5);
+                        store.put_profile(ConsumerId(user), p);
+                    }
+                    _ => store.record_event(
+                        ConsumerId(user),
+                        ItemId(item),
+                        KINDS[usize::from(op) % KINDS.len()],
+                    ),
+                }
+            }
+            let configs = kernel_configs(threshold);
+            let index = store.profile_index();
+            assert_kernel_matches_merge(index, &configs)?;
+            for config in &configs {
+                let ann = SimilarityConfig { ann: exhaustive.ann, ..*config };
+                for (id, target) in live_slots(index) {
+                    let want: Vec<(u64, u64)> = top_k(
+                        live_slots(index).into_iter().filter(|(_, s)| *s != target).filter_map(
+                            |(other, slot)| {
+                                let score = score_pair(index.row(target), index.row(slot), config);
+                                (score > config.neighbour_floor).then_some((other, score))
+                            },
+                        ),
+                        1_000,
+                    )
+                    .into_iter()
+                    .map(|(c, s)| (c, s.to_bits()))
+                    .collect();
+                    let got: Vec<(u64, u64)> = store
+                        .nearest_neighbours(ConsumerId(id), &ann, 1_000)
+                        .into_iter()
+                        .map(|(c, s)| (c.0, s.to_bits()))
+                        .collect();
+                    prop_assert_eq!(got, want, "ANN query of {} under {:?}", id, config);
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   term → consumers posting-list index. Consumers sharing no term with
 //!   the target score exactly `0.0` under every similarity method, so
 //!   (for a non-negative neighbour floor) scoring only posting-list
-//!   candidates is lossless;
+//!   candidates is lossless. The same index keeps the slot rows (dense
+//!   consumer slots holding interned term-id vectors) that the ANN
+//!   re-rank kernel of [`crate::ann`] reads;
 //! * [`ItemSimCache`] — memoized item–item cosine similarities for
 //!   item-based CF, invalidated wholesale whenever the ratings matrix
 //!   version changes;
@@ -49,24 +51,39 @@ impl FlatProfile {
 }
 
 /// Flat-profile cache plus inverted term → consumer posting lists, plus
-/// the interned "packed" mirror of each flat vector used by the ANN
-/// re-rank kernel: terms are mapped to dense `u32` ids (assigned on
-/// first sight, never recycled) and each consumer's vector is stored as
-/// a contiguous `(term-id, weight)` array sorted by id, so candidate
-/// scoring is a two-pointer merge over flat memory instead of a B-tree
-/// walk with string compares.
+/// the slot rows the ANN re-rank kernel reads. Every indexed consumer
+/// holds a dense `u32` slot (assigned on first sight, recycled after
+/// [`ProfileIndex::remove`]); its [`SlotRow`] keeps the consumer id, the
+/// norm and the flat vector interned as ascending term ids plus their
+/// weights. Term ids are dense too (assigned on first sight, never
+/// recycled), so a kernel can address a vocabulary-sized array by them
+/// and a candidate costs one indexed load plus one pass over its row —
+/// no map lookups, no string compares.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileIndex {
     flats: BTreeMap<u64, FlatProfile>,
     postings: BTreeMap<String, BTreeSet<u64>>,
-    packed: HashMap<u64, Vec<(u32, f64)>>,
+    slots: HashMap<u64, u32>,
+    rows: Vec<SlotRow>,
+    free_slots: Vec<u32>,
     term_ids: HashMap<String, u32>,
     next_term_id: u32,
 }
 
-/// Borrowed view of a packed flat vector: sorted `(term-id, weight)`
-/// pairs, cached Euclidean norm, and term count.
-pub(crate) type PackedView<'a> = (&'a [(u32, f64)], f64, usize);
+/// One slot of [`ProfileIndex`]: the consumer holding it, its flat norm
+/// and its flat vector as ascending term ids with their weights at the
+/// same positions. The two live in separate arrays because a re-rank scan
+/// reads every term id of a candidate but only the weights of the terms
+/// it shares with the target. Every weight is positive (flat vectors
+/// never hold zeros), which is what lets a kernel read `0.0` in a dense
+/// weight array as "term absent".
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotRow {
+    pub(crate) id: u64,
+    pub(crate) norm: f64,
+    pub(crate) term_ids: Vec<u32>,
+    pub(crate) weights: Vec<f64>,
+}
 
 impl ProfileIndex {
     /// Empty index.
@@ -87,6 +104,7 @@ impl ProfileIndex {
     }
 
     /// Insert or refresh the entry for `id` after its profile changed.
+    /// An already indexed consumer keeps its slot.
     pub fn update(&mut self, id: u64, profile: &Profile) {
         self.unlink(id);
         let flat = FlatProfile::of(profile);
@@ -96,21 +114,34 @@ impl ProfileIndex {
                 .or_default()
                 .insert(id);
         }
-        let packed = self.pack(&flat.vector);
-        self.packed.insert(id, packed);
+        let mut terms: Vec<(u32, f64)> = flat
+            .vector
+            .iter()
+            .map(|(term, w)| (intern(&mut self.term_ids, &mut self.next_term_id, term), w))
+            .collect();
+        terms.sort_unstable_by_key(|(t, _)| *t);
+        let (term_ids, weights) = terms.into_iter().unzip();
+        let slot = self.slot_for(id);
+        self.rows[slot] = SlotRow {
+            id,
+            norm: flat.norm,
+            term_ids,
+            weights,
+        };
         self.flats.insert(id, flat);
     }
 
     /// Apply a [`ProfileDelta`] from the incremental learning path: only
     /// the changed flat keys are touched in the vector, postings and
-    /// packed mirror — O(changed terms × log profile) instead of a full
+    /// slot row — O(changed terms × log profile) instead of a full
     /// re-flatten — and the norm is recomputed from the maintained
     /// vector, which keeps it bit-identical to a fresh
     /// [`FlatProfile::of`] (the maintained weights *are* the flatten
     /// output; only re-deriving them wholesale is skipped).
     pub fn apply_delta(&mut self, id: u64, delta: &ProfileDelta) {
+        let slot = self.slot_for(id);
         let flat = self.flats.entry(id).or_default();
-        let packed = self.packed.entry(id).or_default();
+        let row = &mut self.rows[slot];
         let mut dirty = false;
         for (key, new_w) in delta.changes() {
             let old_w = flat.vector.weight(key);
@@ -121,9 +152,12 @@ impl ProfileIndex {
                 dirty = true;
                 flat.vector.set(key.clone(), new_w);
                 let tid = intern(&mut self.term_ids, &mut self.next_term_id, key);
-                match packed.binary_search_by_key(&tid, |(t, _)| *t) {
-                    Ok(pos) => packed[pos].1 = new_w,
-                    Err(pos) => packed.insert(pos, (tid, new_w)),
+                match row.term_ids.binary_search(&tid) {
+                    Ok(pos) => row.weights[pos] = new_w,
+                    Err(pos) => {
+                        row.term_ids.insert(pos, tid);
+                        row.weights.insert(pos, new_w);
+                    }
                 }
                 if old_w == 0.0 {
                     self.postings.entry(key.clone()).or_default().insert(id);
@@ -132,8 +166,9 @@ impl ProfileIndex {
                 dirty = true;
                 flat.vector.set(key.clone(), 0.0);
                 if let Some(tid) = self.term_ids.get(key) {
-                    if let Ok(pos) = packed.binary_search_by_key(tid, |(t, _)| *t) {
-                        packed.remove(pos);
+                    if let Ok(pos) = row.term_ids.binary_search(tid) {
+                        row.term_ids.remove(pos);
+                        row.weights.remove(pos);
                     }
                 }
                 if let Some(set) = self.postings.get_mut(key) {
@@ -146,14 +181,20 @@ impl ProfileIndex {
         }
         if dirty {
             flat.norm = flat.vector.norm();
+            row.norm = flat.norm;
         }
     }
 
-    /// Drop the entry for `id` (profile removed from the store).
+    /// Drop the entry for `id` (profile removed from the store). Its slot
+    /// goes back to the free list for the next new consumer, so any
+    /// structure addressing slots (the LSH tier) must be rebuilt or told.
     pub fn remove(&mut self, id: u64) {
         self.unlink(id);
         self.flats.remove(&id);
-        self.packed.remove(&id);
+        if let Some(slot) = self.slots.remove(&id) {
+            self.rows[slot as usize] = SlotRow::default();
+            self.free_slots.push(slot);
+        }
     }
 
     fn unlink(&mut self, id: u64) {
@@ -167,6 +208,24 @@ impl ProfileIndex {
                 }
             }
         }
+    }
+
+    /// Index into `rows` of `id`'s slot, assigning one (a recycled slot
+    /// first) if `id` has none.
+    fn slot_for(&mut self, id: u64) -> usize {
+        if let Some(slot) = self.slots.get(&id) {
+            return *slot as usize;
+        }
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                self.rows.push(SlotRow::default());
+                u32::try_from(self.rows.len() - 1).expect("fewer than 2^32 indexed consumers")
+            }
+        };
+        self.rows[slot as usize].id = id;
+        self.slots.insert(id, slot);
+        slot as usize
     }
 
     /// Cached flat profile of `id`, if indexed.
@@ -203,22 +262,19 @@ impl ProfileIndex {
         out.dedup();
     }
 
-    /// The interned packed mirror of `id`'s flat vector for the ANN
-    /// re-rank kernel: `(sorted (term-id, weight) pairs, norm, term
-    /// count)`.
-    pub(crate) fn packed(&self, id: u64) -> Option<PackedView<'_>> {
-        let flat = self.flats.get(&id)?;
-        let packed = self.packed.get(&id)?;
-        Some((packed.as_slice(), flat.norm, packed.len()))
+    /// Slot held by `id`, if indexed.
+    pub(crate) fn slot(&self, id: u64) -> Option<u32> {
+        self.slots.get(&id).copied()
     }
 
-    fn pack(&mut self, vector: &TermVector) -> Vec<(u32, f64)> {
-        let mut packed: Vec<(u32, f64)> = vector
-            .iter()
-            .map(|(term, w)| (intern(&mut self.term_ids, &mut self.next_term_id, term), w))
-            .collect();
-        packed.sort_unstable_by_key(|(t, _)| *t);
-        packed
+    /// The row of `slot` (a slot handed out by [`ProfileIndex::slot`]).
+    pub(crate) fn row(&self, slot: u32) -> &SlotRow {
+        &self.rows[slot as usize]
+    }
+
+    /// Number of term ids handed out: every row's term ids are below it.
+    pub(crate) fn vocab_len(&self) -> usize {
+        self.next_term_id as usize
     }
 
     /// Number of indexed consumers.
@@ -402,8 +458,10 @@ impl Eq for RankEntry {}
 /// Best `k` of `scored` under the reference ordering
 /// `sort_by(score desc, id asc); truncate(k)`, selected with a bounded
 /// min-heap instead of a full sort. Output is identical to the reference
-/// because the ordering is total over unique ids.
-pub(crate) fn top_k(scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
+/// because the ordering is total over unique ids, so it does not depend
+/// on the order `scored` yields them in. Taking an iterator lets a caller
+/// stream scores in without collecting them first.
+pub(crate) fn top_k(scored: impl IntoIterator<Item = (u64, f64)>, k: usize) -> Vec<(u64, f64)> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     if k == 0 {
@@ -491,10 +549,19 @@ mod tests {
         let mut index = ProfileIndex::new();
         index.update(1, &profile(&[("books", "prog", "rust", 1.0)]));
         index.update(2, &profile(&[("books", "prog", "rust", 1.0)]));
+        let freed = index.slot(1).unwrap();
         index.remove(1);
         assert!(index.flat(1).is_none());
+        assert!(index.slot(1).is_none());
         let term = TermVector::from_pairs([("books/prog/rust", 1.0)]);
         assert_eq!(index.candidates(&term), vec![2]);
+        // the next new consumer recycles the freed slot, with a fresh row
+        index.update(3, &profile(&[("music", "jazz", "sax", 2.0)]));
+        assert_eq!(index.slot(3), Some(freed));
+        let row = index.row(freed);
+        assert_eq!((row.id, row.term_ids.len(), row.weights.len()), (3, 1, 1));
+        assert_eq!(row.norm.to_bits(), 2.0f64.to_bits());
+        index.remove(3);
         index.remove(2);
         assert!(index.is_empty());
         assert_eq!(index.term_count(), 0);
@@ -621,11 +688,12 @@ mod tests {
         assert!(incremental.candidates(&probe).is_empty());
         let probe = TermVector::from_pairs([("b/p/z", 1.0)]);
         assert_eq!(incremental.candidates(&probe), vec![7]);
-        // packed mirror stayed in sync
-        let (packed, norm, len) = incremental.packed(7).unwrap();
-        assert_eq!(len, 3);
-        assert!(packed.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(norm.to_bits(), b.norm.to_bits());
+        // the slot row stayed in sync
+        let row = incremental.row(incremental.slot(7).unwrap());
+        assert_eq!(row.id, 7);
+        assert_eq!((row.term_ids.len(), row.weights.len()), (3, 3));
+        assert!(row.term_ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(row.norm.to_bits(), b.norm.to_bits());
     }
 
     #[cfg(feature = "parallel")]

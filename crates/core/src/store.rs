@@ -7,7 +7,7 @@
 //! sales ledger and purchase baskets used by the top-seller baseline and
 //! the tied-sale extension.
 
-use crate::ann::LshIndex;
+use crate::ann::{AnnScratch, LshIndex};
 use crate::index::{FlatProfile, ItemSimCache, ProfileIndex};
 use crate::learning::{BehaviorEvent, BehaviorKind, LearnerConfig, ProfileLearner};
 use crate::profile::{ConsumerId, Profile};
@@ -46,6 +46,8 @@ pub struct RecommendStore {
     /// Reusable candidate-id scratch so steady-state queries don't
     /// allocate for candidate generation.
     query_scratch: Mutex<Vec<u64>>,
+    /// The ANN path's reusable probe and re-rank scratch.
+    ann_scratch: Mutex<AnnScratch>,
 }
 
 impl Clone for RecommendStore {
@@ -62,6 +64,7 @@ impl Clone for RecommendStore {
             item_sims: Mutex::new(self.item_sims.lock().clone()),
             ann: Mutex::new(self.ann.lock().clone()),
             query_scratch: Mutex::new(Vec::new()),
+            ann_scratch: Mutex::new(AnnScratch::default()),
         }
     }
 }
@@ -100,6 +103,7 @@ impl Deserialize for RecommendStore {
             item_sims: Mutex::new(ItemSimCache::default()),
             ann: Mutex::new(None),
             query_scratch: Mutex::new(Vec::new()),
+            ann_scratch: Mutex::new(AnnScratch::default()),
         })
     }
 }
@@ -143,11 +147,7 @@ impl RecommendStore {
         let delta = self.learner.apply_indexed(profile, &event);
         self.index.apply_delta(consumer.0, &delta);
         if !delta.is_empty() {
-            if let Some(lsh) = self.ann.get_mut().as_mut() {
-                if let Some(flat) = self.index.flat(consumer.0) {
-                    lsh.update(consumer.0, &flat.vector);
-                }
-            }
+            self.refresh_ann(consumer.0);
         }
         self.ratings.observe_behavior(consumer, item, kind);
         if matches!(kind, BehaviorKind::Purchase | BehaviorKind::AuctionWin) {
@@ -175,12 +175,17 @@ impl RecommendStore {
     /// UserDB).
     pub fn put_profile(&mut self, consumer: ConsumerId, profile: Profile) {
         self.index.update(consumer.0, &profile);
+        self.refresh_ann(consumer.0);
+        self.profiles.insert(consumer.0, profile);
+    }
+
+    /// Re-hash `id` into a built LSH index after its flat vector changed.
+    fn refresh_ann(&mut self, id: u64) {
         if let Some(lsh) = self.ann.get_mut().as_mut() {
-            if let Some(flat) = self.index.flat(consumer.0) {
-                lsh.update(consumer.0, &flat.vector);
+            if let (Some(slot), Some(flat)) = (self.index.slot(id), self.index.flat(id)) {
+                lsh.update(slot, &flat.vector);
             }
         }
-        self.profiles.insert(consumer.0, profile);
     }
 
     /// Iterate `(consumer, profile)`.
@@ -295,19 +300,23 @@ impl RecommendStore {
             return Self::finish_top_k(scored, k);
         }
         if let Some(ann_cfg) = config.ann {
-            // ANN path: candidates from LSH buckets, re-ranked with the
-            // exact measure over the packed vectors
-            let mut scratch = self.query_scratch.lock();
+            // ANN path: candidate slots from LSH buckets, re-ranked with
+            // the exact measure over the slot rows
+            let slot = self
+                .index
+                .slot(consumer.0)
+                .expect("flat entries hold a slot");
+            let mut scratch = self.ann_scratch.lock();
             self.with_ann(&ann_cfg, |lsh| {
-                lsh.candidates(&target.vector, ann_cfg.probes, &mut scratch);
+                lsh.candidates(&target.vector, ann_cfg.probes, slot, &mut scratch);
             });
-            scratch.retain(|id| *id != consumer.0);
-            let scored = if let Some((tp, tnorm, tlen)) = self.index.packed(consumer.0) {
-                crate::ann::score_packed(&self.index, tp, tnorm, tlen, &scratch, config)
-            } else {
-                Vec::new()
-            };
-            return Self::finish_top_k(scored, k);
+            return Self::consumer_ids(crate::ann::rerank(
+                &self.index,
+                slot,
+                config,
+                &mut scratch,
+                k,
+            ));
         }
         let mut scratch = self.query_scratch.lock();
         self.index.candidates_into(&target.vector, &mut scratch);
@@ -317,8 +326,11 @@ impl RecommendStore {
     }
 
     fn finish_top_k(scored: Vec<(u64, f64)>, k: usize) -> Vec<(ConsumerId, f64)> {
-        crate::index::top_k(scored, k)
-            .into_iter()
+        Self::consumer_ids(crate::index::top_k(scored, k))
+    }
+
+    fn consumer_ids(best: Vec<(u64, f64)>) -> Vec<(ConsumerId, f64)> {
+        best.into_iter()
             .map(|(id, s)| (ConsumerId(id), s))
             .collect()
     }
@@ -332,7 +344,9 @@ impl RecommendStore {
         if stale {
             let mut lsh = LshIndex::new(*cfg);
             for (id, flat) in self.index.flats() {
-                lsh.update(id, &flat.vector);
+                if let Some(slot) = self.index.slot(id) {
+                    lsh.update(slot, &flat.vector);
+                }
             }
             *guard = Some(lsh);
         }
@@ -618,6 +632,61 @@ mod tests {
             nn.iter().any(|(id, _)| *id == ConsumerId(42)),
             "freshly added twin consumer must be findable via ANN"
         );
+    }
+
+    #[test]
+    fn empty_profiles_stay_out_of_the_lsh_buckets() {
+        use crate::ann::AnnConfig;
+        let mut s = store_with_items(4);
+        for u in 1..=12u64 {
+            s.record_event(ConsumerId(u), ItemId(1 + u % 4), BehaviorKind::Purchase);
+        }
+        // cold consumers: a PA's load_or_create stores an empty profile
+        for u in 100..105u64 {
+            s.put_profile(ConsumerId(u), Profile::new());
+        }
+        let cfg = crate::similarity::SimilarityConfig {
+            ann: Some(AnnConfig {
+                bits: 8,
+                tables: 4,
+                probes: 8,
+                seed: 11,
+            }),
+            ..crate::similarity::SimilarityConfig::default()
+        };
+        s.warm_ann(&cfg);
+        // …and through the incremental paths once the index is built: a
+        // new cold consumer, and a resident whose profile is reset
+        s.put_profile(ConsumerId(105), Profile::new());
+        s.put_profile(ConsumerId(1), Profile::new());
+        let cold: Vec<u32> = [1, 100, 101, 102, 103, 104, 105]
+            .iter()
+            .map(|u| {
+                s.profile_index()
+                    .slot(*u)
+                    .expect("cold consumers are indexed")
+            })
+            .collect();
+        {
+            let guard = s.ann.lock();
+            let lsh = guard.as_ref().expect("index built");
+            assert!(
+                lsh.members().all(|slot| !cold.contains(&slot)),
+                "an empty profile sits in an LSH bucket"
+            );
+            assert_eq!(lsh.len(), 11);
+        }
+        // a warm query leaves candidates in the scratch; a cold target's
+        // query must clear them and score none
+        assert!(!s.nearest_neighbours(ConsumerId(2), &cfg, 10).is_empty());
+        assert!(!s.ann_scratch.lock().candidates().is_empty());
+        for u in [1u64, 100, 105] {
+            assert!(s.nearest_neighbours(ConsumerId(u), &cfg, 10).is_empty());
+            assert!(
+                s.ann_scratch.lock().candidates().is_empty(),
+                "cold target {u} re-ranked candidates"
+            );
+        }
     }
 
     #[test]
