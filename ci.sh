@@ -28,7 +28,7 @@ filtered_test() {
 # the sharded/threaded paths, then exit. Does not run the normal gate.
 # --query-stress: hammer the ANN query tier — 10 iterations of the ANN
 # suite at 10^4 consumers plus the query-tier property tests (including
-# the re-rank kernel ≡ merge reference properties in core), then the
+# the re-rank kernel ≡ vector_similarity properties in core), then the
 # full-scale query bench including the 10^6-consumer axis. Does not run
 # the normal gate.
 # --recovery-stress: loop the crash-point matrix and WAL property tests
@@ -75,7 +75,7 @@ if [[ "${1:-}" == "--query-stress" ]]; then
     ANN_USERS=10000 cargo test -q --release --test ann
     filtered_test -q --release --test properties incremental_index_matches_rebuild
     filtered_test -q --release --test properties ann_neighbours_subset
-    filtered_test -q --release -p abcrm-core ann::tests::kernel_matches_merge
+    filtered_test -q --release -p abcrm-core ann::tests::kernel_matches_vector_similarity
   done
   echo "==> full query scaling bench (QUERY_BENCH_FULL=1: 10^4/10^5/10^6 axis)"
   QUERY_BENCH_FULL=1 cargo bench -p bench --bench query_hot_path
@@ -172,10 +172,10 @@ for n in 1 2 4; do
   cargo run --release -q --example sharded -- "$n" >/dev/null
 done
 
-# ANN smoke: oracle equivalence, subset/score agreement and the 0.95
+# ANN smoke: oracle equivalence, bit-identical scores and the 0.95
 # recall floor at 10^4 consumers, on both feature sets — plus the
-# allocation gates on the warm exact candidate path (zero) and the warm
-# ANN query (top-k heap only, whatever the candidate count).
+# allocation gate on warm exact and ANN queries (top-k heap only,
+# whatever the candidate count).
 echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users, both feature sets)"
 ANN_USERS=10000 cargo test -q --release --test ann
 ANN_USERS=10000 cargo test -q --release --test ann --features parallel

@@ -51,8 +51,9 @@ enum Envelope {
     /// unreachability flag lives in [`Shared::chaos`]). Broadcast to every
     /// worker of the host.
     AdminCrash,
-    /// Chaos: run the durable recovery pass after a restart (no-op without
-    /// durability). Broadcast to every worker of the host.
+    /// Chaos: the host restarted — trace it and run the durable recovery
+    /// pass (a no-op without durability). Broadcast to every worker of the
+    /// host.
     AdminRestart,
     /// Chaos: the host's hang cleared (heal or supervisor bounce) — replay
     /// every stalled envelope. Broadcast to every worker of the host.
@@ -595,9 +596,10 @@ impl ThreadWorld {
         Ok(())
     }
 
-    /// Bring a crashed host back up (empty, but reachable again). With
-    /// durability configured, each of the host's workers then runs the
-    /// recovery pass over its durable store: journalled agents are
+    /// Bring a crashed host back up (empty, but reachable again): every
+    /// worker of the host is told, the lead one traces
+    /// `chaos: <host> restarted`, and each runs the recovery pass over its
+    /// durable store, if durability is configured — journalled agents are
     /// restored and handed their logged profile deltas via
     /// [`Agent::on_recovered`].
     ///
@@ -614,9 +616,7 @@ impl ThreadWorld {
             if let Some(sup) = &self.shared.supervision {
                 sup.lock().observe_restart(host);
             }
-            if self.shared.durability.is_some() {
-                self.shared.send_envelope(host, Envelope::AdminRestart);
-            }
+            self.shared.send_envelope(host, Envelope::AdminRestart);
         }
         Ok(())
     }

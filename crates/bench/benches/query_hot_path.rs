@@ -22,18 +22,17 @@
 //! recall@10 per size (the numbers recorded in `BENCH_query.json`).
 //!
 //! **Allocation gate** — the binary runs under a counting allocator and
-//! asserts that a warm `ProfileIndex::candidates_into` performs zero
-//! allocations, and that a warm ANN `RecommendStore::nearest_neighbours`
-//! allocates only its top-k heap and result, however many candidates it
-//! re-ranks (the reusable-scratch contract). Pass `--assert-no-alloc` to
-//! run only this gate.
+//! asserts that a warm `RecommendStore::nearest_neighbours`, exact or
+//! ANN, allocates only its top-k heap (which the result reuses), however
+//! many candidates it re-ranks (the reusable-scratch contract). Pass
+//! `--assert-no-alloc` to run only this gate.
 
 use abcrm_core::learning::BehaviorKind;
 use abcrm_core::profile::ConsumerId;
 use abcrm_core::recommend::{HybridRecommender, QueryContext, Recommender};
 use abcrm_core::similarity::SimilarityConfig;
 use abcrm_core::store::RecommendStore;
-use abcrm_core::{AnnConfig, ItemCfRecommender, ProfileIndex};
+use abcrm_core::{AnnConfig, ItemCfRecommender};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecp::merchandise::{CategoryPath, ItemId, Merchandise, Money};
 use ecp::terms::TermVector;
@@ -67,42 +66,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warm `candidates_into` must be allocation-free: after one sizing
-/// pass, a thousand repeats on the reused scratch buffer may not touch
-/// the allocator at all.
-fn assert_candidates_no_alloc(store: &RecommendStore) {
-    let index = ProfileIndex::rebuild(store.profiles().map(|(c, p)| (c.0, p)));
-    let target = index
-        .flat(1)
-        .expect("probe consumer indexed")
-        .vector
-        .clone();
-    let mut scratch = Vec::new();
-    index.candidates_into(&target, &mut scratch); // size the buffer once
-    assert!(!scratch.is_empty(), "probe consumer has candidates");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        index.candidates_into(&target, &mut scratch);
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocs, 0,
-        "warm candidates_into allocated {allocs} times over 1000 queries"
-    );
-    println!("no-alloc gate: 1000 warm candidates_into calls, 0 allocations");
-}
+/// Allocations a warm query may make: the top-k heap, whose buffer the
+/// returned `Vec` reuses. Candidate generation (posting lists or LSH
+/// probe), dedup and re-rank scratch live in the store.
+const QUERY_ALLOCS: u64 = 1;
 
-/// Allocations a warm ANN query may make: the top-k heap, whose buffer
-/// the returned `Vec` reuses. The probe, dedup and re-rank scratch live
-/// in the store.
-const ANN_QUERY_ALLOCS: u64 = 1;
-
-/// A warm ANN `nearest_neighbours` must make the same, constant number
-/// of allocations for every consumer, whatever its candidate count:
-/// checked under two LSH shapes whose candidate volumes differ widely.
-fn assert_ann_query_constant_alloc(store: &RecommendStore) {
+/// Warm `nearest_neighbours` must make the same, constant number of
+/// allocations for every consumer, whatever its candidate count: checked
+/// on the exact path and under two LSH shapes whose candidate volumes
+/// differ widely.
+fn assert_query_constant_alloc(store: &RecommendStore) {
     let consumers: Vec<ConsumerId> = (1..=500).step_by(7).map(ConsumerId).collect();
-    for bits in [8u8, 3] {
+    let exact = ("exact".to_string(), SimilarityConfig::default());
+    let ann = [8u8, 3].map(|bits| {
         let cfg = SimilarityConfig {
             ann: Some(AnnConfig {
                 bits,
@@ -112,6 +88,9 @@ fn assert_ann_query_constant_alloc(store: &RecommendStore) {
             }),
             ..SimilarityConfig::default()
         };
+        (format!("ANN at {bits} bits"), cfg)
+    });
+    for (label, cfg) in std::iter::once(exact).chain(ann) {
         store.warm_ann(&cfg);
         for c in &consumers {
             store.nearest_neighbours(*c, &cfg, 10); // size the scratch
@@ -124,12 +103,12 @@ fn assert_ann_query_constant_alloc(store: &RecommendStore) {
             assert!(!found.is_empty(), "probe consumer {c} has neighbours");
         }
         println!(
-            "ann alloc gate: {} warm ANN queries at {bits} bits, allocations per query {counts:?}",
+            "alloc gate: {} warm {label} queries, allocations per query {counts:?}",
             consumers.len()
         );
         assert!(
-            counts.len() == 1 && counts.iter().all(|n| *n <= ANN_QUERY_ALLOCS),
-            "warm ANN queries allocated {counts:?} times (at most {ANN_QUERY_ALLOCS}, constant)"
+            counts.len() == 1 && counts.iter().all(|n| *n <= QUERY_ALLOCS),
+            "warm {label} queries allocated {counts:?} times (at most {QUERY_ALLOCS}, constant)"
         );
     }
 }
@@ -310,8 +289,7 @@ fn bench(c: &mut Criterion) {
     for users in [1_000u64, 10_000, 100_000] {
         let store = build_store(users);
         if users == 10_000 {
-            assert_candidates_no_alloc(&store);
-            assert_ann_query_constant_alloc(&store);
+            assert_query_constant_alloc(&store);
         }
         let cfg = hybrid.similarity;
         group.bench_with_input(BenchmarkId::new("hybrid_indexed", users), &store, |b, s| {
@@ -341,8 +319,7 @@ fn bench(c: &mut Criterion) {
 fn run(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--assert-no-alloc") {
         let store = build_store(10_000);
-        assert_candidates_no_alloc(&store);
-        assert_ann_query_constant_alloc(&store);
+        assert_query_constant_alloc(&store);
         return;
     }
     bench(c);

@@ -1,12 +1,12 @@
-//! Approximate nearest-neighbour search over flattened profiles — the
-//! million-user query tier.
+//! Neighbour search over the slot rows of [`crate::index::ProfileIndex`]:
+//! candidate generation (exact posting lists or the LSH tier) and the one
+//! re-rank kernel both feed.
 //!
-//! The exact posting-list path of [`crate::index::ProfileIndex`] scores
-//! every consumer sharing at least one term with the target; with broad
-//! shared vocabulary that candidate set grows linearly with the
-//! population, so at 10^5–10^6 consumers candidate *scoring* becomes the
-//! hot path. This module trades a measured sliver of recall for
-//! sublinear candidate generation:
+//! The exact path scores every consumer sharing at least one term with
+//! the target; with broad shared vocabulary that candidate set grows
+//! linearly with the population, so at 10^5–10^6 consumers candidate
+//! *scoring* becomes the hot path. The LSH tier trades a measured sliver
+//! of recall for sublinear candidate generation:
 //!
 //! * [`AnnConfig`] — the `SimilarityConfig::ann` knob: random-hyperplane
 //!   LSH with tunable signature width (`bits`), table count (`tables`)
@@ -15,28 +15,31 @@
 //!   deterministic function of `(profiles, config)`.
 //! * [`LshIndex`] — multi-table signature buckets over the slots of
 //!   [`crate::index::ProfileIndex`], maintained incrementally: a Fig 4.5
-//!   feedback delta re-hashes the consumer's signature from the
-//!   already-maintained flat vector (no re-flatten) and moves the slot
-//!   only between the buckets whose signature actually changed. Empty
-//!   vectors are never bucketed: they score `0.0` against everyone.
-//! * [`rerank`] — the re-rank kernel: the target's row is scattered once
-//!   into a vocabulary-indexed weight array, then each candidate is
-//!   scored in one linear pass over its slot row (no map lookups, no
-//!   string compares, no per-candidate allocation), composing with the
-//!   `parallel` feature's deterministic block fan-out. Shared terms come
-//!   out in ascending term id, the order a two-pointer merge of the two
-//!   sorted rows yields, so every measure sums in the same order.
+//!   feedback delta re-hashes the consumer's signature from its
+//!   already-maintained row (no re-flatten) and moves the slot only
+//!   between the buckets whose signature actually changed. Empty rows are
+//!   never bucketed: they score `0.0` against everyone.
+//! * [`exact_candidates`] — the exact path's candidates: the posting-list
+//!   union of the target's terms (or, under a negative neighbour floor,
+//!   every live slot), deduplicated like the LSH probe's.
+//! * [`rerank`] — the kernel: the target's row is scattered once into a
+//!   vocabulary-indexed weight array, then each candidate is scored in
+//!   one linear pass over its slot row (no map lookups, no string
+//!   compares, no per-candidate allocation), composing with the
+//!   `parallel` feature's deterministic block fan-out. Rows are in term
+//!   order, so shared terms come out in the order
+//!   [`crate::similarity::vector_similarity`] visits them and one
+//!   [`crate::similarity::measure`] sums them: every score, exact or
+//!   ANN, is bit-identical to that function's.
 //!
-//! Because the re-rank applies the *exact* similarity semantics
-//! (discard threshold, `min_overlap`, the configured method) and the
-//! neighbour floor filter, ANN results are always a subset of the exact
-//! scan's admitted candidates — the index can only *miss* neighbours,
-//! never invent them. `tests/ann.rs` and the property suite hold it to a
-//! measured recall floor.
+//! Because the ANN path re-ranks with the exact measure and the neighbour
+//! floor filter, its results are always a subset of the exact scan's,
+//! with equal scores — the index can only *miss* neighbours, never invent
+//! them. `tests/ann.rs` and the property suite hold it to a measured
+//! recall floor.
 
 use crate::index::{top_k, ProfileIndex, SlotRow};
-use crate::similarity::SimilarityConfig;
-use ecp::terms::TermVector;
+use crate::similarity::{discarded, measure, SimilarityConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -147,36 +150,70 @@ pub(crate) struct LshIndex {
     /// Slot-indexed signatures, `tables` words per slot; meaningful only
     /// where `linked` is set.
     sigs: Vec<u32>,
-    /// Whether each slot sits in the buckets (empty vectors do not).
+    /// Whether each slot sits in the buckets (empty rows do not).
     linked: Vec<bool>,
     /// Per-table `signature → slots` buckets. Members are unordered
     /// (`swap_remove` on unlink); the probe deduplicates the union.
     buckets: Vec<HashMap<u32, Vec<u32>>>,
 }
 
-/// Reusable per-store query scratch for the ANN path: the probe's
-/// projections, flip order and generation-stamped seen array, the
-/// candidate slots it yields, and the re-rank's dense weight array and
+/// Reusable per-store query scratch: the probe's projections and flip
+/// order, the candidate set, and the re-rank's dense weight array and
 /// shared-pair buffer. Once warm, a query allocates none of it.
 #[derive(Debug, Default)]
-pub(crate) struct AnnScratch {
+pub(crate) struct QueryScratch {
     proj: Vec<f64>,
     flip_order: Vec<usize>,
-    /// `seen[slot] == generation` ⇔ the slot is already a candidate of
-    /// the current query.
-    seen: Vec<u32>,
-    generation: u32,
-    candidates: Vec<u32>,
+    candidates: Candidates,
     /// Vocabulary-indexed target weights; all `0.0` between queries.
     weights: Vec<f64>,
     shared: Vec<(f64, f64)>,
 }
 
 #[cfg(test)]
-impl AnnScratch {
-    /// Candidate slots of the last probe.
+impl QueryScratch {
+    /// Candidate slots of the last query.
     pub(crate) fn candidates(&self) -> &[u32] {
-        &self.candidates
+        &self.candidates.slots
+    }
+}
+
+/// One query's candidate slots, deduplicated by stamping each slot with
+/// the query's generation in a slot-indexed array.
+#[derive(Debug, Default)]
+struct Candidates {
+    /// `seen[slot] == generation` ⇔ the slot is already a candidate of
+    /// the current query.
+    seen: Vec<u32>,
+    generation: u32,
+    slots: Vec<u32>,
+}
+
+impl Candidates {
+    /// Start a query over slots below `slot_count`: empty the list and
+    /// mark `exclude` (the target's own slot) as seen.
+    fn start(&mut self, slot_count: usize, exclude: u32) {
+        self.slots.clear();
+        self.seen.resize(slot_count, 0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.seen.fill(0);
+            self.generation = 1;
+        }
+        if let Some(own) = self.seen.get_mut(exclude as usize) {
+            *own = self.generation;
+        }
+    }
+
+    /// Append every slot of `members` not yet seen this query.
+    fn admit(&mut self, members: impl IntoIterator<Item = u32>) {
+        for slot in members {
+            let mark = &mut self.seen[slot as usize];
+            if *mark != self.generation {
+                *mark = self.generation;
+                self.slots.push(slot);
+            }
+        }
     }
 }
 
@@ -212,19 +249,19 @@ impl LshIndex {
             .flat_map(|table| table.values().flatten().copied())
     }
 
-    /// Projections of `vector` on every table's hyperplanes, in table ×
-    /// bit order, into `proj`. Iterates the vector in term order, so the
+    /// Projections of `row` on every table's hyperplanes, in table × bit
+    /// order, into `proj`. Sums the row in its (term) order, so the
     /// result — and therefore every signature — is a pure function of
-    /// `(vector, cfg)`: an incrementally maintained vector hashes
+    /// `(vector, cfg)`: an incrementally maintained row hashes
     /// bit-identically to a rebuilt one.
-    fn project(&self, vector: &TermVector, proj: &mut Vec<f64>) {
+    fn project(&self, index: &ProfileIndex, row: &SlotRow, proj: &mut Vec<f64>) {
         let bits = self.cfg.bits() as usize;
         let tables = self.cfg.tables();
         let seed = self.cfg.resolved_seed();
         proj.clear();
         proj.resize(tables * bits, 0.0);
-        for (term, w) in vector.iter() {
-            let th = term_hash(seed, term);
+        for (tid, w) in row.term_ids.iter().zip(&row.weights) {
+            let th = term_hash(seed, index.term(*tid));
             for t in 0..tables {
                 let signs = sign_word(th, t);
                 let row = &mut proj[t * bits..(t + 1) * bits];
@@ -250,22 +287,22 @@ impl LshIndex {
         sig
     }
 
-    /// Insert or refresh `slot` after its flat vector changed. The
-    /// signature is re-hashed from the maintained vector (O(terms ×
-    /// tables) integer mixing) and the slot moves only between buckets
-    /// whose signature actually changed. An empty vector projects to
-    /// `0.0` on every hyperplane, which would put every empty profile in
-    /// the all-ones bucket of every table although it can never score
-    /// above zero: it is unlinked instead.
-    pub(crate) fn update(&mut self, slot: u32, vector: &TermVector) {
-        if vector.is_empty() {
+    /// Insert or refresh `slot` after its row changed. The signature is
+    /// re-hashed from the row (O(terms × tables) integer mixing) and the
+    /// slot moves only between buckets whose signature actually changed.
+    /// An empty row projects to `0.0` on every hyperplane, which would put
+    /// every empty profile in the all-ones bucket of every table although
+    /// it can never score above zero: it is unlinked instead.
+    pub(crate) fn update(&mut self, index: &ProfileIndex, slot: u32) {
+        let row = index.row(slot);
+        if row.term_ids.is_empty() {
             self.remove(slot);
             return;
         }
         let bits = self.cfg.bits() as usize;
         let tables = self.cfg.tables();
         let mut proj = Vec::new();
-        self.project(vector, &mut proj);
+        self.project(index, row, &mut proj);
         let s = slot as usize;
         if self.linked.len() <= s {
             self.linked.resize(s + 1, false);
@@ -300,59 +337,38 @@ impl LshIndex {
         self.linked[s] = false;
     }
 
-    /// Union of the target's buckets across all tables, multiprobed:
-    /// per table the primary bucket plus `probes` single-bit flips,
-    /// least-confident (smallest |projection|) bit first. The union is
-    /// left in `scratch.candidates`, deduplicated by stamping each slot
-    /// with the query's generation, in probe order, and without
-    /// `exclude` (the target's own slot). An empty target yields no
+    /// Union of the `target` slot's buckets across all tables,
+    /// multiprobed: per table the primary bucket plus `probes` single-bit
+    /// flips, least-confident (smallest |projection|) bit first. The union
+    /// is left in `scratch`'s candidates, deduplicated, in probe order,
+    /// and without the target itself. An empty target yields no
     /// candidate: it scores `0.0` against everyone.
     pub(crate) fn candidates(
         &self,
-        target: &TermVector,
+        index: &ProfileIndex,
+        target: u32,
         probes: u8,
-        exclude: u32,
-        scratch: &mut AnnScratch,
+        scratch: &mut QueryScratch,
     ) {
-        let AnnScratch {
+        let QueryScratch {
             proj,
             flip_order,
-            seen,
-            generation,
             candidates,
             ..
         } = scratch;
-        candidates.clear();
-        if target.is_empty() {
+        candidates.start(index.slot_count(), target);
+        let row = index.row(target);
+        if row.term_ids.is_empty() {
             return;
         }
         let bits = self.cfg.bits() as usize;
-        self.project(target, proj);
-        seen.resize(self.linked.len(), 0);
-        *generation = generation.wrapping_add(1);
-        if *generation == 0 {
-            seen.fill(0);
-            *generation = 1;
-        }
-        let stamp = *generation;
-        if let Some(own) = seen.get_mut(exclude as usize) {
-            *own = stamp;
-        }
-        let mut take = |members: Option<&Vec<u32>>| {
-            for slot in members.into_iter().flatten() {
-                let mark = &mut seen[*slot as usize];
-                if *mark != stamp {
-                    *mark = stamp;
-                    candidates.push(*slot);
-                }
-            }
-        };
+        self.project(index, row, proj);
         let probes = usize::from(probes).min(bits);
         flip_order.clear();
         flip_order.extend(0..bits);
         for (t, table) in self.buckets.iter().enumerate() {
             let sig = Self::signature_of(proj, bits, t);
-            take(table.get(&sig));
+            candidates.admit(table.get(&sig).into_iter().flatten().copied());
             if probes > 0 {
                 let row = &proj[t * bits..(t + 1) * bits];
                 // a total order (ties by bit index), so the unstable
@@ -365,7 +381,13 @@ impl LshIndex {
                         .then(a.cmp(b))
                 });
                 for bit in flip_order.iter().take(probes) {
-                    take(table.get(&(sig ^ (1 << bit))));
+                    candidates.admit(
+                        table
+                            .get(&(sig ^ (1 << bit)))
+                            .into_iter()
+                            .flatten()
+                            .copied(),
+                    );
                 }
             }
         }
@@ -383,6 +405,28 @@ fn remove_member(table: &mut HashMap<u32, Vec<u32>>, sig: u32, slot: u32) {
     }
 }
 
+/// The exact path's candidates for the `target` slot into `scratch`:
+/// every slot sharing a term with it — the posting-list union, the only
+/// slots that can score above zero — or, with `everyone` (a negative
+/// neighbour floor, which admits zero scores), every live slot. The
+/// target itself is left out.
+pub(crate) fn exact_candidates(
+    index: &ProfileIndex,
+    target: u32,
+    everyone: bool,
+    scratch: &mut QueryScratch,
+) {
+    let candidates = &mut scratch.candidates;
+    candidates.start(index.slot_count(), target);
+    if everyone {
+        candidates.admit(index.live().map(|(_, slot)| slot));
+    } else {
+        for tid in &index.row(target).term_ids {
+            candidates.admit(index.posting(*tid).iter().copied());
+        }
+    }
+}
+
 /// Under the `parallel` feature, candidate lists of at least four blocks
 /// of this many slots fan out across cores and concatenate in block
 /// order (deterministic merge, same recipe as
@@ -390,11 +434,11 @@ fn remove_member(table: &mut HashMap<u32, Vec<u32>>, sig: u32, slot: u32) {
 #[cfg(feature = "parallel")]
 const RERANK_BLOCK: usize = 64;
 
-/// Score the candidates left in `scratch` by [`LshIndex::candidates`]
-/// against the `target` slot, applying the full [`SimilarityConfig`]
-/// semantics (discard threshold, `min_overlap`, method) plus the
-/// neighbour-floor filter, and keep the best `k` under the reference
-/// ranking (score desc, id asc).
+/// Score the candidates left in `scratch` (by [`exact_candidates`] or
+/// [`LshIndex::candidates`]) against the `target` slot, applying the full
+/// [`SimilarityConfig`] semantics (discard threshold, `min_overlap`,
+/// method) plus the neighbour-floor filter, and keep the best `k` under
+/// the reference ranking (score desc, id asc).
 ///
 /// The target's row is scattered once into `scratch`'s
 /// vocabulary-indexed weight array (and cleared again afterwards); a
@@ -405,10 +449,10 @@ pub(crate) fn rerank(
     index: &ProfileIndex,
     target: u32,
     config: &SimilarityConfig,
-    scratch: &mut AnnScratch,
+    scratch: &mut QueryScratch,
     k: usize,
 ) -> Vec<(u64, f64)> {
-    let AnnScratch {
+    let QueryScratch {
         candidates,
         weights,
         shared,
@@ -421,7 +465,7 @@ pub(crate) fn rerank(
     for (tid, w) in target.term_ids.iter().zip(&target.weights) {
         weights[*tid as usize] = *w;
     }
-    let best = score_candidates(index, target, weights, candidates, config, shared, k);
+    let best = score_candidates(index, target, weights, &candidates.slots, config, shared, k);
     for tid in &target.term_ids {
         weights[*tid as usize] = 0.0;
     }
@@ -458,12 +502,12 @@ fn score_candidates(
 }
 
 /// One candidate row scored against the target scattered into
-/// `weights`. Walking the candidate's ascending term ids yields the
-/// shared terms in ascending term id — the order a two-pointer merge of
-/// the two rows yields — so [`measure`] sums exactly what the merge
-/// would. A `0.0` weight means the target lacks the term (row weights
-/// are always positive); the candidate's own weight array is read only
-/// for shared terms.
+/// `weights`. Walking the candidate's term-ordered row yields the shared
+/// terms in term order — the order
+/// [`crate::similarity::vector_similarity`] visits them in — so
+/// [`measure`] sums exactly what that function sums. A `0.0` weight means
+/// the target lacks the term (row weights are always positive); the
+/// candidate's own weight array is read only for shared terms.
 fn score_scattered(
     target: &SlotRow,
     weights: &[f64],
@@ -480,119 +524,43 @@ fn score_scattered(
         }
         intersection += 1;
         let wb = row.weights[pos];
-        if discarded(wa, wb, config) {
-            continue;
-        }
-        shared.push((wa, wb));
-    }
-    measure(shared, intersection, target, row, config)
-}
-
-/// The Fig 4.2 discard rule: drop a shared term whose larger weight is
-/// more than `threshold` times the smaller.
-fn discarded(wa: f64, wb: f64, config: &SimilarityConfig) -> bool {
-    config.discard_threshold.is_some_and(|threshold| {
-        let ratio = if wa >= wb { wa / wb } else { wb / wa };
-        ratio > threshold
-    })
-}
-
-/// The configured measure over the surviving shared pairs — mirrors
-/// `similarity::similarity_impl` exactly (same `min_overlap` gate, same
-/// measures). `intersection` counts every shared term, discarded or not.
-fn measure(
-    shared: &[(f64, f64)],
-    intersection: usize,
-    a: &SlotRow,
-    b: &SlotRow,
-    config: &SimilarityConfig,
-) -> f64 {
-    use crate::similarity::SimilarityMethod;
-    if shared.len() < config.min_overlap {
-        return 0.0;
-    }
-    match config.method {
-        SimilarityMethod::Cosine => {
-            let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
-            let denom = a.norm * b.norm;
-            if denom == 0.0 {
-                0.0
-            } else {
-                (dot / denom).clamp(0.0, 1.0)
-            }
-        }
-        SimilarityMethod::Pearson => {
-            let n = shared.len() as f64;
-            if shared.len() < 2 {
-                return 0.0;
-            }
-            let mean_x = shared.iter().map(|(x, _)| x).sum::<f64>() / n;
-            let mean_y = shared.iter().map(|(_, y)| y).sum::<f64>() / n;
-            let mut cov = 0.0;
-            let mut var_x = 0.0;
-            let mut var_y = 0.0;
-            for (x, y) in shared.iter() {
-                cov += (x - mean_x) * (y - mean_y);
-                var_x += (x - mean_x).powi(2);
-                var_y += (y - mean_y).powi(2);
-            }
-            let denom = (var_x * var_y).sqrt();
-            if denom == 0.0 {
-                0.0
-            } else {
-                (cov / denom).clamp(-1.0, 1.0)
-            }
-        }
-        SimilarityMethod::Jaccard => {
-            let union = a.term_ids.len() + b.term_ids.len() - intersection;
-            if union == 0 {
-                0.0
-            } else {
-                shared.len() as f64 / union as f64
-            }
+        if !discarded(wa, wb, config) {
+            shared.push((wa, wb));
         }
     }
-}
-
-/// Reference kernel: one pair scored by a two-pointer merge of the two
-/// sorted rows. [`score_scattered`] must match it bit for bit.
-#[cfg(test)]
-pub(crate) fn score_pair(a: &SlotRow, b: &SlotRow, config: &SimilarityConfig) -> f64 {
-    let mut shared = Vec::new();
-    let mut intersection = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.term_ids.len() && j < b.term_ids.len() {
-        match a.term_ids[i].cmp(&b.term_ids[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (wa, wb) = (a.weights[i], b.weights[j]);
-                i += 1;
-                j += 1;
-                intersection += 1;
-                if !discarded(wa, wb, config) {
-                    shared.push((wa, wb));
-                }
-            }
-        }
-    }
-    measure(&shared, intersection, a, b, config)
+    measure(
+        shared,
+        intersection,
+        (target.term_ids.len(), row.term_ids.len()),
+        || target.norm * row.norm,
+        config,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity::vector_similarity;
+    use ecp::terms::TermVector;
 
     fn vec_of(pairs: &[(&str, f64)]) -> TermVector {
         TermVector::from_pairs(pairs.iter().map(|(t, w)| (t.to_string(), *w)))
     }
 
-    /// The probed candidate slots of `target`, sorted; `u32::MAX`
-    /// excludes nobody.
-    fn probe(lsh: &LshIndex, target: &TermVector, exclude: u32) -> Vec<u32> {
-        let mut scratch = AnnScratch::default();
-        lsh.candidates(target, lsh.cfg.probes, exclude, &mut scratch);
-        let mut out = scratch.candidates;
+    /// An index holding `vectors` as consumers 1, 2, … in slots 0, 1, ….
+    fn index_of(vectors: &[TermVector]) -> ProfileIndex {
+        let mut index = ProfileIndex::new();
+        for (id, v) in (1u64..).zip(vectors) {
+            index.put(id, v);
+        }
+        index
+    }
+
+    /// The probed candidate slots of the `target` slot, sorted.
+    fn probe(lsh: &LshIndex, index: &ProfileIndex, target: u32) -> Vec<u32> {
+        let mut scratch = QueryScratch::default();
+        lsh.candidates(index, target, lsh.cfg.probes, &mut scratch);
+        let mut out = scratch.candidates.slots;
         out.sort_unstable();
         out
     }
@@ -604,13 +572,15 @@ mod tests {
 
     #[test]
     fn identical_vectors_share_every_signature() {
-        let mut lsh = LshIndex::new(AnnConfig::default());
         let v = vec_of(&[("a", 1.0), ("b", 0.5)]);
-        lsh.update(1, &v);
-        lsh.update(2, &v);
-        assert_eq!(probe(&lsh, &v, u32::MAX), vec![1, 2]);
+        // slot 2 holds the same vector but stays out of the buckets
+        let index = index_of(&[v.clone(), v.clone(), v]);
+        let mut lsh = LshIndex::new(AnnConfig::default());
+        lsh.update(&index, 0);
+        lsh.update(&index, 1);
+        assert_eq!(probe(&lsh, &index, 2), vec![0, 1]);
         // the target's own slot is never its own candidate
-        assert_eq!(probe(&lsh, &v, 1), vec![2]);
+        assert_eq!(probe(&lsh, &index, 0), vec![1]);
     }
 
     #[test]
@@ -623,22 +593,25 @@ mod tests {
             probes: 1,
             seed: 9,
         });
+        let vectors: Vec<TermVector> = (0..20)
+            .map(|s| vec_of(&[(&format!("t{s}"), 1.0)]))
+            .collect();
+        let index = index_of(&vectors);
         for slot in 0..20u32 {
-            lsh.update(slot, &vec_of(&[(&format!("t{slot}"), 1.0)]));
+            lsh.update(&index, slot);
         }
-        let mut scratch = AnnScratch::default();
-        let target = vec_of(&[("t3", 1.0)]);
+        let mut scratch = QueryScratch::default();
         for _ in 0..3 {
-            lsh.candidates(&target, 1, 3, &mut scratch);
-            let mut got = scratch.candidates.clone();
+            lsh.candidates(&index, 3, 1, &mut scratch);
+            let mut got = scratch.candidates().to_vec();
             got.sort_unstable();
             assert_eq!(got, (0..20).filter(|s| *s != 3).collect::<Vec<_>>());
         }
         // a wrapped generation counter resets the stamps
-        scratch.generation = u32::MAX;
-        lsh.candidates(&target, 1, 3, &mut scratch);
-        assert_eq!(scratch.generation, 1);
-        assert_eq!(scratch.candidates.len(), 19);
+        scratch.candidates.generation = u32::MAX;
+        lsh.candidates(&index, 3, 1, &mut scratch);
+        assert_eq!(scratch.candidates.generation, 1);
+        assert_eq!(scratch.candidates().len(), 19);
     }
 
     #[test]
@@ -651,16 +624,19 @@ mod tests {
         });
         let before = vec_of(&[("a", 1.0)]);
         let after = vec_of(&[("zzz", 3.0)]);
-        lsh.update(1, &before);
-        let old_sigs = sigs_of(&lsh, 1);
-        lsh.update(1, &after);
-        let new_sigs = sigs_of(&lsh, 1);
-        // membership is consistent: slot 1 is reachable from `after`…
-        assert_eq!(probe(&lsh, &after, u32::MAX), vec![1]);
+        // slot 1 holds `after` as an unbucketed probe target
+        let mut index = index_of(&[before, after.clone()]);
+        lsh.update(&index, 0);
+        let old_sigs = sigs_of(&lsh, 0);
+        index.put(1, &after);
+        lsh.update(&index, 0);
+        let new_sigs = sigs_of(&lsh, 0);
+        // membership is consistent: slot 0 is reachable from `after`…
+        assert_eq!(probe(&lsh, &index, 1), vec![0]);
         // …and no stale bucket still holds it
         for (t, table) in lsh.buckets.iter().enumerate() {
             for (sig, members) in table {
-                if members.contains(&1) {
+                if members.contains(&0) {
                     assert_eq!(*sig, new_sigs[t], "stale bucket in table {t}");
                 }
             }
@@ -672,12 +648,13 @@ mod tests {
 
     #[test]
     fn remove_unlinks_every_table() {
-        let mut lsh = LshIndex::new(AnnConfig::default());
         let v = vec_of(&[("a", 1.0)]);
-        lsh.update(1, &v);
-        lsh.remove(1);
+        let index = index_of(&[v.clone(), v]);
+        let mut lsh = LshIndex::new(AnnConfig::default());
+        lsh.update(&index, 0);
+        lsh.remove(0);
         assert_eq!(lsh.len(), 0);
-        assert!(probe(&lsh, &v, u32::MAX).is_empty());
+        assert!(probe(&lsh, &index, 1).is_empty());
         for table in &lsh.buckets {
             assert!(table.is_empty());
         }
@@ -693,14 +670,20 @@ mod tests {
             probes: 2,
             seed: 42,
         };
-        let mut incremental = LshIndex::new(cfg);
-        incremental.update(1, &vec_of(&[("a", 1.0)]));
-        incremental.update(1, &vec_of(&[("a", 1.4), ("b", 0.2)]));
         let final_v = vec_of(&[("a", 0.9), ("b", 0.2), ("c", 3.0)]);
-        incremental.update(1, &final_v);
+        let mut index = ProfileIndex::new();
+        let mut incremental = LshIndex::new(cfg);
+        for v in [
+            vec_of(&[("c", 1.0)]),
+            vec_of(&[("a", 1.4), ("b", 0.2)]),
+            final_v.clone(),
+        ] {
+            index.put(1, &v);
+            incremental.update(&index, 0);
+        }
         let mut fresh = LshIndex::new(cfg);
-        fresh.update(1, &final_v);
-        assert_eq!(sigs_of(&incremental, 1), sigs_of(&fresh, 1));
+        fresh.update(&index_of(&[final_v]), 0);
+        assert_eq!(sigs_of(&incremental, 0), sigs_of(&fresh, 0));
     }
 
     #[test]
@@ -728,16 +711,18 @@ mod tests {
             seed: 3,
         };
         let lsh = LshIndex::new(cfg);
-        let target = vec_of(&[("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)]);
-        let near = vec_of(&[("a", 1.1), ("b", 0.9), ("c", 1.0), ("d", 1.0)]);
-        let far = vec_of(&[("x", 2.0), ("y", 0.1), ("z", 5.0)]);
+        let index = index_of(&[
+            vec_of(&[("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)]),
+            vec_of(&[("a", 1.1), ("b", 0.9), ("c", 1.0), ("d", 1.0)]),
+            vec_of(&[("x", 2.0), ("y", 0.1), ("z", 5.0)]),
+        ]);
         let bits = cfg.bits() as usize;
-        let project = |v: &TermVector| {
+        let project = |slot: u32| {
             let mut proj = Vec::new();
-            lsh.project(v, &mut proj);
+            lsh.project(&index, index.row(slot), &mut proj);
             proj
         };
-        let (pt, pn, pf) = (project(&target), project(&near), project(&far));
+        let (pt, pn, pf) = (project(0), project(1), project(2));
         let agree = |a: &[f64], b: &[f64]| {
             (0..cfg.tables())
                 .filter(|t| {
@@ -772,52 +757,52 @@ mod tests {
         out
     }
 
-    /// Every live `(consumer, slot)` of `index`.
-    fn live_slots(index: &ProfileIndex) -> Vec<(u64, u32)> {
-        index
-            .flats()
-            .map(|(id, _)| (id, index.slot(id).expect("indexed consumers hold a slot")))
-            .collect()
+    /// `id`'s row flattened back into a term vector.
+    fn vector_of(index: &ProfileIndex, id: u64) -> TermVector {
+        TermVector::from_pairs(index.terms(id).expect("indexed consumer"))
     }
 
-    /// Check the dense-scatter kernel against the merge reference on
-    /// every ordered pair of live slots: per-pair score bits, and
+    /// Check the dense-scatter kernel against
+    /// [`crate::similarity::vector_similarity`] over the rows' vectors on
+    /// every ordered pair of live consumers: per-pair score bits, and
     /// [`rerank`] against the reference top-k over the same candidates.
-    fn assert_kernel_matches_merge(
+    fn assert_kernel_matches_vector_similarity(
         index: &ProfileIndex,
         configs: &[SimilarityConfig],
     ) -> Result<(), proptest::TestCaseError> {
         use proptest::prop_assert_eq;
-        let live = live_slots(index);
-        let mut scratch = AnnScratch::default();
+        let live: Vec<(u64, u32)> = index.live().collect();
+        let mut scratch = QueryScratch::default();
         for config in configs {
             for (target_id, target) in &live {
-                scratch.candidates.clear();
-                scratch
-                    .candidates
-                    .extend(live.iter().map(|(_, s)| *s).filter(|s| s != target));
+                let a = index.row(*target);
+                let mut weights = vec![0.0; index.vocab_len()];
+                for (tid, w) in a.term_ids.iter().zip(&a.weights) {
+                    weights[*tid as usize] = *w;
+                }
                 let mut reference = Vec::new();
-                for slot in &scratch.candidates {
-                    let (a, b) = (index.row(*target), index.row(*slot));
-                    let merged = score_pair(a, b, config);
-                    if merged > config.neighbour_floor {
-                        reference.push((b.id, merged));
+                for (id, slot) in live.iter().filter(|(_, s)| s != target) {
+                    let want = vector_similarity(
+                        &vector_of(index, *target_id),
+                        &vector_of(index, *id),
+                        config,
+                    );
+                    if want > config.neighbour_floor {
+                        reference.push((*id, want));
                     }
-                    let mut weights = vec![0.0; index.vocab_len()];
-                    for (tid, w) in a.term_ids.iter().zip(&a.weights) {
-                        weights[*tid as usize] = *w;
-                    }
-                    let scattered = score_scattered(a, &weights, b, config, &mut Vec::new());
+                    let got =
+                        score_scattered(a, &weights, index.row(*slot), config, &mut Vec::new());
                     prop_assert_eq!(
-                        scattered.to_bits(),
-                        merged.to_bits(),
+                        got.to_bits(),
+                        want.to_bits(),
                         "{:?}: {} vs {} under {:?}",
-                        (target_id, b.id),
-                        scattered,
-                        merged,
+                        (target_id, id),
+                        got,
+                        want,
                         config
                     );
                 }
+                exact_candidates(index, *target, true, &mut scratch);
                 let got = rerank(index, *target, config, &mut scratch, 1_000);
                 let want = top_k(reference, 1_000);
                 prop_assert_eq!(
@@ -839,12 +824,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The dense-scatter kernel is bit-identical to the two-pointer
-        /// merge over random vectors whose slots are assigned, updated
-        /// wholesale, patched by feedback deltas and recycled after
-        /// removal.
+        /// The dense-scatter kernel is bit-identical to
+        /// `vector_similarity` over random vectors whose slots are
+        /// assigned, updated wholesale, patched by feedback deltas and
+        /// recycled after removal.
         #[test]
-        fn kernel_matches_merge_over_random_vectors(
+        fn kernel_matches_vector_similarity_over_random_vectors(
             ops in proptest::collection::vec(
                 (
                     1u64..8,
@@ -892,16 +877,17 @@ mod tests {
                     }
                 }
             }
-            assert_kernel_matches_merge(&index, &kernel_configs(threshold))?;
+            assert_kernel_matches_vector_similarity(&index, &kernel_configs(threshold))?;
         }
 
         /// The same equivalence on a store driven through its public
         /// mutators — feedback events, wholesale profile imports
         /// (including empty ones) and the decay pass that rebuilds every
         /// slot — and end to end through an exhaustive ANN query, whose
-        /// LSH index is built part-way and then maintained incrementally.
+        /// LSH index is built part-way and then maintained incrementally,
+        /// against `vector_similarity` over the flattened profiles.
         #[test]
-        fn kernel_matches_merge_over_store_interleavings(
+        fn kernel_matches_vector_similarity_over_store_interleavings(
             ops in proptest::collection::vec((1u64..10, 0u8..10, 0u64..8), 1..50),
             build_at in 0usize..50,
             threshold in 1.0f64..4.0,
@@ -956,25 +942,24 @@ mod tests {
                 }
             }
             let configs = kernel_configs(threshold);
-            let index = store.profile_index();
-            assert_kernel_matches_merge(index, &configs)?;
+            assert_kernel_matches_vector_similarity(store.profile_index(), &configs)?;
+            let flat: Vec<(ConsumerId, TermVector)> =
+                store.profiles().map(|(c, p)| (c, p.flatten())).collect();
             for config in &configs {
                 let ann = SimilarityConfig { ann: exhaustive.ann, ..*config };
-                for (id, target) in live_slots(index) {
+                for (id, target) in &flat {
                     let want: Vec<(u64, u64)> = top_k(
-                        live_slots(index).into_iter().filter(|(_, s)| *s != target).filter_map(
-                            |(other, slot)| {
-                                let score = score_pair(index.row(target), index.row(slot), config);
-                                (score > config.neighbour_floor).then_some((other, score))
-                            },
-                        ),
+                        flat.iter().filter(|(other, _)| other != id).filter_map(|(other, v)| {
+                            let score = vector_similarity(target, v, config);
+                            (score > config.neighbour_floor).then_some((other.0, score))
+                        }),
                         1_000,
                     )
                     .into_iter()
                     .map(|(c, s)| (c, s.to_bits()))
                     .collect();
                     let got: Vec<(u64, u64)> = store
-                        .nearest_neighbours(ConsumerId(id), &ann, 1_000)
+                        .nearest_neighbours(*id, &ann, 1_000)
                         .into_iter()
                         .map(|(c, s)| (c.0, s.to_bits()))
                         .collect();

@@ -30,7 +30,7 @@ pub mod workflow;
 pub use admission::{AdmissionConfig, AdmissionGate, AdmissionVerdict, Priority};
 pub use ann::AnnConfig;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use index::{FlatProfile, ItemSimCache, ProfileIndex};
+pub use index::{ItemSimCache, ProfileIndex};
 pub use itemcf::ItemCfRecommender;
 pub use learning::{
     BehaviorEvent, BehaviorKind, FeedbackQuality, LearnerConfig, ProfileDelta, ProfileLearner,

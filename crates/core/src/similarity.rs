@@ -90,35 +90,15 @@ impl SimilarityConfig {
 }
 
 /// Compute similarity between two raw term vectors under `config`.
+///
+/// Shared terms are taken in `a`'s term order; the re-rank kernel of
+/// [`crate::ann`] takes them in the same order from term-ordered slot
+/// rows and hands them to the same [`measure`], so it is bit-identical
+/// to this function with the target as `a`.
 pub fn vector_similarity(a: &TermVector, b: &TermVector, config: &SimilarityConfig) -> f64 {
-    similarity_impl(a, b, None, config)
-}
-
-/// [`vector_similarity`] with the vectors' precomputed norms supplied by
-/// the caller (the store's flat-profile cache), so the cosine
-/// denominator is not recomputed per query. Bitwise identical to
-/// [`vector_similarity`] when `a_norm == a.norm()` and
-/// `b_norm == b.norm()`.
-pub fn vector_similarity_with_norms(
-    a: &TermVector,
-    a_norm: f64,
-    b: &TermVector,
-    b_norm: f64,
-    config: &SimilarityConfig,
-) -> f64 {
-    similarity_impl(a, b, Some((a_norm, b_norm)), config)
-}
-
-fn similarity_impl(
-    a: &TermVector,
-    b: &TermVector,
-    norms: Option<(f64, f64)>,
-    config: &SimilarityConfig,
-) -> f64 {
-    // Collect shared terms, applying the discard rule. `intersection`
-    // counts every shared term, surviving or not: Jaccard is about term
-    // *sets*, so the discard rule shrinks its numerator (evidence), not
-    // its universe.
+    // `intersection` counts every shared term, surviving or not: Jaccard
+    // is about term *sets*, so the discard rule shrinks its numerator
+    // (evidence), not its universe.
     let mut shared: Vec<(f64, f64)> = Vec::new();
     let mut intersection = 0usize;
     for (t, wa) in a.iter() {
@@ -127,26 +107,50 @@ fn similarity_impl(
             continue;
         }
         intersection += 1;
-        if let Some(threshold) = config.discard_threshold {
-            let ratio = if wa >= wb { wa / wb } else { wb / wa };
-            if ratio > threshold {
-                continue; // Tx too different from Ty: discard this pair
-            }
+        if !discarded(wa, wb, config) {
+            shared.push((wa, wb));
         }
-        shared.push((wa, wb));
     }
+    measure(
+        &shared,
+        intersection,
+        (a.len(), b.len()),
+        || a.norm() * b.norm(),
+        config,
+    )
+}
+
+/// The Fig 4.5 discard rule: a shared term whose larger weight is more
+/// than the threshold times the smaller is dropped ("Tx too different
+/// from Ty").
+pub(crate) fn discarded(wa: f64, wb: f64, config: &SimilarityConfig) -> bool {
+    config.discard_threshold.is_some_and(|threshold| {
+        let ratio = if wa >= wb { wa / wb } else { wb / wa };
+        ratio > threshold
+    })
+}
+
+/// The configured measure over the surviving shared `(a, b)` weight
+/// pairs, in the order given. `intersection` counts every shared term,
+/// discarded or not; `lens` are the two vectors' term counts and
+/// `norm_product` yields the product of their norms (asked for only by
+/// the cosine).
+pub(crate) fn measure(
+    shared: &[(f64, f64)],
+    intersection: usize,
+    lens: (usize, usize),
+    norm_product: impl FnOnce() -> f64,
+    config: &SimilarityConfig,
+) -> f64 {
     if shared.len() < config.min_overlap {
-        return 0.0;
+        return 0.0; // too little evidence: "the similarity result will be discard"
     }
     match config.method {
         SimilarityMethod::Cosine => {
             // Norms over the full vectors, dot over surviving pairs: a
             // consumer with many unshared interests is less similar.
             let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
-            let denom = match norms {
-                Some((na, nb)) => na * nb,
-                None => a.norm() * b.norm(),
-            };
+            let denom = norm_product();
             if denom == 0.0 {
                 0.0
             } else {
@@ -163,7 +167,7 @@ fn similarity_impl(
             let mut cov = 0.0;
             let mut var_x = 0.0;
             let mut var_y = 0.0;
-            for (x, y) in &shared {
+            for (x, y) in shared {
                 cov += (x - mean_x) * (y - mean_y);
                 var_x += (x - mean_x).powi(2);
                 var_y += (y - mean_y).powi(2);
@@ -179,7 +183,7 @@ fn similarity_impl(
             // |A ∪ B| = |A| + |B| − |A ∩ B| over *all* shared terms —
             // using the post-discard survivor count here would inflate
             // the union and deflate every Jaccard score.
-            let union = a.len() + b.len() - intersection;
+            let union = lens.0 + lens.1 - intersection;
             if union == 0 {
                 0.0
             } else {
@@ -359,25 +363,6 @@ mod tests {
             ..SimilarityConfig::default()
         };
         assert!((vector_similarity(&a, &b, &cfg) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_norms_variant_is_bitwise_identical() {
-        let a = TermVector::from_pairs([("x", 1.3), ("y", 0.2), ("z", 7.5)]);
-        let b = TermVector::from_pairs([("x", 0.9), ("z", 2.1), ("w", 4.0)]);
-        for method in [
-            SimilarityMethod::Cosine,
-            SimilarityMethod::Pearson,
-            SimilarityMethod::Jaccard,
-        ] {
-            let cfg = SimilarityConfig {
-                method,
-                ..SimilarityConfig::default()
-            };
-            let plain = vector_similarity(&a, &b, &cfg);
-            let cached = vector_similarity_with_norms(&a, a.norm(), &b, b.norm(), &cfg);
-            assert_eq!(plain.to_bits(), cached.to_bits());
-        }
     }
 
     #[test]

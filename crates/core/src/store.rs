@@ -6,13 +6,19 @@
 //! rule, (b) files an observational rating for CF, and (c) maintains the
 //! sales ledger and purchase baskets used by the top-seller baseline and
 //! the tied-sale extension.
+//!
+//! Neighbour search reads one derived form of every profile, the slot
+//! rows of [`ProfileIndex`]: the exact scan (posting-list union) and the
+//! ANN tier (LSH buckets) only differ in where candidates come from, and
+//! both score them through [`crate::ann`]'s re-rank kernel, bit-identical
+//! to [`crate::similarity::vector_similarity`].
 
-use crate::ann::{AnnScratch, LshIndex};
-use crate::index::{FlatProfile, ItemSimCache, ProfileIndex};
+use crate::ann::{LshIndex, QueryScratch};
+use crate::index::{ItemSimCache, ProfileIndex};
 use crate::learning::{BehaviorEvent, BehaviorKind, LearnerConfig, ProfileLearner};
 use crate::profile::{ConsumerId, Profile};
 use crate::ratings::RatingsMatrix;
-use crate::similarity::{vector_similarity_with_norms, SimilarityConfig};
+use crate::similarity::SimilarityConfig;
 use ecp::merchandise::{Catalog, ItemId, Merchandise};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -43,11 +49,9 @@ pub struct RecommendStore {
     /// kept in lock step with `index` by the incremental update paths
     /// and invalidated (rebuilt on next ANN query) by wholesale ones.
     ann: Mutex<Option<LshIndex>>,
-    /// Reusable candidate-id scratch so steady-state queries don't
-    /// allocate for candidate generation.
-    query_scratch: Mutex<Vec<u64>>,
-    /// The ANN path's reusable probe and re-rank scratch.
-    ann_scratch: Mutex<AnnScratch>,
+    /// The neighbour search's reusable candidate and re-rank scratch, so
+    /// steady-state queries allocate only their top-k heap.
+    scratch: Mutex<QueryScratch>,
 }
 
 impl Clone for RecommendStore {
@@ -63,8 +67,7 @@ impl Clone for RecommendStore {
             index: self.index.clone(),
             item_sims: Mutex::new(self.item_sims.lock().clone()),
             ann: Mutex::new(self.ann.lock().clone()),
-            query_scratch: Mutex::new(Vec::new()),
-            ann_scratch: Mutex::new(AnnScratch::default()),
+            scratch: Mutex::new(QueryScratch::default()),
         }
     }
 }
@@ -102,8 +105,7 @@ impl Deserialize for RecommendStore {
             index,
             item_sims: Mutex::new(ItemSimCache::default()),
             ann: Mutex::new(None),
-            query_scratch: Mutex::new(Vec::new()),
-            ann_scratch: Mutex::new(AnnScratch::default()),
+            scratch: Mutex::new(QueryScratch::default()),
         })
     }
 }
@@ -179,12 +181,10 @@ impl RecommendStore {
         self.profiles.insert(consumer.0, profile);
     }
 
-    /// Re-hash `id` into a built LSH index after its flat vector changed.
+    /// Re-hash `id` into a built LSH index after its row changed.
     fn refresh_ann(&mut self, id: u64) {
-        if let Some(lsh) = self.ann.get_mut().as_mut() {
-            if let (Some(slot), Some(flat)) = (self.index.slot(id), self.index.flat(id)) {
-                lsh.update(slot, &flat.vector);
-            }
+        if let (Some(lsh), Some(slot)) = (self.ann.get_mut().as_mut(), self.index.slot(id)) {
+            lsh.update(&self.index, slot);
         }
     }
 
@@ -255,98 +255,60 @@ impl RecommendStore {
         *self.ann.get_mut() = None;
     }
 
-    /// The query-serving profile index (flat-profile cache + posting
-    /// lists), maintained in lock step with the profiles.
+    /// The query-serving profile index (slot rows + posting lists),
+    /// maintained in lock step with the profiles.
     pub fn profile_index(&self) -> &ProfileIndex {
         &self.index
-    }
-
-    /// Cached flattened profile (vector + norm) of `consumer`, if any.
-    pub fn flat_profile(&self, consumer: ConsumerId) -> Option<&FlatProfile> {
-        self.index.flat(consumer.0)
     }
 
     /// The `k` consumers most similar to `consumer`, best first —
     /// identical output to running
     /// [`crate::similarity::nearest_neighbours`] over
     /// [`Self::profiles`] minus the consumer themself, but served from
-    /// the index: only consumers sharing at least one flattened term
-    /// with the target are scored (lossless, because zero-overlap pairs
-    /// score exactly `0.0` under every method and the default
-    /// `neighbour_floor` of `0.0` filters them), the flattened vectors
-    /// and norms come from the cache, and the ranking uses a bounded
-    /// top-k heap instead of a full sort. A negative
+    /// the index: candidates come from the posting lists (only consumers
+    /// sharing at least one flattened term with the target — lossless,
+    /// because zero-overlap pairs score exactly `0.0` under every method
+    /// and the default `neighbour_floor` of `0.0` filters them) or, with
+    /// [`SimilarityConfig::ann`], from the LSH buckets; either way the
+    /// re-rank kernel of [`crate::ann`] scores them over the slot rows,
+    /// bit-identically to the reference measure, and ranks them with a
+    /// bounded top-k heap instead of a full sort. A negative
     /// [`SimilarityConfig::neighbour_floor`] admits zero-similarity
-    /// candidates, so pruning would be lossy — that case falls back to
-    /// scanning every cached flat profile.
+    /// candidates, so pruning would be lossy — that case scores every
+    /// indexed consumer.
     pub fn nearest_neighbours(
         &self,
         consumer: ConsumerId,
         config: &SimilarityConfig,
         k: usize,
     ) -> Vec<(ConsumerId, f64)> {
-        let Some(target) = self.index.flat(consumer.0) else {
+        let Some(target) = self.index.slot(consumer.0) else {
             return Vec::new();
         };
-        if config.neighbour_floor < 0.0 {
-            // pruning (posting-list or LSH) is lossy here: scan everyone
-            let candidates: Vec<u64> = self
-                .index
-                .flats()
-                .map(|(id, _)| id)
-                .filter(|id| *id != consumer.0)
-                .collect();
-            let scored = self.score_profile_candidates(target, &candidates, config);
-            return Self::finish_top_k(scored, k);
+        let mut scratch = self.scratch.lock();
+        let everyone = config.neighbour_floor < 0.0;
+        match config.ann {
+            Some(ann_cfg) if !everyone => self.with_ann(&ann_cfg, |lsh| {
+                lsh.candidates(&self.index, target, ann_cfg.probes, &mut scratch);
+            }),
+            _ => crate::ann::exact_candidates(&self.index, target, everyone, &mut scratch),
         }
-        if let Some(ann_cfg) = config.ann {
-            // ANN path: candidate slots from LSH buckets, re-ranked with
-            // the exact measure over the slot rows
-            let slot = self
-                .index
-                .slot(consumer.0)
-                .expect("flat entries hold a slot");
-            let mut scratch = self.ann_scratch.lock();
-            self.with_ann(&ann_cfg, |lsh| {
-                lsh.candidates(&target.vector, ann_cfg.probes, slot, &mut scratch);
-            });
-            return Self::consumer_ids(crate::ann::rerank(
-                &self.index,
-                slot,
-                config,
-                &mut scratch,
-                k,
-            ));
-        }
-        let mut scratch = self.query_scratch.lock();
-        self.index.candidates_into(&target.vector, &mut scratch);
-        scratch.retain(|id| *id != consumer.0);
-        let scored = self.score_profile_candidates(target, &scratch, config);
-        Self::finish_top_k(scored, k)
-    }
-
-    fn finish_top_k(scored: Vec<(u64, f64)>, k: usize) -> Vec<(ConsumerId, f64)> {
-        Self::consumer_ids(crate::index::top_k(scored, k))
-    }
-
-    fn consumer_ids(best: Vec<(u64, f64)>) -> Vec<(ConsumerId, f64)> {
-        best.into_iter()
+        crate::ann::rerank(&self.index, target, config, &mut scratch, k)
+            .into_iter()
             .map(|(id, s)| (ConsumerId(id), s))
             .collect()
     }
 
     /// Run `f` against the LSH index for `cfg`, building (or rebuilding,
-    /// if the last build used different parameters) it from the flat
-    /// cache first if needed.
+    /// if the last build used different parameters) it from the slot rows
+    /// first if needed.
     fn with_ann<R>(&self, cfg: &crate::ann::AnnConfig, f: impl FnOnce(&LshIndex) -> R) -> R {
         let mut guard = self.ann.lock();
         let stale = !guard.as_ref().is_some_and(|lsh| lsh.matches(cfg));
         if stale {
             let mut lsh = LshIndex::new(*cfg);
-            for (id, flat) in self.index.flats() {
-                if let Some(slot) = self.index.slot(id) {
-                    lsh.update(slot, &flat.vector);
-                }
+            for (_, slot) in self.index.live() {
+                lsh.update(&self.index, slot);
             }
             *guard = Some(lsh);
         }
@@ -379,33 +341,6 @@ impl RecommendStore {
             config,
             k,
         )
-    }
-
-    fn score_profile_candidates(
-        &self,
-        target: &FlatProfile,
-        candidates: &[u64],
-        config: &SimilarityConfig,
-    ) -> Vec<(u64, f64)> {
-        let score_one = |id: &u64| -> Option<(u64, f64)> {
-            let flat = self.index.flat(*id)?;
-            let s = vector_similarity_with_norms(
-                &target.vector,
-                target.norm,
-                &flat.vector,
-                flat.norm,
-                config,
-            );
-            (s > config.neighbour_floor).then_some((*id, s))
-        };
-        #[cfg(feature = "parallel")]
-        if candidates.len() >= 64 {
-            return crate::index::par_map(candidates, score_one)
-                .into_iter()
-                .flatten()
-                .collect();
-        }
-        candidates.iter().filter_map(score_one).collect()
     }
 
     /// [`crate::itemcf::item_cosine`] served through the store's
@@ -538,16 +473,24 @@ mod tests {
         assert_eq!(s.profiles().count(), 1);
     }
 
-    /// The incrementally maintained index must always equal a from-scratch
-    /// rebuild of the current profiles.
+    /// The incrementally maintained index must always hold exactly the
+    /// current profiles' flattened vectors (term order, weight and norm
+    /// bits).
     fn assert_index_fresh(s: &RecommendStore) {
+        let index = s.profile_index();
+        assert_eq!(index.len(), s.consumer_count());
         let rebuilt = crate::index::ProfileIndex::rebuild(s.profiles().map(|(c, p)| (c.0, p)));
-        assert_eq!(s.profile_index().len(), rebuilt.len());
-        assert_eq!(s.profile_index().term_count(), rebuilt.term_count());
-        for (id, flat) in rebuilt.flats() {
-            let live = s.profile_index().flat(id).expect("indexed consumer");
-            assert_eq!(live.vector, flat.vector);
-            assert_eq!(live.norm.to_bits(), flat.norm.to_bits());
+        assert_eq!(index.term_count(), rebuilt.term_count());
+        for (c, p) in s.profiles() {
+            let flat = p.flatten();
+            let live: Vec<(&str, u64)> = index
+                .terms(c.0)
+                .expect("indexed consumer")
+                .map(|(t, w)| (t, w.to_bits()))
+                .collect();
+            let want: Vec<(&str, u64)> = flat.iter().map(|(t, w)| (t, w.to_bits())).collect();
+            assert_eq!(live, want);
+            assert_eq!(index.norm(c.0).unwrap().to_bits(), flat.norm().to_bits());
         }
     }
 
@@ -623,7 +566,7 @@ mod tests {
             // determinism: asking twice gives the same answer
             assert_eq!(approx, s.nearest_neighbours(ConsumerId(u), &ann, 10));
         }
-        // mutations keep the LSH in lock step with the flat cache:
+        // mutations keep the LSH in lock step with the slot rows:
         // feedback after the index is built must be reflected
         s.record_event(ConsumerId(41), ItemId(1), BehaviorKind::Purchase);
         s.record_event(ConsumerId(42), ItemId(1), BehaviorKind::Purchase);
@@ -679,11 +622,11 @@ mod tests {
         // a warm query leaves candidates in the scratch; a cold target's
         // query must clear them and score none
         assert!(!s.nearest_neighbours(ConsumerId(2), &cfg, 10).is_empty());
-        assert!(!s.ann_scratch.lock().candidates().is_empty());
+        assert!(!s.scratch.lock().candidates().is_empty());
         for u in [1u64, 100, 105] {
             assert!(s.nearest_neighbours(ConsumerId(u), &cfg, 10).is_empty());
             assert!(
-                s.ann_scratch.lock().candidates().is_empty(),
+                s.scratch.lock().candidates().is_empty(),
                 "cold target {u} re-ranked candidates"
             );
         }

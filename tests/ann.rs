@@ -151,6 +151,46 @@ fn ann_results_are_subset_of_exact_with_matching_scores() {
     }
 }
 
+/// ANN scores are not merely close to the exact scan's: both paths score
+/// through the same kernel over the same term-ordered rows, so every ANN
+/// neighbour's score has exactly the exact score's `f64` bits.
+#[test]
+fn ann_scores_are_bit_identical_to_exact() {
+    let users = ann_users();
+    let store = clustered_store(0xA11, users, 96);
+    let exact_cfg = SimilarityConfig::default();
+    let ann_cfg = SimilarityConfig {
+        ann: Some(graded_ann()),
+        ..SimilarityConfig::default()
+    };
+    store.warm_ann(&ann_cfg);
+    let (mut checked, mut differing) = (0usize, Vec::new());
+    for user in sample_users(users, 50) {
+        let consumer = ConsumerId(user);
+        let exact: HashMap<u64, f64> = store
+            .nearest_neighbours(consumer, &exact_cfg, users as usize)
+            .into_iter()
+            .map(|(c, s)| (c.0, s))
+            .collect();
+        for (c, s) in store.nearest_neighbours(consumer, &ann_cfg, 50) {
+            let reference = exact
+                .get(&c.0)
+                .unwrap_or_else(|| panic!("ANN invented {c} for user {user}"));
+            checked += 1;
+            if reference.to_bits() != s.to_bits() {
+                differing.push((user, c.0, s, *reference));
+            }
+        }
+    }
+    assert!(checked > 0, "sample produced no ANN neighbours");
+    assert!(
+        differing.is_empty(),
+        "{} of {checked} ANN scores differ from exact in their bits, first (user, neighbour, ann, exact): {:?}",
+        differing.len(),
+        &differing[..differing.len().min(5)]
+    );
+}
+
 /// Aggregate recall@10 across a 50-user sample stays at or above the
 /// 0.95 floor the config promises (tie-tolerant matching, see module
 /// docs). Printed so `ci.sh ann` logs the measured value.

@@ -1295,6 +1295,19 @@ mod cross_runtime_lifecycle {
             counters: (1, 1, 0, 1, 0),
         },
         Case {
+            name: "a restart without durability is traced and serves again",
+            durable: false,
+            steps: &[
+                Create(A),
+                Crash(A),
+                Restart(A),
+                Create(A),
+                Tell(2, "go", 0, B),
+            ],
+            labels: &["chaos: host-1 restarted", "rover-2 arrived at host-2"],
+            counters: (1, 0, 0, 0, 0),
+        },
+        Case {
             name: "undeliverable sends write a dead-letter trace line",
             durable: false,
             steps: &[Create(A), Tell(1, "sendto", 0, A)],
@@ -1368,16 +1381,10 @@ mod cross_runtime_lifecycle {
         out
     }
 
-    /// Trace lines both runtimes write identically (crash and recovery
-    /// lines are per worker on threads), sorted, plus the compared
+    /// Every trace line with agent ids renamed, sorted, plus the compared
     /// counters including the migration bytes.
     fn observe(trace: &Trace, m: &Metrics, ids: &[AgentId]) -> (Vec<String>, [u64; 7]) {
-        let mut labels: Vec<String> = trace
-            .labels()
-            .into_iter()
-            .filter(|l| !l.starts_with("chaos:") && !l.starts_with("recovery:"))
-            .map(|l| rename(l, ids))
-            .collect();
+        let mut labels: Vec<String> = trace.labels().into_iter().map(|l| rename(l, ids)).collect();
         labels.sort();
         let counters = [
             m.migrations,
@@ -1447,19 +1454,35 @@ mod cross_runtime_lifecycle {
         observe(&trace, &metrics, &ids)
     }
 
+    /// The trace lines both runtimes write identically (crash and recovery
+    /// lines are per worker on threads) and the counters.
+    fn comparable((labels, counters): &(Vec<String>, [u64; 7])) -> (Vec<&String>, [u64; 7]) {
+        let labels = labels
+            .iter()
+            .filter(|l| !l.starts_with("chaos:") && !l.starts_with("recovery:"))
+            .collect();
+        (labels, *counters)
+    }
+
     #[test]
     fn lifecycle_cases_agree_across_runtimes() {
         for case in CASES {
             let des = run_on_des(case);
             let threads = run_on_threads(case);
-            assert_eq!(des, threads, "{}: DES and threads diverge", case.name);
+            assert_eq!(
+                comparable(&des),
+                comparable(&threads),
+                "{}: DES and threads diverge",
+                case.name
+            );
             for label in case.labels {
-                assert!(
-                    des.0.iter().any(|l| l.contains(label)),
-                    "{}: missing {label:?} in {:?}",
-                    case.name,
-                    des.0
-                );
+                for (runtime, (labels, _)) in [("DES", &des), ("threads", &threads)] {
+                    assert!(
+                        labels.iter().any(|l| l.contains(label)),
+                        "{}: {runtime} misses {label:?} in {labels:?}",
+                        case.name,
+                    );
+                }
             }
             let (mig, rejected, dead, deact, disposed) = case.counters;
             assert_eq!(

@@ -474,8 +474,8 @@ proptest! {
     /// as a [`ProfileDelta`], folded in with `apply_delta`) is
     /// indistinguishable from rebuilding the whole index, no matter how
     /// feedback events, wholesale profile replacements and removals
-    /// interleave: same consumers, same flat vectors (exact `==`), same
-    /// norm *bits*, same posting-list answers.
+    /// interleave: same consumers, same rows (terms in term order, weight
+    /// *bits*), same norm *bits*, same posting-list answers.
     #[test]
     fn incremental_index_matches_rebuild_after_interleavings(
         ops in proptest::collection::vec(
@@ -533,17 +533,30 @@ proptest! {
         let rebuilt = ProfileIndex::rebuild(mirror.iter().map(|(id, p)| (*id, p)));
         prop_assert_eq!(index.len(), rebuilt.len(), "consumer count drifted");
         prop_assert_eq!(index.term_count(), rebuilt.term_count(), "posting lists drifted");
-        for (id, fresh) in rebuilt.flats() {
-            let live = index.flat(id).expect("incrementally maintained entry exists");
-            prop_assert_eq!(&live.vector, &fresh.vector, "flat vector drifted for {}", id);
-            prop_assert_eq!(
-                live.norm.to_bits(),
-                fresh.norm.to_bits(),
-                "cached norm drifted for {}", id
+        let row = |index: &ProfileIndex, id: u64| -> Vec<(String, u64)> {
+            index
+                .terms(id)
+                .expect("indexed consumer")
+                .map(|(t, w)| (t.to_string(), w.to_bits()))
+                .collect()
+        };
+        for (&id, profile) in &mirror {
+            let (live, fresh) = (row(&index, id), row(&rebuilt, id));
+            // same terms in the same (term) order with the same weight bits
+            prop_assert_eq!(&live, &fresh, "row drifted for {}", id);
+            prop_assert!(
+                live.windows(2).all(|w| w[0].0 < w[1].0),
+                "row of {} out of term order", id
             );
             prop_assert_eq!(
-                index.candidates(&fresh.vector),
-                rebuilt.candidates(&fresh.vector),
+                index.norm(id).map(f64::to_bits),
+                rebuilt.norm(id).map(f64::to_bits),
+                "cached norm drifted for {}", id
+            );
+            let vector = profile.flatten();
+            prop_assert_eq!(
+                index.candidates(&vector),
+                rebuilt.candidates(&vector),
                 "candidate pruning drifted for {}", id
             );
         }
