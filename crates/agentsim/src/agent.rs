@@ -613,6 +613,18 @@ impl AgentCapsule {
         64 + self.agent_type.len() + self.state.encoded_len()
     }
 
+    /// The capsule as the JSON value `serde_json::to_value` gives, with
+    /// the state tree moved in rather than copied when this capsule
+    /// holds its only handle.
+    pub fn into_value(mut self) -> serde_json::Value {
+        let state = std::mem::take(&mut self.state).into_value();
+        let mut value = serde_json::to_value(&self).unwrap_or(serde_json::Value::Null);
+        if let serde_json::Value::Object(fields) = &mut value {
+            fields.insert("state".to_string(), state);
+        }
+        value
+    }
+
     /// Detach the telemetry context, returning it.
     ///
     /// Span ids are scoped to one shard's `Telemetry` store; a capsule
@@ -891,6 +903,21 @@ mod tests {
         assert_eq!(capsule.agent_type, "counter");
         assert_eq!(*capsule.state, serde_json::json!({"count": 12}));
         assert_eq!(capsule.home, HostId(2));
+    }
+
+    #[test]
+    fn capsule_into_value_matches_to_value_whether_or_not_the_state_is_shared() {
+        let agent = Counter { count: 3 };
+        let permit = TravelPermit {
+            agent: AgentId(4),
+            nonce: 9,
+            mac: 11,
+        };
+        let capsule = AgentCapsule::capture(AgentId(4), &agent, HostId(1), Some(permit));
+        let expected = serde_json::to_value(&capsule).unwrap();
+        let shared = capsule.clone();
+        assert_eq!(shared.into_value(), expected);
+        assert_eq!(capsule.into_value(), expected);
     }
 
     #[test]

@@ -1109,8 +1109,7 @@ impl HostCore {
         let agent = self.active.get(&id)?;
         let home = env.home_of(id).unwrap_or(self.id);
         let permit = self.permits.get(&id).copied();
-        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        Some(serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null))
+        Some(AgentCapsule::capture(id, agent.as_ref(), home, permit).into_value())
     }
 
     /// Journal the live capsule of active agent `id`. Capsule-journalled

@@ -71,6 +71,15 @@ impl Payload {
         self.inner.value.clone()
     }
 
+    /// Take the underlying value tree out: moved when this is the only
+    /// handle to it, cloned otherwise.
+    pub fn into_value(self) -> Value {
+        match Arc::try_unwrap(self.inner) {
+            Ok(inner) => inner.value,
+            Err(shared) => shared.value.clone(),
+        }
+    }
+
     /// Deserialize into a concrete type, by reference — the tree is not
     /// cloned.
     ///

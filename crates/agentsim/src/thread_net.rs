@@ -134,6 +134,9 @@ struct Shared {
     /// Payloads agents emitted, per emitting agent, in emit order, until
     /// [`ThreadWorld::take_outbox`] takes them (the DES world's outbox).
     outbox: Mutex<HashMap<AgentId, Vec<Payload>>>,
+    /// Crash broadcasts some workers of a host have not handled yet, per
+    /// (host, crash round): workers done and agents they lost so far.
+    crash_rounds: Mutex<HashMap<(HostId, u64), (usize, usize)>>,
 }
 
 impl Shared {
@@ -382,6 +385,7 @@ impl ThreadWorldBuilder {
             supervision: self.supervision.map(|cfg| Mutex::new(Supervisor::new(cfg))),
             supervisor_stop: AtomicBool::new(false),
             outbox: Mutex::new(HashMap::new()),
+            crash_rounds: Mutex::new(HashMap::new()),
         });
         let mut handles = Vec::new();
         let mut hosts = Vec::new();
@@ -844,6 +848,8 @@ struct Worker {
     /// in-flight slot so `run_until_idle` blocks through the hang. Drained
     /// (replayed) by [`Envelope::AdminResume`], dropped by a crash.
     stalled: Vec<Envelope>,
+    /// Crash broadcasts this worker has handled.
+    crash_round: u64,
 }
 
 const ID_BATCH: u64 = 1 << 16;
@@ -860,6 +866,7 @@ fn host_loop(id: HostId, worker: usize, seed: u64, rx: Receiver<Envelope>, share
         id_end: 0,
         seen: HashSet::new(),
         stalled: Vec::new(),
+        crash_round: 0,
     };
     while let Ok(env) = rx.recv() {
         if matches!(env, Envelope::Shutdown) {
@@ -1005,12 +1012,26 @@ impl Worker {
                 }
                 let lost = core.crash(self);
                 // The crash is broadcast to every worker of the host but
-                // is one event; worker 0 owns the host-level bookkeeping.
-                if self.lead() {
+                // is one event: the last worker to wipe its agents traces
+                // it with the host-wide count, as the DES world does.
+                self.crash_round += 1;
+                let host_lost = {
+                    let mut rounds = shared.crash_rounds.lock();
+                    let key = (self.host, self.crash_round);
+                    let round = rounds.entry(key).or_default();
+                    round.0 += 1;
+                    round.1 += lost;
+                    let total = round.1;
+                    (round.0 == shared.workers).then(|| {
+                        rounds.remove(&key);
+                        total
+                    })
+                };
+                if let Some(total) = host_lost {
                     shared.metrics.lock().host_crashes += 1;
                     self.record(
                         None,
-                        format!("chaos: {} crashed ({lost} agents lost)", self.host),
+                        format!("chaos: {} crashed ({total} agents lost)", self.host),
                     );
                 }
             }

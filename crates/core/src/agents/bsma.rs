@@ -660,6 +660,26 @@ mod tests {
         assert_eq!(back.config.name, bsma.config.name);
     }
 
+    #[test]
+    fn bsma_state_with_a_legacy_bsmdb_wal_restores() {
+        let mut bsma = Bsma::new(BsmaConfig::default());
+        bsma.bsmdb = JsonStore::new("bsmdb");
+        bsma.bsmdb.create_table("sessions").unwrap();
+        bsma.bsmdb
+            .put("sessions", "7", serde_json::json!(3))
+            .unwrap();
+        let state = bsma.snapshot().to_string();
+        // the shape a BSMA state had while JsonStore embedded its log
+        let legacy = state.replacen(
+            r#""name":"bsmdb","#,
+            r#""name":"bsmdb","wal":{"records":[{"CreateTable":{"table":"sessions"}},{"Put":{"key":"7","table":"sessions","value":3}}]},"#,
+            1,
+        );
+        assert_ne!(legacy, state);
+        let back: Bsma = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back.snapshot(), bsma.snapshot());
+    }
+
     /// Forwards an instruction and records the reply.
     #[derive(Debug, Default, serde::Serialize, serde::Deserialize)]
     struct Sink {

@@ -138,8 +138,7 @@ impl ProfileAgent {
         // persist the updated profile (UserDB write — Fig 4.2 step 5 /
         // Fig 4.3 step 13 end up here)
         if let Some(p) = self.store.profile(rec.consumer) {
-            let p = p.clone();
-            if let Err(e) = self.userdb.save_profile(rec.consumer, &p) {
+            if let Err(e) = self.userdb.save_profile(rec.consumer, p) {
                 ctx.note(format!("pa: profile persist failed: {e}"));
             }
         }

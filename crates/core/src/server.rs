@@ -1274,6 +1274,67 @@ mod tests {
         }
     }
 
+    /// Encoded size of every shard's BSMA state.
+    fn bsma_state_bytes(p: &ShardedPlatform) -> Vec<usize> {
+        (0..p.shard_count())
+            .map(|k| {
+                let snapshot = p.world.shard(k).snapshot_of(p.stacks[k].bsma).unwrap();
+                snapshot.to_string().len()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bsma_state_is_constant_across_sessions() {
+        for shards in [1, 2] {
+            let mut p = small_sharded_platform(27, shards);
+            let consumers: Vec<ConsumerId> = (1..=8).map(ConsumerId).collect();
+            // `n` login → query → logout sessions, one wave per step.
+            let sessions = |p: &mut ShardedPlatform, n: usize| {
+                let mut answered = 0;
+                for wave in (0..n).collect::<Vec<_>>().chunks(consumers.len()) {
+                    let task = FrontRequestBody::Task(ConsumerTask::Query {
+                        keywords: vec!["book".into()],
+                        category: None,
+                        max_results: 5,
+                    });
+                    for body in [FrontRequestBody::Login, task, FrontRequestBody::Logout] {
+                        for &i in wave {
+                            p.send_front(FrontRequest {
+                                consumer: consumers[i % consumers.len()],
+                                body: body.clone(),
+                            });
+                        }
+                        p.world.run_until_idle();
+                        for k in 0..p.shard_count() {
+                            for r in p.stacks[k].drain(p.world.shard_mut(k), None) {
+                                assert!(
+                                    matches!(
+                                        r.body,
+                                        ResponseBody::LoggedIn
+                                            | ResponseBody::LoggedOut
+                                            | ResponseBody::Recommendations { .. }
+                                    ),
+                                    "{shards} shards: {r:?}"
+                                );
+                                answered += 1;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(answered, 3 * n, "{shards} shards: one reply per request");
+            };
+            sessions(&mut p, 20);
+            let after_20 = bsma_state_bytes(&p);
+            sessions(&mut p, 180);
+            let after_200 = bsma_state_bytes(&p);
+            assert_eq!(after_20, after_200, "{shards} shards");
+            for bytes in after_200 {
+                assert!(bytes <= 1024, "{shards} shards: {bytes} bytes");
+            }
+        }
+    }
+
     #[test]
     fn seed_events_land_in_the_owning_shards_pa() {
         let mut p = small_sharded_platform(24, 2);

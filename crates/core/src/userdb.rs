@@ -4,7 +4,9 @@
 //! §3.3: *"UserDB records the consumer user profile and consumer
 //! transaction records."* The [`UserDb`] wraps a [`simdb::JsonStore`]
 //! with a typed API and syncs to/from the in-memory
-//! [`crate::store::RecommendStore`]; the WAL gives it crash recovery.
+//! [`crate::store::RecommendStore`]. The PA carries it in its state, so
+//! it is as durable as the PA's journalled capsule; [`UserDb::snapshot`]
+//! and [`UserDb::restore`] round-trip it on their own.
 
 use crate::profile::{ConsumerId, Profile};
 use crate::store::RecommendStore;
@@ -177,21 +179,22 @@ impl UserDb {
         Ok(())
     }
 
-    /// Snapshot + WAL for crash-recovery tests; see
-    /// [`simdb::JsonStore::recover`].
-    pub fn durable_state(&self) -> (Vec<u8>, Vec<u8>) {
-        (self.store.snapshot(), self.store.wal_bytes())
+    /// The store's tables and indexes; see [`simdb::JsonStore::snapshot`].
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.store.snapshot()
     }
 
-    /// Rebuild from a snapshot + WAL pair.
+    /// Rebuild from a [`UserDb::snapshot`]. The transaction sequence
+    /// carries on after the restored records; an empty snapshot gives a
+    /// fresh UserDB.
     ///
     /// # Errors
     ///
-    /// Propagates [`DbError`] from recovery.
-    pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Self, DbError> {
-        let mut store = JsonStore::recover("userdb", snapshot, wal)?;
-        // tables exist even after an empty-history crash; secondary
-        // indexes are derived data, rebuilt after replay
+    /// Propagates [`DbError`] from the restore.
+    pub fn restore(snapshot: &[u8]) -> Result<Self, DbError> {
+        let mut store = JsonStore::restore("userdb", snapshot)?;
+        // tables exist even when restored from nothing; the index is
+        // derived data, rebuilt so any snapshot of the tables serves it
         store.create_table(PROFILES)?;
         store.create_table(TRANSACTIONS)?;
         store.add_index(TRANSACTIONS, "by-consumer", "consumer")?;
@@ -250,54 +253,78 @@ mod tests {
     }
 
     #[test]
-    fn crash_recovery_preserves_everything() {
+    fn restore_preserves_everything() {
         let mut db = UserDb::new();
         db.save_profile(ConsumerId(1), &profile_with("books", "rust", 1.0))
             .unwrap();
         db.record_transaction(&tx(1, 10, 5)).unwrap();
-        let (snapshot, wal) = db.durable_state();
-        let recovered = UserDb::recover(&snapshot, &wal).unwrap();
-        assert_eq!(recovered.profile_count(), 1);
-        assert_eq!(recovered.transaction_count(), 1);
+        let restored = UserDb::restore(&db.snapshot()).unwrap();
+        assert_eq!(restored.profile_count(), 1);
+        assert_eq!(restored.transaction_count(), 1);
         assert_eq!(
-            recovered.load_profile(ConsumerId(1)).unwrap(),
+            restored.load_profile(ConsumerId(1)).unwrap(),
             db.load_profile(ConsumerId(1)).unwrap()
         );
+        assert_eq!(restored.snapshot(), db.snapshot());
     }
 
     #[test]
-    fn recovered_db_continues_transaction_sequence() {
+    fn restored_db_continues_transaction_sequence() {
         let mut db = UserDb::new();
         db.record_transaction(&tx(1, 10, 5)).unwrap();
-        let (snap, wal) = db.durable_state();
-        let mut recovered = UserDb::recover(&snap, &wal).unwrap();
-        recovered.record_transaction(&tx(2, 11, 6)).unwrap();
+        let mut restored = UserDb::restore(&db.snapshot()).unwrap();
+        assert_eq!(restored.tx_seq, db.tx_seq);
+        restored.record_transaction(&tx(2, 11, 6)).unwrap();
+        db.record_transaction(&tx(2, 11, 6)).unwrap();
         assert_eq!(
-            recovered.transaction_count(),
+            restored.transaction_count(),
             2,
             "sequence must not overwrite"
         );
+        assert_eq!(restored.snapshot(), db.snapshot());
     }
 
     #[test]
-    fn recovery_from_nothing_yields_a_working_db() {
-        let mut db = UserDb::recover(b"", b"").unwrap();
+    fn restore_from_nothing_yields_a_working_db() {
+        let mut db = UserDb::restore(b"").unwrap();
         assert_eq!(db.profile_count(), 0);
         db.record_transaction(&tx(1, 10, 5)).unwrap();
         assert_eq!(db.transactions_of(ConsumerId(1)).unwrap().len(), 1);
+        assert_eq!(db.snapshot(), {
+            let mut fresh = UserDb::new();
+            fresh.record_transaction(&tx(1, 10, 5)).unwrap();
+            fresh.snapshot()
+        });
     }
 
     #[test]
-    fn transactions_of_uses_the_index_after_recovery() {
+    fn transactions_of_uses_the_index_after_restore() {
         let mut db = UserDb::new();
         db.record_transaction(&tx(1, 10, 5)).unwrap();
         db.record_transaction(&tx(2, 11, 6)).unwrap();
         db.record_transaction(&tx(1, 12, 7)).unwrap();
-        let (snap, wal) = db.durable_state();
-        let recovered = UserDb::recover(&snap, &wal).unwrap();
-        let mine = recovered.transactions_of(ConsumerId(1)).unwrap();
+        let restored = UserDb::restore(&db.snapshot()).unwrap();
+        let mine = restored.transactions_of(ConsumerId(1)).unwrap();
         assert_eq!(mine.len(), 2);
         assert!(mine.iter().all(|t| t.consumer == ConsumerId(1)));
+        assert_eq!(mine, db.transactions_of(ConsumerId(1)).unwrap());
+    }
+
+    #[test]
+    fn pa_state_with_a_legacy_wal_field_restores() {
+        let mut db = UserDb::new();
+        db.record_transaction(&tx(1, 10, 5)).unwrap();
+        let state = serde_json::to_string(&db).unwrap();
+        let legacy = state.replacen(
+            r#""name":"userdb","#,
+            r#""name":"userdb","wal":{"records":[{"CreateTable":{"table":"profiles"}}]},"#,
+            1,
+        );
+        assert_ne!(legacy, state);
+        let back: UserDb = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back.tx_seq, 1);
+        assert_eq!(back.transactions_of(ConsumerId(1)).unwrap().len(), 1);
+        assert_eq!(back.snapshot(), db.snapshot());
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!
 //! * [`table::Table`] — typed, ordered tables with multi-valued secondary
 //!   indexes (used embedded, e.g. profiles indexed by category);
-//! * [`store::JsonStore`] — a multi-table JSON document store with a
-//!   write-ahead log ([`wal::Wal`]) and snapshot + replay recovery.
+//! * [`store::JsonStore`] — a multi-table JSON document store with
+//!   field-path secondary indexes and snapshot/restore;
+//! * [`wal::Wal`] and [`file_wal::FileWal`] — the write-ahead log (in
+//!   memory and file-backed) the agent runtime journals durable hosts
+//!   through.
 //!
 //! ```
 //! use simdb::store::JsonStore;

@@ -1,9 +1,12 @@
-//! A durable multi-table JSON document store.
+//! A multi-table JSON document store.
 //!
 //! [`JsonStore`] is the "database server" face of simdb: named tables of
-//! JSON rows, every mutation logged to a [`Wal`], with snapshot +
-//! log-replay recovery. The recommendation mechanism's `UserDB` and
-//! `BSMDB` are instances of this store.
+//! JSON rows with field-path secondary indexes. The store keeps state, not
+//! history: its serialized form (and [`JsonStore::snapshot`]) is the
+//! tables plus their indexes, so an agent that carries a store in its
+//! state is made durable by whoever journals that state. The
+//! recommendation mechanism's `UserDB` and `BSMDB` are instances of this
+//! store.
 //!
 //! ```
 //! use simdb::store::JsonStore;
@@ -15,15 +18,13 @@
 //!
 //! // crash...
 //! let snapshot = db.snapshot();
-//! let wal_bytes = db.wal_bytes();
-//! let recovered = JsonStore::recover("userdb", &snapshot, &wal_bytes)?;
-//! assert_eq!(recovered.get("profiles", "u1"), db.get("profiles", "u1"));
+//! let restored = JsonStore::restore("userdb", &snapshot)?;
+//! assert_eq!(restored.get("profiles", "u1"), db.get("profiles", "u1"));
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::error::{DbError, Result};
-use crate::wal::{LogRecord, Wal};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -32,8 +33,8 @@ type Rows = BTreeMap<String, serde_json::Value>;
 /// A field-path secondary index over one table: rows are indexed by the
 /// stringified value at `field_path` (dot-separated for nesting, e.g.
 /// `"consumer"` or `"item.id"`). The definition is plain data, so the
-/// whole store — indexes included — stays serde-serializable and indexes
-/// rebuild automatically on recovery.
+/// whole store — indexes included — stays serde-serializable and a
+/// restored store answers the same lookups.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct FieldIndex {
     field_path: String,
@@ -55,6 +56,39 @@ fn field_key(row: &serde_json::Value, field_path: &str) -> Option<String> {
     })
 }
 
+/// Make `slot` equal to `new`, reusing the object and array nodes both
+/// share. Rows such as UserDB's profiles are rewritten whole on every
+/// learning event while most of their structure stays: updating in place
+/// frees only the spare nodes of the just-built tree, which the allocator
+/// hands out again at once, instead of the old row's nodes scattered
+/// across the heap.
+fn assign(slot: &mut serde_json::Value, new: serde_json::Value) {
+    use serde_json::Value;
+    match (slot, new) {
+        (Value::Object(old), Value::Object(new)) => {
+            old.retain(|k, _| new.contains_key(k));
+            for (k, v) in new {
+                match old.get_mut(&k) {
+                    Some(o) => assign(o, v),
+                    None => {
+                        old.insert(k, v);
+                    }
+                }
+            }
+        }
+        (Value::Array(old), Value::Array(new)) => {
+            old.truncate(new.len());
+            for (i, v) in new.into_iter().enumerate() {
+                match old.get_mut(i) {
+                    Some(o) => assign(o, v),
+                    None => old.push(v),
+                }
+            }
+        }
+        (slot, new) => *slot = new,
+    }
+}
+
 impl FieldIndex {
     fn insert(&mut self, key: &str, row: &serde_json::Value) {
         if let Some(ik) = field_key(row, &self.field_path) {
@@ -74,22 +108,19 @@ impl FieldIndex {
     }
 }
 
-/// Serializable snapshot contents (tables only; the WAL is separate).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-struct Snapshot {
-    tables: BTreeMap<String, Rows>,
-}
-
-/// Multi-table JSON store with write-ahead logging.
+/// Multi-table JSON store.
 ///
 /// The store itself is serde-serializable, so an agent can carry its
 /// database as part of its migratable/deactivatable state — exactly how
-/// the PA carries UserDB and the BSMA carries BSMDB in `abcrm-core`.
+/// the PA carries UserDB and the BSMA carries BSMDB in `abcrm-core`. Its
+/// size follows its rows, not the number of writes that produced them.
+/// Unknown fields are ignored on deserialization, so states written
+/// when the store still embedded a write-ahead log (`"wal"`) restore.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct JsonStore {
+    #[serde(default)]
     name: String,
     tables: BTreeMap<String, Rows>,
-    wal: Wal,
     /// (table, index name) -> index
     #[serde(default)]
     indexes: BTreeMap<String, BTreeMap<String, FieldIndex>>,
@@ -109,23 +140,19 @@ impl JsonStore {
         &self.name
     }
 
-    /// Create a table. Idempotent: creating an existing table is a no-op
-    /// (and is not logged again).
+    /// Create a table. Idempotent: creating an existing table is a no-op.
     ///
     /// # Errors
     ///
     /// Currently infallible; returns `Result` for forward compatibility.
     pub fn create_table(&mut self, table: &str) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            self.wal.append(LogRecord::CreateTable {
-                table: table.to_string(),
-            });
-            self.tables.insert(table.to_string(), Rows::new());
-        }
+        self.tables.entry(table.to_string()).or_default();
         Ok(())
     }
 
-    /// Insert or replace the row at `key`.
+    /// Insert or replace the row at `key`. A replaced row is rewritten in
+    /// place: the parts of its tree that `value` still has keep their
+    /// allocations.
     ///
     /// # Errors
     ///
@@ -135,18 +162,20 @@ impl JsonStore {
             .tables
             .get_mut(table)
             .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        self.wal.append(LogRecord::Put {
-            table: table.to_string(),
-            key: key.to_string(),
-            value: value.clone(),
-        });
-        let old = rows.insert(key.to_string(), value.clone());
-        if let Some(table_indexes) = self.indexes.get_mut(table) {
-            for index in table_indexes.values_mut() {
-                if let Some(old) = &old {
-                    index.remove(key, old);
+        let table_indexes = self.indexes.get_mut(table);
+        match rows.get_mut(key) {
+            Some(row) => {
+                for index in table_indexes.into_iter().flat_map(|t| t.values_mut()) {
+                    index.remove(key, row);
+                    index.insert(key, &value);
                 }
-                index.insert(key, &value);
+                assign(row, value);
+            }
+            None => {
+                for index in table_indexes.into_iter().flat_map(|t| t.values_mut()) {
+                    index.insert(key, &value);
+                }
+                rows.insert(key.to_string(), value);
             }
         }
         Ok(())
@@ -199,10 +228,6 @@ impl JsonStore {
             .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
         let removed = rows.remove(key);
         if let Some(old) = &removed {
-            self.wal.append(LogRecord::Delete {
-                table: table.to_string(),
-                key: key.to_string(),
-            });
             if let Some(table_indexes) = self.indexes.get_mut(table) {
                 for index in table_indexes.values_mut() {
                     index.remove(key, old);
@@ -305,87 +330,25 @@ impl JsonStore {
         self.tables.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Serialize the current table contents (not the WAL).
+    /// Serialize the store: its tables and their indexes.
     pub fn snapshot(&self) -> Vec<u8> {
-        let snap = Snapshot {
-            tables: self.tables.clone(),
-        };
-        serde_json::to_vec(&snap).expect("snapshot serializes")
+        serde_json::to_vec(self).expect("snapshot serializes")
     }
 
-    /// Current WAL bytes (what would be on disk).
-    pub fn wal_bytes(&self) -> Vec<u8> {
-        self.wal.encode()
-    }
-
-    /// Number of unflushed WAL records.
-    pub fn wal_len(&self) -> usize {
-        self.wal.len()
-    }
-
-    /// Checkpoint: return a fresh snapshot and truncate the WAL.
-    pub fn checkpoint(&mut self) -> Vec<u8> {
-        let snap = self.snapshot();
-        self.wal.truncate();
-        snap
-    }
-
-    /// Rebuild a store from a snapshot plus a WAL tail.
+    /// Rebuild a store named `name` from a [`JsonStore::snapshot`]; an
+    /// empty snapshot gives an empty store.
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] for an unreadable snapshot,
-    /// [`DbError::WalCorrupt`] for a corrupt log,
-    /// [`DbError::UnknownTable`] if the log references a table the
-    /// snapshot+log never created.
-    pub fn recover(name: impl Into<String>, snapshot: &[u8], wal_bytes: &[u8]) -> Result<Self> {
-        let snap: Snapshot = if snapshot.is_empty() {
-            Snapshot::default()
+    /// [`DbError::Serialization`] for an unreadable snapshot.
+    pub fn restore(name: impl Into<String>, snapshot: &[u8]) -> Result<Self> {
+        let mut store = if snapshot.is_empty() {
+            JsonStore::default()
         } else {
-            serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))?
+            serde_json::from_slice::<JsonStore>(snapshot)
+                .map_err(|e| DbError::Serialization(e.to_string()))?
         };
-        let mut store = JsonStore {
-            name: name.into(),
-            tables: snap.tables,
-            ..Default::default()
-        };
-        let wal = Wal::decode(wal_bytes)?;
-        for record in wal.records() {
-            match record {
-                LogRecord::CreateTable { table } => {
-                    store.tables.entry(table.clone()).or_default();
-                }
-                LogRecord::Put { table, key, value } => {
-                    let rows = store
-                        .tables
-                        .get_mut(table)
-                        .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                    rows.insert(key.clone(), value.clone());
-                }
-                LogRecord::Delete { table, key } => {
-                    let rows = store
-                        .tables
-                        .get_mut(table)
-                        .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                    rows.remove(key);
-                }
-                // Durability records belong to a runtime DurableStore log,
-                // not a table store; finding one here means the wrong log
-                // was replayed against this snapshot.
-                LogRecord::Capsule { .. }
-                | LogRecord::CapsuleGone { .. }
-                | LogRecord::PurchaseIntent { .. }
-                | LogRecord::PurchaseCommit { .. }
-                | LogRecord::PurchaseAbort { .. }
-                | LogRecord::ProfileDelta { .. } => {
-                    return Err(DbError::Serialization(
-                        "durability record is not valid for a table store".into(),
-                    ));
-                }
-            }
-        }
-        // Recovery replays history; the recovered WAL starts clean,
-        // matching a checkpoint-on-recovery discipline.
+        store.name = name.into();
         Ok(store)
     }
 }
@@ -446,47 +409,111 @@ mod tests {
     }
 
     #[test]
-    fn recovery_from_snapshot_plus_wal_replays_everything() {
+    fn restore_from_snapshot_gives_the_same_tables_and_index_lookups() {
         let mut db = store_with_data();
-        let snapshot = db.checkpoint();
-        // post-checkpoint mutations live only in the WAL
-        db.put("t", "c", json!(3)).unwrap();
+        db.add_index("t", "by-x", "x").unwrap();
+        db.put("t", "c", json!({"x": [1, 2]})).unwrap();
         db.delete("t", "a").unwrap();
         db.create_table("t2").unwrap();
         db.put("t2", "z", json!(9)).unwrap();
-        let recovered = JsonStore::recover("test", &snapshot, &db.wal_bytes()).unwrap();
-        assert_eq!(recovered.get("t", "c"), Some(&json!(3)));
-        assert_eq!(recovered.get("t", "a"), None);
-        assert_eq!(recovered.get("t", "b"), Some(&json!({"x": [1, 2]})));
-        assert_eq!(recovered.get("t2", "z"), Some(&json!(9)));
+        let restored = JsonStore::restore("test", &db.snapshot()).unwrap();
+        assert_eq!(restored.name(), "test");
+        assert_eq!(restored.table_names(), db.table_names());
+        for table in db.table_names() {
+            let live: Vec<_> = db.scan(table).unwrap().collect();
+            let back: Vec<_> = restored.scan(table).unwrap().collect();
+            assert_eq!(live, back);
+        }
         assert_eq!(
-            recovered.wal_len(),
-            0,
-            "recovered store starts with a clean wal"
+            restored.lookup("t", "by-x", "[1,2]").unwrap(),
+            vec!["b", "c"]
+        );
+        assert_eq!(
+            restored.lookup("t", "by-x", "[1,2]").unwrap(),
+            db.lookup("t", "by-x", "[1,2]").unwrap()
         );
     }
 
     #[test]
-    fn recovery_from_empty_state_is_empty() {
-        let db = JsonStore::recover("fresh", b"", b"").unwrap();
+    fn restore_from_empty_snapshot_is_empty() {
+        let db = JsonStore::restore("fresh", b"").unwrap();
+        assert_eq!(db.name(), "fresh");
         assert!(db.table_names().is_empty());
     }
 
     #[test]
-    fn recovery_with_torn_final_wal_record_drops_it() {
-        let db = store_with_data();
-        let mut wal = db.wal_bytes();
-        wal.extend_from_slice(b"{\"Put\":{\"tab"); // torn write
-        let recovered = JsonStore::recover("test", b"", &wal).unwrap();
-        assert_eq!(recovered.get("t", "b"), Some(&json!({"x": [1, 2]})));
+    fn restore_from_a_torn_snapshot_errors() {
+        let snapshot = store_with_data().snapshot();
+        let torn = &snapshot[..snapshot.len() - 3];
+        assert!(matches!(
+            JsonStore::restore("test", torn),
+            Err(DbError::Serialization(_))
+        ));
     }
 
     #[test]
-    fn checkpoint_truncates_wal() {
-        let mut db = store_with_data();
-        assert!(db.wal_len() > 0);
-        db.checkpoint();
-        assert_eq!(db.wal_len(), 0);
+    fn serialized_size_is_constant_under_put_delete_cycles() {
+        let cycle = |db: &mut JsonStore| {
+            db.put("t", "k", json!({"consumer": "u1", "n": 7})).unwrap();
+            db.delete("t", "k").unwrap();
+        };
+        let mut db = JsonStore::new("test");
+        db.create_table("t").unwrap();
+        db.add_index("t", "by-consumer", "consumer").unwrap();
+        cycle(&mut db);
+        let after_one = serde_json::to_vec(&db).unwrap().len();
+        for _ in 1..1_000 {
+            cycle(&mut db);
+        }
+        assert_eq!(serde_json::to_vec(&db).unwrap().len(), after_one);
+        assert_eq!(db.snapshot().len(), after_one);
+    }
+
+    #[test]
+    fn state_with_a_legacy_wal_field_restores() {
+        let legacy = br#"{"indexes":{},"name":"bsmdb","tables":{"sessions":{"7":1}},"wal":{"records":[{"CreateTable":{"table":"sessions"}}]}}"#;
+        let db: JsonStore = serde_json::from_slice(legacy).unwrap();
+        assert_eq!(db.get("sessions", "7"), Some(&json!(1)));
+        let restored = JsonStore::restore("bsmdb", legacy).unwrap();
+        assert_eq!(restored.table_len("sessions"), 1);
+        assert!(!String::from_utf8(restored.snapshot())
+            .unwrap()
+            .contains("wal"));
+    }
+
+    #[test]
+    fn rewriting_a_row_in_place_equals_replacing_it() {
+        let rows = [
+            json!({"c": {"books": {"rust": 1.5, "go": 0.5}, "music": [1, 2, 3]}, "n": "a"}),
+            json!({"c": {"books": {"rust": 2.0, "zig": 0.1}, "music": [4]}, "m": null}),
+            json!({"c": {"books": [], "music": {"jazz": 1}}, "n": 7}),
+            json!([{"x": 1}, {"y": [2]}, 3]),
+            json!([{"x": 2}]),
+            json!("scalar"),
+            json!({"c": {"books": {"rust": 1.0}}}),
+        ];
+        let mut db = JsonStore::new("test");
+        db.create_table("t").unwrap();
+        db.add_index("t", "by-n", "n").unwrap();
+        for row in &rows {
+            db.put("t", "k", row.clone()).unwrap();
+            assert_eq!(db.get("t", "k"), Some(row));
+            let n = row.get("n").map(|n| match n {
+                serde_json::Value::String(s) => s.clone(),
+                other => other.to_string(),
+            });
+            let indexed: Vec<String> = db
+                .indexes
+                .get("t")
+                .unwrap()
+                .get("by-n")
+                .unwrap()
+                .map
+                .keys()
+                .cloned()
+                .collect();
+            assert_eq!(indexed, n.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -565,8 +592,8 @@ mod tests {
     fn create_table_is_idempotent() {
         let mut db = JsonStore::new("test");
         db.create_table("t").unwrap();
-        let wal_before = db.wal_len();
+        db.put("t", "k", json!(1)).unwrap();
         db.create_table("t").unwrap();
-        assert_eq!(db.wal_len(), wal_before);
+        assert_eq!(db.get("t", "k"), Some(&json!(1)));
     }
 }

@@ -1,9 +1,10 @@
 //! Write-ahead log.
 //!
-//! Every mutation of a [`crate::store::JsonStore`] is appended to the log
-//! before it is applied. Recovery replays the log over the last snapshot,
-//! so a crash between checkpoint and crash-point loses nothing. The
-//! encoding is newline-delimited JSON, chosen for debuggability.
+//! A durable host's runtime appends every capsule, purchase record and
+//! profile delta to the log before acting on it. Recovery replays the log
+//! over the last snapshot, so a crash between checkpoint and crash-point
+//! loses nothing. The encoding is newline-delimited JSON, chosen for
+//! debuggability.
 
 use crate::error::{DbError, Result};
 use serde::{Deserialize, Serialize};
@@ -83,7 +84,7 @@ pub enum LogRecord {
 }
 
 /// An append-only operation log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Wal {
     records: Vec<LogRecord>,
 }

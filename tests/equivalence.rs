@@ -1454,12 +1454,12 @@ mod cross_runtime_lifecycle {
         observe(&trace, &metrics, &ids)
     }
 
-    /// The trace lines both runtimes write identically (crash and recovery
-    /// lines are per worker on threads) and the counters.
+    /// The trace lines both runtimes write identically (recovery lines are
+    /// per worker on threads) and the counters.
     fn comparable((labels, counters): &(Vec<String>, [u64; 7])) -> (Vec<&String>, [u64; 7]) {
         let labels = labels
             .iter()
-            .filter(|l| !l.starts_with("chaos:") && !l.starts_with("recovery:"))
+            .filter(|l| !l.starts_with("recovery:"))
             .collect();
         (labels, *counters)
     }

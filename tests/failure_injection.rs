@@ -241,19 +241,25 @@ fn userdb_crash_recovery_preserves_profiles_and_transactions() {
     let pa = p.pa_state();
     let db = pa.userdb();
     assert_eq!(db.transaction_count(), 1);
-    // simulate a crash: rebuild from snapshot + wal
-    let (snapshot, wal) = db.durable_state();
-    let recovered = UserDb::recover(&snapshot, &wal).unwrap();
+    // simulate a crash: rebuild from the PA-carried state's snapshot
+    let snapshot = db.snapshot();
+    let mut recovered = UserDb::restore(&snapshot).unwrap();
     assert_eq!(recovered.transaction_count(), 1);
     assert_eq!(
         recovered.load_profile(ConsumerId(1)).unwrap(),
         db.load_profile(ConsumerId(1)).unwrap()
     );
-    // torn final WAL record must not break recovery
-    let mut torn = wal;
-    torn.extend_from_slice(b"{\"Put\":{\"tab");
-    let recovered = UserDb::recover(&snapshot, &torn).unwrap();
-    assert_eq!(recovered.transaction_count(), 1);
+    assert_eq!(
+        recovered.transactions_of(ConsumerId(1)).unwrap(),
+        db.transactions().unwrap()
+    );
+    // the restored db carries on the transaction sequence
+    let mut next = db.transactions().unwrap()[0].clone();
+    next.at_us += 1;
+    recovered.record_transaction(&next).unwrap();
+    assert_eq!(recovered.transaction_count(), 2);
+    // a torn snapshot is refused, not half-restored
+    assert!(UserDb::restore(&snapshot[..snapshot.len() / 2]).is_err());
 }
 
 #[test]

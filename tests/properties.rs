@@ -232,19 +232,32 @@ proptest! {
     ) {
         let mut live = JsonStore::new("t");
         for (op, table, key, value) in &ops {
-            live.create_table(table).unwrap();
+            if !live.table_names().contains(&table.as_str()) {
+                live.create_table(table).unwrap();
+                live.add_index(table, "by-value", "v").unwrap();
+            }
             match op {
-                0 | 1 => live.put(table, key, serde_json::json!(value)).unwrap(),
+                0 | 1 => live
+                    .put(table, key, serde_json::json!({ "v": value }))
+                    .unwrap(),
                 _ => {
                     let _ = live.delete(table, key).unwrap();
                 }
             }
         }
-        let recovered = JsonStore::recover("t", b"", &live.wal_bytes()).unwrap();
+        let recovered = JsonStore::restore("t", &live.snapshot()).unwrap();
+        prop_assert_eq!(recovered.table_names(), live.table_names());
         for table in live.table_names() {
             let live_rows: Vec<_> = live.scan(table).unwrap().collect();
             let rec_rows: Vec<_> = recovered.scan(table).unwrap().collect();
             prop_assert_eq!(live_rows, rec_rows);
+            for value in 0..100 {
+                let v = value.to_string();
+                prop_assert_eq!(
+                    recovered.lookup(table, "by-value", &v).unwrap(),
+                    live.lookup(table, "by-value", &v).unwrap()
+                );
+            }
         }
     }
 
