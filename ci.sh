@@ -31,11 +31,12 @@ filtered_test() {
 # the re-rank kernel ≡ vector_similarity properties in core), then the
 # full-scale query bench including the 10^6-consumer axis. Does not run
 # the normal gate.
-# --recovery-stress: loop the crash-point matrix, the WAL property tests
-# and the constant-size state checks (store snapshot/restore property,
-# JsonStore and BSMA state size) 10x (the crash matrix on both feature
-# sets, so the sharded/threaded recovery paths get shaken too), then the
-# full E14 recovery series. Does not run the normal gate.
+# --recovery-stress: loop the crash-point matrix, the marketplace-host
+# crash sweep, the WAL and marketplace delta-replay property tests and
+# the constant-size state checks (store snapshot/restore property,
+# JsonStore, BSMA and marketplace state size) 10x (the crash matrix on
+# both feature sets, so the sharded/threaded recovery paths get shaken
+# too), then the full E14 recovery series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x on both feature
 # sets — the 32-seed supervised chaos sweep, the DES ≡ ThreadWorld
 # failover/hang equivalence (real threads + wall-clock leases, the racy
@@ -60,12 +61,16 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     echo "--- iteration $i/10 ---"
     cargo test -q --release --test recovery
     cargo test -q --release --test recovery --features parallel
+    filtered_test -q --release --test recovery marketplace_host_crash
     filtered_test -q --release --test properties durable_replay
+    filtered_test -q --release --test properties marketplace_checkpoint_plus_deltas
     filtered_test -q --release --test properties any_torn_log_prefix
     filtered_test -q --release --test properties crash_preserves
     filtered_test -q --release --test properties store_recovery_equals_live_state
     filtered_test -q --release -p simdb store::tests::serialized_size_is_constant
     filtered_test -q --release -p abcrm-core server::tests::bsma_state_is_constant
+    filtered_test -q --release -p abcrm-core server::tests::marketplace_state_is_constant
+    filtered_test -q --release -p ecp marketplace::tests::minted_intents_never_wrap
     filtered_test -q --release -p abcrm-core userdb::tests::restore
   done
   echo "==> full E14 recovery series"

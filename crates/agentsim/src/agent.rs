@@ -82,8 +82,12 @@ pub trait Agent: Send {
     /// How a durable host journals this agent: whole capsules at every
     /// callback boundary (the default — right for small protocol agents
     /// like the BRA), or incremental deltas the agent logs itself via
-    /// [`Ctx::journal_delta`] (right for agents carrying large learned
-    /// state, like the PA).
+    /// [`Ctx::journal_delta`] / [`Ctx::journal_forced_delta`] (right for
+    /// agents carrying large state that changes a little per callback,
+    /// like the PA's learned profiles or the marketplace's listings and
+    /// ledger). Either way the agent's first capsule on a durable host —
+    /// at creation or arrival — is forced to stable storage, so a crash
+    /// can never lose an agent the host has already run.
     fn durable_policy(&self) -> DurablePolicy {
         DurablePolicy::Capsule
     }
@@ -113,7 +117,8 @@ pub enum DurablePolicy {
     /// callback boundary.
     Capsule,
     /// The agent journals incremental deltas itself via
-    /// [`Ctx::journal_delta`]; the world only captures its capsule at
+    /// [`Ctx::journal_delta`] or [`Ctx::journal_forced_delta`]; the world
+    /// only captures its capsule when it lands on a host and at
     /// checkpoints, and recovery replays the deltas logged since.
     Deltas,
 }
@@ -198,9 +203,11 @@ pub enum Action {
     JournalAbort { intent: u64, reason: String },
     /// Log an incremental state delta for the calling agent (delta-policy
     /// durability; replayed through `on_recovered` after a crash).
+    /// `forced` deltas are synced at append, like purchase records.
     JournalDelta {
         id: AgentId,
         delta: serde_json::Value,
+        forced: bool,
     },
     /// Append `payload` to the calling agent's outbox (see [`Ctx::emit`]).
     Emit { payload: Payload },
@@ -225,6 +232,7 @@ pub struct Ctx<'a> {
     next_agent_id: &'a mut u64,
     trace: Option<TraceCtx>,
     deadline: Option<SimTime>,
+    durable: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -247,7 +255,22 @@ impl<'a> Ctx<'a> {
             next_agent_id,
             trace: None,
             deadline: None,
+            durable: false,
         }
+    }
+
+    /// Mark the callback as running on a durable host. Used by world
+    /// runtimes.
+    #[doc(hidden)]
+    pub fn with_durable(mut self, durable: bool) -> Self {
+        self.durable = durable;
+        self
+    }
+
+    /// Whether the host journals state durably: journaling actions are
+    /// no-ops otherwise, so an agent can skip building their records.
+    pub fn durable(&self) -> bool {
+        self.durable
     }
 
     /// Attach the telemetry context of the handler span this callback
@@ -535,6 +558,20 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::JournalDelta {
             id: self.self_id,
             delta,
+            forced: false,
+        });
+    }
+
+    /// Log a delta that records an obligation to another party (a sale,
+    /// a counter-offer, an accepted bid): like [`Ctx::journal_delta`],
+    /// but forced to stable storage at append, so journal it before the
+    /// reply it justifies and no crash can roll back what a peer has
+    /// seen. No-op on non-durable hosts.
+    pub fn journal_forced_delta(&mut self, delta: serde_json::Value) {
+        self.actions.push(Action::JournalDelta {
+            id: self.self_id,
+            delta,
+            forced: true,
         });
     }
 

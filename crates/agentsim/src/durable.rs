@@ -11,16 +11,22 @@
 //!
 //! Policy, mirroring production databases:
 //! * purchase records ([`LogRecord::PurchaseIntent`] /
-//!   [`LogRecord::PurchaseCommit`] / [`LogRecord::PurchaseAbort`]) are
+//!   [`LogRecord::PurchaseCommit`] / [`LogRecord::PurchaseAbort`]) and
+//!   forced deltas (the marketplace's sales, counters and bids) are
 //!   **forced**: the watermark advances through them immediately
-//!   (fsync-on-commit), so a logged intent is never lost;
-//! * capsule and delta records batch: the watermark advances once
+//!   (fsync-on-commit), so a logged intent or sale is never lost;
+//! * an agent's first capsule on a host is forced by the runtime, and a
+//!   departure or disposal ([`LogRecord::CapsuleGone`]) is forced here;
+//! * other capsule and delta records batch: the watermark advances once
 //!   `sync_every` unsynced records accumulate (1 = sync everything);
 //! * output commit: before the runtime releases anything an agent emitted
 //!   to the outside world, it forces the watermark through every record
 //!   so far with [`DurableStore::sync`];
-//! * a checkpoint serializes the materialized state into a snapshot and
-//!   truncates the log, bounding replay cost.
+//! * a checkpoint takes the materialized state as the new snapshot and
+//!   truncates the log, bounding replay cost. The snapshot is encoded to
+//!   bytes when first asked for ([`DurableStore::snapshot_bytes`]), or at
+//!   the checkpoint itself on a file-backed store — an in-memory
+//!   checkpoint does not pay to serialize every capsule it holds.
 
 use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
@@ -29,6 +35,7 @@ use simdb::wal::{LogRecord, Wal};
 use simdb::{DbError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 /// Tuning knobs for per-host durability. Installed on a world via
 /// `enable_durability`; absent = the host keeps no durable state and all
@@ -58,8 +65,9 @@ impl Default for DurabilityConfig {
 /// deactivated when last journalled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapsuleRecord {
-    /// Serialized `AgentCapsule` (id, type, state, home, permit).
-    pub capsule: serde_json::Value,
+    /// Serialized `AgentCapsule` (id, type, state, home, permit). Shared:
+    /// the live state and the checkpoint snapshot hold one tree.
+    pub capsule: Arc<serde_json::Value>,
     /// `true` = running agent journalled at a callback boundary;
     /// `false` = deactivated into long-term storage.
     pub active: bool,
@@ -86,14 +94,15 @@ pub struct DurableState {
     pub capsules: BTreeMap<u64, CapsuleRecord>,
     /// Purchase intents keyed by intent id.
     pub intents: BTreeMap<u64, IntentState>,
-    /// Profile deltas in log order: `(agent raw id, delta)`. Cleared at
-    /// checkpoints (the snapshot capsule absorbs them).
+    /// State deltas of delta-policy agents in log order: `(agent raw id,
+    /// delta)`. Cleared at checkpoints (the snapshot capsule absorbs
+    /// them).
     pub deltas: Vec<(u64, serde_json::Value)>,
 }
 
 impl DurableState {
     /// Apply one log record to the materialized state.
-    fn apply(&mut self, record: &LogRecord) -> Result<()> {
+    fn apply(&mut self, record: &LogRecord) {
         match record {
             LogRecord::Capsule {
                 agent,
@@ -103,7 +112,7 @@ impl DurableState {
                 self.capsules.insert(
                     *agent,
                     CapsuleRecord {
-                        capsule: capsule.clone(),
+                        capsule: Arc::new(capsule.clone()),
                         active: *active,
                     },
                 );
@@ -137,13 +146,7 @@ impl DurableState {
             LogRecord::ProfileDelta { agent, delta } => {
                 self.deltas.push((*agent, delta.clone()));
             }
-            LogRecord::CreateTable { .. } | LogRecord::Put { .. } | LogRecord::Delete { .. } => {
-                return Err(DbError::Serialization(
-                    "table record is not valid for a durable store".into(),
-                ));
-            }
         }
-        Ok(())
     }
 
     /// Deltas logged for `agent`, in log order.
@@ -178,7 +181,7 @@ pub struct DurableCounters {
     pub purchases_committed: u64,
     /// Purchase aborts logged.
     pub purchases_aborted: u64,
-    /// Profile deltas logged.
+    /// State deltas logged (batched and forced).
     pub profile_deltas_logged: u64,
 }
 
@@ -217,8 +220,10 @@ struct FileBacking {
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    /// Serialized [`DurableState`] at the last checkpoint.
-    snapshot: Vec<u8>,
+    /// The materialized state at the last checkpoint (empty before one).
+    snapshot: DurableState,
+    /// `snapshot` encoded, once something asks for its bytes.
+    snapshot_bytes: OnceLock<Vec<u8>>,
     wal: Wal,
     /// Fsync watermark: records `< synced` survive a crash.
     synced: usize,
@@ -238,6 +243,7 @@ impl Clone for DurableStore {
         DurableStore {
             cfg: self.cfg,
             snapshot: self.snapshot.clone(),
+            snapshot_bytes: self.snapshot_bytes.clone(),
             wal: self.wal.clone(),
             synced: self.synced,
             state: self.state.clone(),
@@ -253,7 +259,9 @@ impl DurableStore {
     pub fn new(cfg: DurabilityConfig) -> Self {
         DurableStore {
             cfg,
-            snapshot: Vec::new(),
+            snapshot: DurableState::default(),
+            // no checkpoint yet: no snapshot on disk
+            snapshot_bytes: OnceLock::from(Vec::new()),
             wal: Wal::new(),
             synced: 0,
             state: DurableState::default(),
@@ -285,11 +293,13 @@ impl DurableStore {
             Err(e) => return Err(DbError::Io(e.to_string())),
         };
         let (file_wal, wal) = FileWal::open(path)?;
-        let recovered = Self::replay(&snapshot, &wal)?;
+        let base = Self::decode_snapshot(&snapshot)?;
+        let recovered = Self::replay(base.clone(), &wal);
         let synced = wal.len();
         Ok(DurableStore {
             cfg,
-            snapshot,
+            snapshot: base,
+            snapshot_bytes: OnceLock::from(snapshot),
             wal,
             synced,
             state: recovered.state,
@@ -338,7 +348,7 @@ impl DurableStore {
     }
 
     fn append(&mut self, record: LogRecord, force_sync: bool) -> Result<()> {
-        self.state.apply(&record)?;
+        self.state.apply(&record);
         if let Some(f) = self.file.as_mut() {
             f.wal.append(&record)?;
         }
@@ -372,8 +382,8 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] is impossible for capsule records; the
-    /// `Result` mirrors the shared append path.
+    /// [`DbError::Io`] only on a file-backed store whose log append or
+    /// sync fails.
     pub fn put_capsule(
         &mut self,
         agent: u64,
@@ -431,7 +441,7 @@ impl DurableStore {
         self.append(LogRecord::PurchaseAbort { intent, reason }, true)
     }
 
-    /// Log a profile delta for a delta-policy agent. Batched sync.
+    /// Log a state delta for a delta-policy agent. Batched sync.
     ///
     /// # Errors
     ///
@@ -441,6 +451,17 @@ impl DurableStore {
         self.append(LogRecord::ProfileDelta { agent, delta }, false)
     }
 
+    /// Log a state delta that records an obligation to another party (a
+    /// sale, an accepted offer). Forced, like a purchase record.
+    ///
+    /// # Errors
+    ///
+    /// See [`DurableStore::put_capsule`].
+    pub fn log_forced_delta(&mut self, agent: u64, delta: serde_json::Value) -> Result<()> {
+        self.counters.profile_deltas_logged += 1;
+        self.append(LogRecord::ProfileDelta { agent, delta }, true)
+    }
+
     /// Whether enough records have accumulated to warrant a checkpoint.
     pub fn should_checkpoint(&self) -> bool {
         self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every
@@ -448,8 +469,10 @@ impl DurableStore {
 
     /// Checkpoint: fold `fresh_capsules` (live capsules of delta-policy
     /// agents, captured by the runtime at the checkpoint boundary) into
-    /// the state, serialize it as the new snapshot, truncate the WAL and
-    /// clear the absorbed deltas.
+    /// the state, take it as the new snapshot, truncate the WAL and clear
+    /// the absorbed deltas. Only a file-backed store encodes the snapshot
+    /// here; an in-memory one encodes it if [`Self::snapshot_bytes`] is
+    /// called.
     ///
     /// # Errors
     ///
@@ -465,12 +488,14 @@ impl DurableStore {
         fresh_capsules: Vec<(u64, serde_json::Value, bool)>,
     ) -> Result<()> {
         for (agent, capsule, active) in fresh_capsules {
+            let capsule = Arc::new(capsule);
             self.state
                 .capsules
                 .insert(agent, CapsuleRecord { capsule, active });
             self.state.deltas.retain(|(a, _)| *a != agent);
         }
-        self.snapshot = serde_json::to_vec(&self.state).unwrap_or_default();
+        self.snapshot = self.state.clone();
+        self.snapshot_bytes = OnceLock::new();
         self.wal.truncate();
         self.synced = 0;
         self.since_checkpoint = 0;
@@ -479,7 +504,10 @@ impl DurableStore {
             let mut tmp_os = f.snap_path.as_os_str().to_os_string();
             tmp_os.push(".tmp");
             let tmp = PathBuf::from(tmp_os);
-            std::fs::write(&tmp, &self.snapshot).map_err(|e| DbError::Io(e.to_string()))?;
+            let bytes = self
+                .snapshot_bytes
+                .get_or_init(|| serde_json::to_vec(&self.snapshot).unwrap_or_default());
+            std::fs::write(&tmp, bytes).map_err(|e| DbError::Io(e.to_string()))?;
             std::fs::rename(&tmp, &f.snap_path).map_err(|e| DbError::Io(e.to_string()))?;
             f.wal.reset(&self.wal)?;
         }
@@ -492,44 +520,40 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] / [`DbError::WalCorrupt`] if the
-    /// snapshot or surviving prefix do not replay (internal corruption).
+    /// [`DbError::Io`] only on a file-backed store whose log cannot be
+    /// cut back to the synced prefix.
     pub fn crash(&mut self) -> Result<()> {
         self.wal.retain_prefix(self.synced);
         if let Some(f) = self.file.as_mut() {
             // mirror the loss: the file keeps only the synced prefix
             f.wal.reset(&self.wal)?;
         }
-        self.state = Self::replay(&self.snapshot, &self.wal)?.state;
+        self.state = Self::replay(self.snapshot.clone(), &self.wal).state;
         Ok(())
     }
 
     /// Recovery pass: materialize snapshot + WAL. On a store that has
     /// been [`DurableStore::crash`]ed this is the durable view; on a live
     /// store it equals [`DurableStore::state`].
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Serialization`] for an unreadable snapshot or a table
-    /// record in the durability log; [`DbError::WalCorrupt`] never occurs
-    /// here (the in-memory log is already decoded).
-    pub fn recover(&self) -> Result<Recovered> {
-        Self::replay(&self.snapshot, &self.wal)
+    pub fn recover(&self) -> Recovered {
+        Self::replay(self.snapshot.clone(), &self.wal)
     }
 
-    fn replay(snapshot: &[u8], wal: &Wal) -> Result<Recovered> {
-        let mut state: DurableState = if snapshot.is_empty() {
-            DurableState::default()
-        } else {
-            serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))?
-        };
-        for record in wal.records() {
-            state.apply(record)?;
+    fn decode_snapshot(snapshot: &[u8]) -> Result<DurableState> {
+        if snapshot.is_empty() {
+            return Ok(DurableState::default());
         }
-        Ok(Recovered {
+        serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))
+    }
+
+    fn replay(mut state: DurableState, wal: &Wal) -> Recovered {
+        for record in wal.records() {
+            state.apply(record);
+        }
+        Recovered {
             state,
             replayed: wal.len(),
-        })
+        }
     }
 
     /// Replay an encoded snapshot + WAL byte log into a state — the
@@ -540,11 +564,10 @@ impl DurableStore {
     /// # Errors
     ///
     /// [`DbError::WalCorrupt`] for undecodable non-final records;
-    /// [`DbError::Serialization`] for an unreadable snapshot or a table
-    /// record in the log.
+    /// [`DbError::Serialization`] for an unreadable snapshot.
     pub fn replay_bytes(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Recovered> {
         let wal = Wal::decode(wal_bytes)?;
-        Self::replay(snapshot, &wal)
+        Ok(Self::replay(Self::decode_snapshot(snapshot)?, &wal))
     }
 
     /// Current WAL bytes (what would be on disk past the snapshot).
@@ -552,9 +575,11 @@ impl DurableStore {
         self.wal.encode()
     }
 
-    /// The snapshot bytes from the last checkpoint (empty before one).
+    /// The snapshot bytes from the last checkpoint (empty before one),
+    /// encoded on the first call after the checkpoint.
     pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.snapshot
+        self.snapshot_bytes
+            .get_or_init(|| serde_json::to_vec(&self.snapshot).unwrap_or_default())
     }
 }
 
@@ -580,7 +605,7 @@ mod tests {
         assert_eq!(
             s.state().capsules.get(&7).unwrap(),
             &CapsuleRecord {
-                capsule: json!({"x": 2}),
+                capsule: Arc::new(json!({"x": 2})),
                 active: false
             }
         );
@@ -596,7 +621,7 @@ mod tests {
         s.put_capsule(2, json!({"b": 2}), true).unwrap(); // unsynced tail
         assert_eq!(s.synced_len(), 2);
         s.crash().unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(
             rec.state.capsules.contains_key(&1),
             "pre-intent capsule synced"
@@ -616,7 +641,7 @@ mod tests {
         assert_eq!(s.synced_len(), 1);
         s.put_capsule(2, json!({"b": 2}), true).unwrap();
         s.crash().unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(rec.state.capsules.contains_key(&1), "synced record kept");
         assert!(!rec.state.capsules.contains_key(&2), "later tail lost");
     }
@@ -627,23 +652,19 @@ mod tests {
         st.apply(&LogRecord::PurchaseIntent {
             intent: 1,
             detail: json!({}),
-        })
-        .unwrap();
+        });
         st.apply(&LogRecord::PurchaseCommit {
             intent: 1,
             detail: json!({"price": 2.0}),
-        })
-        .unwrap();
+        });
         st.apply(&LogRecord::PurchaseIntent {
             intent: 1,
             detail: json!({}),
-        })
-        .unwrap();
+        });
         st.apply(&LogRecord::PurchaseAbort {
             intent: 1,
             reason: "late".into(),
-        })
-        .unwrap();
+        });
         assert!(matches!(
             st.intents.get(&1),
             Some(IntentState::Committed(_))
@@ -663,7 +684,7 @@ mod tests {
         s.checkpoint(Vec::new()).unwrap();
         assert_eq!(s.wal_len(), 0);
         s.log_delta(5, json!({"d": 1})).unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert_eq!(rec.replayed, 1, "only post-checkpoint records replay");
         assert!(rec.state.capsules.contains_key(&1));
         assert!(matches!(
@@ -679,20 +700,12 @@ mod tests {
         s.log_delta(5, json!({"d": 1})).unwrap();
         s.checkpoint(vec![(5, json!({"full": true}), true)])
             .unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(rec.state.deltas_for(5).is_empty());
         assert_eq!(
-            rec.state.capsules.get(&5).unwrap().capsule,
+            *rec.state.capsules.get(&5).unwrap().capsule,
             json!({"full": true})
         );
-    }
-
-    #[test]
-    fn table_records_are_rejected() {
-        let mut st = DurableState::default();
-        assert!(st
-            .apply(&LogRecord::CreateTable { table: "t".into() })
-            .is_err());
     }
 
     #[test]

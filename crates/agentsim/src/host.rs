@@ -357,7 +357,8 @@ impl HostCore {
             let (rng, ids) = env.ctx_parts();
             let mut ctx = Ctx::new(id, self.id, now, rng, &mut actions, ids)
                 .with_trace(handler)
-                .with_deadline(self.current_deadline);
+                .with_deadline(self.current_deadline)
+                .with_durable(self.durable.is_some());
             f(agent.as_mut(), &mut ctx);
         }
         // Reinsert before applying actions so that actions targeting the
@@ -534,8 +535,14 @@ impl HostCore {
                 Action::JournalAbort { intent, reason } => {
                     self.journal(env, |s| s.log_abort(intent, reason));
                 }
-                Action::JournalDelta { id, delta } => {
-                    self.journal(env, |s| s.log_delta(id.0, delta));
+                Action::JournalDelta { id, delta, forced } => {
+                    self.journal(env, |s| {
+                        if forced {
+                            s.log_forced_delta(id.0, delta)
+                        } else {
+                            s.log_delta(id.0, delta)
+                        }
+                    });
                 }
                 Action::Emit { payload } => commit.emits.push(payload),
             }
@@ -1003,13 +1010,8 @@ impl HostCore {
     /// [`Agent::on_recovered`]. Crash-looping agents are quarantined.
     pub(crate) fn recover<E: HostEnv>(&mut self, env: &mut E) {
         let host = self.id;
-        let recovered = match self.durable.as_ref().map(DurableStore::recover) {
-            Some(Ok(r)) => r,
-            Some(Err(e)) => {
-                env.record(None, format!("recovery: {host} failed: {e}"));
-                return;
-            }
-            None => return,
+        let Some(recovered) = self.durable.as_ref().map(DurableStore::recover) else {
+            return;
         };
         {
             let lead = env.lead();
@@ -1031,16 +1033,17 @@ impl HostCore {
                 );
                 continue;
             }
-            let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
-                Ok(c) => c,
-                Err(e) => {
-                    env.record(
-                        None,
-                        format!("recovery: {host} capsule for {id} unreadable: {e}"),
-                    );
-                    continue;
-                }
-            };
+            let capsule =
+                match <AgentCapsule as serde::Deserialize>::deserialize_value(&rec.capsule) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        env.record(
+                            None,
+                            format!("recovery: {host} capsule for {id} unreadable: {e}"),
+                        );
+                        continue;
+                    }
+                };
             let home = capsule.home;
             if rec.active {
                 match env.registry().rehydrate(&capsule) {
@@ -1115,7 +1118,9 @@ impl HostCore {
     /// Journal the live capsule of active agent `id`. Capsule-journalled
     /// agents are captured after every callback; delta-journalled agents
     /// only get a baseline capture (their history travels as deltas,
-    /// folded in at checkpoints).
+    /// folded in at checkpoints). An agent's first capsule here — at
+    /// creation or arrival — is forced: until it is synced, a crash
+    /// would lose the agent outright, whatever it already answered.
     fn journal_live_capsule<E: HostEnv>(&mut self, env: &mut E, id: AgentId) {
         let Some(store) = self.durable.as_ref() else {
             return;
@@ -1129,7 +1134,14 @@ impl HostCore {
             return;
         }
         if let Some(value) = self.capsule_value(env, id) {
-            self.journal(env, |s| s.put_capsule(id.0, value, true));
+            self.journal(env, |s| {
+                s.put_capsule(id.0, value, true)?;
+                if has_capsule {
+                    Ok(())
+                } else {
+                    s.sync()
+                }
+            });
         }
     }
 

@@ -27,7 +27,7 @@ use agentsim::clock::{SimDuration, SimTime};
 use agentsim::ids::{AgentId, HostId};
 use agentsim::message::Message;
 use ecp::merchandise::Merchandise;
-use ecp::protocol::{self as ecpk, BuyConfirm, LedgerQuery, LedgerReply, Offer};
+use ecp::protocol::{self as ecpk, BuyConfirm, IntentId, LedgerQuery, LedgerReply, Offer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -36,6 +36,9 @@ pub const BRA_TYPE: &str = "bra";
 
 /// Timer tag for re-dispatching an MBA after a backoff delay.
 const RETRY_TAG: u64 = 0x42_52_41; // "BRA"
+
+/// Timer tag for re-sending an unanswered ledger query.
+const LEDGER_TAG: u64 = 0x4C_44_47; // "LDG"
 
 /// Task state the BRA is driving.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,7 +55,7 @@ enum Pending {
         attempt: u32,
         /// Durable purchase-intent id (buy tasks under durability only).
         #[serde(default)]
-        intent: Option<u64>,
+        intent: Option<IntentId>,
     },
     /// Last MBA lost; backoff timer armed before the next dispatch.
     AwaitRetry {
@@ -60,15 +63,18 @@ enum Pending {
         attempt: u32,
         /// Durable purchase-intent id carried unchanged into the retry.
         #[serde(default)]
-        intent: Option<u64>,
+        intent: Option<IntentId>,
     },
     /// Durable buy whose MBA was lost with the outcome in doubt; the
     /// marketplace ledger has been asked whether the intent committed.
     AwaitLedger {
         task: ConsumerTask,
-        intent: u64,
+        intent: IntentId,
         market: MarketRef,
         attempt: u32,
+        /// Ledger queries re-sent so far for lack of an answer.
+        #[serde(default)]
+        queries: u32,
     },
     /// Offers in hand; awaiting the PA's similar-user data.
     AwaitSimilar {
@@ -240,13 +246,24 @@ impl BuyerRecommendAgent {
         self.pending = Some(Pending::AwaitProfile { task });
     }
 
-    /// Mint a fresh purchase-intent id: the BRA's globally-unique agent
-    /// id in the high bits, a per-BRA sequence number in the low 16. A
-    /// BRA drives one task at a time, so the sequence cannot wrap within
-    /// a purchase's lifetime.
-    fn mint_intent(&mut self, ctx: &Ctx<'_>) -> u64 {
-        self.intents_minted += 1;
-        (ctx.self_id().0 << 16) | (self.intents_minted & 0xFFFF)
+    /// Mint a fresh purchase-intent id: this BRA and the next number of
+    /// its own 64-bit intent sequence.
+    fn mint_intent(&mut self, ctx: &Ctx<'_>) -> IntentId {
+        IntentId::mint(ctx.self_id(), &mut self.intents_minted)
+    }
+
+    /// Ask the marketplace ledger whether `intent` committed, and arm the
+    /// timer that re-sends the query if no answer comes: a marketplace
+    /// host that is down dead-letters the query, and nothing else would
+    /// ever ask again. The `queries`-th re-send waits the MBA's
+    /// marketplace patience plus the retry backoff.
+    fn query_ledger(&self, ctx: &mut Ctx<'_>, intent: IntentId, market: MarketRef, queries: u32) {
+        let query = Message::new(ecpk::kinds::LEDGER_QUERY)
+            .with_payload(&LedgerQuery { intent })
+            .expect("ledger query serializes");
+        ctx.send(market.agent, query);
+        let wait = self.mba_timeout_us / 4 + self.retry.delay_us(queries);
+        ctx.set_timer(SimDuration::from_micros(wait), LEDGER_TAG);
     }
 
     fn dispatch_mba(
@@ -254,7 +271,7 @@ impl BuyerRecommendAgent {
         ctx: &mut Ctx<'_>,
         task: ConsumerTask,
         attempt: u32,
-        prior_intent: Option<u64>,
+        prior_intent: Option<IntentId>,
     ) {
         let fig = task.figure();
         // Durable buys carry a WAL-logged intent id so the marketplace
@@ -265,7 +282,7 @@ impl BuyerRecommendAgent {
             (ConsumerTask::Buy { item, market, .. }, None) if self.durable => {
                 let i = self.mint_intent(ctx);
                 ctx.journal_intent(
-                    i,
+                    journal_key(i),
                     serde_json::json!({
                         "consumer": self.consumer,
                         "item": item,
@@ -519,7 +536,7 @@ impl BuyerRecommendAgent {
                 ctx.note("fig4.3/step13 bra records transaction and pa updates profile");
                 if let Some(intent) = intent {
                     ctx.journal_commit(
-                        intent,
+                        journal_key(intent),
                         serde_json::to_value(&BuyConfirm {
                             item: item.clone(),
                             price,
@@ -556,7 +573,7 @@ impl BuyerRecommendAgent {
                 if let Some(intent) = intent {
                     // the marketplace definitively rejected/failed the buy,
                     // so the intent resolves to a clean abort
-                    ctx.journal_abort(intent, reason.clone());
+                    ctx.journal_abort(journal_key(intent), reason.clone());
                 }
                 ctx.note("fig4.3/step14 bra responds with failure");
                 self.respond(ctx, ResponseBody::Error(reason));
@@ -579,6 +596,67 @@ impl BuyerRecommendAgent {
             }
         }
     }
+
+    /// The ledger query of the task in [`Pending::AwaitLedger`] went
+    /// unanswered: re-send it while the retry budget lasts, then give up
+    /// with a journalled abort and an explicit error reply.
+    fn ledger_query_timed_out(&mut self, ctx: &mut Ctx<'_>) {
+        if !matches!(self.pending, Some(Pending::AwaitLedger { .. })) {
+            return; // answered meanwhile: leave the live state alone
+        }
+        let Some(Pending::AwaitLedger {
+            task,
+            intent,
+            market,
+            attempt,
+            queries,
+        }) = self.pending.take()
+        else {
+            return;
+        };
+        if queries < self.retry.max_retries {
+            ctx.note(format!(
+                "bra: ledger query for intent {intent} unanswered, re-sending (attempt {})",
+                queries + 1
+            ));
+            ctx.count_retry();
+            self.query_ledger(ctx, intent, market, queries + 1);
+            self.pending = Some(Pending::AwaitLedger {
+                task,
+                intent,
+                market,
+                attempt,
+                queries: queries + 1,
+            });
+            return;
+        }
+        ctx.note(format!(
+            "bra: intent {intent} aborted, marketplace ledger unreachable"
+        ));
+        ctx.journal_abort(
+            journal_key(intent),
+            "mba lost; marketplace ledger unreachable and retries exhausted",
+        );
+        self.respond(
+            ctx,
+            ResponseBody::Error(
+                "purchase aborted: buyer agent lost and marketplace ledger unreachable".into(),
+            ),
+        );
+    }
+}
+
+/// The key the host journal files `intent`'s purchase records under. The
+/// journal keys them by one `u64` and an intent is wider, so the BRA id
+/// is mixed (SplitMix64 finalizer) and the sequence folded in: distinct
+/// for every intent of one BRA, and across BRAs equal only by a 2^-64
+/// accident. Only the journal's bookkeeping reads the key; recovery
+/// re-drives from the BRA capsule, which carries the full id.
+fn journal_key(intent: IntentId) -> u64 {
+    let mut z = intent.bra().0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) ^ intent.seq()
 }
 
 impl Agent for BuyerRecommendAgent {
@@ -698,15 +776,13 @@ impl Agent for BuyerRecommendAgent {
                     ctx.note(format!(
                         "bra: purchase intent {intent} in doubt, querying marketplace ledger"
                     ));
-                    let query = Message::new(ecpk::kinds::LEDGER_QUERY)
-                        .with_payload(&LedgerQuery { intent })
-                        .expect("ledger query serializes");
-                    ctx.send(market.agent, query);
+                    self.query_ledger(ctx, intent, market, 0);
                     self.pending = Some(Pending::AwaitLedger {
                         task,
                         intent,
                         market,
                         attempt,
+                        queries: 0,
                     });
                     return;
                 }
@@ -807,7 +883,7 @@ impl Agent for BuyerRecommendAgent {
                         ));
                         ctx.count_ledger_resolution();
                         ctx.journal_commit(
-                            intent,
+                            journal_key(intent),
                             serde_json::to_value(&confirm).unwrap_or(serde_json::Value::Null),
                         );
                         self.record_behavior(
@@ -847,7 +923,7 @@ impl Agent for BuyerRecommendAgent {
                         }
                         ctx.note(format!("bra: intent {intent} aborted after ledger check"));
                         ctx.journal_abort(
-                            intent,
+                            journal_key(intent),
                             "mba lost; marketplace ledger shows no commit and retries exhausted",
                         );
                         self.respond(
@@ -904,14 +980,16 @@ impl Agent for BuyerRecommendAgent {
                 ctx.note("bra: recovered mid retry-backoff, re-arming dispatch timer");
                 ctx.set_timer(SimDuration::from_micros(1_000), RETRY_TAG);
             }
-            Some(Pending::AwaitLedger { intent, market, .. }) => {
+            Some(Pending::AwaitLedger {
+                intent,
+                market,
+                queries,
+                ..
+            }) => {
                 ctx.note(format!(
                     "bra: recovered mid ledger-query, re-querying intent {intent}"
                 ));
-                let query = Message::new(ecpk::kinds::LEDGER_QUERY)
-                    .with_payload(&LedgerQuery { intent })
-                    .expect("ledger query serializes");
-                ctx.send(market.agent, query);
+                self.query_ledger(ctx, intent, market, queries);
             }
             Some(Pending::AwaitMba { task, mba, .. }) => {
                 // The MBA is out roaming (or lost). Normally the BSMA's
@@ -939,7 +1017,13 @@ impl Agent for BuyerRecommendAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag != RETRY_TAG {
+        if tag == LEDGER_TAG {
+            self.ledger_query_timed_out(ctx);
+            return;
+        }
+        // a stale timer (the re-armed copy after a recovery, say) must
+        // not take the live state of a later stage
+        if tag != RETRY_TAG || !matches!(self.pending, Some(Pending::AwaitRetry { .. })) {
             return;
         }
         let Some(Pending::AwaitRetry {

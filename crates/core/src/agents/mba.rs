@@ -24,7 +24,8 @@ use ecp::merchandise::{CategoryPath, ItemId, Money};
 use ecp::negotiation::{BuyerMove, BuyerPolicy, BuyerSession};
 use ecp::protocol::{
     self as ecpk, AuctionBid, AuctionClosed, AuctionJoin, AuctionStatus, BuyConfirm, BuyRequest,
-    NegotiateAccept, NegotiateCounter, NegotiateOffer, Offer, QueryRequest, QueryResponse,
+    IntentId, NegotiateAccept, NegotiateCounter, NegotiateOffer, Offer, QueryRequest,
+    QueryResponse,
 };
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +68,7 @@ pub enum MbaTask {
         /// retries of the same purchase (at-most-once). `None` when
         /// durability is off — the wire format is then unchanged.
         #[serde(default)]
-        intent: Option<u64>,
+        intent: Option<IntentId>,
     },
     /// Bid in an auction up to `limit`.
     Auction {
@@ -400,6 +401,23 @@ impl Agent for MobileBuyerAgent {
         self.home = new_home;
         self.home_attempts = 0;
         ctx.note(format!("mba: rehomed to failover host {new_home}"));
+    }
+
+    fn on_recovered(&mut self, ctx: &mut Ctx<'_>, _deltas: &[serde_json::Value]) {
+        // Restored on a marketplace host that crashed under it: its timers
+        // and any reply in flight died with the host. Re-drive the visit
+        // rather than idle there forever; a re-sent buy carries its
+        // intent, so the marketplace ledger answers it without selling
+        // twice.
+        if ctx.host() == self.home {
+            return;
+        }
+        ctx.note("mba: recovered at marketplace, re-driving the visit");
+        if self.result.is_some() {
+            self.go_home(ctx);
+        } else {
+            self.start_at_market(ctx);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {

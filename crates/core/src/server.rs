@@ -1335,6 +1335,71 @@ mod tests {
         }
     }
 
+    /// Length of `v` as JSON with every run of digits collapsed to one
+    /// digit: the size the state would have with fixed-width counters.
+    fn shape_len(v: &serde_json::Value) -> usize {
+        let text = v.to_string();
+        let mut len = 0;
+        let mut in_digits = false;
+        for c in text.chars() {
+            let digit = c.is_ascii_digit();
+            if !(digit && in_digits) {
+                len += 1;
+            }
+            in_digits = digit;
+        }
+        len
+    }
+
+    #[test]
+    fn marketplace_state_is_constant_across_purchases() {
+        let mut p = Platform::builder(29)
+            .marketplaces(vec![vec![
+                listing(1, "Rust Book", "books", "programming", 30, &[("rust", 1.0)]),
+                listing(2, "Go Book", "books", "programming", 25, &[("go", 1.0)]),
+            ]])
+            .durability(DurabilityConfig::default())
+            .build();
+        let consumers: Vec<ConsumerId> = (1..=4).map(ConsumerId).collect();
+        for &c in &consumers {
+            p.login(c);
+        }
+        let market = p.markets()[0];
+        // `n` more purchases, one wave of a Direct buy per consumer at a
+        // time; each consumer always buys the same item.
+        let purchases = |p: &mut Platform, n: usize| {
+            for _ in 0..n / consumers.len() {
+                for &c in &consumers {
+                    let item = ItemId(1 + c.0 % 2);
+                    p.submit_task(
+                        c,
+                        ConsumerTask::Buy {
+                            item,
+                            market,
+                            mode: BuyMode::Direct,
+                        },
+                    );
+                }
+                let wave = p.run_and_drain();
+                assert_eq!(wave.len(), consumers.len(), "{wave:?}");
+                assert!(wave
+                    .iter()
+                    .all(|(_, r)| matches!(r, ResponseBody::Receipt { .. })));
+            }
+            p.world().snapshot_of(market.agent).unwrap()
+        };
+        let after_20 = purchases(&mut p, 20);
+        let after_200 = purchases(&mut p, 180);
+        let state: ecp::MarketplaceAgent = serde_json::from_value(after_200.clone()).unwrap();
+        assert_eq!(
+            state.units_sold(ItemId(1)) + state.units_sold(ItemId(2)),
+            200
+        );
+        assert_eq!(state.ledger_len(), consumers.len(), "one entry per BRA");
+        // only the counters' decimal widths grew
+        assert_eq!(shape_len(&after_20), shape_len(&after_200));
+    }
+
     #[test]
     fn seed_events_land_in_the_owning_shards_pa() {
         let mut p = small_sharded_platform(24, 2);

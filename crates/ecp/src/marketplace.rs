@@ -13,19 +13,20 @@
 //! a site") reads it.
 
 use crate::auction::{AuctionOutcome, BidderId, DutchAuction, EnglishAuction, VickreyAuction};
-use crate::merchandise::{ItemId, Merchandise};
+use crate::merchandise::{ItemId, Merchandise, Money};
 use crate::negotiation::{SellerPolicy, SellerResponse, SellerSession};
 use crate::protocol::{
     kinds, AuctionBid, AuctionClosed, AuctionJoin, AuctionOpen, AuctionStatus, BuyConfirm,
-    BuyRequest, CatalogSync, DutchOpen, LedgerQuery, LedgerReply, Listing, NegotiateAccept,
-    NegotiateCounter, NegotiateOffer, Offer, QueryRequest, QueryResponse, TopSellers,
-    TopSellersList,
+    BuyRequest, CatalogSync, DutchOpen, IntentId, LedgerQuery, LedgerReply, Listing,
+    NegotiateAccept, NegotiateCounter, NegotiateOffer, Offer, QueryRequest, QueryResponse,
+    TopSellers, TopSellersList,
 };
-use agentsim::agent::{Agent, Ctx};
+use agentsim::agent::{Agent, Ctx, DurablePolicy};
 use agentsim::clock::SimDuration;
 use agentsim::ids::AgentId;
 use agentsim::message::Message;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Agent-type tag of [`MarketplaceAgent`].
@@ -112,7 +113,68 @@ struct OpenAuction {
     tick_us: Option<u64>,
 }
 
-/// The marketplace service agent. Static; safe to snapshot.
+/// A BRA's latest settled purchase: the ledger keeps one per BRA.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct LedgerEntry {
+    /// Sequence number of the BRA's latest settled intent.
+    seq: u64,
+    /// The confirmation that intent was sold under.
+    confirm: BuyConfirm,
+}
+
+/// One journalled change of marketplace state. A delta records the input
+/// of a deterministic state transition, so replaying the deltas logged
+/// since a capsule over that capsule rebuilds the state exactly.
+#[derive(Debug, Serialize, Deserialize)]
+enum MarketDelta {
+    /// Listings added or replaced by a seller's catalog sync.
+    Catalog(Vec<Listing>),
+    /// A sale settled at `confirm`, under `intent` when the buyer sent one.
+    Sale {
+        intent: Option<IntentId>,
+        confirm: BuyConfirm,
+    },
+    /// A negotiation offer from `buyer` on `item`: opens the session or
+    /// steps it (an accepted offer closes it).
+    Offer {
+        buyer: AgentId,
+        item: u64,
+        offer: Money,
+    },
+    /// An English or sealed auction opened.
+    Open(AuctionOpen),
+    /// A Dutch auction opened.
+    OpenDutch(DutchOpen),
+    /// `joiner` joined the auction on `item`.
+    Join { item: u64, joiner: AgentId },
+    /// `bidder` bid `amount` on `item`; the bidder joins whether or not
+    /// the bid is accepted.
+    Bid {
+        item: u64,
+        bidder: AgentId,
+        amount: Money,
+    },
+    /// One Dutch clock tick on the auction of this item.
+    Tick(u64),
+    /// The auction on this item closed.
+    Close(u64),
+}
+
+/// How [`MarketplaceAgent::settle`] resolved a sale.
+enum Settlement {
+    /// A new sale, journalled and recorded.
+    Sold(BuyConfirm),
+    /// The intent already settled here: its recorded confirmation.
+    Duplicate(BuyConfirm),
+    /// The intent is older than the latest its BRA settled here.
+    Stale,
+}
+
+/// The marketplace service agent.
+///
+/// On a durable host it journals one small forced delta per state change
+/// — reads journal nothing — and the host captures its capsule only at
+/// creation and at checkpoints ([`DurablePolicy::Deltas`]).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct MarketplaceAgent {
     name: String,
@@ -120,13 +182,16 @@ pub struct MarketplaceAgent {
     sales: BTreeMap<u64, u32>,
     negotiations: Vec<OpenNegotiation>,
     auctions: BTreeMap<u64, OpenAuction>,
-    /// Intent-keyed purchase ledger: the confirmation recorded for every
-    /// sale that carried an intent id. A repeated [`kinds::BUY_REQUEST`]
-    /// under a known intent resends the original confirmation instead of
-    /// selling twice, and [`kinds::LEDGER_QUERY`] answers from it —
+    /// Purchase ledger keyed by BRA (raw agent id): the latest intent
+    /// each BRA settled here and its confirmation. A BRA drives one
+    /// purchase at a time, so its latest intent is the only one it can
+    /// still retry or ask about; the ledger grows with the number of
+    /// BRAs, not of purchases. A repeated [`kinds::BUY_REQUEST`] under
+    /// the recorded intent resends the original confirmation, an older
+    /// intent is refused, and [`kinds::LEDGER_QUERY`] answers from it —
     /// together these give crashed buyers at-most-once purchases.
     #[serde(default)]
-    ledger: BTreeMap<u64, BuyConfirm>,
+    ledger: BTreeMap<u64, LedgerEntry>,
 }
 
 impl MarketplaceAgent {
@@ -142,9 +207,18 @@ impl MarketplaceAgent {
         }
     }
 
-    /// The ledger entry recorded for `intent`, if that purchase committed.
-    pub fn ledger_entry(&self, intent: u64) -> Option<&BuyConfirm> {
-        self.ledger.get(&intent)
+    /// The confirmation recorded for `intent`, if that purchase settled
+    /// and is still its BRA's latest.
+    pub fn ledger_entry(&self, intent: IntentId) -> Option<&BuyConfirm> {
+        self.ledger
+            .get(&intent.bra().0)
+            .filter(|e| e.seq == intent.seq())
+            .map(|e| &e.confirm)
+    }
+
+    /// Number of BRAs with a settled purchase in the ledger.
+    pub fn ledger_len(&self) -> usize {
+        self.ledger.len()
     }
 
     /// Number of live listings.
@@ -157,8 +231,225 @@ impl MarketplaceAgent {
         self.sales.get(&item.0).copied().unwrap_or(0)
     }
 
-    fn record_sale(&mut self, item: u64) {
-        *self.sales.entry(item).or_insert(0) += 1;
+    /// Re-apply journalled deltas (as logged through
+    /// [`Ctx::journal_forced_delta`]) in log order; returns how many
+    /// applied. Unreadable deltas are skipped.
+    pub fn replay(&mut self, deltas: &[serde_json::Value]) -> usize {
+        let mut applied = 0;
+        for delta in deltas {
+            if let Ok(delta) = serde_json::from_value::<MarketDelta>(delta.clone()) {
+                self.apply(delta);
+                applied += 1;
+            }
+        }
+        applied
+    }
+
+    /// Journal `delta` as a forced record, before the reply it justifies
+    /// is sent. Builds nothing on a non-durable host.
+    fn journal(ctx: &mut Ctx<'_>, delta: &MarketDelta) {
+        if ctx.durable() {
+            match serde_json::to_value(delta) {
+                Ok(value) => ctx.journal_forced_delta(value),
+                Err(e) => ctx.note(format!("marketplace: delta serialize failed: {e}")),
+            }
+        }
+    }
+
+    /// Apply one state change; the live handlers and [`Self::replay`]
+    /// share these transitions.
+    fn apply(&mut self, delta: MarketDelta) {
+        match delta {
+            MarketDelta::Catalog(listings) => {
+                for listing in listings {
+                    self.listings.insert(listing.item.id.0, listing);
+                }
+            }
+            MarketDelta::Sale { intent, confirm } => self.apply_sale(intent, confirm),
+            MarketDelta::Offer { buyer, item, offer } => {
+                self.apply_offer(buyer, item, offer);
+            }
+            MarketDelta::Open(open) => self.apply_open(&open),
+            MarketDelta::OpenDutch(open) => self.apply_open_dutch(&open),
+            MarketDelta::Join { item, joiner } => {
+                if let Some(entry) = self.auctions.get_mut(&item) {
+                    entry.joiners.insert(joiner);
+                }
+            }
+            MarketDelta::Bid {
+                item,
+                bidder,
+                amount,
+            } => {
+                let _ = self.apply_bid(item, bidder, amount);
+            }
+            MarketDelta::Tick(item) => {
+                self.apply_tick(item);
+            }
+            MarketDelta::Close(item) => {
+                self.apply_close(item);
+            }
+        }
+    }
+
+    fn apply_sale(&mut self, intent: Option<IntentId>, confirm: BuyConfirm) {
+        *self.sales.entry(confirm.item.id.0).or_insert(0) += 1;
+        if let Some(intent) = intent {
+            self.ledger.insert(
+                intent.bra().0,
+                LedgerEntry {
+                    seq: intent.seq(),
+                    confirm,
+                },
+            );
+        }
+    }
+
+    /// Step (or open) `buyer`'s negotiation on `item`; an accepted offer
+    /// closes the session. `None` if the item is not listed.
+    fn apply_offer(&mut self, buyer: AgentId, item: u64, offer: Money) -> Option<SellerResponse> {
+        let listing = self.listings.get(&item)?;
+        let policy = SellerPolicy {
+            list: listing.item.list_price,
+            reservation: listing.reservation,
+            concession: listing.concession,
+            strategy: Default::default(),
+        };
+        let idx = match self
+            .negotiations
+            .iter()
+            .position(|n| n.buyer == buyer && n.item == item)
+        {
+            Some(i) => i,
+            None => {
+                self.negotiations.push(OpenNegotiation {
+                    buyer,
+                    item,
+                    session: SellerSession::open(policy),
+                });
+                self.negotiations.len() - 1
+            }
+        };
+        let response = self.negotiations[idx].session.respond(offer);
+        if matches!(response, SellerResponse::Accept(_)) {
+            self.negotiations.swap_remove(idx);
+        }
+        Some(response)
+    }
+
+    fn apply_open(&mut self, open: &AuctionOpen) {
+        let engine = if open.sealed {
+            AuctionEngine::Sealed(VickreyAuction::open(open.item, open.reserve))
+        } else {
+            AuctionEngine::English(EnglishAuction::open(
+                open.item,
+                open.reserve,
+                open.increment,
+            ))
+        };
+        self.auctions.insert(
+            open.item.0,
+            OpenAuction {
+                engine,
+                joiners: BTreeSet::new(),
+                tick_us: None,
+            },
+        );
+    }
+
+    fn apply_open_dutch(&mut self, open: &DutchOpen) {
+        let engine = AuctionEngine::Dutch(DutchAuction::open(
+            open.item,
+            open.start,
+            open.floor,
+            open.decrement,
+        ));
+        self.auctions.insert(
+            open.item.0,
+            OpenAuction {
+                engine,
+                joiners: BTreeSet::new(),
+                tick_us: Some(open.tick_us),
+            },
+        );
+    }
+
+    /// `None` if no auction runs on `item`.
+    fn apply_bid(
+        &mut self,
+        item: u64,
+        bidder: AgentId,
+        amount: Money,
+    ) -> Option<Result<(), crate::auction::AuctionError>> {
+        let entry = self.auctions.get_mut(&item)?;
+        entry.joiners.insert(bidder);
+        Some(entry.engine.place_bid(BidderId(bidder.0), amount))
+    }
+
+    /// Whether the Dutch clock on `item` dropped its price (`false`: it
+    /// floored out and closed, or no open Dutch auction runs there).
+    fn apply_tick(&mut self, item: u64) -> bool {
+        match self.auctions.get_mut(&item).map(|a| &mut a.engine) {
+            Some(AuctionEngine::Dutch(dutch)) => dutch.tick(),
+            _ => false,
+        }
+    }
+
+    /// Close and remove the auction on `item`, counting a sale.
+    fn apply_close(&mut self, item: u64) -> Option<(OpenAuction, AuctionOutcome)> {
+        let mut entry = self.auctions.remove(&item)?;
+        let outcome = entry.engine.close();
+        if matches!(outcome, AuctionOutcome::Sold { .. }) {
+            *self.sales.entry(item).or_insert(0) += 1;
+        }
+        Some((entry, outcome))
+    }
+
+    /// What the ledger says about a sale under `intent`: `None` if it is
+    /// fresh (newer than the latest its BRA settled here), else the
+    /// recorded duplicate or a stale refusal.
+    fn ledger_check(&self, intent: IntentId) -> Option<Settlement> {
+        let entry = self.ledger.get(&intent.bra().0)?;
+        match intent.seq().cmp(&entry.seq) {
+            Ordering::Greater => None,
+            Ordering::Equal => Some(Settlement::Duplicate(entry.confirm.clone())),
+            Ordering::Less => Some(Settlement::Stale),
+        }
+    }
+
+    /// Settle a sale under `intent` at `confirm`: dedupe against the
+    /// ledger, then journal the sale (forced) and record it. Every sale a
+    /// buyer is told about — direct or negotiated — goes through here.
+    fn settle(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        intent: Option<IntentId>,
+        confirm: BuyConfirm,
+    ) -> Settlement {
+        if let Some(intent) = intent {
+            match self.ledger_check(intent) {
+                Some(Settlement::Duplicate(confirm)) => {
+                    ctx.note(format!(
+                        "marketplace {}: duplicate buy for intent {intent} answered from ledger",
+                        self.name
+                    ));
+                    return Settlement::Duplicate(confirm);
+                }
+                Some(_) => {
+                    ctx.note(format!(
+                        "marketplace {}: stale intent {intent} refused",
+                        self.name
+                    ));
+                    return Settlement::Stale;
+                }
+                None => {}
+            }
+        }
+        let sold = confirm.clone();
+        let delta = MarketDelta::Sale { intent, confirm };
+        Self::journal(ctx, &delta);
+        self.apply(delta);
+        Settlement::Sold(sold)
     }
 
     fn merchandise(&self, item: ItemId) -> Option<&Merchandise> {
@@ -205,36 +496,19 @@ impl MarketplaceAgent {
     }
 
     fn handle_buy(&mut self, ctx: &mut Ctx<'_>, msg: &Message, req: BuyRequest) {
-        // A retried buy under an already-committed intent must not sell
-        // twice: resend the recorded confirmation instead.
-        if let Some(confirm) = req.intent.and_then(|i| self.ledger.get(&i)).cloned() {
-            ctx.note(format!(
-                "marketplace {}: duplicate buy for intent {} answered from ledger",
-                self.name,
-                req.intent.unwrap_or(0)
-            ));
-            let reply = Message::new(kinds::BUY_CONFIRM)
-                .with_payload(&confirm)
-                .expect("buy confirm serializes");
-            ctx.reply(msg, reply);
+        let Some(item) = self.merchandise(req.item).cloned() else {
+            ctx.reply(msg, Message::new(kinds::BUY_REJECT));
             return;
-        }
-        match self.merchandise(req.item).cloned() {
-            Some(item) => {
-                self.record_sale(req.item.0);
-                let price = item.list_price;
-                let confirm = BuyConfirm { item, price };
-                if let Some(intent) = req.intent {
-                    self.ledger.insert(intent, confirm.clone());
-                }
+        };
+        let price = item.list_price;
+        match self.settle(ctx, req.intent, BuyConfirm { item, price }) {
+            Settlement::Sold(confirm) | Settlement::Duplicate(confirm) => {
                 let reply = Message::new(kinds::BUY_CONFIRM)
                     .with_payload(&confirm)
                     .expect("buy confirm serializes");
                 ctx.reply(msg, reply);
             }
-            None => {
-                ctx.reply(msg, Message::new(kinds::BUY_REJECT));
-            }
+            Settlement::Stale => ctx.reply(msg, Message::new(kinds::BUY_REJECT)),
         }
     }
 
@@ -242,7 +516,7 @@ impl MarketplaceAgent {
         let reply = Message::new(kinds::LEDGER_REPLY)
             .with_payload(&LedgerReply {
                 intent: query.intent,
-                committed: self.ledger.get(&query.intent).cloned(),
+                committed: self.ledger_entry(query.intent).cloned(),
             })
             .expect("ledger reply serializes");
         ctx.reply(msg, reply);
@@ -253,54 +527,36 @@ impl MarketplaceAgent {
             ctx.note("marketplace: negotiation from outside the world ignored");
             return;
         };
-        let Some(listing) = self.listings.get(&offer.item.0) else {
+        if !self.listings.contains_key(&offer.item.0) {
             ctx.reply(msg, Message::new(kinds::NEGOTIATE_REJECT));
             return;
+        }
+        let delta = MarketDelta::Offer {
+            buyer,
+            item: offer.item.0,
+            offer: offer.offer,
         };
-        let policy = SellerPolicy {
-            list: listing.item.list_price,
-            reservation: listing.reservation,
-            concession: listing.concession,
-            strategy: Default::default(),
-        };
-        let idx = self
-            .negotiations
-            .iter()
-            .position(|n| n.buyer == buyer && n.item == offer.item.0);
-        let idx = match idx {
-            Some(i) => i,
-            None => {
-                self.negotiations.push(OpenNegotiation {
-                    buyer,
-                    item: offer.item.0,
-                    session: SellerSession::open(policy),
-                });
-                self.negotiations.len() - 1
-            }
-        };
-        match self.negotiations[idx].session.respond(offer.offer) {
-            SellerResponse::Accept(price) => {
+        Self::journal(ctx, &delta);
+        match self.apply_offer(buyer, offer.item.0, offer.offer) {
+            Some(SellerResponse::Accept(price)) => {
                 let item = self
                     .merchandise(offer.item)
                     .cloned()
                     .expect("listing checked above");
-                self.negotiations.swap_remove(idx);
-                self.record_sale(offer.item.0);
-                if let Some(intent) = offer.intent {
-                    self.ledger.insert(
-                        intent,
-                        BuyConfirm {
-                            item: item.clone(),
-                            price,
-                        },
-                    );
-                }
-                let reply = Message::new(kinds::NEGOTIATE_ACCEPT)
-                    .with_payload(&NegotiateAccept { item, price })
-                    .expect("accept serializes");
+                let reply = match self.settle(ctx, offer.intent, BuyConfirm { item, price }) {
+                    Settlement::Sold(c) | Settlement::Duplicate(c) => {
+                        Message::new(kinds::NEGOTIATE_ACCEPT)
+                            .with_payload(&NegotiateAccept {
+                                item: c.item,
+                                price: c.price,
+                            })
+                            .expect("accept serializes")
+                    }
+                    Settlement::Stale => Message::new(kinds::NEGOTIATE_REJECT),
+                };
                 ctx.reply(msg, reply);
             }
-            SellerResponse::Counter(ask) => {
+            Some(SellerResponse::Counter(ask)) => {
                 let reply = Message::new(kinds::NEGOTIATE_COUNTER)
                     .with_payload(&NegotiateCounter {
                         item: offer.item,
@@ -309,6 +565,7 @@ impl MarketplaceAgent {
                     .expect("counter serializes");
                 ctx.reply(msg, reply);
             }
+            None => ctx.reply(msg, Message::new(kinds::NEGOTIATE_REJECT)),
         }
     }
 
@@ -322,50 +579,33 @@ impl MarketplaceAgent {
         })
     }
 
+    fn reply_status(&self, ctx: &mut Ctx<'_>, msg: &Message, kind: &str, item: ItemId) {
+        if let Some(status) = self.auction_status(item) {
+            let reply = Message::new(kind)
+                .with_payload(&status)
+                .expect("status serializes");
+            ctx.reply(msg, reply);
+        }
+    }
+
     fn handle_auction_open(&mut self, ctx: &mut Ctx<'_>, msg: &Message, open: AuctionOpen) {
         if self.merchandise(open.item).is_none() {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
         }
-        if self.auctions.contains_key(&open.item.0) {
-            // one auction per item at a time
-            if let Some(status) = self.auction_status(open.item) {
-                let reply = Message::new(kinds::AUCTION_STATUS)
-                    .with_payload(&status)
-                    .expect("status serializes");
-                ctx.reply(msg, reply);
-            }
-            return;
-        }
-        let engine = if open.sealed {
-            AuctionEngine::Sealed(VickreyAuction::open(open.item, open.reserve))
-        } else {
-            AuctionEngine::English(EnglishAuction::open(
+        if !self.auctions.contains_key(&open.item.0) {
+            // one auction per item at a time: a second open only reads
+            let delta = MarketDelta::Open(open);
+            Self::journal(ctx, &delta);
+            self.apply(delta);
+            ctx.set_timer(SimDuration::from_micros(open.duration_us), open.item.0);
+            ctx.note(format!(
+                "auction opened on {} ({})",
                 open.item,
-                open.reserve,
-                open.increment,
-            ))
-        };
-        self.auctions.insert(
-            open.item.0,
-            OpenAuction {
-                engine,
-                joiners: BTreeSet::new(),
-                tick_us: None,
-            },
-        );
-        ctx.set_timer(SimDuration::from_micros(open.duration_us), open.item.0);
-        ctx.note(format!(
-            "auction opened on {} ({})",
-            open.item,
-            if open.sealed { "sealed" } else { "english" }
-        ));
-        if let Some(status) = self.auction_status(open.item) {
-            let reply = Message::new(kinds::AUCTION_STATUS)
-                .with_payload(&status)
-                .expect("status serializes");
-            ctx.reply(msg, reply);
+                if open.sealed { "sealed" } else { "english" }
+            ));
         }
+        self.reply_status(ctx, msg, kinds::AUCTION_STATUS, open.item);
     }
 
     fn handle_dutch_open(&mut self, ctx: &mut Ctx<'_>, msg: &Message, open: DutchOpen) {
@@ -373,46 +613,31 @@ impl MarketplaceAgent {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
         }
-        let engine = AuctionEngine::Dutch(DutchAuction::open(
-            open.item,
-            open.start,
-            open.floor,
-            open.decrement,
-        ));
-        self.auctions.insert(
-            open.item.0,
-            OpenAuction {
-                engine,
-                joiners: BTreeSet::new(),
-                tick_us: Some(open.tick_us),
-            },
-        );
+        let delta = MarketDelta::OpenDutch(open);
+        Self::journal(ctx, &delta);
+        self.apply(delta);
         ctx.set_timer(
             SimDuration::from_micros(open.tick_us),
             open.item.0 | DUTCH_TICK_BIT,
         );
         ctx.note(format!("auction opened on {} (dutch)", open.item));
-        if let Some(status) = self.auction_status(open.item) {
-            let reply = Message::new(kinds::AUCTION_STATUS)
-                .with_payload(&status)
-                .expect("status serializes");
-            ctx.reply(msg, reply);
-        }
+        self.reply_status(ctx, msg, kinds::AUCTION_STATUS, open.item);
     }
 
     /// One Dutch clock tick: drop the price and tell the joiners, or
     /// settle unsold at the floor.
     fn dutch_tick(&mut self, ctx: &mut Ctx<'_>, item_key: u64) {
-        let Some(entry) = self.auctions.get_mut(&item_key) else {
+        let Some(entry) = self.auctions.get(&item_key) else {
             return; // sold (and settled) before this tick fired
         };
-        let AuctionEngine::Dutch(dutch) = &mut entry.engine else {
-            return;
-        };
-        if dutch.is_closed() {
+        if !matches!(&entry.engine, AuctionEngine::Dutch(d) if !d.is_closed()) {
             return;
         }
-        if dutch.tick() {
+        Self::journal(ctx, &MarketDelta::Tick(item_key));
+        if self.apply_tick(item_key) {
+            let Some(entry) = self.auctions.get(&item_key) else {
+                return;
+            };
             let tick_us = entry.tick_us.unwrap_or(1_000_000);
             let joiners: Vec<AgentId> = entry.joiners.iter().copied().collect();
             let status = self.auction_status(ItemId(item_key)).expect("entry exists");
@@ -433,30 +658,41 @@ impl MarketplaceAgent {
         let Some(from) = msg.from else {
             return;
         };
-        let Some(entry) = self.auctions.get_mut(&join.item.0) else {
+        if !self.auctions.contains_key(&join.item.0) {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
+        }
+        let delta = MarketDelta::Join {
+            item: join.item.0,
+            joiner: from,
         };
-        entry.joiners.insert(from);
-        let status = self.auction_status(join.item).expect("entry exists");
-        let reply = Message::new(kinds::AUCTION_STATUS)
-            .with_payload(&status)
-            .expect("status serializes");
-        ctx.reply(msg, reply);
+        Self::journal(ctx, &delta);
+        self.apply(delta);
+        self.reply_status(ctx, msg, kinds::AUCTION_STATUS, join.item);
     }
 
     fn handle_auction_bid(&mut self, ctx: &mut Ctx<'_>, msg: &Message, bid: AuctionBid) {
         let Some(from) = msg.from else {
             return;
         };
-        let Some(entry) = self.auctions.get_mut(&bid.item.0) else {
+        if !self.auctions.contains_key(&bid.item.0) {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
-        };
-        entry.joiners.insert(from);
-        let sealed = entry.engine.is_sealed();
-        match entry.engine.place_bid(BidderId(from.0), bid.amount) {
-            Ok(()) => {
+        }
+        Self::journal(
+            ctx,
+            &MarketDelta::Bid {
+                item: bid.item.0,
+                bidder: from,
+                amount: bid.amount,
+            },
+        );
+        match self.apply_bid(bid.item.0, from, bid.amount) {
+            Some(Ok(())) => {
+                let Some(entry) = self.auctions.get(&bid.item.0) else {
+                    return;
+                };
+                let sealed = entry.engine.is_sealed();
                 let joiners: Vec<AgentId> = entry.joiners.iter().copied().collect();
                 let settled_by_bid = entry.engine.is_closed(); // Dutch: first taker wins
                 let status = self.auction_status(bid.item).expect("entry exists");
@@ -482,24 +718,19 @@ impl MarketplaceAgent {
                     }
                 }
             }
-            Err(_) => {
-                let status = self.auction_status(bid.item).expect("entry exists");
-                let reply = Message::new(kinds::BID_REJECTED)
-                    .with_payload(&status)
-                    .expect("status serializes");
-                ctx.reply(msg, reply);
-            }
+            Some(Err(_)) => self.reply_status(ctx, msg, kinds::BID_REJECTED, bid.item),
+            None => {}
         }
     }
 
     fn settle_auction(&mut self, ctx: &mut Ctx<'_>, item_key: u64) {
-        let Some(mut entry) = self.auctions.remove(&item_key) else {
+        if !self.auctions.contains_key(&item_key) {
+            return;
+        }
+        Self::journal(ctx, &MarketDelta::Close(item_key));
+        let Some((entry, outcome)) = self.apply_close(item_key) else {
             return;
         };
-        let outcome = entry.engine.close();
-        if matches!(outcome, AuctionOutcome::Sold { .. }) {
-            self.record_sale(item_key);
-        }
         let Some(item) = self.merchandise(ItemId(item_key)).cloned() else {
             return;
         };
@@ -548,13 +779,34 @@ impl Agent for MarketplaceAgent {
         serde_json::to_value(self).expect("marketplace state serializes")
     }
 
+    fn durable_policy(&self) -> DurablePolicy {
+        DurablePolicy::Deltas
+    }
+
+    fn on_recovered(&mut self, ctx: &mut Ctx<'_>, deltas: &[serde_json::Value]) {
+        let replayed = self.replay(deltas);
+        if replayed < deltas.len() {
+            ctx.note(format!(
+                "marketplace {}: {} unreadable journalled deltas skipped",
+                self.name,
+                deltas.len() - replayed
+            ));
+        }
+        if replayed > 0 {
+            ctx.note(format!(
+                "marketplace {}: recovered, replayed {replayed} journalled deltas",
+                self.name
+            ));
+        }
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         match msg.kind.as_str() {
             kinds::CATALOG_SYNC => {
                 if let Ok(sync) = msg.payload_as::<CatalogSync>() {
-                    for listing in sync.listings {
-                        self.listings.insert(listing.item.id.0, listing);
-                    }
+                    let delta = MarketDelta::Catalog(sync.listings);
+                    Self::journal(ctx, &delta);
+                    self.apply(delta);
                     ctx.reply(&msg, Message::new(kinds::CATALOG_ACK));
                 }
             }
@@ -620,6 +872,8 @@ impl Agent for MarketplaceAgent {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::panic)]
+
     use super::*;
     use crate::merchandise::{CategoryPath, Money};
     use crate::terms::TermVector;
@@ -677,7 +931,14 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
+        fixture_with(None)
+    }
+
+    fn fixture_with(durability: Option<agentsim::durable::DurabilityConfig>) -> Fixture {
         let mut world = SimWorld::new(77);
+        if let Some(cfg) = durability {
+            world.enable_durability(cfg);
+        }
         world
             .registry_mut()
             .register_serde::<MarketplaceAgent>(MARKETPLACE_TYPE);
@@ -1040,6 +1301,136 @@ mod tests {
         let market: MarketplaceAgent =
             serde_json::from_value(f.world.snapshot_of(f.market).unwrap()).unwrap();
         assert_eq!(market.units_sold(ItemId(1)), 1);
+    }
+
+    fn buy(f: &mut Fixture, item: u64, intent: IntentId) -> String {
+        via_probe(
+            f,
+            kinds::BUY_REQUEST,
+            &BuyRequest {
+                item: ItemId(item),
+                intent: Some(intent),
+            },
+        );
+        probe_state(f).last_kind.unwrap_or_default()
+    }
+
+    fn market_state(f: &Fixture) -> MarketplaceAgent {
+        serde_json::from_value(f.world.snapshot_of(f.market).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn ledger_dedupes_the_latest_intent_and_refuses_older_ones() {
+        let mut f = fixture();
+        let bra = AgentId(40);
+        let first = IntentId::new(bra, 1);
+        let second = IntentId::new(bra, 2);
+        assert_eq!(buy(&mut f, 1, first), kinds::BUY_CONFIRM);
+        // a retry of the same intent is answered, not sold again
+        assert_eq!(buy(&mut f, 1, first), kinds::BUY_CONFIRM);
+        assert_eq!(market_state(&f).units_sold(ItemId(1)), 1);
+        assert_eq!(buy(&mut f, 2, second), kinds::BUY_CONFIRM);
+        // the first intent is now older than the BRA's latest: refused
+        assert_eq!(buy(&mut f, 1, first), kinds::BUY_REJECT);
+        let m = market_state(&f);
+        assert_eq!(m.units_sold(ItemId(1)), 1);
+        assert_eq!(m.units_sold(ItemId(2)), 1);
+        assert_eq!(m.ledger_len(), 1, "one entry per BRA");
+        assert!(m.ledger_entry(first).is_none());
+        assert_eq!(m.ledger_entry(second).unwrap().item.id, ItemId(2));
+    }
+
+    #[test]
+    fn negotiated_sales_settle_through_the_ledger() {
+        let mut f = fixture();
+        let intent = IntentId::new(AgentId(40), 1);
+        let offer = NegotiateOffer {
+            item: ItemId(1),
+            offer: Money::from_units(30),
+            intent: Some(intent),
+        };
+        via_probe(&mut f, kinds::NEGOTIATE_OFFER, &offer);
+        assert_eq!(
+            probe_state(&f).last_kind.as_deref(),
+            Some(kinds::NEGOTIATE_ACCEPT)
+        );
+        // the same intent negotiated again is the recorded deal
+        via_probe(&mut f, kinds::NEGOTIATE_OFFER, &offer);
+        assert_eq!(
+            probe_state(&f).last_kind.as_deref(),
+            Some(kinds::NEGOTIATE_ACCEPT)
+        );
+        let m = market_state(&f);
+        assert_eq!(m.units_sold(ItemId(1)), 1);
+        assert!(m.ledger_entry(intent).is_some());
+    }
+
+    #[test]
+    fn minted_intents_never_wrap_and_each_is_fresh_to_the_ledger() {
+        let bra = AgentId(7);
+        let mut minted = 0u64;
+        let mut market = MarketplaceAgent::new("m");
+        let confirm = BuyConfirm {
+            item: listing(1, "Rust Book", 30).item,
+            price: Money::from_units(30),
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut first = None;
+        for _ in 0..65_537 {
+            let intent = IntentId::mint(bra, &mut minted);
+            assert!(seen.insert(intent), "intent {intent} minted twice");
+            first.get_or_insert(intent);
+            assert!(
+                market.ledger_check(intent).is_none(),
+                "intent {intent} not fresh to the ledger"
+            );
+            market.apply_sale(Some(intent), confirm.clone());
+        }
+        // the 65,537th intent differs from the first; the first is now stale
+        assert!(matches!(
+            market.ledger_check(first.unwrap()),
+            Some(Settlement::Stale)
+        ));
+        assert_eq!(market.units_sold(ItemId(1)), 65_537);
+        assert_eq!(market.ledger_len(), 1);
+    }
+
+    #[test]
+    fn queries_journal_nothing_and_state_changes_journal_forced_deltas() {
+        let mut f = fixture_with(Some(agentsim::durable::DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 64,
+        }));
+        let Some(agentsim::sim::Location::Active(host)) = f.world.location(f.market) else {
+            panic!("marketplace active");
+        };
+        let store = |f: &Fixture| f.world.durable_store(host).unwrap().clone();
+        // created with its listings: one forced first capsule
+        assert_eq!(store(&f).wal_len(), 1);
+        assert_eq!(store(&f).synced_len(), 1, "first capsule forced");
+        let query = QueryRequest {
+            keywords: vec!["book".into()],
+            category: None,
+            max_results: 10,
+        };
+        via_probe(&mut f, kinds::QUERY_REQUEST, &query);
+        via_probe(&mut f, kinds::TOP_SELLERS, &TopSellers { k: 2 });
+        via_probe(
+            &mut f,
+            kinds::LEDGER_QUERY,
+            &LedgerQuery {
+                intent: IntentId::new(AgentId(40), 1),
+            },
+        );
+        assert_eq!(store(&f).wal_len(), 1, "reads journal nothing");
+        assert_eq!(
+            buy(&mut f, 1, IntentId::new(AgentId(40), 1)),
+            kinds::BUY_CONFIRM
+        );
+        let after = store(&f);
+        assert_eq!(after.wal_len(), 2, "one delta for the sale");
+        assert_eq!(after.synced_len(), 2, "the sale is forced");
+        assert_eq!(after.state().deltas_for(f.market.0).len(), 1);
     }
 
     #[test]

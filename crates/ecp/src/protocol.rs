@@ -193,17 +193,57 @@ pub struct QueryResponse {
     pub offers: Vec<Offer>,
 }
 
+/// A purchase-intent id: the BRA that minted it and that BRA's own
+/// sequence number. A BRA drives one purchase at a time and numbers its
+/// intents 1, 2, 3, … with a full 64-bit sequence, so an id never
+/// repeats and a later intent of a BRA always compares greater than an
+/// earlier one. Serialized as `[bra, seq]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct IntentId(AgentId, u64);
+
+impl IntentId {
+    /// The `seq`-th intent of `bra`.
+    pub fn new(bra: AgentId, seq: u64) -> Self {
+        IntentId(bra, seq)
+    }
+
+    /// Mint the next intent of `bra`, advancing `minted`, its count of
+    /// intents minted so far. The sequence is a full `u64`, so it cannot
+    /// wrap within any BRA's lifetime.
+    pub fn mint(bra: AgentId, minted: &mut u64) -> Self {
+        *minted += 1;
+        IntentId(bra, *minted)
+    }
+
+    /// The BRA that minted the intent.
+    pub fn bra(self) -> AgentId {
+        self.0
+    }
+
+    /// The intent's place in its BRA's sequence.
+    pub fn seq(self) -> u64 {
+        self.1
+    }
+}
+
+impl std::fmt::Display for IntentId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}#{}", self.0, self.1)
+    }
+}
+
 /// Direct purchase ([`kinds::BUY_REQUEST`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BuyRequest {
     /// Item to buy at list price.
     pub item: ItemId,
     /// Purchase intent id, stable across retries of the same buy. The
-    /// marketplace keeps an intent-keyed ledger and answers a repeated
-    /// intent with the original confirmation instead of selling twice
+    /// marketplace's ledger keeps the latest intent of every BRA: it
+    /// answers a repeated intent with the original confirmation instead
+    /// of selling twice, and refuses an intent older than the latest
     /// (at-most-once purchases). `None` = legacy fire-and-forget buy.
     #[serde(default)]
-    pub intent: Option<u64>,
+    pub intent: Option<IntentId>,
 }
 
 /// Purchase confirmation ([`kinds::BUY_CONFIRM`]).
@@ -225,7 +265,7 @@ pub struct NegotiateOffer {
     /// Purchase intent id (see [`BuyRequest::intent`]); an accepted
     /// negotiation records into the ledger under this id.
     #[serde(default)]
-    pub intent: Option<u64>,
+    pub intent: Option<IntentId>,
 }
 
 /// Seller counter ([`kinds::NEGOTIATE_COUNTER`]).
@@ -328,14 +368,14 @@ pub struct AuctionClosed {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LedgerQuery {
     /// The purchase intent in doubt.
-    pub intent: u64,
+    pub intent: IntentId,
 }
 
 /// Answer to [`kinds::LEDGER_QUERY`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LedgerReply {
     /// The queried intent.
-    pub intent: u64,
+    pub intent: IntentId,
     /// The recorded sale, if the intent committed; `None` = the
     /// marketplace never completed a sale under this intent.
     pub committed: Option<BuyConfirm>,

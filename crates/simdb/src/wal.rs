@@ -12,27 +12,6 @@ use serde::{Deserialize, Serialize};
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogRecord {
-    /// Create an (empty) table.
-    CreateTable {
-        /// Table name.
-        table: String,
-    },
-    /// Insert or replace the row at `key`.
-    Put {
-        /// Table name.
-        table: String,
-        /// Row key.
-        key: String,
-        /// Row contents.
-        value: serde_json::Value,
-    },
-    /// Delete the row at `key`.
-    Delete {
-        /// Table name.
-        table: String,
-        /// Row key.
-        key: String,
-    },
     /// An agent capsule captured at a migration or lifecycle boundary.
     /// `active` distinguishes a running agent (journalled after a
     /// callback) from one deactivated into long-term storage.
@@ -179,23 +158,23 @@ mod tests {
 
     use super::*;
 
-    fn put(table: &str, key: &str, v: i64) -> LogRecord {
-        LogRecord::Put {
-            table: table.into(),
-            key: key.into(),
-            value: serde_json::json!(v),
+    fn capsule(agent: u64, v: i64) -> LogRecord {
+        LogRecord::Capsule {
+            agent,
+            capsule: serde_json::json!({ "v": v }),
+            active: true,
         }
     }
 
     #[test]
     fn encode_decode_round_trips() {
         let mut wal = Wal::new();
-        wal.append(LogRecord::CreateTable { table: "t".into() });
-        wal.append(put("t", "a", 1));
-        wal.append(LogRecord::Delete {
-            table: "t".into(),
-            key: "a".into(),
+        wal.append(capsule(1, 1));
+        wal.append(LogRecord::ProfileDelta {
+            agent: 1,
+            delta: serde_json::json!({ "d": 2 }),
         });
+        wal.append(LogRecord::CapsuleGone { agent: 1 });
         let decoded = Wal::decode(&wal.encode()).unwrap();
         assert_eq!(decoded, wal);
     }
@@ -203,11 +182,11 @@ mod tests {
     #[test]
     fn torn_final_record_is_dropped() {
         let mut wal = Wal::new();
-        wal.append(put("t", "a", 1));
-        wal.append(put("t", "b", 2));
+        wal.append(capsule(1, 1));
+        wal.append(capsule(2, 2));
         let mut bytes = wal.encode();
         // simulate crash mid-write of a third record
-        bytes.extend_from_slice(b"{\"Put\":{\"table\":\"t\",\"ke");
+        bytes.extend_from_slice(b"{\"Capsule\":{\"agent\":3,\"capsu");
         let decoded = Wal::decode(&bytes).unwrap();
         assert_eq!(decoded.len(), 2);
     }
@@ -215,7 +194,7 @@ mod tests {
     #[test]
     fn mid_log_corruption_is_an_error() {
         let mut wal = Wal::new();
-        wal.append(put("t", "a", 1));
+        wal.append(capsule(1, 1));
         let mut bytes = b"garbage-record\n".to_vec();
         bytes.extend_from_slice(&wal.encode());
         match Wal::decode(&bytes) {
@@ -227,7 +206,7 @@ mod tests {
     #[test]
     fn truncate_empties_the_log() {
         let mut wal = Wal::new();
-        wal.append(put("t", "a", 1));
+        wal.append(capsule(1, 1));
         wal.truncate();
         assert!(wal.is_empty());
         assert_eq!(wal.encode(), b"");
@@ -270,9 +249,9 @@ mod tests {
     #[test]
     fn retain_prefix_drops_the_tail() {
         let mut wal = Wal::new();
-        wal.append(put("t", "a", 1));
-        wal.append(put("t", "b", 2));
-        wal.append(put("t", "c", 3));
+        wal.append(capsule(1, 1));
+        wal.append(capsule(2, 2));
+        wal.append(capsule(3, 3));
         wal.retain_prefix(2);
         assert_eq!(wal.len(), 2);
         // longer than the log: no-op

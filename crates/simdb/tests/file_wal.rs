@@ -11,11 +11,11 @@ use simdb::DbError;
 use std::io::Write;
 use std::path::PathBuf;
 
-fn put(key: &str, v: i64) -> LogRecord {
-    LogRecord::Put {
-        table: "t".into(),
-        key: key.into(),
-        value: serde_json::json!(v),
+fn capsule(agent: u64, v: i64) -> LogRecord {
+    LogRecord::Capsule {
+        agent,
+        capsule: serde_json::json!({ "v": v }),
+        active: true,
     }
 }
 
@@ -29,51 +29,51 @@ fn tmp(name: &str) -> PathBuf {
 fn append_then_open_round_trips() {
     let path = tmp("roundtrip.wal");
     let mut fw = FileWal::create(&path).unwrap();
-    fw.append(&put("a", 1)).unwrap();
-    fw.append(&put("b", 2)).unwrap();
+    fw.append(&capsule(1, 1)).unwrap();
+    fw.append(&capsule(2, 2)).unwrap();
     fw.sync().unwrap();
     drop(fw);
     let (fw2, wal) = FileWal::open(&path).unwrap();
     assert_eq!(fw2.len(), 2);
-    assert_eq!(wal.records(), &[put("a", 1), put("b", 2)]);
+    assert_eq!(wal.records(), &[capsule(1, 1), capsule(2, 2)]);
 }
 
 #[test]
 fn open_repairs_a_torn_tail() {
     let path = tmp("torn.wal");
     let mut fw = FileWal::create(&path).unwrap();
-    fw.append(&put("a", 1)).unwrap();
+    fw.append(&capsule(1, 1)).unwrap();
     fw.sync().unwrap();
     drop(fw);
     let mut raw = std::fs::OpenOptions::new()
         .append(true)
         .open(&path)
         .unwrap();
-    raw.write_all(b"{\"Put\":{\"table\":\"t\",\"ke").unwrap();
+    raw.write_all(b"{\"Capsule\":{\"agent\":2,\"capsu").unwrap();
     drop(raw);
     let (mut fw2, wal) = FileWal::open(&path).unwrap();
     assert_eq!(wal.len(), 1);
     // the file itself was repaired: appends continue a clean log
-    fw2.append(&put("b", 2)).unwrap();
+    fw2.append(&capsule(2, 2)).unwrap();
     fw2.sync().unwrap();
     drop(fw2);
     let (_, wal3) = FileWal::open(&path).unwrap();
-    assert_eq!(wal3.records(), &[put("a", 1), put("b", 2)]);
+    assert_eq!(wal3.records(), &[capsule(1, 1), capsule(2, 2)]);
 }
 
 #[test]
 fn reset_rewrites_the_file() {
     let path = tmp("reset.wal");
     let mut fw = FileWal::create(&path).unwrap();
-    fw.append(&put("a", 1)).unwrap();
-    fw.append(&put("b", 2)).unwrap();
+    fw.append(&capsule(1, 1)).unwrap();
+    fw.append(&capsule(2, 2)).unwrap();
     let mut keep = Wal::new();
-    keep.append(put("a", 1));
+    keep.append(capsule(1, 1));
     fw.reset(&keep).unwrap();
     assert_eq!(fw.len(), 1);
     drop(fw);
     let (_, wal) = FileWal::open(&path).unwrap();
-    assert_eq!(wal.records(), &[put("a", 1)]);
+    assert_eq!(wal.records(), &[capsule(1, 1)]);
 }
 
 #[test]
@@ -168,7 +168,7 @@ proptest! {
         prop_assert_eq!(wal.records(), &records[..wal.len()]);
 
         // the repaired file keeps working
-        fw2.append(&put("post", 1)).unwrap();
+        fw2.append(&capsule(9, 1)).unwrap();
         fw2.sync().unwrap();
         drop(fw2);
         let (_, wal3) = FileWal::open(&path).unwrap();

@@ -207,16 +207,23 @@ proptest! {
     #[test]
     fn wal_encode_decode_round_trips(
         records in proptest::collection::vec(
-            ("[a-z]{1,6}", "[a-z0-9]{1,8}", 0i64..1000),
+            (0u64..64, "[a-z0-9]{1,8}", 0i64..1000),
             0..30,
         )
     ) {
         let mut wal = Wal::new();
-        for (table, key, value) in &records {
-            wal.append(abcrm::simdb::LogRecord::Put {
-                table: table.clone(),
-                key: key.clone(),
-                value: serde_json::json!(value),
+        for (agent, key, value) in &records {
+            wal.append(if value % 2 == 0 {
+                abcrm::simdb::LogRecord::Capsule {
+                    agent: *agent,
+                    capsule: serde_json::json!({ "key": key, "v": value }),
+                    active: value % 4 == 0,
+                }
+            } else {
+                abcrm::simdb::LogRecord::ProfileDelta {
+                    agent: *agent,
+                    delta: serde_json::json!({ "key": key, "v": value }),
+                }
             });
         }
         let decoded = Wal::decode(&wal.encode()).unwrap();
@@ -923,5 +930,171 @@ proptest! {
         let after = store.state().clone();
         store.crash().unwrap();
         prop_assert_eq!(store.state(), &after, "crash is not idempotent");
+    }
+}
+
+// --- marketplace delta journaling ---------------------------------------
+
+mod marketplace_replay {
+    use abcrm::agentsim::agent::{Agent, Ctx};
+    use abcrm::agentsim::clock::SimDuration;
+    use abcrm::agentsim::durable::DurabilityConfig;
+    use abcrm::agentsim::ids::AgentId;
+    use abcrm::agentsim::message::Message;
+    use abcrm::agentsim::sim::{Location, SimWorld};
+    use abcrm::core::server::listing;
+    use abcrm::ecp::marketplace::{MarketplaceAgent, MARKETPLACE_TYPE};
+    use abcrm::ecp::merchandise::{ItemId, Money};
+    use abcrm::ecp::protocol::{
+        kinds, AuctionBid, AuctionJoin, AuctionOpen, BuyRequest, CatalogSync, DutchOpen, IntentId,
+        LedgerQuery, NegotiateOffer, QueryRequest, TopSellers,
+    };
+    use proptest::prelude::*;
+    use serde::{Deserialize, Serialize};
+
+    /// Forwards every message from outside the world to the marketplace
+    /// and drops the marketplace's replies: one buyer identity.
+    #[derive(Debug, Serialize, Deserialize)]
+    struct Relay {
+        market: AgentId,
+    }
+
+    impl Agent for Relay {
+        fn agent_type(&self) -> &'static str {
+            "relay"
+        }
+        fn snapshot(&self) -> serde_json::Value {
+            serde_json::to_value(self).unwrap()
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            if msg.from.is_none() {
+                let inner = Message::new(msg.kind.clone()).carrying(msg.payload);
+                ctx.send(self.market, inner);
+            }
+        }
+    }
+
+    fn message<T: Serialize>(kind: &str, payload: &T) -> Message {
+        Message::new(kind).with_payload(payload).unwrap()
+    }
+
+    /// One marketplace message from drawn scalars: `kind` picks the
+    /// message, `a` the item, `b` the buyer-side choice, `c` a price.
+    fn op_message(kind: u8, a: u64, b: u64, c: u64) -> Message {
+        let item = ItemId(a + 1);
+        let units = Money::from_units;
+        let intent = (b > 0).then(|| IntentId::new(AgentId(100 + b % 2), b));
+        match kind {
+            0 => message(
+                kinds::CATALOG_SYNC,
+                &CatalogSync {
+                    seller: 1,
+                    listings: vec![listing(a + 1, "Item", "books", "misc", c, &[("item", 1.0)])],
+                },
+            ),
+            1 => message(kinds::BUY_REQUEST, &BuyRequest { item, intent }),
+            2 => message(
+                kinds::NEGOTIATE_OFFER,
+                &NegotiateOffer {
+                    item,
+                    offer: units(c),
+                    intent,
+                },
+            ),
+            3 => message(
+                kinds::AUCTION_OPEN,
+                &AuctionOpen {
+                    item,
+                    reserve: units(c),
+                    increment: units(1),
+                    duration_us: 4_000 * (b + 1),
+                    sealed: b.is_multiple_of(2),
+                },
+            ),
+            4 => message(
+                kinds::DUTCH_OPEN,
+                &DutchOpen {
+                    item,
+                    start: units(c + 10),
+                    floor: units(c),
+                    decrement: units(3),
+                    tick_us: 1_500,
+                },
+            ),
+            5 => message(kinds::AUCTION_JOIN, &AuctionJoin { item }),
+            6 => message(
+                kinds::AUCTION_BID,
+                &AuctionBid {
+                    item,
+                    amount: units(c),
+                },
+            ),
+            7 => match b % 3 {
+                0 => message(
+                    kinds::QUERY_REQUEST,
+                    &QueryRequest {
+                        keywords: vec!["item".into()],
+                        category: None,
+                        max_results: 3,
+                    },
+                ),
+                1 => message(kinds::TOP_SELLERS, &TopSellers { k: 2 }),
+                _ => message(
+                    kinds::LEDGER_QUERY,
+                    &LedgerQuery {
+                        intent: IntentId::new(AgentId(100), c % 4),
+                    },
+                ),
+            },
+            _ => Message::new("unknown-kind"),
+        }
+    }
+
+    proptest! {
+        /// For any sequence of marketplace messages (catalog syncs, buys
+        /// with and without intents, negotiations, English, sealed and
+        /// Dutch auctions with their timers, and reads), the state the
+        /// marketplace host recovers — the last checkpoint capsule plus a
+        /// replay of the deltas logged since — equals the live
+        /// marketplace the crash interrupted.
+        #[test]
+        fn marketplace_checkpoint_plus_deltas_equals_live_state(
+            ops in proptest::collection::vec((0u8..9, 0u64..3, 0u64..4, 1u64..60), 1..40),
+            checkpoint_every in 0usize..6,
+        ) {
+            let mut world = SimWorld::new(7);
+            world.enable_durability(DurabilityConfig {
+                checkpoint_every,
+                sync_every: 64,
+            });
+            world
+                .registry_mut()
+                .register_serde::<MarketplaceAgent>(MARKETPLACE_TYPE);
+            world.registry_mut().register_serde::<Relay>("relay");
+            let market_host = world.add_host("market");
+            let buyer_host = world.add_host("buyers");
+            let market = world
+                .create_agent(market_host, Box::new(MarketplaceAgent::new("m")))
+                .unwrap();
+            let relays: Vec<AgentId> = (0..2)
+                .map(|_| world.create_agent(buyer_host, Box::new(Relay { market })).unwrap())
+                .collect();
+            for (kind, a, b, c) in ops {
+                if kind == 8 {
+                    world.run_for(SimDuration::from_micros(500 * c));
+                    continue;
+                }
+                let relay = relays[(b % 2) as usize];
+                world.send_external(relay, op_message(kind, a, b, c)).unwrap();
+                world.run_for(SimDuration::from_millis(2));
+            }
+            world.run_for(SimDuration::from_millis(2));
+            prop_assert_eq!(world.location(market), Some(Location::Active(market_host)));
+            let live = world.snapshot_of(market).unwrap();
+            world.crash_host(market_host).unwrap();
+            world.restart_host(market_host).unwrap();
+            let recovered = world.snapshot_of(market).unwrap();
+            prop_assert_eq!(recovered, live);
+        }
     }
 }

@@ -649,6 +649,150 @@ fn durability_off_keeps_traces_byte_identical_and_counters_zero() {
 }
 
 // ---------------------------------------------------------------------
+// marketplace-host crash across the buy window
+// ---------------------------------------------------------------------
+
+/// Crash the *marketplace* host `offset_us` after `marker` of one Direct
+/// buy, restart it 50 ms later, and drive the platform to quiescence.
+/// Returns the replies and the marketplace's units sold afterwards.
+fn market_crash_run(
+    seed: u64,
+    sync_every: usize,
+    marker: &str,
+    offset_us: u64,
+) -> (Vec<(ConsumerId, ResponseBody)>, Option<u32>) {
+    let at = probe_marker(seed, marker);
+    let mut p = Platform::builder(seed)
+        .marketplaces(listings())
+        .mba_timeout_us(2_000_000)
+        .bra_retry(BackoffPolicy::new(200_000, 1_600_000, 3))
+        .durability(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every,
+        })
+        .build();
+    p.login(CONSUMER);
+    let task = buy_task(&p);
+    p.submit_task(CONSUMER, task);
+    p.world_mut()
+        .run_until(at + SimDuration::from_micros(offset_us));
+    let market = p.markets()[0];
+    p.world_mut().crash_host(market.host).unwrap();
+    p.world_mut().run_for(SimDuration::from_millis(50));
+    p.world_mut().restart_host(market.host).unwrap();
+    let wave = p.run_and_drain();
+    let sold = p
+        .world()
+        .snapshot_of(market.agent)
+        .ok()
+        .and_then(|s| serde_json::from_value::<ecp::MarketplaceAgent>(s).ok())
+        .map(|m| m.units_sold(ItemId(1)));
+    (wave, sold)
+}
+
+/// The marketplace host dies anywhere in the buy window — while the MBA
+/// travels to it, the instant it lands, around the sale, or once it has
+/// left — under every sync batch size. The marketplace must come back
+/// with its listings and ledger (its first capsule and every sale are
+/// forced to stable storage), and the consumer gets exactly one answer
+/// that matches the sales on record.
+#[test]
+fn marketplace_host_crash_anywhere_in_the_buy_is_answered_exactly_once() {
+    let seed = 404;
+    let points = [
+        ("fig4.3/step08", 50),
+        ("fig4.3/step09", 0),
+        ("fig4.3/step09", 1),
+        ("fig4.3/step10", 0),
+        ("fig4.3/step10", 1),
+        ("fig4.3/step11", 0),
+    ];
+    for sync_every in [1usize, 2, 16, 64] {
+        for (marker, offset_us) in points {
+            let case = format!("sync_every {sync_every}, {marker} + {offset_us}us");
+            let (wave, sold) = market_crash_run(seed, sync_every, marker, offset_us);
+            let receipts = wave
+                .iter()
+                .filter(|(_, r)| matches!(r, ResponseBody::Receipt { .. }))
+                .count();
+            let errors = wave
+                .iter()
+                .filter(|(_, r)| matches!(r, ResponseBody::Error(_)))
+                .count();
+            assert_eq!(
+                receipts + errors,
+                1,
+                "{case}: exactly one terminal reply expected, got {wave:?}"
+            );
+            assert_eq!(
+                sold,
+                Some(receipts as u32),
+                "{case}: the recovered marketplace's sales must match the receipts"
+            );
+        }
+    }
+}
+
+/// Crash the marketplace host as the MBA lands and keep it down for
+/// `down_ms` (for good with `None`). The BSMA's watchdog reports the MBA
+/// lost about 6 s later (2 s timeout plus 4 s grace) and the BRA asks the
+/// ledger of a host that is still dead. Returns the replies and how many
+/// times the BRA re-sent its ledger query.
+fn ledger_outage_run(seed: u64, down_ms: Option<u64>) -> (Vec<(ConsumerId, ResponseBody)>, usize) {
+    let at = probe_marker(seed, "fig4.3/step09");
+    let mut p = durable_platform(seed);
+    p.login(CONSUMER);
+    let task = buy_task(&p);
+    p.submit_task(CONSUMER, task);
+    p.world_mut().run_until(at);
+    let market = p.markets()[0];
+    p.world_mut().crash_host(market.host).unwrap();
+    if let Some(ms) = down_ms {
+        p.world_mut().run_for(SimDuration::from_millis(ms));
+        p.world_mut().restart_host(market.host).unwrap();
+    }
+    let wave = p.run_and_drain();
+    let resent = p
+        .world()
+        .trace()
+        .labels()
+        .iter()
+        .filter(|l| l.contains("unanswered, re-sending"))
+        .count();
+    (wave, resent)
+}
+
+#[test]
+fn ledger_query_to_a_dead_marketplace_is_resent_then_answered() {
+    // down past the first ledger query (~6.0 s), back before the first
+    // re-send (~6.7 s)
+    let (wave, resent) = ledger_outage_run(404, Some(6_300));
+    assert_eq!(wave.len(), 1, "exactly one answer: {wave:?}");
+    assert!(
+        matches!(wave[0].1, ResponseBody::Receipt { .. }),
+        "the re-sent query finds the recovered ledger: {wave:?}"
+    );
+    assert_eq!(resent, 1, "the dead-lettered query was re-sent once");
+}
+
+#[test]
+fn ledger_query_to_a_marketplace_that_stays_dead_ends_in_an_explicit_error() {
+    let (wave, resent) = ledger_outage_run(404, None);
+    assert_eq!(wave.len(), 1, "exactly one answer, never silence: {wave:?}");
+    assert_eq!(
+        resent, 3,
+        "re-sent under the BRA's backoff policy (3 retries)"
+    );
+    match &wave[0].1 {
+        ResponseBody::Error(reason) => assert!(
+            reason.contains("ledger unreachable"),
+            "the error names the cause: {reason}"
+        ),
+        other => panic!("expected an explicit error, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
 // checkpointing bounds replay
 // ---------------------------------------------------------------------
 
