@@ -191,16 +191,16 @@ pub enum Action {
     /// Write-ahead-log a purchase intent on the local host's durable
     /// store before the purchase is attempted (forced to stable storage).
     JournalIntent {
-        intent: u64,
+        intent: String,
         detail: serde_json::Value,
     },
     /// Log that the purchase identified by `intent` definitely happened.
     JournalCommit {
-        intent: u64,
+        intent: String,
         detail: serde_json::Value,
     },
     /// Log that the purchase identified by `intent` was abandoned.
-    JournalAbort { intent: u64, reason: String },
+    JournalAbort { intent: String, reason: String },
     /// Log an incremental state delta for the calling agent (delta-policy
     /// durability; replayed through `on_recovered` after a crash).
     /// `forced` deltas are synced at append, like purchase records.
@@ -529,23 +529,29 @@ impl<'a> Ctx<'a> {
     /// Write-ahead-log a purchase intent before dispatching the buyer
     /// toward the marketplace. Forced to stable storage immediately
     /// (fsync-on-intent); no-op when the local host is not durable.
-    pub fn journal_intent(&mut self, intent: u64, detail: serde_json::Value) {
-        self.actions.push(Action::JournalIntent { intent, detail });
+    pub fn journal_intent(&mut self, intent: impl Into<String>, detail: serde_json::Value) {
+        self.actions.push(Action::JournalIntent {
+            intent: intent.into(),
+            detail,
+        });
     }
 
     /// Log that the purchase identified by `intent` definitely happened
     /// (the confirm/receipt reached the buyer). No-op on non-durable
     /// hosts.
-    pub fn journal_commit(&mut self, intent: u64, detail: serde_json::Value) {
-        self.actions.push(Action::JournalCommit { intent, detail });
+    pub fn journal_commit(&mut self, intent: impl Into<String>, detail: serde_json::Value) {
+        self.actions.push(Action::JournalCommit {
+            intent: intent.into(),
+            detail,
+        });
     }
 
     /// Log that the purchase identified by `intent` was abandoned and the
     /// marketplace ledger confirms (or the protocol guarantees) it never
     /// happened. No-op on non-durable hosts.
-    pub fn journal_abort(&mut self, intent: u64, reason: impl Into<String>) {
+    pub fn journal_abort(&mut self, intent: impl Into<String>, reason: impl Into<String>) {
         self.actions.push(Action::JournalAbort {
-            intent,
+            intent: intent.into(),
             reason: reason.into(),
         });
     }

@@ -22,11 +22,8 @@
 //! * output commit: before the runtime releases anything an agent emitted
 //!   to the outside world, it forces the watermark through every record
 //!   so far with [`DurableStore::sync`];
-//! * a checkpoint takes the materialized state as the new snapshot and
-//!   truncates the log, bounding replay cost. The snapshot is encoded to
-//!   bytes when first asked for ([`DurableStore::snapshot_bytes`]), or at
-//!   the checkpoint itself on a file-backed store — an in-memory
-//!   checkpoint does not pay to serialize every capsule it holds.
+//! * a checkpoint serializes the materialized state into a snapshot and
+//!   truncates the log, bounding replay cost.
 
 use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
@@ -35,7 +32,6 @@ use simdb::wal::{LogRecord, Wal};
 use simdb::{DbError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
 
 /// Tuning knobs for per-host durability. Installed on a world via
 /// `enable_durability`; absent = the host keeps no durable state and all
@@ -65,9 +61,8 @@ impl Default for DurabilityConfig {
 /// deactivated when last journalled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapsuleRecord {
-    /// Serialized `AgentCapsule` (id, type, state, home, permit). Shared:
-    /// the live state and the checkpoint snapshot hold one tree.
-    pub capsule: Arc<serde_json::Value>,
+    /// Serialized `AgentCapsule` (id, type, state, home, permit).
+    pub capsule: serde_json::Value,
     /// `true` = running agent journalled at a callback boundary;
     /// `false` = deactivated into long-term storage.
     pub active: bool,
@@ -93,7 +88,7 @@ pub struct DurableState {
     /// delta-policy agents alike.
     pub capsules: BTreeMap<u64, CapsuleRecord>,
     /// Purchase intents keyed by intent id.
-    pub intents: BTreeMap<u64, IntentState>,
+    pub intents: BTreeMap<String, IntentState>,
     /// State deltas of delta-policy agents in log order: `(agent raw id,
     /// delta)`. Cleared at checkpoints (the snapshot capsule absorbs
     /// them).
@@ -112,7 +107,7 @@ impl DurableState {
                 self.capsules.insert(
                     *agent,
                     CapsuleRecord {
-                        capsule: Arc::new(capsule.clone()),
+                        capsule: capsule.clone(),
                         active: *active,
                     },
                 );
@@ -125,12 +120,12 @@ impl DurableState {
                 // an intent never downgrades a known outcome (idempotent
                 // replay: a re-logged intent after a commit is a no-op)
                 self.intents
-                    .entry(*intent)
+                    .entry(intent.clone())
                     .or_insert_with(|| IntentState::Pending(detail.clone()));
             }
             LogRecord::PurchaseCommit { intent, detail } => {
                 self.intents
-                    .insert(*intent, IntentState::Committed(detail.clone()));
+                    .insert(intent.clone(), IntentState::Committed(detail.clone()));
             }
             LogRecord::PurchaseAbort { intent, reason } => {
                 // commit wins over a racing abort record on replay; a
@@ -139,7 +134,7 @@ impl DurableState {
                     Some(IntentState::Committed(_)) => {}
                     _ => {
                         self.intents
-                            .insert(*intent, IntentState::Aborted(reason.clone()));
+                            .insert(intent.clone(), IntentState::Aborted(reason.clone()));
                     }
                 }
             }
@@ -156,14 +151,6 @@ impl DurableState {
             .filter(|(a, _)| *a == agent)
             .map(|(_, d)| d.clone())
             .collect()
-    }
-
-    /// Intents still pending (logged, no commit or abort).
-    pub fn pending_intents(&self) -> impl Iterator<Item = (u64, &serde_json::Value)> {
-        self.intents.iter().filter_map(|(id, s)| match s {
-            IntentState::Pending(d) => Some((*id, d)),
-            _ => None,
-        })
     }
 }
 
@@ -220,10 +207,8 @@ struct FileBacking {
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    /// The materialized state at the last checkpoint (empty before one).
-    snapshot: DurableState,
-    /// `snapshot` encoded, once something asks for its bytes.
-    snapshot_bytes: OnceLock<Vec<u8>>,
+    /// Serialized [`DurableState`] at the last checkpoint.
+    snapshot: Vec<u8>,
     wal: Wal,
     /// Fsync watermark: records `< synced` survive a crash.
     synced: usize,
@@ -243,7 +228,6 @@ impl Clone for DurableStore {
         DurableStore {
             cfg: self.cfg,
             snapshot: self.snapshot.clone(),
-            snapshot_bytes: self.snapshot_bytes.clone(),
             wal: self.wal.clone(),
             synced: self.synced,
             state: self.state.clone(),
@@ -259,9 +243,7 @@ impl DurableStore {
     pub fn new(cfg: DurabilityConfig) -> Self {
         DurableStore {
             cfg,
-            snapshot: DurableState::default(),
-            // no checkpoint yet: no snapshot on disk
-            snapshot_bytes: OnceLock::from(Vec::new()),
+            snapshot: Vec::new(),
             wal: Wal::new(),
             synced: 0,
             state: DurableState::default(),
@@ -293,13 +275,11 @@ impl DurableStore {
             Err(e) => return Err(DbError::Io(e.to_string())),
         };
         let (file_wal, wal) = FileWal::open(path)?;
-        let base = Self::decode_snapshot(&snapshot)?;
-        let recovered = Self::replay(base.clone(), &wal);
+        let recovered = Self::replay(&snapshot, &wal)?;
         let synced = wal.len();
         Ok(DurableStore {
             cfg,
-            snapshot: base,
-            snapshot_bytes: OnceLock::from(snapshot),
+            snapshot,
             wal,
             synced,
             state: recovered.state,
@@ -416,7 +396,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// See [`DurableStore::put_capsule`].
-    pub fn log_intent(&mut self, intent: u64, detail: serde_json::Value) -> Result<()> {
+    pub fn log_intent(&mut self, intent: String, detail: serde_json::Value) -> Result<()> {
         self.counters.intents_logged += 1;
         self.append(LogRecord::PurchaseIntent { intent, detail }, true)
     }
@@ -426,7 +406,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// See [`DurableStore::put_capsule`].
-    pub fn log_commit(&mut self, intent: u64, detail: serde_json::Value) -> Result<()> {
+    pub fn log_commit(&mut self, intent: String, detail: serde_json::Value) -> Result<()> {
         self.counters.purchases_committed += 1;
         self.append(LogRecord::PurchaseCommit { intent, detail }, true)
     }
@@ -436,7 +416,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// See [`DurableStore::put_capsule`].
-    pub fn log_abort(&mut self, intent: u64, reason: String) -> Result<()> {
+    pub fn log_abort(&mut self, intent: String, reason: String) -> Result<()> {
         self.counters.purchases_aborted += 1;
         self.append(LogRecord::PurchaseAbort { intent, reason }, true)
     }
@@ -469,10 +449,8 @@ impl DurableStore {
 
     /// Checkpoint: fold `fresh_capsules` (live capsules of delta-policy
     /// agents, captured by the runtime at the checkpoint boundary) into
-    /// the state, take it as the new snapshot, truncate the WAL and clear
-    /// the absorbed deltas. Only a file-backed store encodes the snapshot
-    /// here; an in-memory one encodes it if [`Self::snapshot_bytes`] is
-    /// called.
+    /// the state, serialize it as the new snapshot, truncate the WAL and
+    /// clear the absorbed deltas.
     ///
     /// # Errors
     ///
@@ -488,14 +466,12 @@ impl DurableStore {
         fresh_capsules: Vec<(u64, serde_json::Value, bool)>,
     ) -> Result<()> {
         for (agent, capsule, active) in fresh_capsules {
-            let capsule = Arc::new(capsule);
             self.state
                 .capsules
                 .insert(agent, CapsuleRecord { capsule, active });
             self.state.deltas.retain(|(a, _)| *a != agent);
         }
-        self.snapshot = self.state.clone();
-        self.snapshot_bytes = OnceLock::new();
+        self.snapshot = serde_json::to_vec(&self.state).unwrap_or_default();
         self.wal.truncate();
         self.synced = 0;
         self.since_checkpoint = 0;
@@ -504,10 +480,7 @@ impl DurableStore {
             let mut tmp_os = f.snap_path.as_os_str().to_os_string();
             tmp_os.push(".tmp");
             let tmp = PathBuf::from(tmp_os);
-            let bytes = self
-                .snapshot_bytes
-                .get_or_init(|| serde_json::to_vec(&self.snapshot).unwrap_or_default());
-            std::fs::write(&tmp, bytes).map_err(|e| DbError::Io(e.to_string()))?;
+            std::fs::write(&tmp, &self.snapshot).map_err(|e| DbError::Io(e.to_string()))?;
             std::fs::rename(&tmp, &f.snap_path).map_err(|e| DbError::Io(e.to_string()))?;
             f.wal.reset(&self.wal)?;
         }
@@ -520,40 +493,43 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Io`] only on a file-backed store whose log cannot be
-    /// cut back to the synced prefix.
+    /// [`DbError::Serialization`] if the snapshot does not decode
+    /// (internal corruption); [`DbError::Io`] on a file-backed store
+    /// whose log cannot be cut back to the synced prefix.
     pub fn crash(&mut self) -> Result<()> {
         self.wal.retain_prefix(self.synced);
         if let Some(f) = self.file.as_mut() {
             // mirror the loss: the file keeps only the synced prefix
             f.wal.reset(&self.wal)?;
         }
-        self.state = Self::replay(self.snapshot.clone(), &self.wal).state;
+        self.state = Self::replay(&self.snapshot, &self.wal)?.state;
         Ok(())
     }
 
     /// Recovery pass: materialize snapshot + WAL. On a store that has
     /// been [`DurableStore::crash`]ed this is the durable view; on a live
     /// store it equals [`DurableStore::state`].
-    pub fn recover(&self) -> Recovered {
-        Self::replay(self.snapshot.clone(), &self.wal)
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Serialization`] for an unreadable snapshot.
+    pub fn recover(&self) -> Result<Recovered> {
+        Self::replay(&self.snapshot, &self.wal)
     }
 
-    fn decode_snapshot(snapshot: &[u8]) -> Result<DurableState> {
-        if snapshot.is_empty() {
-            return Ok(DurableState::default());
-        }
-        serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))
-    }
-
-    fn replay(mut state: DurableState, wal: &Wal) -> Recovered {
+    fn replay(snapshot: &[u8], wal: &Wal) -> Result<Recovered> {
+        let mut state: DurableState = if snapshot.is_empty() {
+            DurableState::default()
+        } else {
+            serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))?
+        };
         for record in wal.records() {
             state.apply(record);
         }
-        Recovered {
+        Ok(Recovered {
             state,
             replayed: wal.len(),
-        }
+        })
     }
 
     /// Replay an encoded snapshot + WAL byte log into a state — the
@@ -567,7 +543,7 @@ impl DurableStore {
     /// [`DbError::Serialization`] for an unreadable snapshot.
     pub fn replay_bytes(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Recovered> {
         let wal = Wal::decode(wal_bytes)?;
-        Ok(Self::replay(Self::decode_snapshot(snapshot)?, &wal))
+        Self::replay(snapshot, &wal)
     }
 
     /// Current WAL bytes (what would be on disk past the snapshot).
@@ -575,11 +551,9 @@ impl DurableStore {
         self.wal.encode()
     }
 
-    /// The snapshot bytes from the last checkpoint (empty before one),
-    /// encoded on the first call after the checkpoint.
+    /// The snapshot bytes from the last checkpoint (empty before one).
     pub fn snapshot_bytes(&self) -> &[u8] {
-        self.snapshot_bytes
-            .get_or_init(|| serde_json::to_vec(&self.snapshot).unwrap_or_default())
+        &self.snapshot
     }
 }
 
@@ -605,7 +579,7 @@ mod tests {
         assert_eq!(
             s.state().capsules.get(&7).unwrap(),
             &CapsuleRecord {
-                capsule: Arc::new(json!({"x": 2})),
+                capsule: json!({"x": 2}),
                 active: false
             }
         );
@@ -617,18 +591,18 @@ mod tests {
     fn unsynced_tail_is_lost_on_crash_but_forced_records_survive() {
         let mut s = DurableStore::new(cfg(100)); // batch: nothing syncs on its own
         s.put_capsule(1, json!({"a": 1}), true).unwrap();
-        s.log_intent(42, json!({"item": 3})).unwrap(); // forced: syncs the prefix
+        s.log_intent("42".into(), json!({"item": 3})).unwrap(); // forced: syncs the prefix
         s.put_capsule(2, json!({"b": 2}), true).unwrap(); // unsynced tail
         assert_eq!(s.synced_len(), 2);
         s.crash().unwrap();
-        let rec = s.recover();
+        let rec = s.recover().unwrap();
         assert!(
             rec.state.capsules.contains_key(&1),
             "pre-intent capsule synced"
         );
         assert!(!rec.state.capsules.contains_key(&2), "unsynced tail lost");
         assert!(matches!(
-            rec.state.intents.get(&42),
+            rec.state.intents.get("42"),
             Some(IntentState::Pending(_))
         ));
     }
@@ -641,7 +615,7 @@ mod tests {
         assert_eq!(s.synced_len(), 1);
         s.put_capsule(2, json!({"b": 2}), true).unwrap();
         s.crash().unwrap();
-        let rec = s.recover();
+        let rec = s.recover().unwrap();
         assert!(rec.state.capsules.contains_key(&1), "synced record kept");
         assert!(!rec.state.capsules.contains_key(&2), "later tail lost");
     }
@@ -650,23 +624,23 @@ mod tests {
     fn commit_wins_over_replayed_abort_and_intent_never_downgrades() {
         let mut st = DurableState::default();
         st.apply(&LogRecord::PurchaseIntent {
-            intent: 1,
+            intent: "1".into(),
             detail: json!({}),
         });
         st.apply(&LogRecord::PurchaseCommit {
-            intent: 1,
+            intent: "1".into(),
             detail: json!({"price": 2.0}),
         });
         st.apply(&LogRecord::PurchaseIntent {
-            intent: 1,
+            intent: "1".into(),
             detail: json!({}),
         });
         st.apply(&LogRecord::PurchaseAbort {
-            intent: 1,
+            intent: "1".into(),
             reason: "late".into(),
         });
         assert!(matches!(
-            st.intents.get(&1),
+            st.intents.get("1"),
             Some(IntentState::Committed(_))
         ));
     }
@@ -678,17 +652,17 @@ mod tests {
             sync_every: 1,
         });
         s.put_capsule(1, json!({"v": 1}), true).unwrap();
-        s.log_intent(9, json!({})).unwrap();
-        s.log_commit(9, json!({"ok": true})).unwrap();
+        s.log_intent("9".into(), json!({})).unwrap();
+        s.log_commit("9".into(), json!({"ok": true})).unwrap();
         assert!(s.should_checkpoint());
         s.checkpoint(Vec::new()).unwrap();
         assert_eq!(s.wal_len(), 0);
         s.log_delta(5, json!({"d": 1})).unwrap();
-        let rec = s.recover();
+        let rec = s.recover().unwrap();
         assert_eq!(rec.replayed, 1, "only post-checkpoint records replay");
         assert!(rec.state.capsules.contains_key(&1));
         assert!(matches!(
-            rec.state.intents.get(&9),
+            rec.state.intents.get("9"),
             Some(IntentState::Committed(_))
         ));
         assert_eq!(rec.state.deltas_for(5), vec![json!({"d": 1})]);
@@ -700,10 +674,10 @@ mod tests {
         s.log_delta(5, json!({"d": 1})).unwrap();
         s.checkpoint(vec![(5, json!({"full": true}), true)])
             .unwrap();
-        let rec = s.recover();
+        let rec = s.recover().unwrap();
         assert!(rec.state.deltas_for(5).is_empty());
         assert_eq!(
-            *rec.state.capsules.get(&5).unwrap().capsule,
+            rec.state.capsules.get(&5).unwrap().capsule,
             json!({"full": true})
         );
     }
@@ -711,8 +685,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let mut s = DurableStore::new(cfg(1));
-        s.log_intent(1, json!({})).unwrap();
-        s.log_abort(1, "x".into()).unwrap();
+        s.log_intent("1".into(), json!({})).unwrap();
+        s.log_abort("1".into(), "x".into()).unwrap();
         let c = s.take_counters();
         assert_eq!(c.wal_records_appended, 2);
         assert_eq!(c.intents_logged, 1);

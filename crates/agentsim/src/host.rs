@@ -1010,8 +1010,13 @@ impl HostCore {
     /// [`Agent::on_recovered`]. Crash-looping agents are quarantined.
     pub(crate) fn recover<E: HostEnv>(&mut self, env: &mut E) {
         let host = self.id;
-        let Some(recovered) = self.durable.as_ref().map(DurableStore::recover) else {
-            return;
+        let recovered = match self.durable.as_ref().map(DurableStore::recover) {
+            Some(Ok(r)) => r,
+            Some(Err(e)) => {
+                env.record(None, format!("recovery: {host} failed: {e}"));
+                return;
+            }
+            None => return,
         };
         {
             let lead = env.lead();
@@ -1033,17 +1038,16 @@ impl HostCore {
                 );
                 continue;
             }
-            let capsule =
-                match <AgentCapsule as serde::Deserialize>::deserialize_value(&rec.capsule) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        env.record(
-                            None,
-                            format!("recovery: {host} capsule for {id} unreadable: {e}"),
-                        );
-                        continue;
-                    }
-                };
+            let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
+                Ok(c) => c,
+                Err(e) => {
+                    env.record(
+                        None,
+                        format!("recovery: {host} capsule for {id} unreadable: {e}"),
+                    );
+                    continue;
+                }
+            };
             let home = capsule.home;
             if rec.active {
                 match env.registry().rehydrate(&capsule) {

@@ -163,8 +163,8 @@ fn synthetic_store(records: u64, checkpoint_every: usize) -> DurableStore {
                 .unwrap(),
             // intent ids recycle like live BRA sequence numbers do, so
             // the intents table stays bounded the way a real host's is
-            2 => store.log_intent(i % 64, serde_json::json!({"item": i % 4})).unwrap(),
-            3 => store.log_commit((i - 1) % 64, serde_json::json!({"price": 30})).unwrap(),
+            2 => store.log_intent((i % 64).to_string(), serde_json::json!({"item": i % 4})).unwrap(),
+            3 => store.log_commit(((i - 1) % 64).to_string(), serde_json::json!({"price": 30})).unwrap(),
             _ => store
                 .put_capsule(agent, serde_json::json!({"id": agent, "state": {"seq": i}}), true)
                 .unwrap(),

@@ -37,7 +37,8 @@ pub const BRA_TYPE: &str = "bra";
 /// Timer tag for re-dispatching an MBA after a backoff delay.
 const RETRY_TAG: u64 = 0x42_52_41; // "BRA"
 
-/// Timer tag for re-sending an unanswered ledger query.
+/// Timer tag for re-sending an unanswered ledger query; the query's
+/// number is added, so a timer left from an earlier query is told apart.
 const LEDGER_TAG: u64 = 0x4C_44_47; // "LDG"
 
 /// Task state the BRA is driving.
@@ -256,14 +257,18 @@ impl BuyerRecommendAgent {
     /// timer that re-sends the query if no answer comes: a marketplace
     /// host that is down dead-letters the query, and nothing else would
     /// ever ask again. The `queries`-th re-send waits the MBA's
-    /// marketplace patience plus the retry backoff.
+    /// marketplace patience plus the retry backoff, under a timer tagged
+    /// with `queries`.
     fn query_ledger(&self, ctx: &mut Ctx<'_>, intent: IntentId, market: MarketRef, queries: u32) {
         let query = Message::new(ecpk::kinds::LEDGER_QUERY)
             .with_payload(&LedgerQuery { intent })
             .expect("ledger query serializes");
         ctx.send(market.agent, query);
         let wait = self.mba_timeout_us / 4 + self.retry.delay_us(queries);
-        ctx.set_timer(SimDuration::from_micros(wait), LEDGER_TAG);
+        ctx.set_timer(
+            SimDuration::from_micros(wait),
+            LEDGER_TAG + u64::from(queries),
+        );
     }
 
     fn dispatch_mba(
@@ -282,7 +287,7 @@ impl BuyerRecommendAgent {
             (ConsumerTask::Buy { item, market, .. }, None) if self.durable => {
                 let i = self.mint_intent(ctx);
                 ctx.journal_intent(
-                    journal_key(i),
+                    i.to_string(),
                     serde_json::json!({
                         "consumer": self.consumer,
                         "item": item,
@@ -536,7 +541,7 @@ impl BuyerRecommendAgent {
                 ctx.note("fig4.3/step13 bra records transaction and pa updates profile");
                 if let Some(intent) = intent {
                     ctx.journal_commit(
-                        journal_key(intent),
+                        intent.to_string(),
                         serde_json::to_value(&BuyConfirm {
                             item: item.clone(),
                             price,
@@ -573,7 +578,7 @@ impl BuyerRecommendAgent {
                 if let Some(intent) = intent {
                     // the marketplace definitively rejected/failed the buy,
                     // so the intent resolves to a clean abort
-                    ctx.journal_abort(journal_key(intent), reason.clone());
+                    ctx.journal_abort(intent.to_string(), reason.clone());
                 }
                 ctx.note("fig4.3/step14 bra responds with failure");
                 self.respond(ctx, ResponseBody::Error(reason));
@@ -597,12 +602,14 @@ impl BuyerRecommendAgent {
         }
     }
 
-    /// The ledger query of the task in [`Pending::AwaitLedger`] went
-    /// unanswered: re-send it while the retry budget lasts, then give up
-    /// with a journalled abort and an explicit error reply.
-    fn ledger_query_timed_out(&mut self, ctx: &mut Ctx<'_>) {
-        if !matches!(self.pending, Some(Pending::AwaitLedger { .. })) {
-            return; // answered meanwhile: leave the live state alone
+    /// Ledger query number `query` of the task in [`Pending::AwaitLedger`]
+    /// went unanswered: re-send it while the retry budget lasts, then give
+    /// up with a journalled abort and an explicit error reply.
+    fn ledger_query_timed_out(&mut self, ctx: &mut Ctx<'_>, query: u32) {
+        if !matches!(self.pending, Some(Pending::AwaitLedger { queries, .. }) if queries == query) {
+            // answered meanwhile, or the timer of an earlier query (one
+            // armed before a crash, say): leave the live state alone
+            return;
         }
         let Some(Pending::AwaitLedger {
             task,
@@ -634,7 +641,7 @@ impl BuyerRecommendAgent {
             "bra: intent {intent} aborted, marketplace ledger unreachable"
         ));
         ctx.journal_abort(
-            journal_key(intent),
+            intent.to_string(),
             "mba lost; marketplace ledger unreachable and retries exhausted",
         );
         self.respond(
@@ -644,19 +651,6 @@ impl BuyerRecommendAgent {
             ),
         );
     }
-}
-
-/// The key the host journal files `intent`'s purchase records under. The
-/// journal keys them by one `u64` and an intent is wider, so the BRA id
-/// is mixed (SplitMix64 finalizer) and the sequence folded in: distinct
-/// for every intent of one BRA, and across BRAs equal only by a 2^-64
-/// accident. Only the journal's bookkeeping reads the key; recovery
-/// re-drives from the BRA capsule, which carries the full id.
-fn journal_key(intent: IntentId) -> u64 {
-    let mut z = intent.bra().0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) ^ intent.seq()
 }
 
 impl Agent for BuyerRecommendAgent {
@@ -883,7 +877,7 @@ impl Agent for BuyerRecommendAgent {
                         ));
                         ctx.count_ledger_resolution();
                         ctx.journal_commit(
-                            journal_key(intent),
+                            intent.to_string(),
                             serde_json::to_value(&confirm).unwrap_or(serde_json::Value::Null),
                         );
                         self.record_behavior(
@@ -923,7 +917,7 @@ impl Agent for BuyerRecommendAgent {
                         }
                         ctx.note(format!("bra: intent {intent} aborted after ledger check"));
                         ctx.journal_abort(
-                            journal_key(intent),
+                            intent.to_string(),
                             "mba lost; marketplace ledger shows no commit and retries exhausted",
                         );
                         self.respond(
@@ -1017,8 +1011,8 @@ impl Agent for BuyerRecommendAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag == LEDGER_TAG {
-            self.ledger_query_timed_out(ctx);
+        if let Some(query) = tag.checked_sub(LEDGER_TAG) {
+            self.ledger_query_timed_out(ctx, u32::try_from(query).unwrap_or(u32::MAX));
             return;
         }
         // a stale timer (the re-armed copy after a recovery, say) must

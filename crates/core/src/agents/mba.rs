@@ -24,8 +24,8 @@ use ecp::merchandise::{CategoryPath, ItemId, Money};
 use ecp::negotiation::{BuyerMove, BuyerPolicy, BuyerSession};
 use ecp::protocol::{
     self as ecpk, AuctionBid, AuctionClosed, AuctionJoin, AuctionStatus, BuyConfirm, BuyRequest,
-    IntentId, NegotiateAccept, NegotiateCounter, NegotiateOffer, Offer, QueryRequest,
-    QueryResponse,
+    IntentId, LedgerQuery, LedgerReply, NegotiateAccept, NegotiateCounter, NegotiateOffer, Offer,
+    QueryRequest, QueryResponse,
 };
 use serde::{Deserialize, Serialize};
 
@@ -404,19 +404,48 @@ impl Agent for MobileBuyerAgent {
     }
 
     fn on_recovered(&mut self, ctx: &mut Ctx<'_>, _deltas: &[serde_json::Value]) {
-        // Restored on a marketplace host that crashed under it: its timers
-        // and any reply in flight died with the host. Re-drive the visit
-        // rather than idle there forever; a re-sent buy carries its
-        // intent, so the marketplace ledger answers it without selling
-        // twice.
+        // Restored on a marketplace host that crashed under it: a request
+        // in flight and its reply died with the host, and whether a timer
+        // armed before the crash still fires depends on the runtime.
         if ctx.host() == self.home {
             return;
         }
-        ctx.note("mba: recovered at marketplace, re-driving the visit");
         if self.result.is_some() {
+            ctx.note("mba: recovered at marketplace with its result, heading home");
             self.go_home(ctx);
-        } else {
-            self.start_at_market(ctx);
+            return;
+        }
+        match &self.task {
+            MbaTask::Query { .. } => {
+                // a read is safe to repeat
+                ctx.note("mba: recovered at marketplace, re-sending the query");
+                self.start_at_market(ctx);
+            }
+            MbaTask::Buy {
+                intent: Some(intent),
+                ..
+            } => {
+                // Never buy again: the host may have been down long enough
+                // for the BRA to give this intent up, and the ledger would
+                // take a re-sent buy as fresh. Ask the ledger what the
+                // crash left and carry that home. The pre-crash watchdog
+                // is disarmed, so it cannot report a failure over a sale.
+                let Some(market) = self.current_market() else {
+                    return;
+                };
+                ctx.note(format!(
+                    "mba: recovered at marketplace, asking the ledger about intent {intent}"
+                ));
+                self.awaiting_reply = false;
+                let query = Message::new(ecpk::kinds::LEDGER_QUERY)
+                    .with_payload(&LedgerQuery { intent: *intent })
+                    .expect("ledger query serializes");
+                ctx.send(market.agent, query);
+            }
+            // An intent-less buy has no ledger entry to ask about, and an
+            // auction's bids are replayed with the marketplace, whose
+            // close still reaches us here: stay put, as before a crash.
+            MbaTask::Buy { intent: None, .. } | MbaTask::Auction { .. } => {}
         }
     }
 
@@ -611,6 +640,30 @@ impl Agent for MobileBuyerAgent {
                         },
                     );
                 }
+            }
+            ecpk::kinds::LEDGER_REPLY => {
+                // the ledger's word on a buy whose visit a crash cut short
+                let (Ok(reply), MbaTask::Buy { item, mode, .. }) =
+                    (msg.payload_as::<LedgerReply>(), &self.task)
+                else {
+                    return;
+                };
+                if self.result.is_some() {
+                    return;
+                }
+                let result = match reply.committed {
+                    Some(confirm) => MbaResult::Bought {
+                        item: confirm.item,
+                        price: confirm.price,
+                        negotiated: matches!(mode, BuyMode::Negotiate { .. }),
+                        rounds: self.negotiation.as_ref().map_or(0, |s| s.rounds()),
+                    },
+                    None => MbaResult::BuyFailed {
+                        item: *item,
+                        reason: "marketplace crashed before the sale".into(),
+                    },
+                };
+                self.finish_with(ctx, result);
             }
             ecpk::kinds::NEGOTIATE_REJECT => {
                 let item = match &self.task {

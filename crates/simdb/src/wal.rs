@@ -33,22 +33,23 @@ pub enum LogRecord {
     /// dispatches toward the marketplace; always forced to the synced
     /// prefix (fsync-on-intent).
     PurchaseIntent {
-        /// Globally unique intent id (stable across retries).
-        intent: u64,
+        /// Globally unique intent id (stable across retries), as the
+        /// journaling agent spells it.
+        intent: String,
         /// Free-form detail (consumer, item, market) for diagnostics.
         detail: serde_json::Value,
     },
     /// The purchase identified by `intent` definitely happened.
     PurchaseCommit {
         /// Intent id from the matching [`LogRecord::PurchaseIntent`].
-        intent: u64,
+        intent: String,
         /// Outcome detail (item, price, channel).
         detail: serde_json::Value,
     },
     /// The purchase identified by `intent` definitely did not happen.
     PurchaseAbort {
         /// Intent id from the matching [`LogRecord::PurchaseIntent`].
-        intent: u64,
+        intent: String,
         /// Why the purchase was abandoned.
         reason: String,
     },
@@ -226,15 +227,15 @@ mod tests {
             active: true,
         });
         wal.append(LogRecord::PurchaseIntent {
-            intent: 42,
+            intent: "42".into(),
             detail: serde_json::json!({"item": 3}),
         });
         wal.append(LogRecord::PurchaseCommit {
-            intent: 42,
+            intent: "42".into(),
             detail: serde_json::json!({"price": 9.5}),
         });
         wal.append(LogRecord::PurchaseAbort {
-            intent: 43,
+            intent: "43".into(),
             reason: "mba lost".into(),
         });
         wal.append(LogRecord::ProfileDelta {

@@ -106,11 +106,11 @@ fn record_from(sel: u64, id: u64, x: i64, s: &str) -> LogRecord {
         },
         1 => LogRecord::CapsuleGone { agent: id },
         2 => LogRecord::PurchaseIntent {
-            intent: id,
+            intent: id.to_string(),
             detail: serde_json::json!({ "item": x }),
         },
         3 => LogRecord::PurchaseAbort {
-            intent: id,
+            intent: id.to_string(),
             reason: s.to_string(),
         },
         _ => LogRecord::ProfileDelta {

@@ -13,7 +13,7 @@
 //!   tuple, unit) and enums (unit / newtype / tuple / struct variants)
 //! - `#[serde(default)]` on named struct fields
 //! - std impls: integers, floats, `bool`, `char`, `String`, `&str`,
-//!   `Option`, `Box`, `Arc`, `Vec`, slices, tuples (≤6), `BTreeMap`/`HashMap`
+//!   `Option`, `Box`, `Vec`, slices, tuples (≤6), `BTreeMap`/`HashMap`
 //!   (integer or string keys), `BTreeSet`/`HashSet`, `()`
 
 pub mod value;
@@ -270,18 +270,6 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize_value(v: &Value) -> Result<Self, Error> {
         Ok(Box::new(T::deserialize_value(v)?))
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize_value(&self) -> Value {
-        (**self).serialize_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        Ok(std::sync::Arc::new(T::deserialize_value(v)?))
     }
 }
 

@@ -810,9 +810,11 @@ fn apply_durable_op(store: &mut DurableStore, op: (u8, u64, u64, i64)) {
     match kind {
         0 | 1 => store.put_capsule(agent, v, value % 2 == 0).unwrap(),
         2 => store.remove_capsule(agent).unwrap(),
-        3 => store.log_intent(intent, v).unwrap(),
-        4 => store.log_commit(intent, v).unwrap(),
-        5 => store.log_abort(intent, format!("abort {value}")).unwrap(),
+        3 => store.log_intent(intent.to_string(), v).unwrap(),
+        4 => store.log_commit(intent.to_string(), v).unwrap(),
+        5 => store
+            .log_abort(intent.to_string(), format!("abort {value}"))
+            .unwrap(),
         6 => store.log_delta(agent, v).unwrap(),
         _ => store.checkpoint(Vec::new()).unwrap(),
     }
@@ -862,19 +864,19 @@ proptest! {
         }
         let snapshot = store.snapshot_bytes().to_vec();
         let full = Wal::decode(&store.wal_bytes()).unwrap();
-        let mut prev_committed: Vec<u64> = Vec::new();
+        let mut prev_committed: Vec<String> = Vec::new();
         for n in 0..=full.len() {
             let mut prefix = full.clone();
             prefix.retain_prefix(n);
             let rec = DurableStore::replay_bytes(&snapshot, &prefix.encode())
                 .unwrap_or_else(|e| panic!("prefix {n} failed to recover: {e:?}"));
             prop_assert_eq!(rec.replayed, n, "replayed record count at prefix {}", n);
-            let committed: Vec<u64> = rec
+            let committed: Vec<String> = rec
                 .state
                 .intents
                 .iter()
                 .filter(|(_, s)| matches!(s, IntentState::Committed(_)))
-                .map(|(id, _)| *id)
+                .map(|(id, _)| id.clone())
                 .collect();
             for id in &prev_committed {
                 prop_assert!(
@@ -917,13 +919,13 @@ proptest! {
         store.crash().unwrap();
         for id in &forced_commits {
             prop_assert!(
-                matches!(store.state().intents.get(id), Some(IntentState::Committed(_))),
+                matches!(store.state().intents.get(&id.to_string()), Some(IntentState::Committed(_))),
                 "commit for intent {} was lost in the crash", id
             );
         }
         for id in &forced_intents {
             prop_assert!(
-                store.state().intents.contains_key(id),
+                store.state().intents.contains_key(&id.to_string()),
                 "forced intent {} vanished in the crash", id
             );
         }

@@ -653,13 +653,14 @@ fn durability_off_keeps_traces_byte_identical_and_counters_zero() {
 // ---------------------------------------------------------------------
 
 /// Crash the *marketplace* host `offset_us` after `marker` of one Direct
-/// buy, restart it 50 ms later, and drive the platform to quiescence.
+/// buy, restart it `down_ms` later, and drive the platform to quiescence.
 /// Returns the replies and the marketplace's units sold afterwards.
 fn market_crash_run(
     seed: u64,
     sync_every: usize,
     marker: &str,
     offset_us: u64,
+    down_ms: u64,
 ) -> (Vec<(ConsumerId, ResponseBody)>, Option<u32>) {
     let at = probe_marker(seed, marker);
     let mut p = Platform::builder(seed)
@@ -678,7 +679,7 @@ fn market_crash_run(
         .run_until(at + SimDuration::from_micros(offset_us));
     let market = p.markets()[0];
     p.world_mut().crash_host(market.host).unwrap();
-    p.world_mut().run_for(SimDuration::from_millis(50));
+    p.world_mut().run_for(SimDuration::from_millis(down_ms));
     p.world_mut().restart_host(market.host).unwrap();
     let wave = p.run_and_drain();
     let sold = p
@@ -692,25 +693,30 @@ fn market_crash_run(
 
 /// The marketplace host dies anywhere in the buy window — while the MBA
 /// travels to it, the instant it lands, around the sale, or once it has
-/// left — under every sync batch size. The marketplace must come back
-/// with its listings and ledger (its first capsule and every sale are
-/// forced to stable storage), and the consumer gets exactly one answer
-/// that matches the sales on record.
+/// left — under every sync batch size, and restart it 50 ms later. The
+/// marketplace must come back with its listings and ledger (its first
+/// capsule and every sale are forced to stable storage), and the consumer
+/// gets exactly one answer that matches the sales on record. The last
+/// point keeps the host down for 15 s, past the BRA's give-up (about 6 s
+/// for the BSMA watchdog plus 5 s of ledger re-sends): the MBA restored
+/// then must not sell under the intent its BRA has already abandoned.
 #[test]
 fn marketplace_host_crash_anywhere_in_the_buy_is_answered_exactly_once() {
     let seed = 404;
     let points = [
-        ("fig4.3/step08", 50),
-        ("fig4.3/step09", 0),
-        ("fig4.3/step09", 1),
-        ("fig4.3/step10", 0),
-        ("fig4.3/step10", 1),
-        ("fig4.3/step11", 0),
+        ("fig4.3/step08", 50, 50),
+        ("fig4.3/step09", 0, 50),
+        ("fig4.3/step09", 1, 50),
+        ("fig4.3/step10", 0, 50),
+        ("fig4.3/step10", 1, 50),
+        ("fig4.3/step11", 0, 50),
+        ("fig4.3/step09", 0, 15_000),
     ];
     for sync_every in [1usize, 2, 16, 64] {
-        for (marker, offset_us) in points {
-            let case = format!("sync_every {sync_every}, {marker} + {offset_us}us");
-            let (wave, sold) = market_crash_run(seed, sync_every, marker, offset_us);
+        for (marker, offset_us, down_ms) in points {
+            let case =
+                format!("sync_every {sync_every}, {marker} + {offset_us}us, down {down_ms} ms");
+            let (wave, sold) = market_crash_run(seed, sync_every, marker, offset_us, down_ms);
             let receipts = wave
                 .iter()
                 .filter(|(_, r)| matches!(r, ResponseBody::Receipt { .. }))
@@ -733,54 +739,85 @@ fn marketplace_host_crash_anywhere_in_the_buy_is_answered_exactly_once() {
     }
 }
 
+/// What a BRA did about a marketplace that died as the MBA landed: the
+/// replies, its ledger re-sends, and when it sent its first ledger query
+/// and when it gave up on the ledger (if it did).
+struct LedgerOutage {
+    wave: Vec<(ConsumerId, ResponseBody)>,
+    resent: usize,
+    first_query: Option<SimTime>,
+    gave_up: Option<SimTime>,
+}
+
 /// Crash the marketplace host as the MBA lands and keep it down for
 /// `down_ms` (for good with `None`). The BSMA's watchdog reports the MBA
 /// lost about 6 s later (2 s timeout plus 4 s grace) and the BRA asks the
-/// ledger of a host that is still dead. Returns the replies and how many
-/// times the BRA re-sent its ledger query.
-fn ledger_outage_run(seed: u64, down_ms: Option<u64>) -> (Vec<(ConsumerId, ResponseBody)>, usize) {
+/// ledger of a host that is still dead. With `buyer_crash_at`, the buyer
+/// host also crashes then and restarts 10 ms later.
+fn ledger_outage_run(
+    seed: u64,
+    down_ms: Option<u64>,
+    buyer_crash_at: Option<SimTime>,
+) -> LedgerOutage {
     let at = probe_marker(seed, "fig4.3/step09");
     let mut p = durable_platform(seed);
     p.login(CONSUMER);
     let task = buy_task(&p);
     p.submit_task(CONSUMER, task);
     p.world_mut().run_until(at);
-    let market = p.markets()[0];
-    p.world_mut().crash_host(market.host).unwrap();
+    let market = p.markets()[0].host;
+    p.world_mut().crash_host(market).unwrap();
+    if let Some(crash_at) = buyer_crash_at {
+        let buyer = p.buyer_host();
+        p.world_mut().run_until(crash_at);
+        p.world_mut().crash_host(buyer).unwrap();
+        p.world_mut().run_for(SimDuration::from_millis(10));
+        p.world_mut().restart_host(buyer).unwrap();
+    }
     if let Some(ms) = down_ms {
-        p.world_mut().run_for(SimDuration::from_millis(ms));
-        p.world_mut().restart_host(market.host).unwrap();
+        p.world_mut().run_until(at + SimDuration::from_millis(ms));
+        p.world_mut().restart_host(market).unwrap();
     }
     let wave = p.run_and_drain();
-    let resent = p
-        .world()
-        .trace()
-        .labels()
-        .iter()
-        .filter(|l| l.contains("unanswered, re-sending"))
-        .count();
-    (wave, resent)
+    let events = p.world().trace().events();
+    let first = |marker: &str| {
+        events
+            .iter()
+            .find(|e| e.label.contains(marker))
+            .map(|e| e.at)
+    };
+    LedgerOutage {
+        resent: events
+            .iter()
+            .filter(|e| e.label.contains("unanswered, re-sending"))
+            .count(),
+        first_query: first("querying marketplace ledger"),
+        gave_up: first("marketplace ledger unreachable"),
+        wave,
+    }
 }
 
 #[test]
 fn ledger_query_to_a_dead_marketplace_is_resent_then_answered() {
     // down past the first ledger query (~6.0 s), back before the first
     // re-send (~6.7 s)
-    let (wave, resent) = ledger_outage_run(404, Some(6_300));
+    let run = ledger_outage_run(404, Some(6_300), None);
+    let wave = &run.wave;
     assert_eq!(wave.len(), 1, "exactly one answer: {wave:?}");
     assert!(
         matches!(wave[0].1, ResponseBody::Receipt { .. }),
         "the re-sent query finds the recovered ledger: {wave:?}"
     );
-    assert_eq!(resent, 1, "the dead-lettered query was re-sent once");
+    assert_eq!(run.resent, 1, "the dead-lettered query was re-sent once");
 }
 
 #[test]
 fn ledger_query_to_a_marketplace_that_stays_dead_ends_in_an_explicit_error() {
-    let (wave, resent) = ledger_outage_run(404, None);
+    let run = ledger_outage_run(404, None, None);
+    let wave = &run.wave;
     assert_eq!(wave.len(), 1, "exactly one answer, never silence: {wave:?}");
     assert_eq!(
-        resent, 3,
+        run.resent, 3,
         "re-sent under the BRA's backoff policy (3 retries)"
     );
     match &wave[0].1 {
@@ -790,6 +827,28 @@ fn ledger_query_to_a_marketplace_that_stays_dead_ends_in_an_explicit_error() {
         ),
         other => panic!("expected an explicit error, got {other:?}"),
     }
+}
+
+/// A buyer-host crash in the middle of a ledger outage: the recovered BRA
+/// re-queries and arms a fresh timer, while the timer armed before the
+/// crash may still fire. Only the timer of the current query counts, so
+/// the BRA keeps its backoff schedule instead of spending its re-sends
+/// twice as fast.
+#[test]
+fn buyer_host_crash_mid_ledger_outage_keeps_the_backoff_schedule() {
+    let calm = ledger_outage_run(404, None, None);
+    let first_query = calm.first_query.expect("the BRA queried the ledger");
+    let crashed = ledger_outage_run(404, None, Some(first_query + SimDuration::from_millis(100)));
+    let wave = &crashed.wave;
+    assert_eq!(wave.len(), 1, "exactly one answer: {wave:?}");
+    assert!(matches!(wave[0].1, ResponseBody::Error(_)), "{wave:?}");
+    assert_eq!(crashed.resent, 3, "one re-send per query, not per timer");
+    assert!(
+        crashed.gave_up >= calm.gave_up,
+        "gave up at {:?}, before the crash-free schedule's {:?}",
+        crashed.gave_up,
+        calm.gave_up
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -813,10 +813,10 @@ fn file_backed_store_round_trips_through_reopen() {
             .put_capsule(7, serde_json::json!({"x": 1}), true)
             .unwrap();
         store
-            .log_intent(42, serde_json::json!({"item": 1}))
+            .log_intent("42".into(), serde_json::json!({"item": 1}))
             .unwrap();
         store
-            .log_commit(42, serde_json::json!({"price": 30}))
+            .log_commit("42".into(), serde_json::json!({"price": 30}))
             .unwrap();
         store.log_delta(9, serde_json::json!({"d": 1})).unwrap();
         // dropped without ceremony: a process exit
@@ -826,7 +826,7 @@ fn file_backed_store_round_trips_through_reopen() {
         let state = store.state();
         assert_eq!(state.capsules.get(&7).unwrap().capsule["x"], 1);
         assert!(matches!(
-            state.intents.get(&42),
+            state.intents.get("42"),
             Some(agentsim::durable::IntentState::Committed(_))
         ));
         assert_eq!(state.deltas_for(9).len(), 1);
@@ -844,7 +844,7 @@ fn file_backed_store_round_trips_through_reopen() {
         assert_eq!(store.wal_len(), 0);
         assert_eq!(store.state().capsules.get(&7).unwrap().capsule["x"], 1);
         assert!(matches!(
-            store.state().intents.get(&42),
+            store.state().intents.get("42"),
             Some(agentsim::durable::IntentState::Committed(_))
         ));
     }
