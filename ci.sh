@@ -32,8 +32,10 @@ filtered_test() {
 # full-scale query bench including the 10^6-consumer axis. Does not run
 # the normal gate.
 # --recovery-stress: loop the crash-point matrix, the marketplace-host
-# crash sweep, the WAL and marketplace delta-replay property tests and
-# the constant-size state checks (store snapshot/restore property,
+# crash sweep, the WAL and marketplace delta-replay property tests (the
+# crash tree path ≡ byte replay property among them), the durable
+# store's tree-sharing and on-disk-format pins, and the constant-size
+# state checks (store snapshot/restore property,
 # JsonStore, BSMA and marketplace state size) 10x (the crash matrix on
 # both feature sets, so the sharded/threaded recovery paths get shaken
 # too), then the full E14 recovery series. Does not run the normal gate.
@@ -63,6 +65,9 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     cargo test -q --release --test recovery --features parallel
     filtered_test -q --release --test recovery marketplace_host_crash
     filtered_test -q --release --test properties durable_replay
+    filtered_test -q --release --test properties durable_crash_tree_path_equals_byte_replay
+    filtered_test -q --release -p agentsim durable::tests::tree_sharing
+    filtered_test -q --release -p agentsim durable::tests::golden
     filtered_test -q --release --test properties marketplace_checkpoint_plus_deltas
     filtered_test -q --release --test properties any_torn_log_prefix
     filtered_test -q --release --test properties crash_preserves

@@ -22,8 +22,16 @@
 //! * output commit: before the runtime releases anything an agent emitted
 //!   to the outside world, it forces the watermark through every record
 //!   so far with [`DurableStore::sync`];
-//! * a checkpoint serializes the materialized state into a snapshot and
+//! * a checkpoint keeps the materialized state as the snapshot and
 //!   truncates the log, bounding replay cost.
+//!
+//! Capsule and delta trees are shared, not copied: a journalled tree is
+//! one `Arc<serde_json::Value>` held by its log record, the live state
+//! and the snapshot alike, so journaling, checkpointing, cloning the
+//! store and recovering bump reference counts. The snapshot is a
+//! [`DurableState`], encoded to bytes only at the disk boundary — when a
+//! file-backed store writes its `.snap` file, or when
+//! [`DurableStore::snapshot_bytes`] is asked for them.
 
 use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
@@ -32,6 +40,7 @@ use simdb::wal::{LogRecord, Wal};
 use simdb::{DbError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Tuning knobs for per-host durability. Installed on a world via
 /// `enable_durability`; absent = the host keeps no durable state and all
@@ -61,8 +70,9 @@ impl Default for DurabilityConfig {
 /// deactivated when last journalled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapsuleRecord {
-    /// Serialized `AgentCapsule` (id, type, state, home, permit).
-    pub capsule: serde_json::Value,
+    /// Serialized `AgentCapsule` (id, type, state, home, permit), shared
+    /// with the log record that journalled it.
+    pub capsule: Arc<serde_json::Value>,
     /// `true` = running agent journalled at a callback boundary;
     /// `false` = deactivated into long-term storage.
     pub active: bool,
@@ -92,7 +102,7 @@ pub struct DurableState {
     /// State deltas of delta-policy agents in log order: `(agent raw id,
     /// delta)`. Cleared at checkpoints (the snapshot capsule absorbs
     /// them).
-    pub deltas: Vec<(u64, serde_json::Value)>,
+    pub deltas: Vec<(u64, Arc<serde_json::Value>)>,
 }
 
 impl DurableState {
@@ -107,7 +117,7 @@ impl DurableState {
                 self.capsules.insert(
                     *agent,
                     CapsuleRecord {
-                        capsule: capsule.clone(),
+                        capsule: Arc::clone(capsule),
                         active: *active,
                     },
                 );
@@ -139,7 +149,7 @@ impl DurableState {
                 }
             }
             LogRecord::ProfileDelta { agent, delta } => {
-                self.deltas.push((*agent, delta.clone()));
+                self.deltas.push((*agent, Arc::clone(delta)));
             }
         }
     }
@@ -149,7 +159,7 @@ impl DurableState {
         self.deltas
             .iter()
             .filter(|(a, _)| *a == agent)
-            .map(|(_, d)| d.clone())
+            .map(|(_, d)| d.as_ref().clone())
             .collect()
     }
 }
@@ -207,8 +217,9 @@ struct FileBacking {
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    /// Serialized [`DurableState`] at the last checkpoint.
-    snapshot: Vec<u8>,
+    /// The state as of the last checkpoint, sharing its trees with
+    /// `state`; `None` before the first one.
+    snapshot: Option<DurableState>,
     wal: Wal,
     /// Fsync watermark: records `< synced` survive a crash.
     synced: usize,
@@ -243,7 +254,7 @@ impl DurableStore {
     pub fn new(cfg: DurabilityConfig) -> Self {
         DurableStore {
             cfg,
-            snapshot: Vec::new(),
+            snapshot: None,
             wal: Wal::new(),
             synced: 0,
             state: DurableState::default(),
@@ -270,12 +281,12 @@ impl DurableStore {
         snap_os.push(".snap");
         let snap_path = PathBuf::from(snap_os);
         let snapshot = match std::fs::read(&snap_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Ok(bytes) => Self::decode_snapshot(&bytes)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(DbError::Io(e.to_string())),
         };
         let (file_wal, wal) = FileWal::open(path)?;
-        let recovered = Self::replay(&snapshot, &wal)?;
+        let recovered = Self::replay(snapshot.as_ref(), &wal);
         let synced = wal.len();
         Ok(DurableStore {
             cfg,
@@ -373,7 +384,7 @@ impl DurableStore {
         self.append(
             LogRecord::Capsule {
                 agent,
-                capsule,
+                capsule: Arc::new(capsule),
                 active,
             },
             false,
@@ -428,6 +439,7 @@ impl DurableStore {
     /// See [`DurableStore::put_capsule`].
     pub fn log_delta(&mut self, agent: u64, delta: serde_json::Value) -> Result<()> {
         self.counters.profile_deltas_logged += 1;
+        let delta = Arc::new(delta);
         self.append(LogRecord::ProfileDelta { agent, delta }, false)
     }
 
@@ -439,6 +451,7 @@ impl DurableStore {
     /// See [`DurableStore::put_capsule`].
     pub fn log_forced_delta(&mut self, agent: u64, delta: serde_json::Value) -> Result<()> {
         self.counters.profile_deltas_logged += 1;
+        let delta = Arc::new(delta);
         self.append(LogRecord::ProfileDelta { agent, delta }, true)
     }
 
@@ -449,8 +462,10 @@ impl DurableStore {
 
     /// Checkpoint: fold `fresh_capsules` (live capsules of delta-policy
     /// agents, captured by the runtime at the checkpoint boundary) into
-    /// the state, serialize it as the new snapshot, truncate the WAL and
-    /// clear the absorbed deltas.
+    /// the state, keep it as the new snapshot, truncate the WAL and clear
+    /// the absorbed deltas. The snapshot shares every tree with the live
+    /// state; only a file-backed store encodes it, to write its `.snap`
+    /// file.
     ///
     /// # Errors
     ///
@@ -466,12 +481,13 @@ impl DurableStore {
         fresh_capsules: Vec<(u64, serde_json::Value, bool)>,
     ) -> Result<()> {
         for (agent, capsule, active) in fresh_capsules {
+            let capsule = Arc::new(capsule);
             self.state
                 .capsules
                 .insert(agent, CapsuleRecord { capsule, active });
             self.state.deltas.retain(|(a, _)| *a != agent);
         }
-        self.snapshot = serde_json::to_vec(&self.state).unwrap_or_default();
+        self.snapshot = Some(self.state.clone());
         self.wal.truncate();
         self.synced = 0;
         self.since_checkpoint = 0;
@@ -480,7 +496,8 @@ impl DurableStore {
             let mut tmp_os = f.snap_path.as_os_str().to_os_string();
             tmp_os.push(".tmp");
             let tmp = PathBuf::from(tmp_os);
-            std::fs::write(&tmp, &self.snapshot).map_err(|e| DbError::Io(e.to_string()))?;
+            std::fs::write(&tmp, Self::encode_snapshot(&self.state))
+                .map_err(|e| DbError::Io(e.to_string()))?;
             std::fs::rename(&tmp, &f.snap_path).map_err(|e| DbError::Io(e.to_string()))?;
             f.wal.reset(&self.wal)?;
         }
@@ -493,43 +510,49 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] if the snapshot does not decode
-    /// (internal corruption); [`DbError::Io`] on a file-backed store
-    /// whose log cannot be cut back to the synced prefix.
+    /// [`DbError::Io`] on a file-backed store whose log cannot be cut
+    /// back to the synced prefix.
     pub fn crash(&mut self) -> Result<()> {
         self.wal.retain_prefix(self.synced);
         if let Some(f) = self.file.as_mut() {
             // mirror the loss: the file keeps only the synced prefix
             f.wal.reset(&self.wal)?;
         }
-        self.state = Self::replay(&self.snapshot, &self.wal)?.state;
+        self.state = Self::replay(self.snapshot.as_ref(), &self.wal).state;
         Ok(())
     }
 
     /// Recovery pass: materialize snapshot + WAL. On a store that has
     /// been [`DurableStore::crash`]ed this is the durable view; on a live
     /// store it equals [`DurableStore::state`].
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Serialization`] for an unreadable snapshot.
-    pub fn recover(&self) -> Result<Recovered> {
-        Self::replay(&self.snapshot, &self.wal)
+    pub fn recover(&self) -> Recovered {
+        Self::replay(self.snapshot.as_ref(), &self.wal)
     }
 
-    fn replay(snapshot: &[u8], wal: &Wal) -> Result<Recovered> {
-        let mut state: DurableState = if snapshot.is_empty() {
-            DurableState::default()
-        } else {
-            serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))?
-        };
+    /// Apply `wal` over a copy of `snapshot` (sharing its trees).
+    fn replay(snapshot: Option<&DurableState>, wal: &Wal) -> Recovered {
+        let mut state = snapshot.cloned().unwrap_or_default();
         for record in wal.records() {
             state.apply(record);
         }
-        Ok(Recovered {
+        Recovered {
             state,
             replayed: wal.len(),
-        })
+        }
+    }
+
+    fn encode_snapshot(state: &DurableState) -> Vec<u8> {
+        serde_json::to_vec(state).unwrap_or_default()
+    }
+
+    /// Decode snapshot bytes; empty bytes are "no snapshot yet".
+    fn decode_snapshot(bytes: &[u8]) -> Result<Option<DurableState>> {
+        if bytes.is_empty() {
+            return Ok(None);
+        }
+        serde_json::from_slice(bytes)
+            .map(Some)
+            .map_err(|e| DbError::Serialization(e.to_string()))
     }
 
     /// Replay an encoded snapshot + WAL byte log into a state — the
@@ -542,8 +565,9 @@ impl DurableStore {
     /// [`DbError::WalCorrupt`] for undecodable non-final records;
     /// [`DbError::Serialization`] for an unreadable snapshot.
     pub fn replay_bytes(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Recovered> {
+        let snapshot = Self::decode_snapshot(snapshot)?;
         let wal = Wal::decode(wal_bytes)?;
-        Self::replay(snapshot, &wal)
+        Ok(Self::replay(snapshot.as_ref(), &wal))
     }
 
     /// Current WAL bytes (what would be on disk past the snapshot).
@@ -551,9 +575,14 @@ impl DurableStore {
         self.wal.encode()
     }
 
-    /// The snapshot bytes from the last checkpoint (empty before one).
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.snapshot
+    /// The snapshot from the last checkpoint, encoded on call (empty
+    /// before the first checkpoint): what a file-backed store holds in
+    /// its `.snap` file.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        self.snapshot
+            .as_ref()
+            .map(Self::encode_snapshot)
+            .unwrap_or_default()
     }
 }
 
@@ -579,7 +608,7 @@ mod tests {
         assert_eq!(
             s.state().capsules.get(&7).unwrap(),
             &CapsuleRecord {
-                capsule: json!({"x": 2}),
+                capsule: json!({"x": 2}).into(),
                 active: false
             }
         );
@@ -595,7 +624,7 @@ mod tests {
         s.put_capsule(2, json!({"b": 2}), true).unwrap(); // unsynced tail
         assert_eq!(s.synced_len(), 2);
         s.crash().unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(
             rec.state.capsules.contains_key(&1),
             "pre-intent capsule synced"
@@ -615,7 +644,7 @@ mod tests {
         assert_eq!(s.synced_len(), 1);
         s.put_capsule(2, json!({"b": 2}), true).unwrap();
         s.crash().unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(rec.state.capsules.contains_key(&1), "synced record kept");
         assert!(!rec.state.capsules.contains_key(&2), "later tail lost");
     }
@@ -658,7 +687,7 @@ mod tests {
         s.checkpoint(Vec::new()).unwrap();
         assert_eq!(s.wal_len(), 0);
         s.log_delta(5, json!({"d": 1})).unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert_eq!(rec.replayed, 1, "only post-checkpoint records replay");
         assert!(rec.state.capsules.contains_key(&1));
         assert!(matches!(
@@ -674,12 +703,146 @@ mod tests {
         s.log_delta(5, json!({"d": 1})).unwrap();
         s.checkpoint(vec![(5, json!({"full": true}), true)])
             .unwrap();
-        let rec = s.recover().unwrap();
+        let rec = s.recover();
         assert!(rec.state.deltas_for(5).is_empty());
         assert_eq!(
-            rec.state.capsules.get(&5).unwrap().capsule,
+            *rec.state.capsules.get(&5).unwrap().capsule,
             json!({"full": true})
         );
+    }
+
+    #[test]
+    fn tree_sharing_journal_record_and_state() {
+        let mut s = DurableStore::new(cfg(1));
+        s.put_capsule(7, json!({"x": 1}), true).unwrap();
+        s.log_delta(8, json!({"d": 1})).unwrap();
+        let capsule = &s.state().capsules[&7].capsule;
+        assert!(matches!(
+            &s.wal.records()[0],
+            LogRecord::Capsule { capsule: c, .. } if Arc::ptr_eq(c, capsule)
+        ));
+        assert!(matches!(
+            &s.wal.records()[1],
+            LogRecord::ProfileDelta { delta, .. } if Arc::ptr_eq(delta, &s.state().deltas[0].1)
+        ));
+        let copy = s.clone();
+        assert!(Arc::ptr_eq(capsule, &copy.state().capsules[&7].capsule));
+        assert!(Arc::ptr_eq(
+            capsule,
+            &s.recover().state.capsules[&7].capsule
+        ));
+    }
+
+    #[test]
+    fn tree_sharing_snapshot_and_state() {
+        let mut s = DurableStore::new(cfg(1));
+        s.put_capsule(7, json!({"x": 1}), true).unwrap();
+        s.checkpoint(vec![(5, json!({"full": true}), true)])
+            .unwrap();
+        let snapshot = s.snapshot.as_ref().unwrap();
+        for agent in [5, 7] {
+            assert!(Arc::ptr_eq(
+                &snapshot.capsules[&agent].capsule,
+                &s.state().capsules[&agent].capsule
+            ));
+        }
+        s.crash().unwrap();
+        let snapshot = s.snapshot.as_ref().unwrap();
+        assert!(Arc::ptr_eq(
+            &snapshot.capsules[&5].capsule,
+            &s.state().capsules[&5].capsule
+        ));
+    }
+
+    /// A fixed history with one checkpoint, written by `sync_every` 2.
+    fn golden_history(s: &mut DurableStore) {
+        s.put_capsule(
+            1,
+            json!({"id": 1, "state": {"n": 2.5, "tags": ["a", "b\"c"]}}),
+            true,
+        )
+        .unwrap();
+        s.log_delta(2, json!({"kind": "Sale", "qty": 3})).unwrap();
+        s.log_intent("7".into(), json!({"item": 4})).unwrap();
+        s.log_commit("7".into(), json!({"price": 9.5})).unwrap();
+        s.put_capsule(3, json!({"id": 3}), false).unwrap();
+        s.log_delta(4, json!({"kind": "Bid", "at": -1})).unwrap();
+        s.checkpoint(vec![(2, json!({"id": 2, "sold": 3}), true)])
+            .unwrap();
+        s.log_forced_delta(2, json!({"kind": "Sale", "qty": 1}))
+            .unwrap();
+        s.log_abort("8".into(), "market closed".into()).unwrap();
+        s.remove_capsule(3).unwrap();
+        s.put_capsule(1, json!({"id": 1, "state": {"n": 1.0}}), true)
+            .unwrap();
+    }
+
+    /// The on-disk format of `golden_history`: a change to these bytes
+    /// makes every `.snap` and WAL file already written unreadable.
+    const GOLDEN_WAL: &str = concat!(
+        r#"{"ProfileDelta":{"agent":2,"delta":{"kind":"Sale","qty":1}}}"#,
+        "\n",
+        r#"{"PurchaseAbort":{"intent":"8","reason":"market closed"}}"#,
+        "\n",
+        r#"{"CapsuleGone":{"agent":3}}"#,
+        "\n",
+        r#"{"Capsule":{"active":true,"agent":1,"capsule":{"id":1,"state":{"n":1.0}}}}"#,
+        "\n",
+    );
+    const GOLDEN_SNAPSHOT: &str = concat!(
+        r#"{"capsules":{"1":{"active":true,"capsule":{"id":1,"state":{"n":2.5,"tags":["a","b\"c"]}}},"#,
+        r#""2":{"active":true,"capsule":{"id":2,"sold":3}},"3":{"active":false,"capsule":{"id":3}}},"#,
+        r#""deltas":[[4,{"at":-1,"kind":"Bid"}]],"intents":{"7":{"Committed":{"price":9.5}}}}"#,
+    );
+
+    #[test]
+    fn golden_wal_and_snapshot_bytes() {
+        let mut s = DurableStore::new(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 2,
+        });
+        assert!(
+            s.snapshot_bytes().is_empty(),
+            "no snapshot before a checkpoint"
+        );
+        golden_history(&mut s);
+        assert_eq!(String::from_utf8(s.wal_bytes()).unwrap(), GOLDEN_WAL);
+        assert_eq!(
+            String::from_utf8(s.snapshot_bytes()).unwrap(),
+            GOLDEN_SNAPSHOT
+        );
+        let replayed =
+            DurableStore::replay_bytes(GOLDEN_SNAPSHOT.as_bytes(), GOLDEN_WAL.as_bytes()).unwrap();
+        assert_eq!(&replayed.state, s.state());
+    }
+
+    #[test]
+    fn golden_files_reopen_to_the_same_state() {
+        let dir = std::env::temp_dir().join(format!("durable-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("host.wal");
+        let mut snap = path.as_os_str().to_os_string();
+        snap.push(".snap");
+        let snap = PathBuf::from(snap);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&snap);
+        let cfg = DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 2,
+        };
+        let live = {
+            let mut s = DurableStore::with_file(cfg, &path).unwrap();
+            golden_history(&mut s);
+            s.sync().unwrap();
+            s.state().clone()
+        };
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN_WAL);
+        assert_eq!(std::fs::read_to_string(&snap).unwrap(), GOLDEN_SNAPSHOT);
+        let reopened = DurableStore::with_file(cfg, &path).unwrap();
+        assert_eq!(reopened.state(), &live);
+        assert_eq!(reopened.recover().state, live);
+        assert_eq!(reopened.snapshot_bytes(), GOLDEN_SNAPSHOT.as_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::supervise::RestoreDecision;
 use crate::telemetry::{HopKind, SpanEventKind, Telemetry, TraceCtx};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
+use serde::Deserialize;
 use std::collections::HashMap;
 use std::ops::DerefMut;
 
@@ -1010,13 +1011,8 @@ impl HostCore {
     /// [`Agent::on_recovered`]. Crash-looping agents are quarantined.
     pub(crate) fn recover<E: HostEnv>(&mut self, env: &mut E) {
         let host = self.id;
-        let recovered = match self.durable.as_ref().map(DurableStore::recover) {
-            Some(Ok(r)) => r,
-            Some(Err(e)) => {
-                env.record(None, format!("recovery: {host} failed: {e}"));
-                return;
-            }
-            None => return,
+        let Some(recovered) = self.durable.as_ref().map(DurableStore::recover) else {
+            return;
         };
         {
             let lead = env.lead();
@@ -1038,7 +1034,7 @@ impl HostCore {
                 );
                 continue;
             }
-            let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
+            let capsule = match AgentCapsule::deserialize_value(&rec.capsule) {
                 Ok(c) => c,
                 Err(e) => {
                     env.record(

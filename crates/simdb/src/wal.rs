@@ -8,6 +8,7 @@
 
 use crate::error::{DbError, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,8 +19,9 @@ pub enum LogRecord {
     Capsule {
         /// Raw agent id (`AgentId.0`).
         agent: u64,
-        /// The serialized [`AgentCapsule`] as produced by the runtime.
-        capsule: serde_json::Value,
+        /// The serialized [`AgentCapsule`] as produced by the runtime,
+        /// shared with the durable state that materializes it.
+        capsule: Arc<serde_json::Value>,
         /// Whether the agent was active (vs deactivated) when logged.
         active: bool,
     },
@@ -58,8 +60,9 @@ pub enum LogRecord {
     ProfileDelta {
         /// Raw agent id of the profile owner (the journaling agent).
         agent: u64,
-        /// The delta payload, replayed through `Agent::on_recovered`.
-        delta: serde_json::Value,
+        /// The delta payload, replayed through `Agent::on_recovered`;
+        /// shared with the durable state like a capsule.
+        delta: Arc<serde_json::Value>,
     },
 }
 
@@ -162,7 +165,7 @@ mod tests {
     fn capsule(agent: u64, v: i64) -> LogRecord {
         LogRecord::Capsule {
             agent,
-            capsule: serde_json::json!({ "v": v }),
+            capsule: serde_json::json!({ "v": v }).into(),
             active: true,
         }
     }
@@ -173,7 +176,7 @@ mod tests {
         wal.append(capsule(1, 1));
         wal.append(LogRecord::ProfileDelta {
             agent: 1,
-            delta: serde_json::json!({ "d": 2 }),
+            delta: serde_json::json!({ "d": 2 }).into(),
         });
         wal.append(LogRecord::CapsuleGone { agent: 1 });
         let decoded = Wal::decode(&wal.encode()).unwrap();
@@ -223,7 +226,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(LogRecord::Capsule {
             agent: 7,
-            capsule: serde_json::json!({"state": {"x": 1}}),
+            capsule: serde_json::json!({"state": {"x": 1}}).into(),
             active: true,
         });
         wal.append(LogRecord::PurchaseIntent {
@@ -240,7 +243,7 @@ mod tests {
         });
         wal.append(LogRecord::ProfileDelta {
             agent: 9,
-            delta: serde_json::json!({"kind": "Purchase"}),
+            delta: serde_json::json!({"kind": "Purchase"}).into(),
         });
         wal.append(LogRecord::CapsuleGone { agent: 7 });
         let decoded = Wal::decode(&wal.encode()).unwrap();

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 fn capsule(agent: u64, v: i64) -> LogRecord {
     LogRecord::Capsule {
         agent,
-        capsule: serde_json::json!({ "v": v }),
+        capsule: serde_json::json!({ "v": v }).into(),
         active: true,
     }
 }
@@ -101,7 +101,7 @@ fn record_from(sel: u64, id: u64, x: i64, s: &str) -> LogRecord {
     match sel % 5 {
         0 => LogRecord::Capsule {
             agent: id,
-            capsule: serde_json::json!({ "x": x, "note": s }),
+            capsule: serde_json::json!({ "x": x, "note": s }).into(),
             active: x % 2 == 0,
         },
         1 => LogRecord::CapsuleGone { agent: id },
@@ -115,7 +115,7 @@ fn record_from(sel: u64, id: u64, x: i64, s: &str) -> LogRecord {
         },
         _ => LogRecord::ProfileDelta {
             agent: id,
-            delta: serde_json::json!({ "note": s }),
+            delta: serde_json::json!({ "note": s }).into(),
         },
     }
 }

@@ -13,8 +13,9 @@
 //!   tuple, unit) and enums (unit / newtype / tuple / struct variants)
 //! - `#[serde(default)]` on named struct fields
 //! - std impls: integers, floats, `bool`, `char`, `String`, `&str`,
-//!   `Option`, `Box`, `Vec`, slices, tuples (≤6), `BTreeMap`/`HashMap`
-//!   (integer or string keys), `BTreeSet`/`HashSet`, `()`
+//!   `Option`, `Box`, `Arc`, `Vec`, slices, tuples (≤6),
+//!   `BTreeMap`/`HashMap` (integer or string keys), `BTreeSet`/`HashSet`,
+//!   `()`
 
 pub mod value;
 
@@ -22,6 +23,12 @@ pub use value::{Map, Number, Value};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
+
+// Lets this crate's own tests use the derive, whose generated code names
+// `serde::`.
+#[cfg(test)]
+extern crate self as serde;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,6 +280,18 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        Ok(Arc::new(T::deserialize_value(v)?))
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize_value(&self) -> Value {
         match self {
@@ -459,5 +478,37 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn deserialize_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Point {
+        x: i64,
+        tags: Vec<String>,
+    }
+
+    #[test]
+    fn arc_serializes_like_its_contents_and_round_trips() {
+        let value = value::parse(r#"{"a":[1,2.5,"s"],"b":{"c":null}}"#).unwrap();
+        let shared = Arc::new(value.clone());
+        assert_eq!(shared.serialize_value(), value.serialize_value());
+        assert_eq!(shared.serialize_value().to_string(), value.to_string());
+        let back: Arc<Value> = Deserialize::deserialize_value(&shared.serialize_value()).unwrap();
+        assert_eq!(back, shared);
+
+        let point = || Point {
+            x: -3,
+            tags: vec!["p".into()],
+        };
+        let plain = point().serialize_value();
+        let shared = Arc::new(point());
+        assert_eq!(shared.serialize_value(), plain);
+        assert_eq!(shared.serialize_value().to_string(), plain.to_string());
+        let back: Arc<Point> = Deserialize::deserialize_value(&plain).unwrap();
+        assert_eq!(back, shared);
     }
 }

@@ -216,13 +216,13 @@ proptest! {
             wal.append(if value % 2 == 0 {
                 abcrm::simdb::LogRecord::Capsule {
                     agent: *agent,
-                    capsule: serde_json::json!({ "key": key, "v": value }),
+                    capsule: serde_json::json!({ "key": key, "v": value }).into(),
                     active: value % 4 == 0,
                 }
             } else {
                 abcrm::simdb::LogRecord::ProfileDelta {
                     agent: *agent,
-                    delta: serde_json::json!({ "key": key, "v": value }),
+                    delta: serde_json::json!({ "key": key, "v": value }).into(),
                 }
             });
         }
@@ -816,6 +816,9 @@ fn apply_durable_op(store: &mut DurableStore, op: (u8, u64, u64, i64)) {
             .log_abort(intent.to_string(), format!("abort {value}"))
             .unwrap(),
         6 => store.log_delta(agent, v).unwrap(),
+        // half the checkpoints fold in a fresh capsule, as the runtime
+        // does for delta-journalled agents
+        _ if value % 2 == 0 => store.checkpoint(vec![(agent, v, value % 4 == 0)]).unwrap(),
         _ => store.checkpoint(Vec::new()).unwrap(),
     }
 }
@@ -839,11 +842,36 @@ proptest! {
             apply_durable_op(&mut store, op);
         }
         let first =
-            DurableStore::replay_bytes(store.snapshot_bytes(), &store.wal_bytes()).unwrap();
+            DurableStore::replay_bytes(&store.snapshot_bytes(), &store.wal_bytes()).unwrap();
         prop_assert_eq!(&first.state, store.state(), "recovery diverged from live state");
         let second =
-            DurableStore::replay_bytes(store.snapshot_bytes(), &store.wal_bytes()).unwrap();
+            DurableStore::replay_bytes(&store.snapshot_bytes(), &store.wal_bytes()).unwrap();
         prop_assert_eq!(first.state, second.state, "recovery is not a pure function");
+    }
+
+    /// The tree path and the byte path recover the same state: a crash
+    /// (the snapshot's shared trees plus the surviving records) gives
+    /// exactly what replaying the encoded snapshot and the encoded synced
+    /// log prefix gives, and recovering a live store gives its live
+    /// state.
+    #[test]
+    fn durable_crash_tree_path_equals_byte_replay(
+        ops in durable_ops_strategy(),
+        sync_every in 1usize..5,
+    ) {
+        let mut store = DurableStore::new(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every,
+        });
+        for op in ops {
+            apply_durable_op(&mut store, op);
+        }
+        prop_assert_eq!(&store.recover().state, store.state(), "recover() diverged from state()");
+        let mut synced = Wal::decode(&store.wal_bytes()).unwrap();
+        synced.retain_prefix(store.synced_len());
+        let bytes = DurableStore::replay_bytes(&store.snapshot_bytes(), &synced.encode()).unwrap();
+        store.crash().unwrap();
+        prop_assert_eq!(store.state(), &bytes.state, "crash state diverged from the byte replay");
     }
 
     /// A log torn at *any* record boundary still recovers (the fsync
