@@ -34,11 +34,12 @@ filtered_test() {
 # --recovery-stress: loop the crash-point matrix, the marketplace-host
 # crash sweep, the WAL and marketplace delta-replay property tests (the
 # crash tree path ≡ byte replay property among them), the durable
-# store's tree-sharing and on-disk-format pins, and the constant-size
-# state checks (store snapshot/restore property,
-# JsonStore, BSMA and marketplace state size) 10x (the crash matrix on
-# both feature sets, so the sharded/threaded recovery paths get shaken
-# too), then the full E14 recovery series. Does not run the normal gate.
+# store's tree-sharing and on-disk-format pins, the UserDB's
+# buyer-host crash recovery and its refusal of the old table-store
+# shape, and the constant-size state checks (PA UserDB, BSMA and
+# marketplace state size) 10x (the crash matrix on both feature sets,
+# so the sharded/threaded recovery paths get shaken too), then the full
+# E14 recovery series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x on both feature
 # sets — the 32-seed supervised chaos sweep, the DES ≡ ThreadWorld
 # failover/hang equivalence (real threads + wall-clock leases, the racy
@@ -71,12 +72,12 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     filtered_test -q --release --test properties marketplace_checkpoint_plus_deltas
     filtered_test -q --release --test properties any_torn_log_prefix
     filtered_test -q --release --test properties crash_preserves
-    filtered_test -q --release --test properties store_recovery_equals_live_state
-    filtered_test -q --release -p simdb store::tests::serialized_size_is_constant
+    filtered_test -q --release -p abcrm-core server::tests::pa_userdb_is_constant
+    filtered_test -q --release --test failure_injection userdb_crash_recovery
     filtered_test -q --release -p abcrm-core server::tests::bsma_state_is_constant
     filtered_test -q --release -p abcrm-core server::tests::marketplace_state_is_constant
     filtered_test -q --release -p ecp marketplace::tests::minted_intents_never_wrap
-    filtered_test -q --release -p abcrm-core userdb::tests::restore
+    filtered_test -q --release -p abcrm-core pa::tests::pa_state_with_a_table_store_userdb_is_refused
   done
   echo "==> full E14 recovery series"
   cargo bench -p bench --bench recovery
@@ -120,7 +121,7 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 echo "==> cargo clippy (--features parallel)"
 cargo clippy --workspace --all-targets --features parallel -- -D warnings -D clippy::redundant_clone -D clippy::large_enum_variant -D clippy::dbg_macro -D clippy::needless_collect
 
-# The WAL/store layer must not panic on malformed durable input: hold
+# The WAL layer must not panic on malformed durable input: hold
 # simdb to the stricter no-unwrap bar (its tests opt out locally).
 echo "==> cargo clippy -p simdb (-D clippy::unwrap_used)"
 cargo clippy -p simdb --all-targets -- -D warnings -D clippy::unwrap_used

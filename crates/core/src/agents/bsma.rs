@@ -10,9 +10,13 @@
 //! then creates the PA (step 4) and HttpA (step 5) and initializes the
 //! databases (step 6). At runtime it opens/closes consumer sessions
 //! (creating and disposing BRAs, §4.1 principle 1), routes tasks, records
-//! dispatched MBAs in BSMDB, deactivates BRAs while their MBA roams and
+//! dispatched MBAs, deactivates BRAs while their MBA roams and
 //! reactivates them on the MBA's authenticated return (§4.1 principles
 //! 2–3), and declares overdue MBAs lost.
+//!
+//! The paper's BSMDB is the BSMA's own typed state: the marketplaces in
+//! [`BsmaConfig::markets`], the open sessions and the watch list of
+//! roaming MBAs, journalled with the BSMA's capsule.
 
 use crate::admission::AdmissionConfig;
 use crate::agents::bra::BuyerRecommendAgent;
@@ -32,7 +36,6 @@ use agentsim::ids::{AgentId, HostId};
 use agentsim::message::Message;
 use ecp::protocol::{kinds as ecpk, ListServers, RegisterServer, ServerList, ServerRole};
 use serde::{Deserialize, Serialize};
-use simdb::JsonStore;
 
 /// Agent-type tag of [`Bsma`] (referenced by the CA's provisioning).
 pub const BSMA_TYPE: &str = "bsma";
@@ -125,8 +128,6 @@ pub struct Bsma {
     #[serde(default)]
     sessions: Vec<(u64, AgentId)>,
     #[serde(default)]
-    bsmdb: JsonStore,
-    #[serde(default)]
     mba_watch: Vec<WatchEntry>,
     #[serde(default)]
     ready: bool,
@@ -145,7 +146,6 @@ impl Bsma {
             pa: None,
             httpa: None,
             sessions: Vec::new(),
-            bsmdb: JsonStore::default(),
             mba_watch: Vec::new(),
             ready: false,
             breakers: Vec::new(),
@@ -202,21 +202,9 @@ impl Bsma {
         }
         let httpa = ctx.create_agent(Box::new(front));
         self.httpa = Some(httpa);
+        // BSMDB is this agent's typed state and UserDB the PA's: both
+        // start empty with their owners, so the step has nothing to build
         ctx.note("fig4.1/step6 bsma initializes bsmdb and userdb");
-        self.bsmdb = JsonStore::new("bsmdb");
-        self.bsmdb
-            .create_table("marketplaces")
-            .expect("create marketplaces table");
-        self.bsmdb
-            .create_table("sessions")
-            .expect("create sessions table");
-        self.bsmdb
-            .create_table("mba-registry")
-            .expect("create mba table");
-        for i in 0..self.config.markets.len() {
-            let market = self.config.markets[i];
-            self.store_market(ctx, market);
-        }
         // announce ourselves to the EC domain and discover marketplaces
         if self.config.coordinator != AgentId(0) {
             let register = Message::new(ecpk::REGISTER_SERVER)
@@ -236,15 +224,6 @@ impl Bsma {
             ctx.send(self.config.coordinator, list);
         }
         self.ready = true;
-    }
-
-    fn store_market(&mut self, ctx: &mut Ctx<'_>, market: MarketRef) {
-        if let Err(e) = self
-            .bsmdb
-            .put_typed("marketplaces", &market.agent.to_string(), &market)
-        {
-            ctx.note(format!("bsma: bsmdb marketplace write failed: {e}"));
-        }
     }
 
     fn handle_login(&mut self, ctx: &mut Ctx<'_>, msg: &Message, req: SessionRequest) {
@@ -274,12 +253,6 @@ impl Bsma {
                 let bra = ctx.create_agent(Box::new(new_bra));
                 ctx.note(format!("bsma: bra {bra} created for {}", req.consumer));
                 self.sessions.push((req.consumer.0, bra));
-                if let Err(e) =
-                    self.bsmdb
-                        .put_typed("sessions", &req.consumer.0.to_string(), &bra.0)
-                {
-                    ctx.note(format!("bsma: bsmdb session write failed: {e}"));
-                }
                 bra
             }
         };
@@ -296,9 +269,6 @@ impl Bsma {
         if let Some(bra) = self.session_of(req.consumer.0) {
             ctx.dispose(bra);
             self.sessions.retain(|(c, _)| *c != req.consumer.0);
-            if let Err(e) = self.bsmdb.delete("sessions", &req.consumer.0.to_string()) {
-                ctx.note(format!("bsma: bsmdb session delete failed: {e}"));
-            }
         }
         let reply = Message::new(kinds::SESSION_CLOSED)
             .with_payload(&SessionRequest {
@@ -394,12 +364,6 @@ impl Bsma {
         ctx.note(format!(
             "{fig}/{step} bsma records mba in bsmdb and deactivates bra"
         ));
-        if let Err(e) = self
-            .bsmdb
-            .put_typed("mba-registry", &register.mba.to_string(), &register)
-        {
-            ctx.note(format!("bsma: bsmdb mba write failed: {e}"));
-        }
         // §4.1 principle 3: Aglet.deactivate() on the BRA while the MBA
         // roams
         ctx.deactivate(register.bra);
@@ -450,9 +414,6 @@ impl Bsma {
         ctx.note(format!(
             "{fig}/{step} bsma activates bra after mba authentication"
         ));
-        if let Err(e) = self.bsmdb.delete("mba-registry", &returned.mba.to_string()) {
-            ctx.note(format!("bsma: bsmdb mba delete failed: {e}"));
-        }
         // §4.1 principle 3: Aglet.activate() loads the BRA back to memory;
         // the held MBA_RESULT is replayed to it by the platform.
         ctx.activate(entry.register.bra);
@@ -535,7 +496,6 @@ impl Agent for Bsma {
                             };
                             if !self.config.markets.contains(&market) {
                                 self.config.markets.push(market);
-                                self.store_market(ctx, market);
                             }
                         }
                     }
@@ -609,12 +569,6 @@ impl Agent for Bsma {
             "bsma: mba {} overdue; reactivating bra and reporting loss",
             entry.register.mba
         ));
-        if let Err(e) = self
-            .bsmdb
-            .delete("mba-registry", &entry.register.mba.to_string())
-        {
-            ctx.note(format!("bsma: bsmdb mba delete failed: {e}"));
-        }
         ctx.activate(entry.register.bra);
         let lost = Message::new(kinds::MBA_LOST)
             .with_payload(&MbaLost {
@@ -661,18 +615,14 @@ mod tests {
     }
 
     #[test]
-    fn bsma_state_with_a_legacy_bsmdb_wal_restores() {
-        let mut bsma = Bsma::new(BsmaConfig::default());
-        bsma.bsmdb = JsonStore::new("bsmdb");
-        bsma.bsmdb.create_table("sessions").unwrap();
-        bsma.bsmdb
-            .put("sessions", "7", serde_json::json!(3))
-            .unwrap();
+    fn bsma_state_still_carrying_a_bsmdb_field_restores() {
+        let bsma = Bsma::new(BsmaConfig::default());
         let state = bsma.snapshot().to_string();
-        // the shape a BSMA state had while JsonStore embedded its log
+        // the shape a BSMA state had while it kept a table store (with
+        // the store's embedded log, from before that was dropped too)
         let legacy = state.replacen(
-            r#""name":"bsmdb","#,
-            r#""name":"bsmdb","wal":{"records":[{"CreateTable":{"table":"sessions"}},{"Put":{"key":"7","table":"sessions","value":3}}]},"#,
+            r#""breakers":"#,
+            r#""bsmdb":{"name":"bsmdb","tables":{"sessions":{"rows":{"7":3},"indexes":{}}},"wal":{"records":[{"CreateTable":{"table":"sessions"}}]}},"breakers":"#,
             1,
         );
         assert_ne!(legacy, state);

@@ -5,12 +5,13 @@
 //! join auction PA will generate the newer consumer profile to record
 //! consumer behavior."*
 //!
-//! The PA owns the UserDB (profiles + transactions) and the in-memory
-//! [`RecommendStore`]; every behaviour recorded through [`kinds::PA_RECORD`]
-//! runs the Fig 4.5 update and is persisted. [`kinds::PA_SIMILAR`] answers
-//! with the consumer's profile, their nearest neighbours (Fig 4.5
-//! similarity with threshold discard) and the neighbours' merchandise
-//! preferences — the data the BRA turns into recommendation information.
+//! The PA owns the UserDB: the [`RecommendStore`] holds every profile
+//! once, and [`UserDb`] the transaction records. Every behaviour
+//! recorded through [`kinds::PA_RECORD`] runs the Fig 4.5 update.
+//! [`kinds::PA_SIMILAR`] answers with the consumer's profile, their
+//! nearest neighbours (Fig 4.5 similarity with threshold discard) and the
+//! neighbours' merchandise preferences — the data the BRA turns into
+//! recommendation information.
 
 use crate::agents::msg::{kinds, PaLoad, PaProfile, PaRecord, PaSimilar, PaSimilarReply};
 use crate::learning::{BehaviorKind, LearnerConfig};
@@ -100,24 +101,18 @@ impl ProfileAgent {
         &mut self.store
     }
 
-    /// The UserDB.
+    /// The UserDB's transaction records.
     pub fn userdb(&self) -> &UserDb {
         &self.userdb
     }
 
+    /// The consumer's profile, or a fresh one entered into the store.
     fn load_or_create(&mut self, consumer: crate::profile::ConsumerId) -> Profile {
         if let Some(p) = self.store.profile(consumer) {
             return p.clone();
         }
-        // not in memory: try the durable store, else fresh
-        let loaded = self
-            .userdb
-            .load_profile(consumer)
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        self.store.put_profile(consumer, loaded.clone());
-        loaded
+        self.store.put_profile(consumer, Profile::default());
+        Profile::default()
     }
 
     fn record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
@@ -129,34 +124,33 @@ impl ProfileAgent {
                 Err(e) => ctx.note(format!("pa: behaviour delta serialize failed: {e}")),
             }
         }
-        self.apply_record(ctx, rec);
+        self.apply_record(rec);
     }
 
-    fn apply_record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
+    fn apply_record(&mut self, rec: PaRecord) {
         self.store.upsert_item(rec.item.clone());
         self.store.record_event(rec.consumer, rec.item.id, rec.kind);
-        // persist the updated profile (UserDB write — Fig 4.2 step 5 /
-        // Fig 4.3 step 13 end up here)
-        if let Some(p) = self.store.profile(rec.consumer) {
-            if let Err(e) = self.userdb.save_profile(rec.consumer, p) {
-                ctx.note(format!("pa: profile persist failed: {e}"));
+        // Fig 4.3 step 13: the transaction record
+        let price = rec.price.unwrap_or(rec.item.list_price);
+        let channel = match rec.kind {
+            BehaviorKind::Purchase => TradeChannel::Direct,
+            BehaviorKind::AuctionWin => TradeChannel::Auction,
+            BehaviorKind::Negotiate => {
+                // a negotiated deal's Purchase record came first and
+                // wrote the transaction; this one names its channel
+                self.userdb
+                    .mark_negotiated(rec.consumer, rec.item.id, price);
+                return;
             }
-        }
-        if matches!(rec.kind, BehaviorKind::Purchase | BehaviorKind::AuctionWin) {
-            let tx = TransactionRecord {
-                consumer: rec.consumer,
-                item: rec.item.id,
-                price: rec.price.unwrap_or(rec.item.list_price),
-                channel: match rec.kind {
-                    BehaviorKind::AuctionWin => TradeChannel::Auction,
-                    _ => TradeChannel::Direct,
-                },
-                at_us: rec.at_us,
-            };
-            if let Err(e) = self.userdb.record_transaction(&tx) {
-                ctx.note(format!("pa: transaction persist failed: {e}"));
-            }
-        }
+            BehaviorKind::Query | BehaviorKind::Browse | BehaviorKind::Bid => return,
+        };
+        self.userdb.record_transaction(TransactionRecord {
+            consumer: rec.consumer,
+            item: rec.item.id,
+            price,
+            channel,
+            at_us: rec.at_us,
+        });
     }
 
     fn similar(&mut self, req: &PaSimilar) -> PaSimilarReply {
@@ -234,7 +228,7 @@ impl Agent for ProfileAgent {
         for delta in deltas {
             match serde_json::from_value::<PaRecord>(delta.clone()) {
                 Ok(rec) => {
-                    self.apply_record(ctx, rec);
+                    self.apply_record(rec);
                     replayed += 1;
                 }
                 Err(e) => ctx.note(format!("pa: unreadable journalled delta skipped: {e}")),
@@ -276,15 +270,6 @@ impl Agent for ProfileAgent {
             "pa maintenance pass {}: decayed all profiles by {:.2}",
             self.maintenance_passes, m.decay
         ));
-        // persist the decayed profiles (store and userdb are disjoint
-        // fields, so the iterator borrow and the mutable save coexist)
-        let store = &self.store;
-        let userdb = &mut self.userdb;
-        for (consumer, profile) in store.profiles() {
-            if let Err(e) = userdb.save_profile(consumer, profile) {
-                ctx.note(format!("pa: decayed profile persist failed: {e}"));
-            }
-        }
         ctx.set_timer(
             agentsim::clock::SimDuration::from_micros(m.interval_us),
             MAINTENANCE_TIMER_TAG,
@@ -453,10 +438,61 @@ mod tests {
         );
         let pa = pa_state(&f);
         assert!(pa.store().profile(ConsumerId(1)).unwrap().total_interest() > 0.0);
-        assert_eq!(pa.userdb().profile_count(), 1);
-        let txs = pa.userdb().transactions().unwrap();
+        assert_eq!(pa.store().consumer_count(), 1);
+        let txs = pa.userdb().transactions();
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].price, Money::from_units(18));
+        assert_eq!(txs[0].channel, TradeChannel::Direct);
+    }
+
+    #[test]
+    fn pa_state_with_a_table_store_userdb_is_refused() {
+        let mut f = fix();
+        send_to_pa(
+            &mut f,
+            kinds::PA_RECORD,
+            &PaRecord {
+                consumer: ConsumerId(1),
+                item: merch(1, "rustbook"),
+                kind: BehaviorKind::Purchase,
+                price: None,
+                at_us: 0,
+            },
+        );
+        let mut state = f.world.snapshot_of(f.pa).unwrap();
+        assert!(serde_json::from_value::<ProfileAgent>(state.clone()).is_ok());
+        // the shape the UserDB had while it kept a table store: a second
+        // copy of each profile and the transactions as keyed rows
+        if let serde_json::Value::Object(fields) = &mut state {
+            fields.insert(
+                "userdb".into(),
+                serde_json::json!({
+                    "store": {
+                        "indexes": {"transactions": {"by-consumer": {
+                            "field_path": "consumer",
+                            "map": {"1": ["000000000000"]},
+                        }}},
+                        "name": "userdb",
+                        "tables": {
+                            "profiles": {"1": {"categories": {}}},
+                            "transactions": {"000000000000": {
+                                "consumer": 1, "item": 1, "price": 2000,
+                                "channel": "Direct", "at_us": 0,
+                            }},
+                        },
+                    },
+                    "tx_seq": 1,
+                }),
+            );
+        }
+        assert!(state
+            .get("userdb")
+            .and_then(|db| db.get("tx_seq"))
+            .is_some());
+        assert!(
+            serde_json::from_value::<ProfileAgent>(state).is_err(),
+            "a UserDB without its transaction list must not restore as empty"
+        );
     }
 
     #[test]

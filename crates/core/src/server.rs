@@ -945,6 +945,31 @@ mod tests {
     }
 
     #[test]
+    fn negotiated_buy_is_recorded_as_negotiated() {
+        let mut p = small_platform(6);
+        p.login(ConsumerId(1));
+        let responses = p.buy(
+            ConsumerId(1),
+            ItemId(1),
+            0,
+            BuyMode::Negotiate {
+                budget: Money::from_units(28),
+                opening_fraction: 0.6,
+                raise: 0.1,
+                max_rounds: 20,
+            },
+        );
+        let ResponseBody::Receipt { price, .. } = &responses[0] else {
+            panic!("expected receipt, got {responses:?}");
+        };
+        let pa = p.pa_state();
+        let txs = pa.userdb().transactions();
+        assert_eq!(txs.len(), 1, "{txs:?}");
+        assert_eq!(txs[0].channel, crate::userdb::TradeChannel::Negotiated);
+        assert_eq!(txs[0].price, *price);
+    }
+
+    #[test]
     fn auction_workflow_reports_result() {
         let mut p = small_platform(7);
         p.login(ConsumerId(1));
@@ -1333,6 +1358,40 @@ mod tests {
                 assert!(bytes <= 1024, "{shards} shards: {bytes} bytes");
             }
         }
+    }
+
+    #[test]
+    fn pa_userdb_is_constant_across_query_events() {
+        let mut p = small_platform(28);
+        let userdb_bytes = |p: &Platform| {
+            let state = p.world().snapshot_of(p.stacks[0].pa).unwrap();
+            state.get("userdb").unwrap().to_string()
+        };
+        // login → query → logout, each session by a new consumer whose
+        // profile the query creates
+        let sessions = |p: &mut Platform, consumers: std::ops::Range<u64>| {
+            for c in consumers.map(ConsumerId) {
+                p.login(c);
+                let replies = p.query(c, &["book"], 5);
+                assert!(
+                    matches!(replies[..], [ResponseBody::Recommendations { .. }]),
+                    "{replies:?}"
+                );
+                p.logout(c);
+            }
+        };
+        sessions(&mut p, 1..21);
+        let after_20 = userdb_bytes(&p);
+        sessions(&mut p, 21..201);
+        let after_200 = userdb_bytes(&p);
+        assert_eq!(after_20, after_200);
+        let pa = p.pa_state();
+        assert_eq!(
+            pa.store().consumer_count(),
+            200,
+            "one profile each, in the store"
+        );
+        assert_eq!(pa.userdb().transaction_count(), 0);
     }
 
     /// Length of `v` as JSON with every run of digits collapsed to one

@@ -5,15 +5,7 @@ use std::fmt;
 /// Errors returned by simdb operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
-    /// Insert with a key that is already present.
-    DuplicateKey(String),
-    /// Get/update/delete of an absent key.
-    MissingRow(String),
-    /// Lookup against an index name that was never registered.
-    UnknownIndex(String),
-    /// A table name was not found in the store.
-    UnknownTable(String),
-    /// (De)serialization of a row or log record failed.
+    /// (De)serialization of a log record or snapshot failed.
     Serialization(String),
     /// The write-ahead log contains an undecodable record.
     WalCorrupt {
@@ -29,10 +21,6 @@ pub enum DbError {
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
-            DbError::MissingRow(k) => write!(f, "missing row {k}"),
-            DbError::UnknownIndex(n) => write!(f, "unknown index `{n}`"),
-            DbError::UnknownTable(n) => write!(f, "unknown table `{n}`"),
             DbError::Serialization(e) => write!(f, "serialization failed: {e}"),
             DbError::WalCorrupt { record, reason } => {
                 write!(f, "wal record {record} is corrupt: {reason}")
@@ -54,8 +42,8 @@ mod tests {
     #[test]
     fn display_is_specific() {
         assert_eq!(
-            DbError::DuplicateKey("u1".into()).to_string(),
-            "duplicate key u1"
+            DbError::Io("disk full".into()).to_string(),
+            "wal file i/o failed: disk full"
         );
         assert!(DbError::WalCorrupt {
             record: 3,

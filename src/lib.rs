@@ -7,7 +7,8 @@
 //!
 //! * [`agentsim`] — Aglet-style mobile-agent platform (lifecycle,
 //!   messaging, migration, travel-permit security, simulated network).
-//! * [`simdb`] — UserDB / BSMDB storage substrate (tables, indexes, WAL).
+//! * [`simdb`] — the write-ahead log durable hosts journal agent state
+//!   through (in memory and file-backed).
 //! * [`ecp`] — e-commerce platform: coordinator, marketplaces with query /
 //!   negotiation / auction services, seller servers, merchandise model.
 //! * [`core`] — the paper's contribution: profiles (Fig 4.4), the

@@ -7,7 +7,6 @@
 use abcrm::core::agents::msg::ResponseBody;
 use abcrm::core::profile::ConsumerId;
 use abcrm::core::server::{listing, Platform};
-use abcrm::core::userdb::UserDb;
 use agentsim::agent::{Agent, AgentCapsule, Ctx};
 use agentsim::ids::{AgentId, HostId};
 use agentsim::message::Message;
@@ -234,32 +233,52 @@ fn forged_return_capsule_is_rejected_by_authentication() {
 fn userdb_crash_recovery_preserves_profiles_and_transactions() {
     use abcrm::core::agents::msg::BuyMode;
     use abcrm::ecp::merchandise::ItemId;
-    let mut p = platform(6);
+    use agentsim::clock::SimDuration;
+    use agentsim::durable::DurabilityConfig;
+    let mut p = Platform::builder(6)
+        .marketplaces(vec![vec![
+            listing(1, "Rust Book", "books", "programming", 30, &[("rust", 1.0)]),
+            listing(2, "Go Book", "books", "programming", 25, &[("go", 1.0)]),
+        ]])
+        .mba_timeout_us(3_000_000)
+        .durability(DurabilityConfig::default())
+        .build();
     p.login(ConsumerId(1));
     p.query(ConsumerId(1), &["rust"], 5);
     p.buy(ConsumerId(1), ItemId(1), 0, BuyMode::Direct);
-    let pa = p.pa_state();
-    let db = pa.userdb();
-    assert_eq!(db.transaction_count(), 1);
-    // simulate a crash: rebuild from the PA-carried state's snapshot
-    let snapshot = db.snapshot();
-    let mut recovered = UserDb::restore(&snapshot).unwrap();
-    assert_eq!(recovered.transaction_count(), 1);
+    let before = p.pa_state();
+    assert_eq!(before.userdb().transaction_count(), 1);
+    let profiles_before: Vec<_> = before.store().profiles().collect();
+    assert!(!profiles_before.is_empty());
+
+    // crash the Buyer Agent Server host; the PA comes back from its
+    // journalled capsule and behaviour deltas
+    let host = p.buyer_host();
+    p.world_mut().crash_host(host).unwrap();
+    p.world_mut().run_for(SimDuration::from_micros(100));
+    p.world_mut().restart_host(host).unwrap();
+    p.world_mut().run_until_idle();
+    let after = p.pa_state();
     assert_eq!(
-        recovered.load_profile(ConsumerId(1)).unwrap(),
-        db.load_profile(ConsumerId(1)).unwrap()
+        after.store().profiles().collect::<Vec<_>>(),
+        profiles_before
     );
     assert_eq!(
-        recovered.transactions_of(ConsumerId(1)).unwrap(),
-        db.transactions().unwrap()
+        after.userdb().transactions(),
+        before.userdb().transactions()
     );
-    // the restored db carries on the transaction sequence
-    let mut next = db.transactions().unwrap()[0].clone();
-    next.at_us += 1;
-    recovered.record_transaction(&next).unwrap();
-    assert_eq!(recovered.transaction_count(), 2);
-    // a torn snapshot is refused, not half-restored
-    assert!(UserDb::restore(&snapshot[..snapshot.len() / 2]).is_err());
+    assert!(p.world().metrics().profile_deltas_replayed >= 1);
+
+    // the restored UserDB carries on the transaction sequence
+    let bought = p.buy(ConsumerId(1), ItemId(2), 0, BuyMode::Direct);
+    assert!(
+        matches!(bought.first(), Some(ResponseBody::Receipt { .. })),
+        "{bought:?}"
+    );
+    let txs = p.pa_state().userdb().transactions().to_vec();
+    assert_eq!(txs.len(), 2);
+    assert_eq!(txs[0], before.userdb().transactions()[0]);
+    assert_eq!(txs[1].item, ItemId(2));
 }
 
 #[test]

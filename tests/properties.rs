@@ -9,7 +9,7 @@ use abcrm::ecp::auction::{BidderId, EnglishAuction, VickreyAuction};
 use abcrm::ecp::merchandise::{CategoryPath, ItemId, Money};
 use abcrm::ecp::negotiation::{negotiate, BuyerPolicy, Outcome, SellerPolicy};
 use abcrm::ecp::terms::TermVector;
-use abcrm::simdb::{JsonStore, Wal};
+use abcrm::simdb::Wal;
 use proptest::prelude::*;
 
 fn term_vector_strategy() -> impl Strategy<Value = TermVector> {
@@ -228,44 +228,6 @@ proptest! {
         }
         let decoded = Wal::decode(&wal.encode()).unwrap();
         prop_assert_eq!(decoded, wal);
-    }
-
-    #[test]
-    fn store_recovery_equals_live_state(
-        ops in proptest::collection::vec(
-            (0usize..3, "[a-c]{1}", "[a-d]{1,3}", 0i64..100),
-            0..40,
-        )
-    ) {
-        let mut live = JsonStore::new("t");
-        for (op, table, key, value) in &ops {
-            if !live.table_names().contains(&table.as_str()) {
-                live.create_table(table).unwrap();
-                live.add_index(table, "by-value", "v").unwrap();
-            }
-            match op {
-                0 | 1 => live
-                    .put(table, key, serde_json::json!({ "v": value }))
-                    .unwrap(),
-                _ => {
-                    let _ = live.delete(table, key).unwrap();
-                }
-            }
-        }
-        let recovered = JsonStore::restore("t", &live.snapshot()).unwrap();
-        prop_assert_eq!(recovered.table_names(), live.table_names());
-        for table in live.table_names() {
-            let live_rows: Vec<_> = live.scan(table).unwrap().collect();
-            let rec_rows: Vec<_> = recovered.scan(table).unwrap().collect();
-            prop_assert_eq!(live_rows, rec_rows);
-            for value in 0..100 {
-                let v = value.to_string();
-                prop_assert_eq!(
-                    recovered.lookup(table, "by-value", &v).unwrap(),
-                    live.lookup(table, "by-value", &v).unwrap()
-                );
-            }
-        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn mixed_workload_with_purchases_keeps_userdb_consistent() {
     assert_eq!(pa.userdb().transaction_count() as u32, expected_tx);
     assert!(expected_tx > 0, "some purchases must have happened");
     // every consumer who queried has a persisted profile
-    assert!(pa.userdb().profile_count() >= 10);
+    assert!(pa.store().consumer_count() >= 10);
     // logout everyone; sessions drain
     for c in 1..=10u64 {
         p.logout(ConsumerId(c));

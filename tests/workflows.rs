@@ -264,7 +264,7 @@ fn profile_grows_with_every_workflow() {
     let after_buy = interest(&p);
     assert!(after_buy > after_query, "purchase reinforces more");
     // UserDB persisted both
-    assert!(p.pa_state().userdb().profile_count() >= 1);
+    assert!(p.pa_state().store().consumer_count() >= 1);
     assert_eq!(p.pa_state().userdb().transaction_count(), 1);
 }
 
