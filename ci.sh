@@ -26,11 +26,13 @@ filtered_test() {
 # --shard-stress: loop the cross-runtime equivalence suite and the
 # multi-worker ThreadWorld tests 20x to shake out scheduling races in
 # the sharded/threaded paths, then exit. Does not run the normal gate.
-# --query-stress: hammer the ANN query tier — 10 iterations of the ANN
+# --query-stress: hammer the query tier — 10 iterations of the ANN
 # suite at 10^4 consumers plus the query-tier property tests (including
-# the re-rank kernel ≡ vector_similarity properties in core), then the
-# full-scale query bench including the 10^6-consumer axis. Does not run
-# the normal gate.
+# the re-rank kernel ≡ vector_similarity properties in core and the
+# planned cosine query ≡ naive scan property), the bounded cosine
+# source's tests, the weighted posting-list check and the PA's pinned
+# planner counters, then the full-scale query bench including the
+# 10^6-consumer axis. Does not run the normal gate.
 # --recovery-stress: loop the crash-point matrix, the marketplace-host
 # crash sweep, the WAL and marketplace delta-replay property tests (the
 # crash tree path ≡ byte replay property among them), the durable
@@ -92,6 +94,10 @@ if [[ "${1:-}" == "--query-stress" ]]; then
     filtered_test -q --release --test properties incremental_index_matches_rebuild
     filtered_test -q --release --test properties ann_neighbours_subset
     filtered_test -q --release -p abcrm-core ann::tests::kernel_matches_vector_similarity
+    filtered_test -q --release --test properties planned_cosine_neighbours_equal_the_naive_scan
+    filtered_test -q --release -p abcrm-core ann::tests::bounded_source
+    filtered_test -q --release -p abcrm-core index::tests::posting_weights_follow_every_row_change
+    filtered_test -q --release -p abcrm-core pa::tests::pa_similar_counts_its_neighbour_source
   done
   echo "==> full query scaling bench (QUERY_BENCH_FULL=1: 10^4/10^5/10^6 axis)"
   QUERY_BENCH_FULL=1 cargo bench -p bench --bench query_hot_path
@@ -190,8 +196,8 @@ done
 
 # ANN smoke: oracle equivalence, bit-identical scores and the 0.95
 # recall floor at 10^4 consumers, on both feature sets — plus the
-# allocation gate on warm exact and ANN queries (top-k heap only,
-# whatever the candidate count).
+# allocation gate on warm queries from every source — bounded cosine,
+# LSH, Pearson union (top-k heap only, whatever the candidate count).
 echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users, both feature sets)"
 ANN_USERS=10000 cargo test -q --release --test ann
 ANN_USERS=10000 cargo test -q --release --test ann --features parallel

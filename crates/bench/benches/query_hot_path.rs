@@ -17,21 +17,25 @@
 //! **Scaling section** — stores populated from a streaming
 //! [`workload::PopulationStream`] (resident generator state stays
 //! O(clusters), so the builder never holds a million ground truths),
-//! timing exact vs ANN `nearest_neighbours` at 10^4 / 10^5 consumers —
-//! plus 10^6 when `QUERY_BENCH_FULL=1` — and printing measured
-//! recall@10 per size (the numbers recorded in `BENCH_query.json`).
+//! the exact `nearest_neighbours` (planned: the bounded cosine pass) vs
+//! the LSH source (`nearest_neighbours_lsh`) at 10^4 / 10^5 consumers —
+//! plus 10^6 when `QUERY_BENCH_FULL=1` — and printing the LSH source's
+//! measured recall@10 per size (the numbers recorded in
+//! `BENCH_query.json`).
 //!
 //! **Allocation gate** — the binary runs under a counting allocator and
-//! asserts that a warm `RecommendStore::nearest_neighbours`, exact or
-//! ANN, allocates only its top-k heap (which the result reuses), however
-//! many candidates it re-ranks (the reusable-scratch contract). Pass
+//! asserts that a warm neighbour query allocates only its top-k heap
+//! (which the result reuses), however many candidates it re-ranks (the
+//! reusable-scratch contract), from each source: the bounded cosine
+//! pass, the LSH source and the Pearson posting-list union. Pass
 //! `--assert-no-alloc` to run only this gate.
 
 use abcrm_core::learning::BehaviorKind;
 use abcrm_core::profile::ConsumerId;
 use abcrm_core::recommend::{HybridRecommender, QueryContext, Recommender};
 use abcrm_core::similarity::SimilarityConfig;
-use abcrm_core::store::RecommendStore;
+use abcrm_core::similarity::SimilarityMethod;
+use abcrm_core::store::{NeighbourSource, RecommendStore};
 use abcrm_core::{AnnConfig, ItemCfRecommender};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecp::merchandise::{CategoryPath, ItemId, Merchandise, Money};
@@ -67,17 +71,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations a warm query may make: the top-k heap, whose buffer the
-/// returned `Vec` reuses. Candidate generation (posting lists or LSH
-/// probe), dedup and re-rank scratch live in the store.
+/// returned `Vec` reuses. Candidate generation (posting lists, bound
+/// pass or LSH probe), dedup and re-rank scratch live in the store.
 const QUERY_ALLOCS: u64 = 1;
 
-/// Warm `nearest_neighbours` must make the same, constant number of
+/// A neighbour query: the planned `nearest_neighbours` or the LSH source
+/// alone.
+type Query = fn(&RecommendStore, ConsumerId, &SimilarityConfig, usize) -> Vec<(ConsumerId, f64)>;
+
+/// Warm neighbour queries must make the same, constant number of
 /// allocations for every consumer, whatever its candidate count: checked
-/// on the exact path and under two LSH shapes whose candidate volumes
-/// differ widely.
+/// for each source — the planned bounded cosine pass and Pearson
+/// posting-list union (after asserting that the planner picks them), and
+/// the LSH source under two shapes whose candidate volumes differ widely
+/// (queried directly: the planner answers the cosine exactly).
 fn assert_query_constant_alloc(store: &RecommendStore) {
     let consumers: Vec<ConsumerId> = (1..=500).step_by(7).map(ConsumerId).collect();
-    let exact = ("exact".to_string(), SimilarityConfig::default());
+    let planned: Query = RecommendStore::nearest_neighbours;
+    let lsh: Query = RecommendStore::nearest_neighbours_lsh;
+    let bounded = (
+        "bounded cosine".to_string(),
+        SimilarityConfig::default(),
+        planned,
+        Some(NeighbourSource::CosineBound),
+    );
     let ann = [8u8, 3].map(|bits| {
         let cfg = SimilarityConfig {
             ann: Some(AnnConfig {
@@ -88,17 +105,34 @@ fn assert_query_constant_alloc(store: &RecommendStore) {
             }),
             ..SimilarityConfig::default()
         };
-        (format!("ANN at {bits} bits"), cfg)
+        (format!("LSH source at {bits} bits"), cfg, lsh, None)
     });
-    for (label, cfg) in std::iter::once(exact).chain(ann) {
+    let union = (
+        "Pearson union".to_string(),
+        SimilarityConfig {
+            method: SimilarityMethod::Pearson,
+            ..SimilarityConfig::default()
+        },
+        planned,
+        Some(NeighbourSource::PostingUnion),
+    );
+    let shapes = std::iter::once(bounded).chain(ann).chain([union]);
+    for (label, cfg, query, source) in shapes {
         store.warm_ann(&cfg);
         for c in &consumers {
-            store.nearest_neighbours(*c, &cfg, 10); // size the scratch
+            if let Some(source) = source {
+                assert_eq!(
+                    store.neighbour_source(*c, &cfg),
+                    Some(source),
+                    "{label}: the planner's source for {c}"
+                );
+            }
+            query(store, *c, &cfg, 10); // size the scratch
         }
         let mut counts = std::collections::BTreeSet::new();
         for c in &consumers {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let found = std::hint::black_box(store.nearest_neighbours(*c, &cfg, 10));
+            let found = std::hint::black_box(query(store, *c, &cfg, 10));
             counts.insert(ALLOCATIONS.load(Ordering::Relaxed) - before);
             assert!(!found.is_empty(), "probe consumer {c} has neighbours");
         }
@@ -217,7 +251,7 @@ fn ann_config(users: usize) -> SimilarityConfig {
     }
 }
 
-/// Measured tie-tolerant recall@10 of the ANN path against the exact
+/// Measured tie-tolerant recall@10 of the LSH source against the exact
 /// scan over a 50-user sample.
 fn measured_recall(store: &RecommendStore, users: usize) -> (f64, u64, u64) {
     let exact_cfg = SimilarityConfig::default();
@@ -227,7 +261,7 @@ fn measured_recall(store: &RecommendStore, users: usize) -> (f64, u64, u64) {
     for user in (1..=users as u64).step_by(step) {
         let consumer = ConsumerId(user);
         let exact_top = store.nearest_neighbours(consumer, &exact_cfg, 10);
-        let ann_top = store.nearest_neighbours(consumer, &ann_cfg, 10);
+        let ann_top = store.nearest_neighbours_lsh(consumer, &ann_cfg, 10);
         total += exact_top.len() as u64;
         hit += exact_top
             .iter()
@@ -270,7 +304,7 @@ fn bench_scaling(c: &mut Criterion) {
             b.iter(|| s.nearest_neighbours(probe, &exact_cfg, 10));
         });
         group.bench_with_input(BenchmarkId::new("nn_ann", users), &store, |b, s| {
-            b.iter(|| s.nearest_neighbours(probe, &ann_cfg, 10));
+            b.iter(|| s.nearest_neighbours_lsh(probe, &ann_cfg, 10));
         });
         let (recall, hit, total) = measured_recall(&store, users);
         println!("query_scaling/{users}: recall@10 = {recall:.4} ({hit}/{total})");

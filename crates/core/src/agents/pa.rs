@@ -17,7 +17,7 @@ use crate::agents::msg::{kinds, PaLoad, PaProfile, PaRecord, PaSimilar, PaSimila
 use crate::learning::{BehaviorKind, LearnerConfig};
 use crate::profile::Profile;
 use crate::similarity::SimilarityConfig;
-use crate::store::RecommendStore;
+use crate::store::{NeighbourSource, RecommendStore};
 use crate::userdb::{TradeChannel, TransactionRecord, UserDb};
 use agentsim::agent::{Agent, Ctx, DurablePolicy};
 use agentsim::message::Message;
@@ -153,7 +153,7 @@ impl ProfileAgent {
         });
     }
 
-    fn similar(&mut self, req: &PaSimilar) -> PaSimilarReply {
+    fn similar(&mut self, ctx: &mut Ctx<'_>, req: &PaSimilar) -> PaSimilarReply {
         // make the queried merchandise known
         for offer in &req.offers {
             self.store.upsert_item(offer.clone());
@@ -161,10 +161,27 @@ impl ProfileAgent {
         let profile = self.load_or_create(req.consumer);
         // load_or_create guarantees the consumer is in the store (and
         // thus the index), so the indexed search answers exactly what
-        // the full profile scan would.
-        let neighbours =
-            self.store
-                .nearest_neighbours(req.consumer, &self.similarity, req.k_neighbours);
+        // the full profile scan would whenever the planner picks an exact
+        // source.
+        let search = self
+            .store
+            .search_neighbours(req.consumer, &self.similarity, req.k_neighbours);
+        let neighbours = match search {
+            Some(search) => {
+                // the query's deterministic cost: where the candidates
+                // came from and how many rows were exact-scored
+                ctx.inc_counter(
+                    match search.source {
+                        NeighbourSource::Lsh => "pa.neighbour_source.lsh",
+                        _ => "pa.neighbour_source.exact",
+                    },
+                    1,
+                );
+                ctx.observe("pa.candidates_scored", search.scored as u64);
+                search.neighbours
+            }
+            None => Vec::new(),
+        };
         // similarity-weighted neighbour preferences
         let mut prefs: BTreeMap<u64, f64> = BTreeMap::new();
         let mut total_sim = 0.0;
@@ -301,7 +318,7 @@ impl Agent for ProfileAgent {
             }
             kinds::PA_SIMILAR => {
                 if let Ok(req) = msg.payload_as::<PaSimilar>() {
-                    let reply_payload = self.similar(&req);
+                    let reply_payload = self.similar(ctx, &req);
                     ctx.inc_counter("pa.similar_requests", 1);
                     ctx.observe("pa.neighbours_found", reply_payload.neighbours.len() as u64);
                     let reply = Message::new(kinds::PA_SIMILAR_REPLY)
@@ -629,6 +646,96 @@ mod tests {
             interest_after < interest_before * 0.2,
             "three 0.5 decays must shrink interest to 12.5%: {interest_before} -> {interest_after}"
         );
+    }
+
+    /// `(exact, lsh, queries observed, rows scored)` after 20 PA_SIMILAR
+    /// requests to a PA under `similarity` over a clustered store (8
+    /// taste clusters, 2,000 consumers, seed 21).
+    fn neighbour_search_cost(similarity: SimilarityConfig) -> (u64, u64, u64, u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut pa = ProfileAgent::new(LearnerConfig::default(), similarity.with_ann_seed(21));
+        let items = 96u64;
+        for id in 1..=items {
+            let mut item = merch(id, &format!("item{id}"));
+            item.terms = TermVector::from_pairs([
+                (format!("item{id}"), 1.0),
+                (format!("shard{}", id % 7), 0.5),
+            ]);
+            pa.store_mut().upsert_item(item);
+        }
+        let mut rng = StdRng::seed_from_u64(21);
+        let kinds = [
+            BehaviorKind::Query,
+            BehaviorKind::Browse,
+            BehaviorKind::Purchase,
+        ];
+        for user in 1..=2_000u64 {
+            let cluster = user % 8;
+            for _ in 0..rng.gen_range(3..8u32) {
+                let item = if rng.gen_bool(0.85) {
+                    1 + cluster * 12 + rng.gen_range(0..12u64)
+                } else {
+                    rng.gen_range(1..=items)
+                };
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                pa.store_mut()
+                    .record_event(ConsumerId(user), ItemId(item), kind);
+            }
+        }
+        let mut world = SimWorld::new(21);
+        let h = world.add_host("buyer-server");
+        let pa = world.create_agent(h, Box::new(pa)).unwrap();
+        let sink = world.create_agent(h, Box::new(Sink::default())).unwrap();
+        world.enable_telemetry();
+        let mut f = Fix { world, pa, sink };
+        for user in (1..=2_000u64).step_by(100) {
+            send_to_pa(
+                &mut f,
+                kinds::PA_SIMILAR,
+                &PaSimilar {
+                    consumer: ConsumerId(user),
+                    offers: vec![],
+                    k_neighbours: 10,
+                },
+            );
+        }
+        let registry = f.world.telemetry().registry();
+        let scored = registry.histogram("pa.candidates_scored").unwrap();
+        (
+            registry.counter("pa.neighbour_source.exact"),
+            registry.counter("pa.neighbour_source.lsh"),
+            scored.count(),
+            scored.sum(),
+        )
+    }
+
+    /// Every PA_SIMILAR counts the source the store's planner picked and
+    /// observes how many rows it exact-scored — deterministic for a seed.
+    /// Pinned under perfbench's LSH shape (8 bits, 8 tables, 8 probes):
+    /// the cosine is answered by the bounded exact source, Pearson by
+    /// LSH.
+    #[test]
+    fn pa_similar_counts_its_neighbour_source_and_scored_rows() {
+        use crate::ann::AnnConfig;
+        use crate::similarity::SimilarityMethod;
+
+        let cosine = SimilarityConfig {
+            ann: Some(AnnConfig {
+                bits: 8,
+                tables: 8,
+                probes: 8,
+                seed: 0,
+            }),
+            ..SimilarityConfig::default()
+        };
+        let pearson = SimilarityConfig {
+            method: SimilarityMethod::Pearson,
+            ..cosine
+        };
+        assert_eq!(neighbour_search_cost(cosine), (20, 0, 20, 276));
+        assert_eq!(neighbour_search_cost(pearson), (0, 20, 20, 14_234));
     }
 
     #[test]

@@ -1,17 +1,25 @@
 //! Neighbour search over the slot rows of [`crate::index::ProfileIndex`]:
-//! candidate generation (exact posting lists or the LSH tier) and the one
-//! re-rank kernel both feed.
+//! the candidate sources (exact posting lists, a score-bounded cosine
+//! pass, or the LSH tier) and the one re-rank kernel they all feed.
+//! [`crate::store::RecommendStore::nearest_neighbours`] picks a source per
+//! query (see [`crate::store::NeighbourSource`]).
 //!
-//! The exact path scores every consumer sharing at least one term with
-//! the target; with broad shared vocabulary that candidate set grows
-//! linearly with the population, so at 10^5–10^6 consumers candidate
-//! *scoring* becomes the hot path. The LSH tier trades a measured sliver
-//! of recall for sublinear candidate generation:
+//! The posting-list union scores every consumer sharing at least one term
+//! with the target; with broad shared vocabulary that candidate set grows
+//! linearly with the population. Two sources score fewer rows:
 //!
-//! * [`AnnConfig`] — the `SimilarityConfig::ann` knob: random-hyperplane
-//!   LSH with tunable signature width (`bits`), table count (`tables`)
-//!   and multiprobe depth (`probes`). Hash seeds derive from the platform
-//!   seed (see [`AnnConfig::resolve_seed`]), so the whole structure is a
+//! * [`bounded_cosine`] — exact top-k for the cosine in the MaxScore/WAND
+//!   family: one term-at-a-time pass over the target's weighted posting
+//!   lists sums every candidate's full shared dot product, which divided
+//!   by the two norms bounds its score from above; candidates are
+//!   exact-scored in descending bound order until the next bound falls
+//!   below the current `k`-th score.
+//! * [`AnnConfig`] — the `SimilarityConfig::ann` parameters of the LSH
+//!   tier, which trades a measured sliver of recall for sublinear
+//!   candidate generation: random-hyperplane LSH with tunable signature
+//!   width (`bits`), table count (`tables`) and multiprobe depth
+//!   (`probes`). Hash seeds derive from the platform seed (see
+//!   [`AnnConfig::resolve_seed`]), so the whole structure is a
 //!   deterministic function of `(profiles, config)`.
 //! * [`LshIndex`] — multi-table signature buckets over the slots of
 //!   [`crate::index::ProfileIndex`], maintained incrementally: a Fig 4.5
@@ -29,16 +37,16 @@
 //!   `parallel` feature's deterministic block fan-out. Rows are in term
 //!   order, so shared terms come out in the order
 //!   [`crate::similarity::vector_similarity`] visits them and one
-//!   [`crate::similarity::measure`] sums them: every score, exact or
-//!   ANN, is bit-identical to that function's.
+//!   [`crate::similarity::measure`] sums them: every score, from any
+//!   source, is bit-identical to that function's.
 //!
 //! Because the ANN path re-ranks with the exact measure and the neighbour
 //! floor filter, its results are always a subset of the exact scan's,
 //! with equal scores — the index can only *miss* neighbours, never invent
 //! them. `tests/ann.rs` and the property suite hold it to a measured
-//! recall floor.
+//! recall floor; the bounded source misses none.
 
-use crate::index::{top_k, ProfileIndex, SlotRow};
+use crate::index::{top_k, ProfileIndex, SlotRow, TopK};
 use crate::similarity::{discarded, measure, SimilarityConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -48,9 +56,11 @@ use std::collections::HashMap;
 const DEFAULT_ANN_SEED: u64 = 0xabc0_4a11_5eed_0001;
 
 /// Configuration of the approximate neighbour index — the
-/// [`SimilarityConfig::ann`] knob. `None` keeps the exact posting-list
-/// scan; `Some` routes `nearest_neighbours`/`recommend` through the LSH
-/// index transparently (the exact path remains the test oracle).
+/// [`SimilarityConfig::ann`] knob. `None` keeps every query exact; `Some`
+/// allows the store's per-query planner to answer Pearson and Jaccard
+/// queries from an LSH index with these parameters (the cosine always
+/// takes the exact bounded source; the exact path remains the test
+/// oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnnConfig {
     /// Hyperplanes per table = signature bits (1..=32). More bits ⇒
@@ -158,13 +168,19 @@ pub(crate) struct LshIndex {
 }
 
 /// Reusable per-store query scratch: the probe's projections and flip
-/// order, the candidate set, and the re-rank's dense weight array and
+/// order, the candidate set, the bounded source's dot-product
+/// accumulator and bound list, and the re-rank's dense weight array and
 /// shared-pair buffer. Once warm, a query allocates none of it.
 #[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
     proj: Vec<f64>,
     flip_order: Vec<usize>,
     candidates: Candidates,
+    /// Slot-indexed shared dot products; meaningful only for the slots
+    /// stamped by the current query.
+    acc: Vec<f64>,
+    /// `(score bound, slot)` of the bounded source's candidates.
+    bounds: Vec<(f64, u32)>,
     /// Vocabulary-indexed target weights; all `0.0` between queries.
     weights: Vec<f64>,
     shared: Vec<(f64, f64)>,
@@ -422,9 +438,120 @@ pub(crate) fn exact_candidates(
         candidates.admit(index.live().map(|(_, slot)| slot));
     } else {
         for tid in &index.row(target).term_ids {
-            candidates.admit(index.posting(*tid).iter().copied());
+            candidates.admit(index.posting(*tid).slots.iter().copied());
         }
     }
+}
+
+/// A query's best `k` as `(consumer, score)`, best first, and the number
+/// of rows the kernel scored to find them.
+pub(crate) type Ranked = (Vec<(u64, f64)>, usize);
+
+/// Padding applied to every cosine bound, so that no summation-order
+/// difference between the bound pass and the kernel can make a bound fall
+/// below the score it bounds and prune a true neighbour or a tie.
+const BOUND_PAD: f64 = 1.0 + 1e-9;
+
+/// The exact cosine top-`k` of the `target` slot under `config` (whose
+/// neighbour floor must be non-negative), scoring as few rows as the
+/// bound allows. Returns the same neighbours, order and score bits as
+/// [`exact_candidates`] plus [`rerank`], and the number of rows scored.
+///
+/// One term-at-a-time pass over the target's weighted posting lists adds
+/// each candidate's full shared dot product into the slot-indexed
+/// accumulator; candidates are deduplicated by the generation-stamped
+/// `seen` array, not by a zero sum, because a product of decayed weights
+/// can underflow to `0.0`. `acc / (target norm · row norm)` bounds the
+/// candidate's score from above: the kernel sums a subset of the same
+/// non-negative products in the same (term) order, and the Fig 4.5
+/// discard rule, `min_overlap` and the clamp only ever drop terms or
+/// lower the result. A candidate whose bound is at or below the floor,
+/// or whose norm product is `0.0` (the kernel scores it `0.0`), cannot be
+/// admitted and is dropped. The rest are exact-scored by the unchanged
+/// kernel in descending bound order — selected in geometrically growing
+/// batches, not fully sorted — until the next bound is below the current
+/// `k`-th score.
+pub(crate) fn bounded_cosine(
+    index: &ProfileIndex,
+    target: u32,
+    config: &SimilarityConfig,
+    scratch: &mut QueryScratch,
+    k: usize,
+) -> Ranked {
+    let QueryScratch {
+        candidates,
+        acc,
+        bounds,
+        weights,
+        shared,
+        ..
+    } = scratch;
+    candidates.start(index.slot_count(), target);
+    if acc.len() < index.slot_count() {
+        acc.resize(index.slot_count(), 0.0);
+    }
+    let row = index.row(target);
+    for (tid, wa) in row.term_ids.iter().zip(&row.weights) {
+        let posting = index.posting(*tid);
+        for (slot, wb) in posting.slots.iter().zip(&posting.weights) {
+            if *slot == target {
+                continue;
+            }
+            let s = *slot as usize;
+            if candidates.seen[s] == candidates.generation {
+                acc[s] += wa * wb;
+            } else {
+                candidates.seen[s] = candidates.generation;
+                candidates.slots.push(*slot);
+                acc[s] = wa * wb;
+            }
+        }
+    }
+    let norms = index.norms();
+    let target_norm = norms[target as usize];
+    bounds.clear();
+    for slot in &candidates.slots {
+        let denom = target_norm * norms[*slot as usize];
+        if denom == 0.0 {
+            continue;
+        }
+        let bound = acc[*slot as usize] / denom * BOUND_PAD;
+        if bound > config.neighbour_floor {
+            bounds.push((bound, *slot));
+        }
+    }
+    let mut best = TopK::new(k);
+    let mut scored = 0;
+    if k > 0 {
+        scatter(index, row, weights);
+        let by_bound = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let mut rest = &mut bounds[..];
+        let mut batch = k;
+        'scoring: while !rest.is_empty() {
+            let take = batch.min(rest.len());
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, by_bound);
+            }
+            let (head, tail) = rest.split_at_mut(take);
+            head.sort_unstable_by(by_bound);
+            for (bound, slot) in head.iter() {
+                if best.kth_score().is_some_and(|kth| *bound < kth) {
+                    break 'scoring;
+                }
+                scored += 1;
+                let candidate = index.row(*slot);
+                let norms = (target_norm, norms[*slot as usize]);
+                let s = score_scattered(row, weights, candidate, norms, config, shared);
+                if s > config.neighbour_floor {
+                    best.push(candidate.id, s);
+                }
+            }
+            rest = tail;
+            batch = batch.saturating_mul(2);
+        }
+        unscatter(row, weights);
+    }
+    (best.into_sorted(), scored)
 }
 
 /// Under the `parallel` feature, candidate lists of at least four blocks
@@ -438,7 +565,8 @@ const RERANK_BLOCK: usize = 64;
 /// [`LshIndex::candidates`]) against the `target` slot, applying the full
 /// [`SimilarityConfig`] semantics (discard threshold, `min_overlap`,
 /// method) plus the neighbour-floor filter, and keep the best `k` under
-/// the reference ranking (score desc, id asc).
+/// the reference ranking (score desc, id asc). Also returns the number
+/// of rows scored: every candidate.
 ///
 /// The target's row is scattered once into `scratch`'s
 /// vocabulary-indexed weight array (and cleared again afterwards); a
@@ -451,39 +579,61 @@ pub(crate) fn rerank(
     config: &SimilarityConfig,
     scratch: &mut QueryScratch,
     k: usize,
-) -> Vec<(u64, f64)> {
+) -> Ranked {
     let QueryScratch {
         candidates,
         weights,
         shared,
         ..
     } = scratch;
+    let target_norm = index.norms()[target as usize];
     let target = index.row(target);
+    scatter(index, target, weights);
+    let best = score_candidates(
+        index,
+        (target, target_norm),
+        weights,
+        &candidates.slots,
+        config,
+        shared,
+        k,
+    );
+    unscatter(target, weights);
+    (best, candidates.slots.len())
+}
+
+/// Write `row`'s weights into the vocabulary-indexed `weights`, grown to
+/// the vocabulary first.
+fn scatter(index: &ProfileIndex, row: &SlotRow, weights: &mut Vec<f64>) {
     if weights.len() < index.vocab_len() {
         weights.resize(index.vocab_len(), 0.0);
     }
-    for (tid, w) in target.term_ids.iter().zip(&target.weights) {
+    for (tid, w) in row.term_ids.iter().zip(&row.weights) {
         weights[*tid as usize] = *w;
     }
-    let best = score_candidates(index, target, weights, &candidates.slots, config, shared, k);
-    for tid in &target.term_ids {
+}
+
+/// Reset the entries [`scatter`] wrote for `row` to `0.0`.
+fn unscatter(row: &SlotRow, weights: &mut [f64]) {
+    for tid in &row.term_ids {
         weights[*tid as usize] = 0.0;
     }
-    best
 }
 
 fn score_candidates(
     index: &ProfileIndex,
-    target: &SlotRow,
+    (target, target_norm): (&SlotRow, f64),
     weights: &[f64],
     candidates: &[u32],
     config: &SimilarityConfig,
     shared: &mut Vec<(f64, f64)>,
     k: usize,
 ) -> Vec<(u64, f64)> {
+    let norms = index.norms();
     let score = |slot: &u32, shared: &mut Vec<(f64, f64)>| -> Option<(u64, f64)> {
         let row = index.row(*slot);
-        let s = score_scattered(target, weights, row, config, shared);
+        let pair = (target_norm, norms[*slot as usize]);
+        let s = score_scattered(target, weights, row, pair, config, shared);
         (s > config.neighbour_floor).then_some((row.id, s))
     };
     #[cfg(feature = "parallel")]
@@ -502,9 +652,9 @@ fn score_candidates(
 }
 
 /// One candidate row scored against the target scattered into
-/// `weights`. Walking the candidate's term-ordered row yields the shared
-/// terms in term order — the order
-/// [`crate::similarity::vector_similarity`] visits them in — so
+/// `weights`; `norms` are the target's and the candidate's. Walking the
+/// candidate's term-ordered row yields the shared terms in term order —
+/// the order [`crate::similarity::vector_similarity`] visits them in — so
 /// [`measure`] sums exactly what that function sums. A `0.0` weight means
 /// the target lacks the term (row weights are always positive); the
 /// candidate's own weight array is read only for shared terms.
@@ -512,6 +662,7 @@ fn score_scattered(
     target: &SlotRow,
     weights: &[f64],
     row: &SlotRow,
+    norms: (f64, f64),
     config: &SimilarityConfig,
     shared: &mut Vec<(f64, f64)>,
 ) -> f64 {
@@ -532,7 +683,7 @@ fn score_scattered(
         shared,
         intersection,
         (target.term_ids.len(), row.term_ids.len()),
-        || target.norm * row.norm,
+        || norms.0 * norms.1,
         config,
     )
 }
@@ -540,7 +691,7 @@ fn score_scattered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::similarity::vector_similarity;
+    use crate::similarity::{vector_similarity, SimilarityMethod};
     use ecp::terms::TermVector;
 
     fn vec_of(pairs: &[(&str, f64)]) -> TermVector {
@@ -790,8 +941,18 @@ mod tests {
                     if want > config.neighbour_floor {
                         reference.push((*id, want));
                     }
-                    let got =
-                        score_scattered(a, &weights, index.row(*slot), config, &mut Vec::new());
+                    let norms = (
+                        index.norms()[*target as usize],
+                        index.norms()[*slot as usize],
+                    );
+                    let got = score_scattered(
+                        a,
+                        &weights,
+                        index.row(*slot),
+                        norms,
+                        config,
+                        &mut Vec::new(),
+                    );
                     prop_assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -803,8 +964,8 @@ mod tests {
                     );
                 }
                 exact_candidates(index, *target, true, &mut scratch);
-                let got = rerank(index, *target, config, &mut scratch, 1_000);
-                let want = top_k(reference, 1_000);
+                let (got, _) = rerank(index, *target, config, &mut scratch, 1_000);
+                let want = top_k(reference.iter().copied(), 1_000);
                 prop_assert_eq!(
                     got.iter()
                         .map(|(id, s)| (*id, s.to_bits()))
@@ -818,9 +979,110 @@ mod tests {
                     0,
                     "weight scratch left dirty"
                 );
+                if config.method == SimilarityMethod::Cosine {
+                    for k in [1, 3, 1_000] {
+                        let (got, _) = bounded_cosine(index, *target, config, &mut scratch, k);
+                        let want = top_k(reference.iter().copied(), k);
+                        prop_assert_eq!(
+                            got.iter()
+                                .map(|(id, s)| (*id, s.to_bits()))
+                                .collect::<Vec<_>>(),
+                            want.iter()
+                                .map(|(id, s)| (*id, s.to_bits()))
+                                .collect::<Vec<_>>(),
+                            "bounded source at k = {} under {:?}",
+                            k,
+                            config
+                        );
+                    }
+                }
             }
         }
         Ok(())
+    }
+
+    /// Cosine under every discard / `min_overlap` setting, at floors `0`
+    /// and `0.3`.
+    fn cosine_configs() -> Vec<SimilarityConfig> {
+        kernel_configs(2.0)
+            .into_iter()
+            .filter(|c| c.method == SimilarityMethod::Cosine)
+            .flat_map(|c| {
+                [0.0, 0.3].map(|neighbour_floor| SimilarityConfig {
+                    neighbour_floor,
+                    ..c
+                })
+            })
+            .collect()
+    }
+
+    /// The bounded source's answer and scored count for `target`, next to
+    /// the posting-list union's.
+    fn bounded_and_union(
+        index: &ProfileIndex,
+        target: u32,
+        config: &SimilarityConfig,
+        k: usize,
+    ) -> (Ranked, Ranked) {
+        let mut scratch = QueryScratch::default();
+        let bounded = bounded_cosine(index, target, config, &mut scratch, k);
+        exact_candidates(index, target, false, &mut scratch);
+        (bounded, rerank(index, target, config, &mut scratch, k))
+    }
+
+    #[test]
+    fn bounded_source_dedups_by_stamp_not_by_a_zero_sum() {
+        // every candidate shares `a` with the target at a weight whose
+        // product with the target's underflows to 0.0 before its `b`
+        // term adds a real product: a zero accumulator is not "unseen"
+        let tiny = 1e-200;
+        let index = index_of(&[
+            vec_of(&[("a", tiny), ("b", 1.0)]),
+            vec_of(&[("a", tiny), ("b", 1.0)]),
+            vec_of(&[("a", tiny), ("b", 0.5), ("c", 1.0)]),
+            vec_of(&[("a", tiny), ("c", 1.0)]),
+        ]);
+        assert_eq!(tiny * tiny, 0.0);
+        for config in cosine_configs() {
+            let ((got, scored), (want, union)) = bounded_and_union(&index, 0, &config, 10);
+            assert_eq!(got, want, "{config:?}");
+            assert_eq!(union, 3);
+            assert!(scored <= 2, "slot 3 bounds at 0.0 and is never scored");
+            let mut ids: Vec<u64> = got.iter().map(|(id, _)| *id).collect();
+            ids.dedup();
+            assert_eq!(ids.len(), got.len(), "a candidate listed twice");
+        }
+    }
+
+    #[test]
+    fn bounded_source_stops_at_the_kth_score() {
+        // one twin of the target and forty consumers sharing only its
+        // weakest term: once the twin is scored no other bound can beat
+        // it, so k = 1 scores one row of the forty-one
+        let target = vec_of(&[("a", 1.0), ("b", 1.0), ("weak", 0.1)]);
+        let mut vectors = vec![target.clone(), target];
+        for i in 0..40 {
+            vectors.push(vec_of(&[("weak", 1.0), (&format!("own{i}"), 1.0)]));
+        }
+        let index = index_of(&vectors);
+        let config = SimilarityConfig {
+            discard_threshold: None,
+            ..SimilarityConfig::default()
+        };
+        let ((got, scored), (want, union)) = bounded_and_union(&index, 0, &config, 1);
+        assert_eq!(got, want);
+        assert_eq!(got[0].0, 2, "the twin wins");
+        assert_eq!((scored, union), (1, 41));
+        // a larger k scores further down the bound order, still exactly
+        let ((got, scored), (want, _)) = bounded_and_union(&index, 0, &config, 5);
+        assert_eq!(got, want);
+        assert_eq!(scored, 41, "the forty weak rows tie on their bound");
+        // ties at the k-th score are scored, never pruned: consumer 3
+        // onwards tie, and the smallest ids win
+        assert_eq!(
+            got.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5, 6]
+        );
     }
 
     proptest::proptest! {
@@ -882,10 +1144,11 @@ mod tests {
 
         /// The same equivalence on a store driven through its public
         /// mutators — feedback events, wholesale profile imports
-        /// (including empty ones) and the decay pass that rebuilds every
-        /// slot — and end to end through an exhaustive ANN query, whose
-        /// LSH index is built part-way and then maintained incrementally,
-        /// against `vector_similarity` over the flattened profiles.
+        /// (including empty ones) and the decay pass that refreshes every
+        /// slot — and end to end, against `vector_similarity` over the
+        /// flattened profiles, through the planned query and through an
+        /// exhaustive LSH query, whose index is built part-way and then
+        /// maintained incrementally.
         #[test]
         fn kernel_matches_vector_similarity_over_store_interleavings(
             ops in proptest::collection::vec((1u64..10, 0u8..10, 0u64..8), 1..50),
@@ -958,12 +1221,13 @@ mod tests {
                     .into_iter()
                     .map(|(c, s)| (c, s.to_bits()))
                     .collect();
-                    let got: Vec<(u64, u64)> = store
-                        .nearest_neighbours(*id, &ann, 1_000)
-                        .into_iter()
-                        .map(|(c, s)| (c.0, s.to_bits()))
-                        .collect();
-                    prop_assert_eq!(got, want, "ANN query of {} under {:?}", id, config);
+                    let bits = |found: Vec<(ConsumerId, f64)>| -> Vec<(u64, u64)> {
+                        found.into_iter().map(|(c, s)| (c.0, s.to_bits())).collect()
+                    };
+                    let planned = bits(store.nearest_neighbours(*id, config, 1_000));
+                    prop_assert_eq!(&planned, &want, "planned query of {} under {:?}", id, config);
+                    let lsh = bits(store.nearest_neighbours_lsh(*id, &ann, 1_000));
+                    prop_assert_eq!(lsh, want, "ANN query of {} under {:?}", id, config);
                 }
             }
         }

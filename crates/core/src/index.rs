@@ -8,11 +8,12 @@
 //!
 //! * [`ProfileIndex`] — the one stored form of every profile: a dense
 //!   consumer slot holding the flattened vector as interned term ids in
-//!   term (string) order plus its norm, and term → slots posting lists.
-//!   Consumers sharing no term with the target score exactly `0.0` under
-//!   every similarity method, so (for a non-negative neighbour floor)
-//!   scoring only posting-list candidates is lossless. Both the exact
-//!   scan and the ANN tier hand their candidates to the one re-rank
+//!   term (string) order, a slot-indexed norm array, and weighted
+//!   term → slots posting lists (each row's weight for the term beside
+//!   its slot). Consumers sharing no term with the target score exactly
+//!   `0.0` under every similarity method, so (for a non-negative
+//!   neighbour floor) scoring only posting-list candidates is lossless.
+//!   Every neighbour source hands its candidates to the one re-rank
 //!   kernel of [`crate::ann`], which reads these rows;
 //! * [`ItemSimCache`] — memoized item–item cosine similarities for
 //!   item-based CF, invalidated wholesale whenever the ratings matrix
@@ -27,32 +28,70 @@
 use crate::learning::ProfileDelta;
 use crate::profile::Profile;
 use ecp::terms::TermVector;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 
-/// Slot rows plus term → slot posting lists. Every indexed consumer holds
-/// a dense `u32` slot (assigned on first sight, recycled after
-/// [`ProfileIndex::remove`]); its [`SlotRow`] keeps the consumer id, the
-/// norm and the flat vector as term ids plus their weights. Term ids are
-/// dense too (assigned on first sight, never recycled), so a kernel can
-/// address a vocabulary-sized array by them and a candidate costs one
-/// indexed load plus one pass over its row — no map lookups, no string
-/// compares.
+/// Slot rows plus weighted term → slot posting lists. Every indexed
+/// consumer holds a dense `u32` slot (assigned on first sight, recycled
+/// after [`ProfileIndex::remove`]); its [`SlotRow`] keeps the consumer id
+/// and the flat vector as term ids plus their weights, and `norms` its
+/// flat norm. Term ids are dense too (assigned on first sight, never
+/// recycled), so a kernel can address a vocabulary-sized array by them
+/// and a candidate costs one indexed load plus one pass over its row — no
+/// map lookups, no string compares.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileIndex {
     slots: BTreeMap<u64, u32>,
     rows: Vec<SlotRow>,
+    /// Slot → flat norm of its row (`0.0` for a free slot), dense so a
+    /// pass over candidate slots reads norms without touching any row.
+    norms: Vec<f64>,
     free_slots: Vec<u32>,
-    /// Term id → slots whose row holds the term.
-    postings: Vec<BTreeSet<u32>>,
+    /// Term id → the slots whose row holds the term, with their weights.
+    postings: Vec<Posting>,
     term_ids: HashMap<String, u32>,
     /// Term id → term.
     terms: Vec<String>,
 }
 
-/// One slot of [`ProfileIndex`]: the consumer holding it, its flat norm
-/// and its flat vector as term ids with their weights at the same
-/// positions. The ids are kept in the order of their term *strings* —
+/// One term's posting list: the slots whose row holds the term, in
+/// ascending order, and each row's weight for the term at the same
+/// position — so a term-at-a-time pass reads a candidate's weight without
+/// touching its row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Posting {
+    pub(crate) slots: Vec<u32>,
+    pub(crate) weights: Vec<f64>,
+}
+
+impl Posting {
+    /// Set `slot`'s weight, inserting the slot in order if absent.
+    fn set(&mut self, slot: u32, w: f64) {
+        match self.slots.binary_search(&slot) {
+            Ok(pos) => self.weights[pos] = w,
+            Err(pos) => {
+                self.slots.insert(pos, slot);
+                self.weights.insert(pos, w);
+            }
+        }
+    }
+
+    /// Drop `slot`, if listed.
+    fn remove(&mut self, slot: u32) {
+        if let Ok(pos) = self.slots.binary_search(&slot) {
+            self.slots.remove(pos);
+            self.weights.remove(pos);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+/// One slot of [`ProfileIndex`]: the consumer holding it and its flat
+/// vector as term ids with their weights at the same positions. The ids
+/// are kept in the order of their term *strings* —
 /// the order [`TermVector::iter`] walks — so a kernel summing over a row
 /// sums exactly what [`crate::similarity::vector_similarity`] sums, bit
 /// for bit. The two live in separate arrays because a re-rank scan reads
@@ -63,7 +102,6 @@ pub struct ProfileIndex {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SlotRow {
     pub(crate) id: u64,
-    pub(crate) norm: f64,
     pub(crate) term_ids: Vec<u32>,
     pub(crate) weights: Vec<f64>,
 }
@@ -98,27 +136,34 @@ impl ProfileIndex {
         self.put(id, &profile.flatten());
     }
 
-    /// [`ProfileIndex::update`] from an already flattened vector.
+    /// [`ProfileIndex::update`] from an already flattened vector. The
+    /// slot leaves the posting lists of the terms the new row lacks; the
+    /// rest are set in place (a kept term keeps its list position).
     pub(crate) fn put(&mut self, id: u64, vector: &TermVector) {
         let slot = self.slot_for(id);
-        self.unlink(slot);
         let (term_ids, weights): (Vec<u32>, Vec<f64>) = vector
             .iter()
             .map(|(term, w)| (self.intern(term), w))
             .unzip();
-        for tid in &term_ids {
-            self.postings[*tid as usize].insert(slot);
+        for old in &self.rows[slot as usize].term_ids {
+            if !term_ids.contains(old) {
+                self.postings[*old as usize].remove(slot);
+            }
         }
+        for (tid, w) in term_ids.iter().zip(&weights) {
+            self.postings[*tid as usize].set(slot, *w);
+        }
+        self.norms[slot as usize] = norm_of(&weights);
         self.rows[slot as usize] = SlotRow {
             id,
-            norm: norm_of(&weights),
             term_ids,
             weights,
         };
     }
 
     /// Apply a [`ProfileDelta`] from the incremental learning path: only
-    /// the changed flat keys are touched in the slot row and postings —
+    /// the changed flat keys are touched in the slot row and postings (a
+    /// weight change too, since postings carry weights) —
     /// O(changed terms × log profile) instead of a full re-flatten. Each
     /// key's position is found by comparing term strings, so the row stays
     /// in term order, and the norm is recomputed from the row in that
@@ -134,32 +179,33 @@ impl ProfileIndex {
                 .binary_search_by(|tid| self.terms[*tid as usize].as_str().cmp(key));
             match (found, new_w > 0.0) {
                 (Ok(pos), true) => {
-                    let w = &mut self.rows[slot as usize].weights[pos];
+                    let row = &mut self.rows[slot as usize];
+                    let w = &mut row.weights[pos];
                     if w.to_bits() == new_w.to_bits() {
                         continue;
                     }
                     *w = new_w;
+                    self.postings[row.term_ids[pos] as usize].set(slot, new_w);
                 }
                 (Err(pos), true) => {
                     let tid = self.intern(key);
                     let row = &mut self.rows[slot as usize];
                     row.term_ids.insert(pos, tid);
                     row.weights.insert(pos, new_w);
-                    self.postings[tid as usize].insert(slot);
+                    self.postings[tid as usize].set(slot, new_w);
                 }
                 (Ok(pos), false) => {
                     let row = &mut self.rows[slot as usize];
                     let tid = row.term_ids.remove(pos);
                     row.weights.remove(pos);
-                    self.postings[tid as usize].remove(&slot);
+                    self.postings[tid as usize].remove(slot);
                 }
                 (Err(_), false) => continue,
             }
             dirty = true;
         }
         if dirty {
-            let row = &mut self.rows[slot as usize];
-            row.norm = norm_of(&row.weights);
+            self.norms[slot as usize] = norm_of(&self.rows[slot as usize].weights);
         }
     }
 
@@ -170,6 +216,7 @@ impl ProfileIndex {
         if let Some(slot) = self.slots.remove(&id) {
             self.unlink(slot);
             self.rows[slot as usize] = SlotRow::default();
+            self.norms[slot as usize] = 0.0;
             self.free_slots.push(slot);
         }
     }
@@ -177,7 +224,7 @@ impl ProfileIndex {
     /// Take `slot` out of the posting lists of its row's terms.
     fn unlink(&mut self, slot: u32) {
         for tid in &self.rows[slot as usize].term_ids {
-            self.postings[*tid as usize].remove(&slot);
+            self.postings[*tid as usize].remove(slot);
         }
     }
 
@@ -191,6 +238,7 @@ impl ProfileIndex {
             Some(slot) => slot,
             None => {
                 self.rows.push(SlotRow::default());
+                self.norms.push(0.0);
                 u32::try_from(self.rows.len() - 1).expect("fewer than 2^32 indexed consumers")
             }
         };
@@ -208,7 +256,7 @@ impl ProfileIndex {
         let id = u32::try_from(self.terms.len()).expect("fewer than 2^32 distinct terms");
         self.term_ids.insert(term.to_string(), id);
         self.terms.push(term.to_string());
-        self.postings.push(BTreeSet::new());
+        self.postings.push(Posting::default());
         id
     }
 
@@ -226,7 +274,7 @@ impl ProfileIndex {
 
     /// `id`'s stored flat norm, if indexed.
     pub fn norm(&self, id: u64) -> Option<f64> {
-        Some(self.row(self.slot(id)?).norm)
+        Some(self.norms[self.slot(id)? as usize])
     }
 
     /// Consumers sharing at least one term with `target`, ascending — the
@@ -237,7 +285,7 @@ impl ProfileIndex {
         let ids: BTreeSet<u64> = target
             .iter()
             .filter_map(|(term, _)| self.term_ids.get(term))
-            .flat_map(|tid| self.posting(*tid))
+            .flat_map(|tid| &self.posting(*tid).slots)
             .map(|slot| self.row(*slot).id)
             .collect();
         ids.into_iter().collect()
@@ -258,8 +306,13 @@ impl ProfileIndex {
         &self.rows[slot as usize]
     }
 
-    /// Slots holding term id `tid`.
-    pub(crate) fn posting(&self, tid: u32) -> &BTreeSet<u32> {
+    /// The slot-indexed norm array (a free slot's norm is `0.0`).
+    pub(crate) fn norms(&self) -> &[f64] {
+        &self.norms
+    }
+
+    /// Posting list of term id `tid`: the slots holding it, with weights.
+    pub(crate) fn posting(&self, tid: u32) -> &Posting {
         &self.postings[tid as usize]
     }
 
@@ -444,33 +497,64 @@ impl PartialEq for RankEntry {
 
 impl Eq for RankEntry {}
 
-/// Best `k` of `scored` under the reference ordering
-/// `sort_by(score desc, id asc); truncate(k)`, selected with a bounded
-/// min-heap instead of a full sort. Output is identical to the reference
+/// The best `k` entries pushed so far under the reference ordering
+/// `sort_by(score desc, id asc); truncate(k)`, kept in a bounded min-heap
+/// instead of a full sort. The result is identical to the reference
 /// because the ordering is total over unique ids, so it does not depend
-/// on the order `scored` yields them in. Taking an iterator lets a caller
-/// stream scores in without collecting them first.
-pub(crate) fn top_k(scored: impl IntoIterator<Item = (u64, f64)>, k: usize) -> Vec<(u64, f64)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    if k == 0 {
-        return Vec::new();
+/// on the order entries are pushed in. The heap is the only allocation,
+/// and [`TopK::into_sorted`] hands its buffer back as the result.
+pub(crate) struct TopK {
+    heap: BinaryHeap<Reverse<RankEntry>>,
+    k: usize,
+}
+
+impl TopK {
+    pub(crate) fn new(k: usize) -> Self {
+        let capacity = if k == 0 { 0 } else { k + 1 };
+        TopK {
+            heap: BinaryHeap::with_capacity(capacity),
+            k,
+        }
     }
-    let mut heap: BinaryHeap<Reverse<RankEntry>> = BinaryHeap::with_capacity(k + 1);
-    for (id, score) in scored {
+
+    pub(crate) fn push(&mut self, id: u64, score: f64) {
         let entry = RankEntry { id, score };
-        if heap.len() < k {
-            heap.push(Reverse(entry));
-        } else if let Some(Reverse(worst)) = heap.peek() {
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse(entry));
+        } else if let Some(Reverse(worst)) = self.heap.peek() {
             if entry > *worst {
-                heap.pop();
-                heap.push(Reverse(entry));
+                self.heap.pop();
+                self.heap.push(Reverse(entry));
             }
         }
     }
-    let mut best: Vec<RankEntry> = heap.into_iter().map(|Reverse(e)| e).collect();
-    best.sort_by(|a, b| b.cmp(a));
-    best.into_iter().map(|e| (e.id, e.score)).collect()
+
+    /// The `k`-th best score, once `k` entries are held: an entry scoring
+    /// below it can no longer make the cut.
+    pub(crate) fn kth_score(&self) -> Option<f64> {
+        if self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|Reverse(worst)| worst.score)
+    }
+
+    /// The held entries, best first.
+    pub(crate) fn into_sorted(self) -> Vec<(u64, f64)> {
+        let mut best: Vec<RankEntry> = self.heap.into_iter().map(|Reverse(e)| e).collect();
+        best.sort_by(|a, b| b.cmp(a));
+        best.into_iter().map(|e| (e.id, e.score)).collect()
+    }
+}
+
+/// Best `k` of `scored` under the reference ordering (see [`TopK`]).
+/// Taking an iterator lets a caller stream scores in without collecting
+/// them first.
+pub(crate) fn top_k(scored: impl IntoIterator<Item = (u64, f64)>, k: usize) -> Vec<(u64, f64)> {
+    let mut best = TopK::new(k);
+    for (id, score) in scored {
+        best.push(id, score);
+    }
+    best.into_sorted()
 }
 
 /// Map `f` over `items` on all available cores, preserving order — the
@@ -555,7 +639,7 @@ mod tests {
         assert_eq!(index.slot(3), Some(freed));
         let row = index.row(freed);
         assert_eq!((row.id, row.term_ids.len(), row.weights.len()), (3, 1, 1));
-        assert_eq!(row.norm.to_bits(), 2.0f64.to_bits());
+        assert_eq!(index.norms()[freed as usize].to_bits(), 2.0f64.to_bits());
         index.remove(3);
         index.remove(2);
         assert!(index.is_empty());
@@ -686,6 +770,76 @@ mod tests {
         let row = incremental.row(incremental.slot(7).unwrap());
         assert_eq!(row.id, 7);
         assert_eq!((row.term_ids.len(), row.weights.len()), (3, 3));
+    }
+
+    /// The weighted posting lists hold exactly the rows: every listed
+    /// `(slot, weight)` is the row's weight for the term bit for bit,
+    /// every row term is listed, lists are ascending, and the norm array
+    /// agrees with the rows.
+    fn assert_postings_match_rows(index: &ProfileIndex) {
+        let mut listed = 0;
+        for (tid, posting) in index.postings.iter().enumerate() {
+            assert_eq!(posting.slots.len(), posting.weights.len());
+            assert!(
+                posting.slots.windows(2).all(|w| w[0] < w[1]),
+                "list of {tid} out of order"
+            );
+            for (slot, w) in posting.slots.iter().zip(&posting.weights) {
+                let row = index.row(*slot);
+                let pos = row.term_ids.iter().position(|t| *t as usize == tid);
+                let pos = pos.expect("a listed slot's row holds the term");
+                assert_eq!(
+                    row.weights[pos].to_bits(),
+                    w.to_bits(),
+                    "weight of {tid} in {slot}"
+                );
+            }
+            listed += posting.slots.len();
+        }
+        let mut held = 0;
+        for (_, slot) in index.live() {
+            let row = index.row(slot);
+            for tid in &row.term_ids {
+                assert!(index.posting(*tid).slots.binary_search(&slot).is_ok());
+            }
+            held += row.term_ids.len();
+            assert_eq!(
+                index.norms()[slot as usize].to_bits(),
+                norm_of(&row.weights).to_bits()
+            );
+        }
+        assert_eq!(listed, held);
+    }
+
+    #[test]
+    fn posting_weights_follow_every_row_change() {
+        use crate::learning::ProfileDelta;
+        let mut index = ProfileIndex::new();
+        index.update(1, &profile(&[("b", "p", "x", 1.0), ("b", "p", "y", 0.5)]));
+        index.update(2, &profile(&[("b", "p", "x", 2.0)]));
+        index.update(3, &profile(&[("b", "p", "y", 0.25)]));
+        assert_postings_match_rows(&index);
+        for (key, w) in [
+            ("b/p/x", 0.75), // weight change
+            ("b/p/z", 0.4),  // insert
+            ("b/p/y", 0.0),  // delete
+        ] {
+            index.apply_delta(1, &ProfileDelta::from_pairs([(key.to_string(), w)]));
+            assert_postings_match_rows(&index);
+        }
+        let x = index.term_ids["b/p/x"];
+        assert_eq!(index.posting(x).weights, vec![0.75, 2.0]);
+        // a wholesale update keeps a kept term's position, sets its weight
+        index.update(2, &profile(&[("b", "p", "x", 3.0), ("b", "p", "w", 1.0)]));
+        assert_postings_match_rows(&index);
+        assert_eq!(index.posting(x).weights, vec![0.75, 3.0]);
+        index.remove(1);
+        assert_postings_match_rows(&index);
+        assert_eq!(index.posting(x).slots, vec![index.slot(2).unwrap()]);
+        // the freed slot is recycled with a fresh row and norm
+        index.update(4, &profile(&[("b", "p", "x", 0.5)]));
+        assert_postings_match_rows(&index);
+        assert_eq!(index.posting(x).weights, vec![0.5, 3.0]);
     }
 
     #[cfg(feature = "parallel")]

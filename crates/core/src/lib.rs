@@ -44,5 +44,5 @@ pub use recommend::{
 pub use retry::BackoffPolicy;
 pub use server::{listing, Platform, PlatformBuilder, ShardedPlatform, ShardedPlatformBuilder};
 pub use similarity::{profile_similarity, SimilarityConfig, SimilarityMethod};
-pub use store::RecommendStore;
+pub use store::{NeighbourSource, RecommendStore};
 pub use userdb::{TradeChannel, TransactionRecord, UserDb};

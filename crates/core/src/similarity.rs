@@ -46,17 +46,26 @@ pub struct SimilarityConfig {
     /// candidates with similarity strictly above this floor. The default
     /// `0.0` reproduces the historical behaviour (positive similarity
     /// only). A negative floor admits anticorrelated neighbours under
-    /// [`SimilarityMethod::Pearson`] — note that this disables the
-    /// store's posting-list pruning, which is only lossless when
-    /// zero-similarity candidates are filtered out.
+    /// [`SimilarityMethod::Pearson`] — note that this makes the store
+    /// score every indexed consumer: posting-list pruning, the cosine
+    /// score bound and LSH are only lossless or sound when
+    /// zero-similarity candidates are filtered out. A positive floor
+    /// lets the cosine bound drop every candidate that cannot clear it
+    /// unscored.
     #[serde(default)]
     pub neighbour_floor: f64,
-    /// Approximate neighbour search: `Some` routes the store's
-    /// `nearest_neighbours`/`recommend` through the random-hyperplane
-    /// LSH index of [`crate::ann`] (candidates from hash buckets,
-    /// re-ranked with the exact measure), trading a measured sliver of
-    /// recall for sublinear candidate generation. `None` (the default)
-    /// keeps the exact posting-list scan — and byte-identical results.
+    /// Approximate neighbour search: `Some` *allows* the store's
+    /// `nearest_neighbours`/`recommend` to answer a query from the
+    /// random-hyperplane LSH index of [`crate::ann`] with these
+    /// parameters (candidates from hash buckets, re-ranked with the exact
+    /// measure), trading a measured sliver of recall for sublinear
+    /// candidate generation. It does not force it: the store's planner
+    /// answers the cosine from the exact score-bounded source whatever
+    /// this says (see
+    /// [`crate::store::RecommendStore::neighbour_source`]); Pearson and
+    /// Jaccard, which have no bound, take LSH when it is allowed. The
+    /// index is built when the planner first picks it. `None` (the
+    /// default) keeps every query exact — and byte-identical results.
     /// Ignored when `neighbour_floor` is negative: ANN candidate
     /// generation, like posting-list pruning, is only sound when
     /// zero-similarity candidates are filtered out.

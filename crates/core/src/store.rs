@@ -8,17 +8,18 @@
 //! the tied-sale extension.
 //!
 //! Neighbour search reads one derived form of every profile, the slot
-//! rows of [`ProfileIndex`]: the exact scan (posting-list union) and the
-//! ANN tier (LSH buckets) only differ in where candidates come from, and
-//! both score them through [`crate::ann`]'s re-rank kernel, bit-identical
-//! to [`crate::similarity::vector_similarity`].
+//! rows of [`ProfileIndex`]. A per-query planner picks where candidates
+//! come from ([`NeighbourSource`]: the score-bounded cosine pass, the
+//! posting-list union, every live slot, or the LSH buckets); every source
+//! scores them through [`crate::ann`]'s re-rank kernel, bit-identical to
+//! [`crate::similarity::vector_similarity`].
 
-use crate::ann::{LshIndex, QueryScratch};
+use crate::ann::{LshIndex, QueryScratch, Ranked};
 use crate::index::{ItemSimCache, ProfileIndex};
 use crate::learning::{BehaviorEvent, BehaviorKind, LearnerConfig, ProfileLearner};
 use crate::profile::{ConsumerId, Profile};
 use crate::ratings::RatingsMatrix;
-use crate::similarity::SimilarityConfig;
+use crate::similarity::{SimilarityConfig, SimilarityMethod};
 use ecp::merchandise::{Catalog, ItemId, Merchandise};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -45,9 +46,10 @@ pub struct RecommendStore {
     baskets: Vec<Vec<u64>>,
     index: ProfileIndex,
     item_sims: Mutex<ItemSimCache>,
-    /// Lazily built LSH index for [`SimilarityConfig::ann`] queries,
-    /// kept in lock step with `index` by the incremental update paths
-    /// and invalidated (rebuilt on next ANN query) by wholesale ones.
+    /// LSH index for [`SimilarityConfig::ann`], built when the planner
+    /// first picks LSH (or by [`RecommendStore::warm_ann`]), kept in lock
+    /// step with `index` by the incremental update paths and invalidated
+    /// (rebuilt when next picked) by wholesale ones.
     ann: Mutex<Option<LshIndex>>,
     /// The neighbour search's reusable candidate and re-rank scratch, so
     /// steady-state queries allocate only their top-k heap.
@@ -108,6 +110,42 @@ impl Deserialize for RecommendStore {
             scratch: Mutex::new(QueryScratch::default()),
         })
     }
+}
+
+/// Where a neighbour query takes its candidates from: the per-query
+/// planner's choice (see [`RecommendStore::neighbour_source`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NeighbourSource {
+    /// Cosine under a non-negative floor: the score-bounded pass over the
+    /// target's weighted posting lists (exact; see
+    /// [`crate::ann::bounded_cosine`]).
+    CosineBound,
+    /// Pearson or Jaccard without LSH: every slot sharing a term with the
+    /// target (exact).
+    PostingUnion,
+    /// A negative floor: every live slot (exact).
+    AllLive,
+    /// Pearson or Jaccard with [`SimilarityConfig::ann`]: the LSH
+    /// buckets (approximate).
+    Lsh,
+}
+
+/// `(consumer id, score)` pairs as `(ConsumerId, score)`.
+fn consumers(best: Vec<(u64, f64)>) -> Vec<(ConsumerId, f64)> {
+    best.into_iter()
+        .map(|(id, s)| (ConsumerId(id), s))
+        .collect()
+}
+
+/// One neighbour query's answer and its cost.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct NeighbourSearch {
+    /// The `k` best neighbours, best first.
+    pub neighbours: Vec<(ConsumerId, f64)>,
+    /// Where the candidates came from.
+    pub source: NeighbourSource,
+    /// Rows the re-rank kernel exact-scored.
+    pub scored: usize,
 }
 
 impl RecommendStore {
@@ -250,8 +288,8 @@ impl RecommendStore {
         // every profile changed: rebuilding wholesale costs the same as
         // touching each entry and leaves no stale postings behind
         self.index = ProfileIndex::rebuild(self.profiles.iter().map(|(id, p)| (*id, p)));
-        // every signature is stale too — rebuilt lazily on the next ANN
-        // query
+        // every signature is stale too — rebuilt when the planner next
+        // picks LSH
         *self.ann.get_mut() = None;
     }
 
@@ -264,19 +302,111 @@ impl RecommendStore {
     /// The `k` consumers most similar to `consumer`, best first —
     /// identical output to running
     /// [`crate::similarity::nearest_neighbours`] over
-    /// [`Self::profiles`] minus the consumer themself, but served from
-    /// the index: candidates come from the posting lists (only consumers
-    /// sharing at least one flattened term with the target — lossless,
-    /// because zero-overlap pairs score exactly `0.0` under every method
-    /// and the default `neighbour_floor` of `0.0` filters them) or, with
-    /// [`SimilarityConfig::ann`], from the LSH buckets; either way the
-    /// re-rank kernel of [`crate::ann`] scores them over the slot rows,
-    /// bit-identically to the reference measure, and ranks them with a
-    /// bounded top-k heap instead of a full sort. A negative
-    /// [`SimilarityConfig::neighbour_floor`] admits zero-similarity
-    /// candidates, so pruning would be lossy — that case scores every
-    /// indexed consumer.
+    /// [`Self::profiles`] minus the consumer themself whenever the
+    /// planner picks an exact source, but served from the index.
+    ///
+    /// The candidates come from [`Self::neighbour_source`]'s choice;
+    /// whichever it is, the kernel of [`crate::ann`] scores them over the
+    /// slot rows, bit-identically to the reference measure, and ranks
+    /// them with a bounded top-k heap instead of a full sort. Every exact
+    /// source is lossless: zero-overlap pairs score exactly `0.0` under
+    /// every method, which a non-negative `neighbour_floor` filters, and
+    /// the cosine bound only skips candidates that cannot reach the top
+    /// `k`.
     pub fn nearest_neighbours(
+        &self,
+        consumer: ConsumerId,
+        config: &SimilarityConfig,
+        k: usize,
+    ) -> Vec<(ConsumerId, f64)> {
+        self.search_neighbours(consumer, config, k)
+            .map(|search| search.neighbours)
+            .unwrap_or_default()
+    }
+
+    /// [`Self::nearest_neighbours`] with what the query cost: the source
+    /// the planner picked and the rows the re-rank kernel scored. `None`
+    /// for a consumer without a profile.
+    pub(crate) fn search_neighbours(
+        &self,
+        consumer: ConsumerId,
+        config: &SimilarityConfig,
+        k: usize,
+    ) -> Option<NeighbourSearch> {
+        let target = self.index.slot(consumer.0)?;
+        let source = Self::plan(config);
+        let mut scratch = self.scratch.lock();
+        let (best, scored) = match source {
+            NeighbourSource::CosineBound => {
+                crate::ann::bounded_cosine(&self.index, target, config, &mut scratch, k)
+            }
+            NeighbourSource::Lsh => self.lsh_ranked(target, config, &mut scratch, k),
+            NeighbourSource::PostingUnion | NeighbourSource::AllLive => {
+                let everyone = source == NeighbourSource::AllLive;
+                crate::ann::exact_candidates(&self.index, target, everyone, &mut scratch);
+                crate::ann::rerank(&self.index, target, config, &mut scratch, k)
+            }
+        };
+        Some(NeighbourSearch {
+            neighbours: consumers(best),
+            source,
+            scored,
+        })
+    }
+
+    /// The LSH source's answer for the `target` slot under `config.ann`
+    /// (nothing without it), building the index first if needed.
+    fn lsh_ranked(
+        &self,
+        target: u32,
+        config: &SimilarityConfig,
+        scratch: &mut QueryScratch,
+        k: usize,
+    ) -> Ranked {
+        let Some(ann_cfg) = config.ann else {
+            return (Vec::new(), 0);
+        };
+        self.with_ann(&ann_cfg, |lsh| {
+            lsh.candidates(&self.index, target, ann_cfg.probes, scratch);
+        });
+        crate::ann::rerank(&self.index, target, config, scratch, k)
+    }
+
+    /// Where [`Self::nearest_neighbours`] takes `consumer`'s candidates
+    /// from under `config` — the per-query planner's choice, read-only.
+    /// `None` for a consumer without a profile.
+    pub fn neighbour_source(
+        &self,
+        consumer: ConsumerId,
+        config: &SimilarityConfig,
+    ) -> Option<NeighbourSource> {
+        self.index.slot(consumer.0)?;
+        Some(Self::plan(config))
+    }
+
+    /// The planner. A negative floor admits zero-similarity candidates,
+    /// so every live slot is scored. The cosine always takes the bounded
+    /// pass, which is exact and, on every population benched so far,
+    /// faster than an LSH query (see DESIGN §14). Pearson and Jaccard
+    /// have no bound: they take LSH when [`SimilarityConfig::ann`] allows
+    /// it, the posting-list union otherwise.
+    fn plan(config: &SimilarityConfig) -> NeighbourSource {
+        if config.neighbour_floor < 0.0 {
+            return NeighbourSource::AllLive;
+        }
+        match (config.method, config.ann) {
+            (SimilarityMethod::Cosine, _) => NeighbourSource::CosineBound,
+            (_, Some(_)) => NeighbourSource::Lsh,
+            (_, None) => NeighbourSource::PostingUnion,
+        }
+    }
+
+    /// The LSH source alone under `config.ann`, whatever the planner
+    /// would pick — the subject of recall measurements, as
+    /// [`Self::nearest_neighbours_naive`] is their exact oracle. Empty
+    /// when `config.ann` is `None`, the floor is negative or the consumer
+    /// has no profile.
+    pub fn nearest_neighbours_lsh(
         &self,
         consumer: ConsumerId,
         config: &SimilarityConfig,
@@ -285,18 +415,11 @@ impl RecommendStore {
         let Some(target) = self.index.slot(consumer.0) else {
             return Vec::new();
         };
-        let mut scratch = self.scratch.lock();
-        let everyone = config.neighbour_floor < 0.0;
-        match config.ann {
-            Some(ann_cfg) if !everyone => self.with_ann(&ann_cfg, |lsh| {
-                lsh.candidates(&self.index, target, ann_cfg.probes, &mut scratch);
-            }),
-            _ => crate::ann::exact_candidates(&self.index, target, everyone, &mut scratch),
+        if config.neighbour_floor < 0.0 {
+            return Vec::new();
         }
-        crate::ann::rerank(&self.index, target, config, &mut scratch, k)
-            .into_iter()
-            .map(|(id, s)| (ConsumerId(id), s))
-            .collect()
+        let (best, _) = self.lsh_ranked(target, config, &mut self.scratch.lock(), k);
+        consumers(best)
     }
 
     /// Run `f` against the LSH index for `cfg`, building (or rebuilding,
@@ -316,7 +439,9 @@ impl RecommendStore {
     }
 
     /// Pre-build the LSH index for `config` (if `config.ann` is set) so
-    /// the first query doesn't pay the build — benches and batch jobs.
+    /// the first query the planner answers from LSH doesn't pay the build
+    /// — benches and batch jobs. Without it the index is built when the
+    /// planner first picks LSH, and never if it never does.
     pub fn warm_ann(&self, config: &SimilarityConfig) {
         if let Some(ann_cfg) = config.ann {
             self.with_ann(&ann_cfg, |_| ());
@@ -549,7 +674,7 @@ mod tests {
         };
         let exact = crate::similarity::SimilarityConfig::default();
         for u in 1..=40u64 {
-            let approx = s.nearest_neighbours(ConsumerId(u), &ann, 10);
+            let approx = s.nearest_neighbours_lsh(ConsumerId(u), &ann, 10);
             let full = s.nearest_neighbours(ConsumerId(u), &exact, 40);
             for (id, score) in &approx {
                 let reference = full
@@ -564,13 +689,13 @@ mod tests {
                 );
             }
             // determinism: asking twice gives the same answer
-            assert_eq!(approx, s.nearest_neighbours(ConsumerId(u), &ann, 10));
+            assert_eq!(approx, s.nearest_neighbours_lsh(ConsumerId(u), &ann, 10));
         }
         // mutations keep the LSH in lock step with the slot rows:
         // feedback after the index is built must be reflected
         s.record_event(ConsumerId(41), ItemId(1), BehaviorKind::Purchase);
         s.record_event(ConsumerId(42), ItemId(1), BehaviorKind::Purchase);
-        let nn = s.nearest_neighbours(ConsumerId(41), &ann, 40);
+        let nn = s.nearest_neighbours_lsh(ConsumerId(41), &ann, 40);
         assert!(
             nn.iter().any(|(id, _)| *id == ConsumerId(42)),
             "freshly added twin consumer must be findable via ANN"
@@ -621,10 +746,10 @@ mod tests {
         }
         // a warm query leaves candidates in the scratch; a cold target's
         // query must clear them and score none
-        assert!(!s.nearest_neighbours(ConsumerId(2), &cfg, 10).is_empty());
+        assert!(!s.nearest_neighbours_lsh(ConsumerId(2), &cfg, 10).is_empty());
         assert!(!s.scratch.lock().candidates().is_empty());
         for u in [1u64, 100, 105] {
-            assert!(s.nearest_neighbours(ConsumerId(u), &cfg, 10).is_empty());
+            assert!(s.nearest_neighbours_lsh(ConsumerId(u), &cfg, 10).is_empty());
             assert!(
                 s.scratch.lock().candidates().is_empty(),
                 "cold target {u} re-ranked candidates"

@@ -6,6 +6,10 @@
 //! Everything is seeded — the measured recall is a deterministic number,
 //! not a flaky estimate.
 //!
+//! The store's planner answers every cosine query from the exact
+//! score-bounded source, `ann` or not, so the tests that grade LSH query
+//! the LSH source directly (`RecommendStore::nearest_neighbours_lsh`).
+//!
 //! Recall matching is *tie-tolerant*: an exact top-k entry counts as
 //! recalled if the ANN list contains the same consumer **or** any
 //! consumer with a score within `1e-9` of it. Rank-k score ties are real
@@ -17,7 +21,7 @@ use abcrm_core::learning::BehaviorKind;
 use abcrm_core::profile::ConsumerId;
 use abcrm_core::similarity::SimilarityConfig;
 use abcrm_core::store::RecommendStore;
-use abcrm_core::AnnConfig;
+use abcrm_core::{AnnConfig, NeighbourSource};
 use ecp::merchandise::{CategoryPath, ItemId, Merchandise, Money};
 use ecp::terms::TermVector;
 use rand::rngs::StdRng;
@@ -106,16 +110,28 @@ fn sample_users(users: u64, n: u64) -> impl Iterator<Item = u64> {
 
 /// The exact indexed path is the oracle: at this population size it
 /// still matches the naive full-scan bit for bit (smoke-level repeat of
-/// `tests/equivalence.rs` so `ci.sh ann` proves it at 10^4 users).
+/// `tests/equivalence.rs` so `ci.sh ann` proves it at 10^4 users). The
+/// cosine takes the bounded exact source whether or not `ann` allows
+/// LSH, so the planned query under the graded ANN config is exact too.
 #[test]
 fn exact_path_matches_naive_oracle_at_scale() {
     let users = ann_users();
     let store = clustered_store(0xA11, users, 96);
-    let cfg = SimilarityConfig::default();
+    let exact_cfg = SimilarityConfig::default();
+    let ann_cfg = SimilarityConfig {
+        ann: Some(graded_ann()),
+        ..SimilarityConfig::default()
+    };
     for user in sample_users(users, 5) {
-        let indexed = store.nearest_neighbours(ConsumerId(user), &cfg, 10);
-        let naive = store.nearest_neighbours_naive(ConsumerId(user), &cfg, 10);
-        assert_eq!(indexed, naive, "user {user} of {users}");
+        let naive = store.nearest_neighbours_naive(ConsumerId(user), &exact_cfg, 10);
+        for cfg in [&exact_cfg, &ann_cfg] {
+            assert_eq!(
+                store.neighbour_source(ConsumerId(user), cfg),
+                Some(NeighbourSource::CosineBound)
+            );
+            let indexed = store.nearest_neighbours(ConsumerId(user), cfg, 10);
+            assert_eq!(indexed, naive, "user {user} of {users}");
+        }
     }
 }
 
@@ -139,7 +155,7 @@ fn ann_results_are_subset_of_exact_with_matching_scores() {
             .into_iter()
             .map(|(c, s)| (c.0, s))
             .collect();
-        for (c, s) in store.nearest_neighbours(consumer, &ann_cfg, 50) {
+        for (c, s) in store.nearest_neighbours_lsh(consumer, &ann_cfg, 50) {
             let reference = exact
                 .get(&c.0)
                 .unwrap_or_else(|| panic!("ANN invented {c} for user {user}"));
@@ -172,7 +188,7 @@ fn ann_scores_are_bit_identical_to_exact() {
             .into_iter()
             .map(|(c, s)| (c.0, s))
             .collect();
-        for (c, s) in store.nearest_neighbours(consumer, &ann_cfg, 50) {
+        for (c, s) in store.nearest_neighbours_lsh(consumer, &ann_cfg, 50) {
             let reference = exact
                 .get(&c.0)
                 .unwrap_or_else(|| panic!("ANN invented {c} for user {user}"));
@@ -209,7 +225,7 @@ fn measured_recall_at_10_meets_floor() {
     for user in sample_users(users, 50) {
         let consumer = ConsumerId(user);
         let exact_top = store.nearest_neighbours(consumer, &exact_cfg, k);
-        let ann_top = store.nearest_neighbours(consumer, &ann_cfg, k);
+        let ann_top = store.nearest_neighbours_lsh(consumer, &ann_cfg, k);
         total += exact_top.len() as u64;
         hit += exact_top
             .iter()
@@ -246,7 +262,7 @@ fn post_build_feedback_is_immediately_queryable() {
         store.record_event(a, ItemId(item), BehaviorKind::Purchase);
         store.record_event(b, ItemId(item), BehaviorKind::Purchase);
     }
-    let neighbours = store.nearest_neighbours(a, &ann_cfg, users as usize);
+    let neighbours = store.nearest_neighbours_lsh(a, &ann_cfg, users as usize);
     assert!(
         neighbours.iter().any(|(c, _)| *c == b),
         "identical twin added after the build must be reachable: {:?}",

@@ -550,7 +550,8 @@ proptest! {
     /// deterministic. And with structurally exhaustive parameters (one
     /// table, one bit, one probe — the probe flips the only bit, so the
     /// two buckets together cover every consumer) recall@k is exactly
-    /// 1.0 under tie-tolerant matching.
+    /// 1.0 under tie-tolerant matching. The LSH source is queried
+    /// directly: the planner answers every cosine query exactly.
     #[test]
     fn ann_neighbours_subset_of_exact_and_exhaustive_probing_has_full_recall(
         events in proptest::collection::vec((1u64..12, 0u64..6), 1..60),
@@ -606,10 +607,10 @@ proptest! {
             let exact: HashMap<u64, f64> =
                 exact_all.iter().map(|(c, s)| (c.0, *s)).collect();
 
-            let approx = store.nearest_neighbours(consumer, &ann_cfg, 1_000);
+            let approx = store.nearest_neighbours_lsh(consumer, &ann_cfg, 1_000);
             prop_assert_eq!(
                 &approx,
-                &store.nearest_neighbours(consumer, &ann_cfg, 1_000),
+                &store.nearest_neighbours_lsh(consumer, &ann_cfg, 1_000),
                 "ANN query is not deterministic for {}", user
             );
             for (c, s) in &approx {
@@ -628,12 +629,120 @@ proptest! {
             // either returned by id or substituted by an equal-score tie
             let k = 10;
             let exact_top = store.nearest_neighbours(consumer, &exact_cfg, k);
-            let ann_top = store.nearest_neighbours(consumer, &exhaustive_cfg, k);
+            let ann_top = store.nearest_neighbours_lsh(consumer, &exhaustive_cfg, k);
             for (c, s) in &exact_top {
                 prop_assert!(
                     ann_top.iter().any(|(ac, asc)| ac == c || (asc - s).abs() < 1e-9),
                     "exhaustive probing missed {} (score {}) for {}", c, s, user
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The planned neighbour query is the exact scan, bit for bit: on
+    /// random stores driven by feedback events, wholesale profile imports
+    /// (some with weights so small that their products underflow to
+    /// `0.0`), empty imports, and maintenance decay that drops emptied
+    /// profiles and rebuilds the index, the planner picks the
+    /// bounded cosine source and its answer equals
+    /// `nearest_neighbours_naive` in ids, order and score bits, for every
+    /// discard / `min_overlap` / floor / `k` combination.
+    #[test]
+    fn planned_cosine_neighbours_equal_the_naive_scan_bit_for_bit(
+        ops in proptest::collection::vec((1u64..14, 0u8..10, 0u64..6, 0u8..4), 1..70),
+        threshold in 1.5f64..4.0,
+    ) {
+        use abcrm::core::store::{NeighbourSource, RecommendStore};
+        use abcrm::ecp::merchandise::{Merchandise, Money};
+
+        const CATS: [(&str, &str); 3] =
+            [("books", "programming"), ("music", "jazz"), ("garden", "tools")];
+        const KINDS: [BehaviorKind; 4] = [
+            BehaviorKind::Query,
+            BehaviorKind::Browse,
+            BehaviorKind::Bid,
+            BehaviorKind::Purchase,
+        ];
+        // a tiny weight survives compaction beside a normal one, and its
+        // product with another tiny weight underflows
+        const TINY: f64 = 1e-170;
+        let mut store = RecommendStore::new();
+        for id in 0..6u64 {
+            let (cat, sub) = CATS[(id % 3) as usize];
+            store.upsert_item(Merchandise {
+                id: ItemId(id),
+                name: format!("item{id}"),
+                category: CategoryPath::new(cat, sub),
+                terms: TermVector::from_pairs([
+                    (format!("t{id}"), 1.0),
+                    (format!("t{}", (id + 1) % 6), 0.3),
+                    (sub.to_string(), 0.4),
+                ]),
+                list_price: Money::from_units(10 + id),
+                seller: 1,
+            });
+        }
+        for (user, op, item, weight) in ops {
+            let (cat, sub) = CATS[(item % 3) as usize];
+            match op {
+                0 => store.decay_all_profiles(if weight < 2 { 0.5 } else { 1e-3 }),
+                // a profile faint enough that the next decay drops it
+                1 => {
+                    let mut p = Profile::new();
+                    p.category_mut(cat).sub_mut(sub).set(format!("t{item}"), 1e-9);
+                    store.put_profile(ConsumerId(user), p);
+                }
+                2 => {
+                    let mut p = Profile::new();
+                    let w = [1.0, 0.5, 2.0, TINY][usize::from(weight)];
+                    p.category_mut(cat).sub_mut(sub).set(format!("t{item}"), w);
+                    p.category_mut(cat).sub_mut(sub).set(format!("t{}", (item + 1) % 6), TINY);
+                    p.category_mut(cat).sub_mut(sub).set(sub, 1.0);
+                    store.put_profile(ConsumerId(user), p);
+                }
+                3 => store.put_profile(ConsumerId(user), Profile::new()),
+                _ => store.record_event(
+                    ConsumerId(user),
+                    ItemId(item),
+                    KINDS[usize::from(op) % KINDS.len()],
+                ),
+            }
+        }
+        let mut configs = Vec::new();
+        for discard_threshold in [None, Some(threshold)] {
+            for min_overlap in 0..=3 {
+                for neighbour_floor in [0.0, 0.3] {
+                    configs.push(SimilarityConfig {
+                        discard_threshold,
+                        min_overlap,
+                        neighbour_floor,
+                        ..SimilarityConfig::default()
+                    });
+                }
+            }
+        }
+        let bits = |found: Vec<(ConsumerId, f64)>| -> Vec<(u64, u64)> {
+            found.into_iter().map(|(c, s)| (c.0, s.to_bits())).collect()
+        };
+        for config in &configs {
+            for user in 1..14u64 {
+                let consumer = ConsumerId(user);
+                if store.profile(consumer).is_none() {
+                    continue;
+                }
+                prop_assert_eq!(
+                    store.neighbour_source(consumer, config),
+                    Some(NeighbourSource::CosineBound)
+                );
+                for k in [1, 10] {
+                    prop_assert_eq!(
+                        bits(store.nearest_neighbours(consumer, config, k)),
+                        bits(store.nearest_neighbours_naive(consumer, config, k)),
+                        "consumer {} at k = {} under {:?}", user, k, config
+                    );
+                }
             }
         }
     }
