@@ -34,7 +34,9 @@ filtered_test() {
 # planner counters, then the full-scale query bench including the
 # 10^6-consumer axis. Does not run the normal gate.
 # --recovery-stress: loop the crash-point matrix, the marketplace-host
-# crash sweep, the WAL and marketplace delta-replay property tests (the
+# crash sweep, the non-durable lost-return-trip buy and the
+# durability-off ≡ durable metrics check (one purchase protocol with
+# durability on or off), the WAL and marketplace delta-replay property tests (the
 # crash tree path ≡ byte replay property among them), the durable
 # store's tree-sharing and on-disk-format pins, the UserDB's
 # buyer-host crash recovery and its refusal of the old table-store
@@ -67,6 +69,8 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     cargo test -q --release --test recovery
     cargo test -q --release --test recovery --features parallel
     filtered_test -q --release --test recovery marketplace_host_crash
+    filtered_test -q --release --test recovery non_durable_lost_return_trip_sells_once
+    filtered_test -q --release --test recovery durability_off_keeps_traces_byte_identical_and_counters_zero
     filtered_test -q --release --test properties durable_replay
     filtered_test -q --release --test properties durable_crash_tree_path_equals_byte_replay
     filtered_test -q --release -p agentsim durable::tests::tree_sharing

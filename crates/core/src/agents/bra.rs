@@ -26,7 +26,7 @@ use agentsim::agent::{Agent, Ctx};
 use agentsim::clock::{SimDuration, SimTime};
 use agentsim::ids::{AgentId, HostId};
 use agentsim::message::Message;
-use ecp::merchandise::Merchandise;
+use ecp::merchandise::{ItemId, Merchandise, Money};
 use ecp::protocol::{self as ecpk, BuyConfirm, IntentId, LedgerQuery, LedgerReply, Offer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ enum Pending {
         mba: AgentId,
         /// Dispatch attempts so far (0 = first try).
         attempt: u32,
-        /// Durable purchase-intent id (buy tasks under durability only).
+        /// The buy's purchase-intent id (buy tasks only).
         #[serde(default)]
         intent: Option<IntentId>,
     },
@@ -62,12 +62,13 @@ enum Pending {
     AwaitRetry {
         task: ConsumerTask,
         attempt: u32,
-        /// Durable purchase-intent id carried unchanged into the retry.
+        /// The buy's purchase-intent id, carried unchanged into the retry
+        /// (buy tasks only).
         #[serde(default)]
         intent: Option<IntentId>,
     },
-    /// Durable buy whose MBA was lost with the outcome in doubt; the
-    /// marketplace ledger has been asked whether the intent committed.
+    /// Buy whose MBA was lost with the outcome in doubt; the marketplace
+    /// ledger has been asked whether the intent committed.
     AwaitLedger {
         task: ConsumerTask,
         intent: IntentId,
@@ -113,11 +114,6 @@ pub struct BuyerRecommendAgent {
     /// task; the MBA must skip them.
     #[serde(default)]
     blocked_markets: Vec<MarketRef>,
-    /// True when the host journals state durably: buys carry a WAL-logged
-    /// intent id and in-doubt outcomes are resolved against the
-    /// marketplace ledger instead of failed outright.
-    #[serde(default)]
-    durable: bool,
     /// Purchase intents minted by this BRA so far (intent-id sequence).
     #[serde(default)]
     intents_minted: u64,
@@ -149,17 +145,9 @@ impl BuyerRecommendAgent {
             recommendations_made: 0,
             retry: BackoffPolicy::default(),
             blocked_markets: Vec::new(),
-            durable: false,
             intents_minted: 0,
             request: 0,
         }
-    }
-
-    /// Turn on the durable-purchase protocol (intent ids + ledger
-    /// resolution). Only meaningful on a world with durability enabled.
-    pub fn with_durability(mut self) -> Self {
-        self.durable = true;
-        self
     }
 
     /// Override the MBA re-dispatch backoff schedule.
@@ -247,10 +235,37 @@ impl BuyerRecommendAgent {
         self.pending = Some(Pending::AwaitProfile { task });
     }
 
-    /// Mint a fresh purchase-intent id: this BRA and the next number of
-    /// its own 64-bit intent sequence.
-    fn mint_intent(&mut self, ctx: &Ctx<'_>) -> IntentId {
-        IntentId::mint(ctx.self_id(), &mut self.intents_minted)
+    /// Mint a fresh purchase-intent id for a buy of `item` at `market`
+    /// (this BRA and the next number of its own 64-bit intent sequence)
+    /// and journal it write-ahead on a durable host.
+    fn mint_intent(&mut self, ctx: &mut Ctx<'_>, item: ItemId, market: MarketRef) -> IntentId {
+        let intent = IntentId::mint(ctx.self_id(), &mut self.intents_minted);
+        if ctx.durable() {
+            ctx.journal_intent(
+                intent.to_string(),
+                serde_json::json!({
+                    "consumer": self.consumer,
+                    "item": item,
+                    "market": market.agent,
+                }),
+            );
+        }
+        intent
+    }
+
+    /// Journal that `intent` committed as a sale of `item` at `price`.
+    /// Builds nothing on a non-durable host.
+    fn journal_commit(ctx: &mut Ctx<'_>, intent: IntentId, item: &Merchandise, price: Money) {
+        if ctx.durable() {
+            let confirm = BuyConfirm {
+                item: item.clone(),
+                price,
+            };
+            ctx.journal_commit(
+                intent.to_string(),
+                serde_json::to_value(&confirm).unwrap_or(serde_json::Value::Null),
+            );
+        }
     }
 
     /// Ask the marketplace ledger whether `intent` committed, and arm the
@@ -279,26 +294,7 @@ impl BuyerRecommendAgent {
         prior_intent: Option<IntentId>,
     ) {
         let fig = task.figure();
-        // Durable buys carry a WAL-logged intent id so the marketplace
-        // can dedupe a re-driven purchase. Minted once, before the first
-        // dispatch (write-ahead); retries reuse it unchanged.
-        let intent = match (&task, prior_intent) {
-            (_, Some(i)) => Some(i),
-            (ConsumerTask::Buy { item, market, .. }, None) if self.durable => {
-                let i = self.mint_intent(ctx);
-                ctx.journal_intent(
-                    i.to_string(),
-                    serde_json::json!({
-                        "consumer": self.consumer,
-                        "item": item,
-                        "market": market.agent,
-                    }),
-                );
-                Some(i)
-            }
-            _ => None,
-        };
-        let (mba_task, itinerary) = match &task {
+        let (mba_task, itinerary, intent) = match &task {
             ConsumerTask::Query {
                 keywords,
                 category,
@@ -314,15 +310,26 @@ impl BuyerRecommendAgent {
                     .filter(|m| !self.blocked_markets.contains(m))
                     .copied()
                     .collect(),
+                None,
             ),
-            ConsumerTask::Buy { item, market, mode } => (
-                MbaTask::Buy {
-                    item: *item,
-                    mode: *mode,
-                    intent,
-                },
-                vec![*market],
-            ),
+            ConsumerTask::Buy { item, market, mode } => {
+                // A buy carries its intent id so the marketplace can dedupe
+                // a re-driven purchase. Minted once, before the first
+                // dispatch; retries reuse it unchanged.
+                let intent = match prior_intent {
+                    Some(intent) => intent,
+                    None => self.mint_intent(ctx, *item, *market),
+                };
+                (
+                    MbaTask::Buy {
+                        item: *item,
+                        mode: *mode,
+                        intent,
+                    },
+                    vec![*market],
+                    Some(intent),
+                )
+            }
             ConsumerTask::Auction {
                 item,
                 market,
@@ -333,6 +340,7 @@ impl BuyerRecommendAgent {
                     limit: *limit,
                 },
                 vec![*market],
+                None,
             ),
         };
         if itinerary.is_empty() && !self.blocked_markets.is_empty() {
@@ -540,14 +548,7 @@ impl BuyerRecommendAgent {
             } => {
                 ctx.note("fig4.3/step13 bra records transaction and pa updates profile");
                 if let Some(intent) = intent {
-                    ctx.journal_commit(
-                        intent.to_string(),
-                        serde_json::to_value(&BuyConfirm {
-                            item: item.clone(),
-                            price,
-                        })
-                        .unwrap_or(serde_json::Value::Null),
-                    );
+                    Self::journal_commit(ctx, intent, &item, price);
                 }
                 let kind = if negotiated {
                     BehaviorKind::Negotiate
@@ -761,8 +762,8 @@ impl Agent for BuyerRecommendAgent {
                 }
                 self.pending = None;
                 ctx.note(format!("bra: mba {mba} presumed lost"));
-                // A durable buy whose MBA vanished has an unknown outcome:
-                // the purchase may or may not have gone through. Ask the
+                // A buy whose MBA vanished has an unknown outcome: the
+                // purchase may or may not have gone through. Ask the
                 // marketplace ledger before deciding to retry or abort —
                 // never blindly re-run a buy (at-most-once).
                 if let (ConsumerTask::Buy { market, .. }, Some(intent)) = (&task, intent) {
@@ -835,8 +836,9 @@ impl Agent for BuyerRecommendAgent {
                         });
                     }
                     _ => {
-                        // buys and auctions must not be blindly re-run once
-                        // the outcome is unknown; fail them explicitly
+                        // an auction out of retries (or deadline budget)
+                        // fails explicitly; buys never get here, the
+                        // ledger settles them
                         self.respond(
                             ctx,
                             ResponseBody::Error("mobile buyer agent lost in transit".into()),
@@ -876,10 +878,7 @@ impl Agent for BuyerRecommendAgent {
                             "bra: intent {intent} committed at marketplace, recovered from ledger"
                         ));
                         ctx.count_ledger_resolution();
-                        ctx.journal_commit(
-                            intent.to_string(),
-                            serde_json::to_value(&confirm).unwrap_or(serde_json::Value::Null),
-                        );
+                        Self::journal_commit(ctx, intent, &confirm.item, confirm.price);
                         self.record_behavior(
                             ctx,
                             &confirm.item,

@@ -76,11 +76,6 @@ pub struct BsmaConfig {
     /// Per-marketplace circuit-breaker tuning; `None` disables breakers.
     #[serde(default)]
     pub breaker: Option<BreakerConfig>,
-    /// Journal state durably: BRAs run the intent/ledger purchase
-    /// protocol and the PA journals profile deltas. Only meaningful on a
-    /// world with durability enabled.
-    #[serde(default)]
-    pub durable: bool,
 }
 
 fn default_watch_retries() -> u32 {
@@ -103,7 +98,6 @@ impl Default for BsmaConfig {
             admission: None,
             request_deadline_us: 0,
             breaker: None,
-            durable: false,
         }
     }
 }
@@ -186,11 +180,10 @@ impl Bsma {
 
     fn setup(&mut self, ctx: &mut Ctx<'_>) {
         ctx.note("fig4.1/step4 bsma creates profile agent");
-        let mut profile_agent = ProfileAgent::new(self.config.learner, self.config.similarity);
-        if self.config.durable {
-            profile_agent = profile_agent.with_durability();
-        }
-        let pa = ctx.create_agent(Box::new(profile_agent));
+        let pa = ctx.create_agent(Box::new(ProfileAgent::new(
+            self.config.learner,
+            self.config.similarity,
+        )));
         self.pa = Some(pa);
         ctx.note("fig4.1/step5 bsma creates http agent");
         let mut front = HttpAgent::new(ctx.self_id());
@@ -237,7 +230,7 @@ impl Bsma {
         let bra = match self.session_of(req.consumer.0) {
             Some(existing) => existing,
             None => {
-                let mut new_bra = BuyerRecommendAgent::new(
+                let new_bra = BuyerRecommendAgent::new(
                     req.consumer,
                     ctx.self_id(),
                     pa,
@@ -247,9 +240,6 @@ impl Bsma {
                 .with_collaborative_weight(self.config.collaborative_weight)
                 .with_mba_timeout_us(self.config.mba_timeout_us)
                 .with_retry_policy(self.config.bra_retry);
-                if self.config.durable {
-                    new_bra = new_bra.with_durability();
-                }
                 let bra = ctx.create_agent(Box::new(new_bra));
                 ctx.note(format!("bsma: bra {bra} created for {}", req.consumer));
                 self.sessions.push((req.consumer.0, bra));

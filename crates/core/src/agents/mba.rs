@@ -63,12 +63,10 @@ pub enum MbaTask {
         item: ItemId,
         /// Buying mode.
         mode: BuyMode,
-        /// Durable purchase-intent id minted by the BRA. Carried on every
+        /// Purchase-intent id minted by the BRA. Carried on every
         /// buy/negotiate message so the marketplace ledger can dedupe
-        /// retries of the same purchase (at-most-once). `None` when
-        /// durability is off — the wire format is then unchanged.
-        #[serde(default)]
-        intent: Option<IntentId>,
+        /// retries of the same purchase (at-most-once).
+        intent: IntentId,
     },
     /// Bid in an auction up to `limit`.
     Auction {
@@ -421,10 +419,7 @@ impl Agent for MobileBuyerAgent {
                 ctx.note("mba: recovered at marketplace, re-sending the query");
                 self.start_at_market(ctx);
             }
-            MbaTask::Buy {
-                intent: Some(intent),
-                ..
-            } => {
+            MbaTask::Buy { intent, .. } => {
                 // Never buy again: the host may have been down long enough
                 // for the BRA to give this intent up, and the ledger would
                 // take a re-sent buy as fresh. Ask the ledger what the
@@ -442,10 +437,9 @@ impl Agent for MobileBuyerAgent {
                     .expect("ledger query serializes");
                 ctx.send(market.agent, query);
             }
-            // An intent-less buy has no ledger entry to ask about, and an
-            // auction's bids are replayed with the marketplace, whose
+            // An auction's bids are replayed with the marketplace, whose
             // close still reaches us here: stay put, as before a crash.
-            MbaTask::Buy { intent: None, .. } | MbaTask::Auction { .. } => {}
+            MbaTask::Auction { .. } => {}
         }
     }
 
@@ -594,15 +588,14 @@ impl Agent for MobileBuyerAgent {
                 );
             }
             ecpk::kinds::NEGOTIATE_COUNTER => {
-                let Ok(counter) = msg.payload_as::<NegotiateCounter>() else {
+                let (Ok(counter), MbaTask::Buy { intent, .. }) =
+                    (msg.payload_as::<NegotiateCounter>(), &self.task)
+                else {
                     return;
                 };
+                let intent = *intent;
                 let Some(session) = self.negotiation.as_mut() else {
                     return;
-                };
-                let intent = match &self.task {
-                    MbaTask::Buy { intent, .. } => *intent,
-                    _ => None,
                 };
                 match session.respond(counter.ask) {
                     BuyerMove::Offer(next) | BuyerMove::Accept(next) => {
@@ -909,7 +902,7 @@ mod tests {
             MbaTask::Buy {
                 item: ItemId(1),
                 mode: BuyMode::Direct,
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );
@@ -940,7 +933,7 @@ mod tests {
             MbaTask::Buy {
                 item: ItemId(999),
                 mode: BuyMode::Direct,
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );
@@ -964,7 +957,7 @@ mod tests {
                     raise: 0.1,
                     max_rounds: 20,
                 },
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );
@@ -1003,7 +996,7 @@ mod tests {
                     raise: 0.1,
                     max_rounds: 10,
                 },
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );
@@ -1162,7 +1155,7 @@ mod tests {
             MbaTask::Buy {
                 item: ItemId(1),
                 mode: BuyMode::Direct,
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );
@@ -1254,7 +1247,7 @@ mod tests {
             MbaTask::Buy {
                 item: ItemId(1),
                 mode: BuyMode::Direct,
-                intent: None,
+                intent: IntentId::new(AgentId(3), 1),
             },
             vec![market],
         );

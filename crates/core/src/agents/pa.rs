@@ -45,6 +45,10 @@ pub struct MaintenanceConfig {
 const MAINTENANCE_TIMER_TAG: u64 = u64::MAX;
 
 /// The Profile Agent. Static on the Buyer Agent Server.
+///
+/// On a durable host it journals every recorded behaviour as a delta, and
+/// the host captures its (large) capsule only at creation and at
+/// checkpoints ([`DurablePolicy::Deltas`]).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ProfileAgent {
     store: RecommendStore,
@@ -54,10 +58,6 @@ pub struct ProfileAgent {
     maintenance: Option<MaintenanceConfig>,
     #[serde(default)]
     maintenance_passes: u32,
-    /// Journal every recorded behaviour as a WAL delta instead of having
-    /// the platform snapshot the (large) full PA capsule per callback.
-    #[serde(default)]
-    durable: bool,
 }
 
 impl ProfileAgent {
@@ -69,15 +69,7 @@ impl ProfileAgent {
             similarity,
             maintenance: None,
             maintenance_passes: 0,
-            durable: false,
         }
-    }
-
-    /// Journal behaviour records as durable deltas (replayed on crash
-    /// recovery). Only meaningful on a world with durability enabled.
-    pub fn with_durability(mut self) -> Self {
-        self.durable = true;
-        self
     }
 
     /// Enable the periodic interest-decay maintenance cycle.
@@ -116,7 +108,7 @@ impl ProfileAgent {
     }
 
     fn record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
-        if self.durable {
+        if ctx.durable() {
             // write-ahead: the delta reaches the WAL before the learned
             // update it describes can be observed by anyone
             match serde_json::to_value(&rec) {
@@ -230,11 +222,7 @@ impl Agent for ProfileAgent {
     }
 
     fn durable_policy(&self) -> DurablePolicy {
-        if self.durable {
-            DurablePolicy::Deltas
-        } else {
-            DurablePolicy::Capsule
-        }
+        DurablePolicy::Deltas
     }
 
     fn on_recovered(&mut self, ctx: &mut Ctx<'_>, deltas: &[serde_json::Value]) {

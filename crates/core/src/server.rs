@@ -195,13 +195,13 @@ impl<S> PlatformBuilder<S> {
         self
     }
 
-    /// Give every host a WAL-backed [`DurableStore`] and switch the
-    /// buyer-side agents to durable operation: BRAs journal two-phase
-    /// purchase intents and the PA journals profile deltas, so a
+    /// Give every host a WAL-backed [`DurableStore`]: BRAs journal their
+    /// purchase intents and outcomes, the PA its profile deltas and the
+    /// marketplaces their sales, so a
     /// [`SimWorld::crash_host`]/`restart_host` cycle recovers in-flight
-    /// work instead of dropping it. Off by default — without this call
-    /// traces are byte-identical to a platform built before durability
-    /// existed.
+    /// work instead of dropping it. The intent/ledger purchase protocol
+    /// runs either way; durability only adds the journal, so the workflow
+    /// trace is the same with or without it. Off by default.
     ///
     /// [`DurableStore`]: agentsim::durable::DurableStore
     /// [`SimWorld::crash_host`]: agentsim::sim::SimWorld::crash_host
@@ -317,7 +317,6 @@ impl<S> PlatformBuilder<S> {
                 admission: self.admission,
                 request_deadline_us: self.request_deadline_us,
                 breaker: self.breaker,
-                durable: self.durability.is_some(),
             };
             let request = Message::new(ecpk::REQUEST_BUYER_SERVER)
                 .with_payload(&RequestBuyerServer {

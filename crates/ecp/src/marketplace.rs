@@ -129,9 +129,9 @@ struct LedgerEntry {
 enum MarketDelta {
     /// Listings added or replaced by a seller's catalog sync.
     Catalog(Vec<Listing>),
-    /// A sale settled at `confirm`, under `intent` when the buyer sent one.
+    /// A sale settled at `confirm` under `intent`.
     Sale {
-        intent: Option<IntentId>,
+        intent: IntentId,
         confirm: BuyConfirm,
     },
     /// A negotiation offer from `buyer` on `item`: opens the session or
@@ -292,17 +292,15 @@ impl MarketplaceAgent {
         }
     }
 
-    fn apply_sale(&mut self, intent: Option<IntentId>, confirm: BuyConfirm) {
+    fn apply_sale(&mut self, intent: IntentId, confirm: BuyConfirm) {
         *self.sales.entry(confirm.item.id.0).or_insert(0) += 1;
-        if let Some(intent) = intent {
-            self.ledger.insert(
-                intent.bra().0,
-                LedgerEntry {
-                    seq: intent.seq(),
-                    confirm,
-                },
-            );
-        }
+        self.ledger.insert(
+            intent.bra().0,
+            LedgerEntry {
+                seq: intent.seq(),
+                confirm,
+            },
+        );
     }
 
     /// Step (or open) `buyer`'s negotiation on `item`; an accepted offer
@@ -420,36 +418,30 @@ impl MarketplaceAgent {
     /// Settle a sale under `intent` at `confirm`: dedupe against the
     /// ledger, then journal the sale (forced) and record it. Every sale a
     /// buyer is told about — direct or negotiated — goes through here.
-    fn settle(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        intent: Option<IntentId>,
-        confirm: BuyConfirm,
-    ) -> Settlement {
-        if let Some(intent) = intent {
-            match self.ledger_check(intent) {
-                Some(Settlement::Duplicate(confirm)) => {
-                    ctx.note(format!(
-                        "marketplace {}: duplicate buy for intent {intent} answered from ledger",
-                        self.name
-                    ));
-                    return Settlement::Duplicate(confirm);
-                }
-                Some(_) => {
-                    ctx.note(format!(
-                        "marketplace {}: stale intent {intent} refused",
-                        self.name
-                    ));
-                    return Settlement::Stale;
-                }
-                None => {}
+    fn settle(&mut self, ctx: &mut Ctx<'_>, intent: IntentId, confirm: BuyConfirm) -> Settlement {
+        match self.ledger_check(intent) {
+            Some(Settlement::Duplicate(confirm)) => {
+                ctx.note(format!(
+                    "marketplace {}: duplicate buy for intent {intent} answered from ledger",
+                    self.name
+                ));
+                Settlement::Duplicate(confirm)
+            }
+            Some(_) => {
+                ctx.note(format!(
+                    "marketplace {}: stale intent {intent} refused",
+                    self.name
+                ));
+                Settlement::Stale
+            }
+            None => {
+                let sold = confirm.clone();
+                let delta = MarketDelta::Sale { intent, confirm };
+                Self::journal(ctx, &delta);
+                self.apply(delta);
+                Settlement::Sold(sold)
             }
         }
-        let sold = confirm.clone();
-        let delta = MarketDelta::Sale { intent, confirm };
-        Self::journal(ctx, &delta);
-        self.apply(delta);
-        Settlement::Sold(sold)
     }
 
     fn merchandise(&self, item: ItemId) -> Option<&Merchandise> {
@@ -1034,7 +1026,7 @@ mod tests {
             kinds::BUY_REQUEST,
             &BuyRequest {
                 item: ItemId(1),
-                intent: None,
+                intent: IntentId::new(AgentId(40), 1),
             },
         );
         let p = probe_state(&f);
@@ -1052,7 +1044,7 @@ mod tests {
             kinds::BUY_REQUEST,
             &BuyRequest {
                 item: ItemId(999),
-                intent: None,
+                intent: IntentId::new(AgentId(40), 1),
             },
         );
         assert_eq!(
@@ -1070,7 +1062,7 @@ mod tests {
             &NegotiateOffer {
                 item: ItemId(1),
                 offer: Money::from_units(1),
-                intent: None,
+                intent: IntentId::new(AgentId(40), 1),
             },
         );
         assert_eq!(
@@ -1083,7 +1075,7 @@ mod tests {
             &NegotiateOffer {
                 item: ItemId(1),
                 offer: Money::from_units(30),
-                intent: None,
+                intent: IntentId::new(AgentId(40), 1),
             },
         );
         let p = probe_state(&f);
@@ -1101,7 +1093,7 @@ mod tests {
             &NegotiateOffer {
                 item: ItemId(42),
                 offer: Money::from_units(10),
-                intent: None,
+                intent: IntentId::new(AgentId(40), 1),
             },
         );
         assert_eq!(
@@ -1309,7 +1301,7 @@ mod tests {
             kinds::BUY_REQUEST,
             &BuyRequest {
                 item: ItemId(item),
-                intent: Some(intent),
+                intent,
             },
         );
         probe_state(f).last_kind.unwrap_or_default()
@@ -1347,7 +1339,7 @@ mod tests {
         let offer = NegotiateOffer {
             item: ItemId(1),
             offer: Money::from_units(30),
-            intent: Some(intent),
+            intent,
         };
         via_probe(&mut f, kinds::NEGOTIATE_OFFER, &offer);
         assert_eq!(
@@ -1384,7 +1376,7 @@ mod tests {
                 market.ledger_check(intent).is_none(),
                 "intent {intent} not fresh to the ledger"
             );
-            market.apply_sale(Some(intent), confirm.clone());
+            market.apply_sale(intent, confirm.clone());
         }
         // the 65,537th intent differs from the first; the first is now stale
         assert!(matches!(
@@ -1436,24 +1428,12 @@ mod tests {
     #[test]
     fn top_sellers_ranks_by_units() {
         let mut f = fixture();
+        let bra = AgentId(40);
+        let mut minted = 0;
         for _ in 0..3 {
-            via_probe(
-                &mut f,
-                kinds::BUY_REQUEST,
-                &BuyRequest {
-                    item: ItemId(2),
-                    intent: None,
-                },
-            );
+            buy(&mut f, 2, IntentId::mint(bra, &mut minted));
         }
-        via_probe(
-            &mut f,
-            kinds::BUY_REQUEST,
-            &BuyRequest {
-                item: ItemId(1),
-                intent: None,
-            },
-        );
+        buy(&mut f, 1, IntentId::mint(bra, &mut minted));
         via_probe(&mut f, kinds::TOP_SELLERS, &TopSellers { k: 2 });
         let p = probe_state(&f);
         assert_eq!(p.last_kind.as_deref(), Some(kinds::TOP_SELLERS_LIST));

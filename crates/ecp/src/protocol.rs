@@ -241,9 +241,8 @@ pub struct BuyRequest {
     /// marketplace's ledger keeps the latest intent of every BRA: it
     /// answers a repeated intent with the original confirmation instead
     /// of selling twice, and refuses an intent older than the latest
-    /// (at-most-once purchases). `None` = legacy fire-and-forget buy.
-    #[serde(default)]
-    pub intent: Option<IntentId>,
+    /// (at-most-once purchases).
+    pub intent: IntentId,
 }
 
 /// Purchase confirmation ([`kinds::BUY_CONFIRM`]).
@@ -264,8 +263,7 @@ pub struct NegotiateOffer {
     pub offer: Money,
     /// Purchase intent id (see [`BuyRequest::intent`]); an accepted
     /// negotiation records into the ledger under this id.
-    #[serde(default)]
-    pub intent: Option<IntentId>,
+    pub intent: IntentId,
 }
 
 /// Seller counter ([`kinds::NEGOTIATE_COUNTER`]).

@@ -26,11 +26,14 @@
 //! both runtimes) and defaults to 8 seeds; set `CHAOS_SEEDS=32` for the
 //! full sweep.
 
-use abcrm::core::agents::msg::{ConsumerTask, ResponseBody};
+use abcrm::core::agents::msg::{BuyMode, ConsumerTask, ResponseBody};
 use abcrm::core::profile::ConsumerId;
 use abcrm::core::server::{listing, Platform};
 use abcrm::core::BackoffPolicy;
+use abcrm::ecp::merchandise::ItemId;
+use abcrm::ecp::MarketplaceAgent;
 use agentsim::chaos::{ChaosConfig, ChaosPlan, Fault};
+use agentsim::clock::SimTime;
 use agentsim::ids::HostId;
 use agentsim::sim::Location;
 
@@ -188,9 +191,20 @@ fn repro_single_seed() {
     }
 }
 
+/// Units of item 1 sold at marketplace 0, read from its live state.
+fn units_sold(p: &Platform) -> usize {
+    let market = p
+        .world()
+        .snapshot_of(p.markets()[0].agent)
+        .expect("marketplace 0 active");
+    let market: MarketplaceAgent = serde_json::from_value(market).expect("state parses");
+    market.units_sold(ItemId(1)) as usize
+}
+
 /// Buys under chaos must settle cleanly: a `Receipt` when the purchase
 /// went through, an `Error` when the MBA or marketplace was lost — never
-/// silence, and never a duplicated purchase.
+/// silence, and never a duplicated purchase, on either side: the
+/// marketplace sells exactly as many units as the buyer holds receipts.
 #[test]
 fn buys_under_chaos_settle_cleanly() {
     for seed in [101u64, 102, 103, 104] {
@@ -201,12 +215,29 @@ fn buys_under_chaos_settle_cleanly() {
         let crashable: Vec<HostId> = p.markets().iter().map(|m| m.host).collect();
         let plan = ChaosPlan::generate(seed, &ChaosConfig::new(HORIZON_US, links, crashable));
         p.install_chaos(&plan);
-        let responses = p.buy(
+        let market = p.markets()[0];
+        // without durability a crash of marketplace 0's host wipes its
+        // state, sales included: count them just before the first such
+        // crash, or at quiescence if the plan spares the host
+        let first_crash = plan
+            .events
+            .iter()
+            .filter(|e| matches!(e.fault, Fault::CrashHost { host } if host == market.host))
+            .map(|e| e.at_us)
+            .min();
+        p.submit_task(
             ConsumerId(1),
-            abcrm::ecp::merchandise::ItemId(1),
-            0,
-            abcrm::core::agents::msg::BuyMode::Direct,
+            ConsumerTask::Buy {
+                item: ItemId(1),
+                market,
+                mode: BuyMode::Direct,
+            },
         );
+        let sold_before_crash = first_crash.map(|at| {
+            p.world_mut().run_until(SimTime(at.saturating_sub(1)));
+            units_sold(&p)
+        });
+        let responses: Vec<ResponseBody> = p.run_and_drain().into_iter().map(|(_, r)| r).collect();
         assert_eq!(
             responses.len(),
             1,
@@ -225,6 +256,11 @@ fn buys_under_chaos_settle_cleanly() {
             receipts <= 1,
             "seed {seed}: chaos must never duplicate a purchase ({receipts} recorded); \
              repro plan: {plan}"
+        );
+        let sold = sold_before_crash.unwrap_or_else(|| units_sold(&p));
+        assert_eq!(
+            sold, receipts,
+            "seed {seed}: marketplace sales must equal the buyer's receipts; repro plan: {plan}"
         );
     }
 }

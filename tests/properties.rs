@@ -1084,7 +1084,7 @@ mod marketplace_replay {
     fn op_message(kind: u8, a: u64, b: u64, c: u64) -> Message {
         let item = ItemId(a + 1);
         let units = Money::from_units;
-        let intent = (b > 0).then(|| IntentId::new(AgentId(100 + b % 2), b));
+        let intent = IntentId::new(AgentId(100 + b % 2), b);
         match kind {
             0 => message(
                 kinds::CATALOG_SYNC,
@@ -1153,8 +1153,8 @@ mod marketplace_replay {
 
     proptest! {
         /// For any sequence of marketplace messages (catalog syncs, buys
-        /// with and without intents, negotiations, English, sealed and
-        /// Dutch auctions with their timers, and reads), the state the
+        /// under fresh, repeated and stale intents, negotiations, English,
+        /// sealed and Dutch auctions with their timers, and reads), the state the
         /// marketplace host recovers — the last checkpoint capsule plus a
         /// replay of the deltas logged since — equals the live
         /// marketplace the crash interrupted.

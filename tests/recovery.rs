@@ -78,10 +78,18 @@ fn units_sold(p: &Platform, item: ItemId) -> u32 {
     market.units_sold(item)
 }
 
-/// Probe run: drive the buy crash-free and report the sim-time of the
-/// first trace event whose label contains `marker`.
-fn probe_marker_with(seed: u64, retry: BackoffPolicy, marker: &str) -> SimTime {
-    let mut p = durable_platform_with(seed, retry);
+/// The durable platform's twin without durability.
+fn plain_platform(seed: u64) -> Platform {
+    Platform::builder(seed)
+        .marketplaces(listings())
+        .mba_timeout_us(2_000_000)
+        .bra_retry(BackoffPolicy::new(200_000, 1_600_000, 3))
+        .build()
+}
+
+/// Probe run: drive the buy crash-free on `p` and report the sim-time of
+/// the first trace event whose label contains `marker`.
+fn probe_marker_on(mut p: Platform, marker: &str) -> SimTime {
     p.login(CONSUMER);
     let task = buy_task(&p);
     p.submit_task(CONSUMER, task);
@@ -98,6 +106,10 @@ fn probe_marker_with(seed: u64, retry: BackoffPolicy, marker: &str) -> SimTime {
         .find(|e| e.label.contains(marker))
         .unwrap_or_else(|| panic!("marker {marker:?} not in probe trace"))
         .at
+}
+
+fn probe_marker_with(seed: u64, retry: BackoffPolicy, marker: &str) -> SimTime {
+    probe_marker_on(durable_platform_with(seed, retry), marker)
 }
 
 fn probe_marker(seed: u64, marker: &str) -> SimTime {
@@ -350,6 +362,44 @@ fn stage_post_commit_crash_recovers_receipt_from_ledger() {
     );
 }
 
+/// Without durability a buy settles through the same intent and ledger:
+/// a return trip lost after the sale is answered from the marketplace
+/// ledger, never by selling the item a second time.
+#[test]
+fn non_durable_lost_return_trip_sells_once() {
+    let seed = 404;
+    let at_market = probe_marker_on(plain_platform(seed), "fig4.3/step09");
+    let mut p = plain_platform(seed);
+    p.login(CONSUMER);
+    let market_host = p.markets()[0].host;
+    let buyer_host = p.buyer_host();
+    let task = buy_task(&p);
+    p.submit_task(CONSUMER, task);
+    // the MBA buys at the marketplace, then the link eats its trip home
+    p.world_mut().run_until(at_market);
+    p.world_mut().topology_mut().set_link_symmetric(
+        buyer_host,
+        market_host,
+        LinkSpec::lan().lossy(1.0),
+    );
+    p.world_mut().run_for(SimDuration::from_micros(100_000));
+    p.world_mut()
+        .topology_mut()
+        .set_link_symmetric(buyer_host, market_host, LinkSpec::lan());
+    let wave = p.run_and_drain();
+    assert_exactly_once(&p, &wave, "non-durable lost return trip");
+    match &wave[0].1 {
+        ResponseBody::Receipt { channel, .. } => assert!(
+            channel.contains("ledger"),
+            "the receipt must come from the ledger, not a second sale: {channel}"
+        ),
+        other => panic!("a committed sale must produce a receipt, got {other:?}"),
+    }
+    let m = p.world().metrics();
+    assert_eq!(m.intents_resolved_by_ledger, 1, "{m:?}");
+    assert_eq!(m.wal_records_appended, 0, "no journal without durability");
+}
+
 // ---------------------------------------------------------------------
 // stage 5: crash mid/after profile update (receipt delivered, learned
 // profile must survive via delta replay)
@@ -590,14 +640,7 @@ fn buyer_host_crash_with_batched_syncs_and_deadlines_answers_every_query_once() 
 #[test]
 fn durability_off_keeps_traces_byte_identical_and_counters_zero() {
     let seed = 707;
-    let build_plain = || {
-        Platform::builder(seed)
-            .marketplaces(listings())
-            .mba_timeout_us(2_000_000)
-            .bra_retry(BackoffPolicy::new(200_000, 1_600_000, 3))
-            .build()
-    };
-    let mut plain = build_plain();
+    let mut plain = plain_platform(seed);
     let mut durable = durable_platform(seed);
 
     for p in [&mut plain, &mut durable] {
@@ -630,21 +673,14 @@ fn durability_off_keeps_traces_byte_identical_and_counters_zero() {
     assert_eq!(pm.intents_resolved_by_ledger, 0);
     assert_eq!(pm.profile_deltas_logged, 0);
     assert_eq!(pm.profile_deltas_replayed, 0);
-    // …and the durable run matches it on every legacy counter. The one
-    // sanctioned difference besides the counters: a durable buy's MBA
-    // carries its intent id on the wire, so migrated capsules are a few
-    // bytes larger.
+    // …and the durable run matches it on every other counter: both runs
+    // buy under the same intent, so even the migrated bytes agree.
     let mut dm = durable.world().metrics().clone();
     dm.wal_records_appended = 0;
     dm.checkpoints = 0;
     dm.intents_logged = 0;
     dm.purchases_committed = 0;
     dm.profile_deltas_logged = 0;
-    assert!(
-        dm.migration_bytes >= pm.migration_bytes,
-        "the intent id only ever adds bytes"
-    );
-    dm.migration_bytes = pm.migration_bytes;
     assert_eq!(pm, dm, "durability must be invisible outside its counters");
 }
 
@@ -1083,7 +1119,6 @@ fn thread_outcome(seed: u64, workers: usize) -> OutcomeClass {
                     agent: market,
                 }],
                 mba_timeout_us: 400_000, // 0.4s real time on this runtime
-                durable: true,
                 ..BsmaConfig::default()
             })),
         )
