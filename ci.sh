@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, build, tier-1 tests, every member
-# crate's tests, perfbench's quick-mode checks, and tier-1 again with the
-# `parallel` feature. Run from the repo root; exits non-zero on the first
-# failure.
+# crate's tests, perfbench's quick-mode checks, and the smoke steps below.
+# Run from the repo root; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,8 +23,8 @@ filtered_test() {
 }
 
 # --shard-stress: loop the cross-runtime equivalence suite and the
-# multi-worker ThreadWorld tests 20x to shake out scheduling races in
-# the sharded/threaded paths, then exit. Does not run the normal gate.
+# ThreadWorld unit tests 20x to shake out scheduling races in the
+# sharded/threaded paths, then exit. Does not run the normal gate.
 # --query-stress: hammer the query tier — 10 iterations of the ANN
 # suite at 10^4 consumers plus the query-tier property tests (including
 # the re-rank kernel ≡ vector_similarity properties in core and the
@@ -41,20 +40,19 @@ filtered_test() {
 # store's tree-sharing and on-disk-format pins, the UserDB's
 # buyer-host crash recovery and its refusal of the old table-store
 # shape, and the constant-size state checks (PA UserDB, BSMA and
-# marketplace state size) 10x (the crash matrix on both feature sets,
-# so the sharded/threaded recovery paths get shaken too), then the full
-# E14 recovery series. Does not run the normal gate.
-# --resilience-stress: loop the self-healing suite 10x on both feature
-# sets — the 32-seed supervised chaos sweep, the DES ≡ ThreadWorld
-# failover/hang equivalence (real threads + wall-clock leases, the racy
-# part) and the file-WAL torn-tail properties — then the full E15
-# MTTR/overhead series. Does not run the normal gate.
+# marketplace state size) 10x (the crash matrix covers the
+# sharded/threaded recovery paths too), then the full E14 recovery
+# series. Does not run the normal gate.
+# --resilience-stress: loop the self-healing suite 10x — the 32-seed
+# supervised chaos sweep, the DES ≡ ThreadWorld failover/hang
+# equivalence (real threads + wall-clock leases, the racy part) and the
+# file-WAL torn-tail properties — then the full E15 MTTR/overhead
+# series. Does not run the normal gate.
 if [[ "${1:-}" == "--resilience-stress" ]]; then
-  echo "==> resilience stress (10x supervised sweep + runtime equivalence, both feature sets)"
+  echo "==> resilience stress (10x supervised sweep + runtime equivalence)"
   for i in $(seq 1 10); do
     echo "--- iteration $i/10 ---"
     cargo test -q --release --test resilience
-    cargo test -q --release --test resilience --features parallel
     cargo test -q --release -p simdb --test file_wal
   done
   echo "==> full E15 resilience series"
@@ -63,11 +61,10 @@ if [[ "${1:-}" == "--resilience-stress" ]]; then
   exit 0
 fi
 if [[ "${1:-}" == "--recovery-stress" ]]; then
-  echo "==> recovery stress (10x crash-point matrix + WAL properties, both feature sets)"
+  echo "==> recovery stress (10x crash-point matrix + WAL properties)"
   for i in $(seq 1 10); do
     echo "--- iteration $i/10 ---"
     cargo test -q --release --test recovery
-    cargo test -q --release --test recovery --features parallel
     filtered_test -q --release --test recovery marketplace_host_crash
     filtered_test -q --release --test recovery non_durable_lost_return_trip_sells_once
     filtered_test -q --release --test recovery durability_off_keeps_traces_byte_identical_and_counters_zero
@@ -110,11 +107,11 @@ if [[ "${1:-}" == "--query-stress" ]]; then
 fi
 
 if [[ "${1:-}" == "--shard-stress" ]]; then
-  echo "==> shard stress (20x cross-runtime equivalence + multi-worker thread tests)"
+  echo "==> shard stress (20x cross-runtime equivalence + threaded-runtime tests)"
   for i in $(seq 1 20); do
     echo "--- iteration $i/20 ---"
     filtered_test -q --test equivalence cross_runtime
-    filtered_test -q -p agentsim thread_net::tests::multi_worker
+    filtered_test -q -p agentsim thread_net::tests::threaded
     filtered_test -q -p agentsim thread_net::tests::dispose_while_deactivated
     filtered_test -q -p agentsim sim::tests::dispose_while_deactivated
   done
@@ -125,11 +122,8 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (default features)"
+echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone -D clippy::large_enum_variant -D clippy::dbg_macro -D clippy::needless_collect
-
-echo "==> cargo clippy (--features parallel)"
-cargo clippy --workspace --all-targets --features parallel -- -D warnings -D clippy::redundant_clone -D clippy::large_enum_variant -D clippy::dbg_macro -D clippy::needless_collect
 
 # The WAL layer must not panic on malformed durable input: hold
 # simdb to the stricter no-unwrap bar (its tests opt out locally).
@@ -164,9 +158,6 @@ cargo test -q --workspace
 echo "==> perfbench quick-mode checks"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test --features parallel"
-cargo test -q --features parallel
-
 # Chaos seed sweep: quick mode pins an 8-seed threaded matrix (the DES
 # side always runs all 32 seeds); CHAOS_FULL=1 widens the threaded
 # matrix to 32. Failures print the offending (seed, plan) JSON line —
@@ -199,12 +190,10 @@ for n in 1 2 4; do
 done
 
 # ANN smoke: oracle equivalence, bit-identical scores and the 0.95
-# recall floor at 10^4 consumers, on both feature sets — plus the
-# allocation gate on warm queries from every source — bounded cosine,
+# recall floor at 10^4 consumers — plus the allocation gate on warm queries from every source — bounded cosine,
 # LSH, Pearson union (top-k heap only, whatever the candidate count).
-echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users, both feature sets)"
+echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users)"
 ANN_USERS=10000 cargo test -q --release --test ann
-ANN_USERS=10000 cargo test -q --release --test ann --features parallel
 cargo bench -p bench --bench query_hot_path -- --assert-no-alloc
 
 echo "==> bench smoke (quick mode; includes telemetry-overhead gate)"
@@ -220,20 +209,18 @@ cargo test -q --test overload
 
 # Recovery smoke: the crash-point matrix (every stage of the Fig 4.3
 # buy, ledger resolution, byte-identity with durability off, sharded
-# crash at 1/2/4 shards, DES ≡ ThreadWorld outcome classes) on both
-# feature sets, plus the quick E14 recovery-cost series.
-echo "==> recovery smoke (crash-point matrix, both feature sets + quick E14 series)"
+# crash at 1/2/4 shards, DES ≡ ThreadWorld outcome classes), plus the
+# quick E14 recovery-cost series.
+echo "==> recovery smoke (crash-point matrix + quick E14 series)"
 cargo test -q --test recovery
-cargo test -q --test recovery --features parallel
 RECOVERY_BENCH_QUICK=1 cargo bench -p bench --bench recovery
 
 # Resilience smoke: self-healing supervision (unarmed byte-identity,
 # the 32-seed supervised sweep with zero manual restarts, crash
 # failover, hang bouncing, quarantine, DES ≡ ThreadWorld outcome
-# classes) on both feature sets, plus the quick E15 MTTR series.
-echo "==> resilience smoke (self-healing suite, both feature sets + quick E15 series)"
+# classes), plus the quick E15 MTTR series.
+echo "==> resilience smoke (self-healing suite + quick E15 series)"
 cargo test -q --test resilience
-cargo test -q --test resilience --features parallel
 RESILIENCE_BENCH_QUICK=1 cargo bench -p bench --bench resilience
 
 echo "CI green."

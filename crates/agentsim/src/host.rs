@@ -13,7 +13,7 @@
 //! id allocation, the agent directory, the metric/trace/telemetry sinks,
 //! and the effects that leave the host (send a message, arm a timer, ship
 //! a capsule, re-deliver parked mail, route an operation to the agent's
-//! owner). [`crate::sim::SimWorld`] and [`crate::thread_net::ThreadWorld`]
+//! host). [`crate::sim::SimWorld`] and [`crate::thread_net::ThreadWorld`]
 //! are schedulers around it, the way aika's `World` keeps its agents apart
 //! from the event clock and the messenger.
 
@@ -68,7 +68,7 @@ pub(crate) enum Reach {
     Unknown,
 }
 
-/// A lifecycle operation handed to the core that owns the agent.
+/// A lifecycle operation handed to the host that holds the agent.
 pub(crate) enum Routed {
     /// Install a freshly created (or cloned) agent and run its birth
     /// callback.
@@ -87,7 +87,7 @@ pub(crate) enum Routed {
 }
 
 impl Routed {
-    /// The agent the operation is about (it decides the owning core).
+    /// The agent the operation is about.
     pub(crate) fn agent(&self) -> AgentId {
         match self {
             Routed::Create { id, .. } | Routed::Retract { id, .. } => *id,
@@ -115,16 +115,6 @@ pub(crate) trait HostEnv {
     fn home_of(&self, id: AgentId) -> Option<HostId>;
     /// Record the home host of `id`.
     fn set_home(&mut self, id: AgentId, home: HostId);
-    /// Whether this core is the one that runs `id` on its host. A host
-    /// split over several cores owns each agent on exactly one of them.
-    fn owns(&self, _id: AgentId) -> bool {
-        true
-    }
-    /// Whether this core speaks for its whole host (host-level counters
-    /// and trace lines) rather than for one slice of it.
-    fn lead(&self) -> bool {
-        true
-    }
     /// Whether a dispatch from `from` to `dest` can leave.
     fn reach(&self, from: HostId, dest: HostId) -> Reach;
     /// Whether `host` is crashed.
@@ -150,7 +140,7 @@ pub(crate) trait HostEnv {
     fn redeliver(&mut self, host: HostId, msg: Message);
     /// Deliver a message the mailbox already admitted and just released.
     fn release(&mut self, msg: Message);
-    /// Hand `op` to the core of `host` that owns its agent.
+    /// Hand `op` to the core of `host`.
     fn route(&mut self, host: HostId, op: Routed);
     /// Release a callback's emitted payloads to `actor`'s outbox.
     fn emit(&mut self, actor: AgentId, payloads: Vec<Payload>);
@@ -551,29 +541,22 @@ impl HostCore {
     }
 
     /// Apply an agent's lifecycle request about `op.agent()`. An agent this
-    /// host holds is handled here; one the directory places on this host
-    /// but in another core is routed to that core; a retract follows the
-    /// agent to any host; anything else is ignored with a trace line.
+    /// host holds is handled here; a retract follows the agent to any
+    /// host; anything else is ignored with a trace line.
     fn lifecycle<E: HostEnv>(&mut self, env: &mut E, actor: AgentId, op: Routed) {
         let id = op.agent();
         let held = self.active.contains_key(&id) || self.store.contains(id);
-        if !held {
-            match (env.locate(id), &op) {
-                (Some(Location::Active(at)), Routed::Retract { .. }) if at != self.id => {
+        if !held && matches!(op, Routed::Retract { .. }) {
+            if let Some(Location::Active(at)) = env.locate(id) {
+                if at != self.id {
                     return env.route(at, op);
                 }
-                (Some(Location::Active(at) | Location::Deactivated(at)), _)
-                    if at == self.id && !env.owns(id) =>
-                {
-                    return env.route(at, op);
-                }
-                _ => {}
             }
         }
         self.handle(env, actor, op);
     }
 
-    /// Apply `op` to an agent of this core (`actor` asked for it).
+    /// Apply `op` to an agent of this host (`actor` asked for it).
     pub(crate) fn handle<E: HostEnv>(&mut self, env: &mut E, actor: AgentId, op: Routed) {
         let host = self.id;
         match op {
@@ -625,7 +608,7 @@ impl HostCore {
     }
 
     /// Register a new agent born on this host (from an action, or from
-    /// outside the world) and hand it to the core that owns it.
+    /// outside the world) and run its birth callback.
     pub(crate) fn install<E: HostEnv>(
         &mut self,
         env: &mut E,
@@ -635,12 +618,8 @@ impl HostCore {
     ) {
         env.set_location(id, Some(Location::Active(self.id)));
         env.set_home(id, self.id);
-        if env.owns(id) {
-            let parent = self.current_trace;
-            self.land_new(env, id, agent, parent, cloned);
-        } else {
-            env.route(self.id, Routed::Create { id, agent, cloned });
-        }
+        let parent = self.current_trace;
+        self.land_new(env, id, agent, parent, cloned);
     }
 
     /// Activate a new agent here and run `on_creation` (or `on_clone`).
@@ -1015,11 +994,8 @@ impl HostCore {
             return;
         };
         {
-            let lead = env.lead();
             let mut m = env.metrics();
-            if lead {
-                m.hosts_recovered += 1;
-            }
+            m.hosts_recovered += 1;
             m.wal_records_replayed += recovered.replayed as u64;
         }
         let mut restored_active: Vec<AgentId> = Vec::new();
@@ -1068,15 +1044,13 @@ impl HostCore {
             restored += 1;
         }
         env.metrics().agents_recovered += restored;
-        if env.lead() || restored > 0 {
-            env.record(
-                None,
-                format!(
-                    "recovery: {host} replayed {} wal records, restored {restored} agents",
-                    recovered.replayed
-                ),
-            );
-        }
+        env.record(
+            None,
+            format!(
+                "recovery: {host} replayed {} wal records, restored {restored} agents",
+                recovered.replayed
+            ),
+        );
         restored_active.sort_unstable();
         for id in restored_active {
             let deltas = recovered.state.deltas_for(id.0);

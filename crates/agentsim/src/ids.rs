@@ -66,7 +66,7 @@ impl From<u64> for MessageId {
 
 /// Finalizer of the splitmix64 generator: a cheap, well-mixed 64-bit hash.
 ///
-/// Used for consistent shard/worker routing so that the same agent id always
+/// Used for consistent shard routing so that the same agent id always
 /// lands on the same shard regardless of insertion order or map iteration.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

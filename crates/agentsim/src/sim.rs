@@ -243,9 +243,6 @@ pub struct SimWorld {
     /// Bounded-mailbox state, present after [`SimWorld::set_mailbox`].
     /// `None` keeps the unbounded pre-overload behaviour byte-identical.
     mailbox: Option<MailboxState>,
-    /// Deadline budget minted for every [`SimWorld::send_external`]
-    /// request, if configured.
-    ingress_deadline: Option<SimDuration>,
     /// This world's shard index (0 in unsharded worlds); stamped onto every
     /// scheduled event as the middle component of the ordering key.
     shard: u16,
@@ -296,7 +293,6 @@ impl SimWorld {
             chaos: None,
             telemetry: Telemetry::new(),
             mailbox: None,
-            ingress_deadline: None,
             shard: 0,
             boundary: None,
             durability: None,
@@ -381,13 +377,6 @@ impl SimWorld {
             .map_or(0, MailboxState::max_depth_seen)
     }
 
-    /// Mint an absolute deadline of `now + budget` on every request
-    /// injected via [`SimWorld::send_external`]. `None` (the default)
-    /// leaves requests deadline-free.
-    pub fn set_ingress_deadline(&mut self, budget: Option<SimDuration>) {
-        self.ingress_deadline = budget;
-    }
-
     /// Register a host and return its id.
     pub fn add_host(&mut self, name: impl Into<String>) -> HostId {
         let id = HostId(self.next_host_id);
@@ -469,7 +458,6 @@ impl SimWorld {
         } else {
             None
         };
-        msg.deadline = self.ingress_deadline.map(|budget| self.now + budget);
         let id = msg.id;
         let delay = self.topology.local_delay();
         let at = self.now + delay;

@@ -44,58 +44,24 @@ enum Envelope {
     Deliver(Message),
     Arrive(AgentCapsule),
     Timer(Timer),
-    /// A lifecycle operation for the agent's owning worker (external
-    /// create, admin calls, and forwards from sibling workers or hosts).
+    /// A lifecycle operation for an agent of the host (external create,
+    /// admin calls, and retracts forwarded from other hosts).
     Routed(Routed),
     /// Chaos: wipe the host's agents and stores (the crash itself; the
-    /// unreachability flag lives in [`Shared::chaos`]). Broadcast to every
-    /// worker of the host.
+    /// unreachability flag lives in [`Shared::chaos`]).
     AdminCrash,
     /// Chaos: the host restarted — trace it and run the durable recovery
-    /// pass (a no-op without durability). Broadcast to every worker of the
-    /// host.
+    /// pass (a no-op without durability).
     AdminRestart,
     /// Chaos: the host's hang cleared (heal or supervisor bounce) — replay
-    /// every stalled envelope. Broadcast to every worker of the host.
+    /// every stalled envelope.
     AdminResume,
     Shutdown,
 }
 
-impl Envelope {
-    /// The agent that decides which worker of a host handles this
-    /// envelope; `None` means broadcast to every worker.
-    fn routing_agent(&self) -> Option<AgentId> {
-        match self {
-            Envelope::Deliver(msg) => Some(msg.to),
-            Envelope::Arrive(capsule) => Some(capsule.id),
-            Envelope::Timer(timer) => Some(timer.agent),
-            Envelope::Routed(op) => Some(op.agent()),
-            Envelope::AdminCrash
-            | Envelope::AdminRestart
-            | Envelope::AdminResume
-            | Envelope::Shutdown => None,
-        }
-    }
-
-    /// A per-worker copy of a broadcast envelope. Only the unit-like
-    /// admin broadcasts can be duplicated (agent-carrying envelopes are
-    /// single-destination by construction).
-    fn broadcast_copy(&self) -> Option<Envelope> {
-        match self {
-            Envelope::AdminCrash => Some(Envelope::AdminCrash),
-            Envelope::AdminRestart => Some(Envelope::AdminRestart),
-            Envelope::AdminResume => Some(Envelope::AdminResume),
-            _ => None,
-        }
-    }
-}
-
 struct Shared {
-    /// One sender per worker thread of each host. Envelopes route to
-    /// `shard_of(routing_agent, workers)`; broadcasts go to every worker.
-    routes: Mutex<HashMap<HostId, Vec<Sender<Envelope>>>>,
-    /// Worker threads per host (1 = the classic one-thread-per-host mode).
-    workers: usize,
+    /// The sender of each host's worker thread.
+    routes: Mutex<HashMap<HostId, Sender<Envelope>>>,
     locations: Mutex<HashMap<AgentId, HostId>>,
     homes: Mutex<HashMap<AgentId, HostId>>,
     in_flight: AtomicI64,
@@ -122,8 +88,8 @@ struct Shared {
     mailbox: Mutex<MailboxState>,
     /// Messages held for deactivated agents, per agent (diagnostics).
     parked: Mutex<HashMap<AgentId, usize>>,
-    /// Durability configuration; each worker of each host carries its own
-    /// [`DurableStore`] for the agents it owns. `None` = durability off.
+    /// Durability configuration; each host's worker carries its own
+    /// [`DurableStore`]. `None` = durability off.
     durability: Option<DurabilityConfig>,
     /// Self-healing supervision policy engine, shared between the API
     /// surface (crash/hang observations) and the dedicated supervisor
@@ -134,9 +100,6 @@ struct Shared {
     /// Payloads agents emitted, per emitting agent, in emit order, until
     /// [`ThreadWorld::take_outbox`] takes them (the DES world's outbox).
     outbox: Mutex<HashMap<AgentId, Vec<Payload>>>,
-    /// Crash broadcasts some workers of a host have not handled yet, per
-    /// (host, crash round): workers done and agents they lost so far.
-    crash_rounds: Mutex<HashMap<(HostId, u64), (usize, usize)>>,
 }
 
 impl Shared {
@@ -168,39 +131,11 @@ impl Shared {
         self.chaos_on.load(Ordering::Relaxed) && self.chaos.lock().crashed.contains(&host)
     }
 
-    /// Which worker of a host owns `agent`. Stable for an agent's whole
-    /// lifetime, so per-worker state (store, permits, authenticator)
-    /// always sees the same agent on the same thread.
-    fn worker_of(&self, agent: AgentId) -> usize {
-        crate::ids::shard_of(agent, self.workers)
-    }
-
     fn send_envelope(&self, host: HostId, env: Envelope) -> bool {
         let routes = self.routes.lock();
-        if let Some(txs) = routes.get(&host) {
-            let worker = match env.routing_agent() {
-                Some(agent) => self.worker_of(agent),
-                None => {
-                    // Broadcast (crash/restart): every worker handles its
-                    // own slice of the host.
-                    let mut ok = false;
-                    for tx in txs.iter() {
-                        let Some(copy) = env.broadcast_copy() else {
-                            debug_assert!(false, "non-broadcastable envelope routed as broadcast");
-                            return false;
-                        };
-                        self.in_flight.fetch_add(1, Ordering::SeqCst);
-                        if tx.send(copy).is_ok() {
-                            ok = true;
-                        } else {
-                            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    return ok;
-                }
-            };
+        if let Some(tx) = routes.get(&host) {
             self.in_flight.fetch_add(1, Ordering::SeqCst);
-            if txs[worker].send(env).is_ok() {
+            if tx.send(env).is_ok() {
                 return true;
             }
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -268,7 +203,6 @@ pub struct ThreadWorldBuilder {
     host_names: Vec<String>,
     telemetry: bool,
     mailbox: Option<MailboxConfig>,
-    workers: usize,
     durability: Option<DurabilityConfig>,
     supervision: Option<SupervisionConfig>,
 }
@@ -282,13 +216,12 @@ impl ThreadWorldBuilder {
             host_names: Vec::new(),
             telemetry: false,
             mailbox: None,
-            workers: 1,
             durability: None,
             supervision: None,
         }
     }
 
-    /// Give every host worker a WAL-backed [`DurableStore`] so
+    /// Give every host a WAL-backed [`DurableStore`] so
     /// [`ThreadWorld::restart_host`] recovers journalled agents, purchase
     /// records and profile deltas. Off by default (zero cost).
     pub fn durability(&mut self, cfg: DurabilityConfig) -> &mut Self {
@@ -299,21 +232,11 @@ impl ThreadWorldBuilder {
     /// Turn on the self-healing supervision layer: a dedicated supervisor
     /// thread runs the failure detector over wall time, automatically
     /// restarting crashed hosts (durable recovery on the respawned
-    /// workers), bouncing hung hosts, and quarantining crash-looping
+    /// worker), bouncing hung hosts, and quarantining crash-looping
     /// agents. Off by default (no extra thread, byte-identical behaviour,
     /// all supervision counters zero).
     pub fn supervision(&mut self, cfg: SupervisionConfig) -> &mut Self {
         self.supervision = Some(cfg);
-        self
-    }
-
-    /// Run each host on `n` worker threads instead of one (clamped to at
-    /// least 1). Agents are sharded across a host's workers by id hash
-    /// ([`crate::ids::shard_of`]), so each agent always runs on the same
-    /// thread; envelopes route by their target agent. The default of 1 is
-    /// exactly the classic one-thread-per-host runtime.
-    pub fn workers(&mut self, n: usize) -> &mut Self {
-        self.workers = n.max(1);
         self
     }
 
@@ -353,12 +276,11 @@ impl ThreadWorldBuilder {
         HostId(self.host_names.len() as u32)
     }
 
-    /// Spawn the worker threads (one per host per configured worker) and
-    /// return the running world.
+    /// Spawn the worker threads (one per host) and return the running
+    /// world.
     pub fn start(self) -> ThreadWorld {
         let shared = Arc::new(Shared {
             routes: Mutex::new(HashMap::new()),
-            workers: self.workers,
             locations: Mutex::new(HashMap::new()),
             homes: Mutex::new(HashMap::new()),
             in_flight: AtomicI64::new(0),
@@ -385,30 +307,17 @@ impl ThreadWorldBuilder {
             supervision: self.supervision.map(|cfg| Mutex::new(Supervisor::new(cfg))),
             supervisor_stop: AtomicBool::new(false),
             outbox: Mutex::new(HashMap::new()),
-            crash_rounds: Mutex::new(HashMap::new()),
         });
         let mut handles = Vec::new();
         let mut hosts = Vec::new();
         for (i, _name) in self.host_names.iter().enumerate() {
             let id = HostId(i as u32 + 1);
             hosts.push(id);
-            let base_seed = self.seed.wrapping_add(i as u64 + 1);
-            let mut txs = Vec::with_capacity(self.workers);
-            for w in 0..self.workers {
-                let (tx, rx) = unbounded();
-                txs.push(tx);
-                let shared2 = Arc::clone(&shared);
-                // Worker 0 keeps the classic per-host seed so a 1-worker
-                // world reproduces the old runtime exactly; extra workers
-                // mix in their index.
-                let seed = if w == 0 {
-                    base_seed
-                } else {
-                    base_seed ^ crate::ids::splitmix64(w as u64)
-                };
-                handles.push(thread::spawn(move || host_loop(id, w, seed, rx, shared2)));
-            }
-            shared.routes.lock().insert(id, txs);
+            let seed = self.seed.wrapping_add(i as u64 + 1);
+            let (tx, rx) = unbounded();
+            let shared2 = Arc::clone(&shared);
+            handles.push(thread::spawn(move || host_loop(id, seed, rx, shared2)));
+            shared.routes.lock().insert(id, tx);
         }
         if shared.supervision.is_some() {
             let shared2 = Arc::clone(&shared);
@@ -600,11 +509,10 @@ impl ThreadWorld {
         Ok(())
     }
 
-    /// Bring a crashed host back up (empty, but reachable again): every
-    /// worker of the host is told, the lead one traces
-    /// `chaos: <host> restarted`, and each runs the recovery pass over its
-    /// durable store, if durability is configured — journalled agents are
-    /// restored and handed their logged profile deltas via
+    /// Bring a crashed host back up (empty, but reachable again): its
+    /// worker traces `chaos: <host> restarted` and runs the recovery pass
+    /// over its durable store, if durability is configured — journalled
+    /// agents are restored and handed their logged profile deltas via
     /// [`Agent::on_recovered`].
     ///
     /// # Errors
@@ -667,7 +575,7 @@ impl ThreadWorld {
         if !self.hosts.contains(&host) {
             return Err(PlatformError::UnknownHost(host));
         }
-        // Clear the knob before broadcasting the resume so the replayed
+        // Clear the knob before sending the resume so the replayed
         // envelopes are not parked again.
         let was_hung = self.shared.chaos.lock().hung.remove(&host);
         if was_hung {
@@ -744,10 +652,8 @@ impl ThreadWorld {
         self.shared.supervisor_stop.store(true, Ordering::SeqCst);
         {
             let routes = self.shared.routes.lock();
-            for txs in routes.values() {
-                for tx in txs {
-                    let _ = tx.send(Envelope::Shutdown);
-                }
+            for tx in routes.values() {
+                let _ = tx.send(Envelope::Shutdown);
             }
         }
         for handle in self.handles {
@@ -828,14 +734,10 @@ impl fmt::Display for StallDiagnostic {
     }
 }
 
-/// One worker thread's side of a host: the [`HostEnv`] its core runs
-/// against.
+/// A host's worker thread: the [`HostEnv`] its core runs against.
 struct Worker {
     shared: Arc<Shared>,
     host: HostId,
-    /// This thread's worker index within the host (always 0 in the
-    /// classic 1-worker mode).
-    index: usize,
     rng: StdRng,
     /// Local id allocation window fetched in batches from the shared
     /// counter so `Ctx` keeps its simple `&mut u64` interface.
@@ -848,25 +750,21 @@ struct Worker {
     /// in-flight slot so `run_until_idle` blocks through the hang. Drained
     /// (replayed) by [`Envelope::AdminResume`], dropped by a crash.
     stalled: Vec<Envelope>,
-    /// Crash broadcasts this worker has handled.
-    crash_round: u64,
 }
 
 const ID_BATCH: u64 = 1 << 16;
 
-fn host_loop(id: HostId, worker: usize, seed: u64, rx: Receiver<Envelope>, shared: Arc<Shared>) {
+fn host_loop(id: HostId, seed: u64, rx: Receiver<Envelope>, shared: Arc<Shared>) {
     let durable = shared.durability.map(DurableStore::new);
     let mut core = HostCore::new(id, seed ^ 0x5ee5_ee5e, durable);
     let mut w = Worker {
         shared,
         host: id,
-        index: worker,
         rng: StdRng::seed_from_u64(seed),
         id_cursor: 0,
         id_end: 0,
         seen: HashSet::new(),
         stalled: Vec::new(),
-        crash_round: 0,
     };
     while let Ok(env) = rx.recv() {
         if matches!(env, Envelope::Shutdown) {
@@ -880,7 +778,7 @@ fn host_loop(id: HostId, worker: usize, seed: u64, rx: Receiver<Envelope>, share
 
 /// Dedicated supervisor thread: runs the failure detector over wall time
 /// and executes its verdicts — automatic restart of crashed hosts (the
-/// workers never died, so a worker respawn is a broadcast
+/// worker never died, so a worker respawn is an
 /// [`Envelope::AdminRestart`] recovery pass), bouncing of hung hosts, and
 /// the suspected-host bookkeeping in between. Exits when
 /// [`Shared::supervisor_stop`] is raised at shutdown.
@@ -1011,39 +909,19 @@ impl Worker {
                         .fetch_sub(stalled.len() as i64, Ordering::SeqCst);
                 }
                 let lost = core.crash(self);
-                // The crash is broadcast to every worker of the host but
-                // is one event: the last worker to wipe its agents traces
-                // it with the host-wide count, as the DES world does.
-                self.crash_round += 1;
-                let host_lost = {
-                    let mut rounds = shared.crash_rounds.lock();
-                    let key = (self.host, self.crash_round);
-                    let round = rounds.entry(key).or_default();
-                    round.0 += 1;
-                    round.1 += lost;
-                    let total = round.1;
-                    (round.0 == shared.workers).then(|| {
-                        rounds.remove(&key);
-                        total
-                    })
-                };
-                if let Some(total) = host_lost {
-                    shared.metrics.lock().host_crashes += 1;
-                    self.record(
-                        None,
-                        format!("chaos: {} crashed ({total} agents lost)", self.host),
-                    );
-                }
+                shared.metrics.lock().host_crashes += 1;
+                self.record(
+                    None,
+                    format!("chaos: {} crashed ({lost} agents lost)", self.host),
+                );
             }
             Envelope::AdminRestart => {
-                if self.lead() {
-                    self.record(None, format!("chaos: {} restarted", self.host));
-                }
+                self.record(None, format!("chaos: {} restarted", self.host));
                 core.recover(self);
             }
             Envelope::AdminResume => {
                 let stalled = std::mem::take(&mut self.stalled);
-                if self.lead() && !stalled.is_empty() {
+                if !stalled.is_empty() {
                     self.record(
                         None,
                         format!(
@@ -1113,14 +991,6 @@ impl HostEnv for Worker {
 
     fn set_home(&mut self, id: AgentId, home: HostId) {
         self.shared.homes.lock().insert(id, home);
-    }
-
-    fn owns(&self, id: AgentId) -> bool {
-        self.shared.worker_of(id) == self.index
-    }
-
-    fn lead(&self) -> bool {
-        self.index == 0
     }
 
     fn reach(&self, from: HostId, dest: HostId) -> Reach {
@@ -1518,8 +1388,6 @@ mod tests {
                 ctx.deactivate(self.target);
             } else if msg.is("scrap") {
                 ctx.dispose(self.target);
-            } else if msg.is("wake") {
-                ctx.activate(self.target);
             }
         }
     }
@@ -1558,103 +1426,5 @@ mod tests {
             metrics.messages_dead_lettered, 2,
             "parked messages dead-letter on dispose instead of leaking"
         );
-    }
-
-    #[test]
-    fn multi_worker_world_migrates_and_authenticates() {
-        let mut builder = ThreadWorldBuilder::new(31);
-        builder.workers(4);
-        builder.register_serde::<Hopper>("hopper");
-        let a = builder.add_host("a");
-        let b = builder.add_host("b");
-        let world = builder.start();
-        let mut ids = Vec::new();
-        for _ in 0..16 {
-            ids.push(world.create_agent(a, Box::new(Hopper::default())).unwrap());
-        }
-        for id in &ids {
-            world
-                .send_external(*id, Message::new("hop").with_payload(&b.0).unwrap())
-                .unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        for id in &ids {
-            world
-                .send_external(*id, Message::new("hop").with_payload(&a.0).unwrap())
-                .unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        let (metrics, _) = world.shutdown();
-        assert_eq!(metrics.migrations, 32, "out and home for all 16");
-        assert_eq!(
-            metrics.migrations_rejected, 0,
-            "permits verify on the worker that issued them"
-        );
-        assert_eq!(metrics.messages_dead_lettered, 0);
-    }
-
-    #[test]
-    fn multi_worker_clone_lands_on_its_owning_worker() {
-        let mut builder = ThreadWorldBuilder::new(37);
-        builder.workers(4);
-        builder.register_serde::<Mitosis>("mitosis");
-        let a = builder.add_host("a");
-        let world = builder.start();
-        let mut cells = Vec::new();
-        for _ in 0..8 {
-            cells.push(world.create_agent(a, Box::new(Mitosis::default())).unwrap());
-        }
-        for cell in &cells {
-            world.send_external(*cell, Message::new("divide")).unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        let (metrics, trace) = world.shutdown();
-        assert_eq!(metrics.agents_created, 16, "8 originals + 8 clones");
-        assert_eq!(
-            trace
-                .events()
-                .iter()
-                .filter(|e| e.label.contains("clone born at generation 1"))
-                .count(),
-            8,
-            "every clone ran on_clone wherever its id hashed to"
-        );
-    }
-
-    #[test]
-    fn multi_worker_admin_cycle_reaches_sibling_workers() {
-        let mut builder = ThreadWorldBuilder::new(41);
-        builder.workers(4);
-        builder.register_serde::<Hopper>("hopper");
-        builder.register_serde::<Janitor>("janitor");
-        let a = builder.add_host("a");
-        let world = builder.start();
-        // Enough targets that some land on a different worker than their
-        // janitor — that's the code path under test.
-        let mut pairs = Vec::new();
-        for _ in 0..8 {
-            let h = world.create_agent(a, Box::new(Hopper::default())).unwrap();
-            let j = world
-                .create_agent(a, Box::new(Janitor { target: h }))
-                .unwrap();
-            pairs.push((h, j));
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        for (_, j) in &pairs {
-            world.send_external(*j, Message::new("hibernate")).unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        for (_, j) in &pairs {
-            world.send_external(*j, Message::new("wake")).unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        for (_, j) in &pairs {
-            world.send_external(*j, Message::new("scrap")).unwrap();
-        }
-        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
-        let (metrics, _) = world.shutdown();
-        assert_eq!(metrics.deactivations, 8);
-        assert_eq!(metrics.activations, 8);
-        assert_eq!(metrics.agents_disposed, 8);
     }
 }

@@ -33,8 +33,7 @@
 //! * [`rerank`] — the kernel: the target's row is scattered once into a
 //!   vocabulary-indexed weight array, then each candidate is scored in
 //!   one linear pass over its slot row (no map lookups, no string
-//!   compares, no per-candidate allocation), composing with the
-//!   `parallel` feature's deterministic block fan-out. Rows are in term
+//!   compares, no per-candidate allocation). Rows are in term
 //!   order, so shared terms come out in the order
 //!   [`crate::similarity::vector_similarity`] visits them and one
 //!   [`crate::similarity::measure`] sums them: every score, from any
@@ -554,13 +553,6 @@ pub(crate) fn bounded_cosine(
     (best.into_sorted(), scored)
 }
 
-/// Under the `parallel` feature, candidate lists of at least four blocks
-/// of this many slots fan out across cores and concatenate in block
-/// order (deterministic merge, same recipe as
-/// [`crate::index::par_map`]).
-#[cfg(feature = "parallel")]
-const RERANK_BLOCK: usize = 64;
-
 /// Score the candidates left in `scratch` (by [`exact_candidates`] or
 /// [`LshIndex::candidates`]) against the `target` slot, applying the full
 /// [`SimilarityConfig`] semantics (discard threshold, `min_overlap`,
@@ -572,7 +564,7 @@ const RERANK_BLOCK: usize = 64;
 /// vocabulary-indexed weight array (and cleared again afterwards); a
 /// candidate then costs one pass over its own row, reading the target
 /// weight of each of its terms by index. Scores stream into the top-k
-/// heap, so the sequential path allocates only that heap and the result.
+/// heap, so a query allocates only that heap and the result.
 pub(crate) fn rerank(
     index: &ProfileIndex,
     target: u32,
@@ -630,25 +622,13 @@ fn score_candidates(
     k: usize,
 ) -> Vec<(u64, f64)> {
     let norms = index.norms();
-    let score = |slot: &u32, shared: &mut Vec<(f64, f64)>| -> Option<(u64, f64)> {
-        let row = index.row(*slot);
-        let pair = (target_norm, norms[*slot as usize]);
+    let scored = candidates.iter().filter_map(|&slot| {
+        let row = index.row(slot);
+        let pair = (target_norm, norms[slot as usize]);
         let s = score_scattered(target, weights, row, pair, config, shared);
         (s > config.neighbour_floor).then_some((row.id, s))
-    };
-    #[cfg(feature = "parallel")]
-    if candidates.len() >= 4 * RERANK_BLOCK {
-        let blocks: Vec<&[u32]> = candidates.chunks(RERANK_BLOCK).collect();
-        let scored = crate::index::par_map(&blocks, |block| {
-            let mut shared = Vec::new();
-            block
-                .iter()
-                .filter_map(|slot| score(slot, &mut shared))
-                .collect::<Vec<_>>()
-        });
-        return top_k(scored.into_iter().flatten(), k);
-    }
-    top_k(candidates.iter().filter_map(|slot| score(slot, shared)), k)
+    });
+    top_k(scored, k)
 }
 
 /// One candidate row scored against the target scattered into

@@ -557,37 +557,6 @@ pub(crate) fn top_k(scored: impl IntoIterator<Item = (u64, f64)>, k: usize) -> V
     best.into_sorted()
 }
 
-/// Map `f` over `items` on all available cores, preserving order — the
-/// result is element-for-element identical to `items.iter().map(f)`.
-/// Chunks are scored independently and concatenated in chunk order, so
-/// the merge is deterministic.
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            out.extend(handle.join().expect("par_map worker panicked"));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,15 +809,5 @@ mod tests {
         index.update(4, &profile(&[("b", "p", "x", 0.5)]));
         assert_postings_match_rows(&index);
         assert_eq!(index.posting(x).weights, vec![0.5, 3.0]);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        assert_eq!(par_map(&items, |x| x * 3 + 1), seq);
-        let empty: Vec<u64> = Vec::new();
-        assert!(par_map(&empty, |x| *x).is_empty());
     }
 }

@@ -372,7 +372,7 @@ impl HybridRecommender {
             1.0
         };
         let cw = self.collaborative_weight.clamp(0.0, 1.0);
-        let score_one = |m: &&Merchandise| {
+        let score_one = |m: &Merchandise| {
             let collaborative = if cold {
                 store.units_sold(m.id) as f64 / max_sales
             } else {
@@ -388,15 +388,7 @@ impl HybridRecommender {
             let score = cw * collaborative + (1.0 - cw) * content;
             Recommendation { item: m.id, score }
         };
-        // Candidate scoring is pure per item, so fanning it out over
-        // cores and concatenating in chunk order is byte-identical to
-        // the sequential map.
-        let pool: Vec<&Merchandise> = candidates(store, user, context).collect();
-        #[cfg(feature = "parallel")]
-        if pool.len() >= 256 {
-            return rank(crate::index::par_map(&pool, score_one), k);
-        }
-        let scored = pool.iter().map(score_one).collect();
+        let scored = candidates(store, user, context).map(score_one).collect();
         rank(scored, k)
     }
 }

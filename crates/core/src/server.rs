@@ -18,7 +18,7 @@ use crate::agents::msg::{
 };
 use crate::agents::{register_all, Bsma, BsmaConfig};
 use crate::breaker::BreakerConfig;
-use crate::learning::{BehaviorKind, LearnerConfig};
+use crate::learning::BehaviorKind;
 use crate::profile::ConsumerId;
 use crate::retry::BackoffPolicy;
 use crate::similarity::SimilarityConfig;
@@ -27,7 +27,6 @@ use agentsim::clock::SimDuration;
 use agentsim::durable::DurabilityConfig;
 use agentsim::ids::{AgentId, HostId};
 use agentsim::message::Message;
-use agentsim::net::Topology;
 use agentsim::overload::MailboxConfig;
 use agentsim::shard::ShardedSimWorld;
 use agentsim::sim::SimWorld;
@@ -45,13 +44,9 @@ use std::marker::PhantomData;
 pub struct PlatformBuilder<S = Single> {
     seed: u64,
     shards: usize,
-    topology: Topology,
     listings_per_market: Vec<Vec<Listing>>,
-    learner: LearnerConfig,
     similarity: SimilarityConfig,
-    collaborative_weight: f64,
     mba_timeout_us: u64,
-    watch_retries: u32,
     bra_retry: BackoffPolicy,
     telemetry: bool,
     admission: Option<AdmissionConfig>,
@@ -91,13 +86,9 @@ impl<S> PlatformBuilder<S> {
         PlatformBuilder {
             seed,
             shards: shards.max(1),
-            topology: Topology::lan(),
             listings_per_market: vec![Vec::new()],
-            learner: LearnerConfig::default(),
             similarity: SimilarityConfig::default(),
-            collaborative_weight: 0.7,
             mba_timeout_us: 600_000_000,
-            watch_retries: 1,
             bra_retry: BackoffPolicy::default(),
             telemetry: false,
             admission: None,
@@ -110,21 +101,9 @@ impl<S> PlatformBuilder<S> {
         }
     }
 
-    /// Use an explicit topology (applied to every shard).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// One entry per marketplace: the listings its seller provides.
     pub fn marketplaces(mut self, listings_per_market: Vec<Vec<Listing>>) -> Self {
         self.listings_per_market = listings_per_market;
-        self
-    }
-
-    /// Profile learner configuration.
-    pub fn learner(mut self, learner: LearnerConfig) -> Self {
-        self.learner = learner;
         self
     }
 
@@ -134,21 +113,9 @@ impl<S> PlatformBuilder<S> {
         self
     }
 
-    /// Hybrid collaborative weight (ablation knob).
-    pub fn collaborative_weight(mut self, w: f64) -> Self {
-        self.collaborative_weight = w;
-        self
-    }
-
     /// MBA loss timeout in simulated microseconds.
     pub fn mba_timeout_us(mut self, us: u64) -> Self {
         self.mba_timeout_us = us;
-        self
-    }
-
-    /// Grace periods the BSMA watchdog grants an overdue MBA.
-    pub fn watch_retries(mut self, retries: u32) -> Self {
-        self.watch_retries = retries;
         self
     }
 
@@ -228,9 +195,6 @@ impl<S> PlatformBuilder<S> {
     pub fn build(self) -> PlatformOf<S> {
         let shards = self.shards;
         let mut world = ShardedSimWorld::new(self.seed, shards);
-        for k in 0..shards {
-            *world.shard_mut(k).topology_mut() = self.topology.clone();
-        }
         if let Some(cfg) = self.durability {
             world.enable_durability(cfg);
         }
@@ -308,15 +272,13 @@ impl<S> PlatformBuilder<S> {
                 coordinator,
                 markets: markets.clone(),
                 name,
-                learner: self.learner,
                 similarity: self.similarity.with_ann_seed(self.seed),
                 mba_timeout_us: self.mba_timeout_us,
-                collaborative_weight: self.collaborative_weight,
-                watch_retries: self.watch_retries,
                 bra_retry: self.bra_retry,
                 admission: self.admission,
                 request_deadline_us: self.request_deadline_us,
                 breaker: self.breaker,
+                ..BsmaConfig::default()
             };
             let request = Message::new(ecpk::REQUEST_BUYER_SERVER)
                 .with_payload(&RequestBuyerServer {

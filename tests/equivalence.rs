@@ -2,8 +2,8 @@
 //! runtime.
 //!
 //! The store's query-serving index (flat-profile cache, posting lists,
-//! bounded top-k selection, memoized item cosines, optional parallel
-//! scoring) promises *byte-identical* answers to the naive full-scan
+//! bounded top-k selection, memoized item cosines) promises
+//! *byte-identical* answers to the naive full-scan
 //! implementations it replaced. These tests hold it to that promise on
 //! randomized stores: every comparison is exact `==` on `f64` scores —
 //! no tolerances.
@@ -1426,9 +1426,6 @@ mod cross_runtime_lifecycle {
     fn run_on_threads(case: &Case) -> (Vec<String>, [u64; 7]) {
         let mut builder = ThreadWorldBuilder::new(5);
         builder.register_serde::<Rover>("rover");
-        // Two workers per host: same-host requests cross workers, so the
-        // sibling forwarding path runs too.
-        builder.workers(2);
         builder.add_host("a");
         builder.add_host("b");
         if case.durable {
@@ -1454,27 +1451,12 @@ mod cross_runtime_lifecycle {
         observe(&trace, &metrics, &ids)
     }
 
-    /// The trace lines both runtimes write identically (recovery lines are
-    /// per worker on threads) and the counters.
-    fn comparable((labels, counters): &(Vec<String>, [u64; 7])) -> (Vec<&String>, [u64; 7]) {
-        let labels = labels
-            .iter()
-            .filter(|l| !l.starts_with("recovery:"))
-            .collect();
-        (labels, *counters)
-    }
-
     #[test]
     fn lifecycle_cases_agree_across_runtimes() {
         for case in CASES {
             let des = run_on_des(case);
             let threads = run_on_threads(case);
-            assert_eq!(
-                comparable(&des),
-                comparable(&threads),
-                "{}: DES and threads diverge",
-                case.name
-            );
+            assert_eq!(des, threads, "{}: DES and threads diverge", case.name);
             for label in case.labels {
                 for (runtime, (labels, _)) in [("DES", &des), ("threads", &threads)] {
                     assert!(

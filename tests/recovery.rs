@@ -1076,7 +1076,7 @@ fn des_outcome(seed: u64) -> OutcomeClass {
 }
 
 /// Drive the same scenario on real threads.
-fn thread_outcome(seed: u64, workers: usize) -> OutcomeClass {
+fn thread_outcome(seed: u64) -> OutcomeClass {
     use abcrm::core::agents::msg::{kinds as msgkinds, MarketRef, RoutedTask, SessionRequest};
     use abcrm::core::agents::{register_all, Bsma, BsmaConfig};
     use agentsim::message::Message;
@@ -1084,9 +1084,7 @@ fn thread_outcome(seed: u64, workers: usize) -> OutcomeClass {
     use std::time::Duration;
 
     let mut builder = ThreadWorldBuilder::new(seed);
-    builder
-        .workers(workers)
-        .durability(DurabilityConfig::default());
+    builder.durability(DurabilityConfig::default());
     register_all(builder.registry_mut());
     let market_host = builder.add_host("marketplace");
     let seller_host = builder.add_host("seller");
@@ -1195,11 +1193,11 @@ fn des_and_thread_world_recover_to_the_same_outcome_class() {
         hosts_recovered: 1,
     };
     assert_eq!(des_outcome(1111), expected, "DES outcome");
-    assert_eq!(thread_outcome(1111, 1), expected, "1-worker thread outcome");
+    assert_eq!(thread_outcome(1111), expected, "thread outcome");
 }
 
 #[test]
-fn multi_worker_thread_world_recovers_the_same_outcome() {
+fn thread_world_recovers_the_same_outcome_on_a_second_seed() {
     let expected = OutcomeClass {
         receipts: 2,
         intents_logged: 2,
@@ -1207,5 +1205,6 @@ fn multi_worker_thread_world_recovers_the_same_outcome() {
         purchases_aborted: 0,
         hosts_recovered: 1,
     };
-    assert_eq!(thread_outcome(2222, 3), expected, "3-worker thread outcome");
+    assert_eq!(des_outcome(2222), expected, "DES outcome");
+    assert_eq!(thread_outcome(2222), expected, "thread outcome");
 }
