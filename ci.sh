@@ -39,8 +39,11 @@ filtered_test() {
 # crash tree path ≡ byte replay property among them), the durable
 # store's tree-sharing and on-disk-format pins, the UserDB's
 # buyer-host crash recovery and its refusal of the old table-store
-# shape, and the constant-size state checks (PA UserDB, BSMA and
-# marketplace state size) 10x (the crash matrix covers the
+# shape, the constant-size state checks (PA UserDB, BSMA and
+# marketplace state size), and the amortised-checkpoint checks (the
+# store-level rule and its carried-bytes bound, the durable PA's
+# recovery to its live state, and the checkout run that seldom
+# re-captures the PA) 10x (the crash matrix covers the
 # sharded/threaded recovery paths too), then the full E14 recovery
 # series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x — the 32-seed
@@ -81,6 +84,12 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     filtered_test -q --release -p abcrm-core server::tests::marketplace_state_is_constant
     filtered_test -q --release -p ecp marketplace::tests::minted_intents_never_wrap
     filtered_test -q --release -p abcrm-core pa::tests::pa_state_with_a_table_store_userdb_is_refused
+    filtered_test -q --release -p agentsim durable::tests::checkpoint_rule
+    filtered_test -q --release -p agentsim durable::tests::tallies_are_rebuilt_on_crash
+    filtered_test -q --release --test properties checkpoint_rule_keeps_carried_deltas_below_their_capsule
+    filtered_test -q --release -p abcrm-core pa::tests::durable_pa_recovers_to_its_live_state
+    filtered_test -q --release -p abcrm-core pa::tests::record_shaped_deltas_replay
+    filtered_test -q --release --test recovery checkout_checkpoints_seldom_recapture_the_pa
   done
   echo "==> full E14 recovery series"
   cargo bench -p bench --bench recovery

@@ -118,8 +118,11 @@ pub enum DurablePolicy {
     Capsule,
     /// The agent journals incremental deltas itself via
     /// [`Ctx::journal_delta`] or [`Ctx::journal_forced_delta`]; the world
-    /// only captures its capsule when it lands on a host and at
-    /// checkpoints, and recovery replays the deltas logged since.
+    /// only captures its capsule when it lands on a host and at the
+    /// checkpoints where the deltas logged since outweigh that capsule,
+    /// and recovery replays the deltas logged since. The deltas must
+    /// record every state change, so that capsule plus deltas equals the
+    /// live agent.
     Deltas,
 }
 

@@ -23,7 +23,12 @@
 //!   to the outside world, it forces the watermark through every record
 //!   so far with [`DurableStore::sync`];
 //! * a checkpoint keeps the materialized state as the snapshot and
-//!   truncates the log, bounding replay cost.
+//!   truncates the log, bounding replay cost. A delta-journalled agent's
+//!   capsule is re-captured at a checkpoint only once the deltas carried
+//!   since its last capture encode to at least as many bytes as that
+//!   capture ([`DurableStore::needs_capture`]); until then the snapshot
+//!   carries the capsule and its deltas forward, so capture work follows
+//!   the bytes journalled, not the size of the agent's state.
 //!
 //! Capsule and delta trees are shared, not copied: a journalled tree is
 //! one `Arc<serde_json::Value>` held by its log record, the live state
@@ -34,6 +39,7 @@
 //! [`DurableStore::snapshot_bytes`] is asked for them.
 
 use crate::metrics::Metrics;
+use crate::payload::encoded_len_of;
 use serde::{Deserialize, Serialize};
 use simdb::file_wal::FileWal;
 use simdb::wal::{LogRecord, Wal};
@@ -82,10 +88,11 @@ pub struct CapsuleRecord {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum IntentState {
     /// Intent logged, outcome unknown — after a crash this must be
-    /// resolved against the marketplace ledger before retrying.
-    Pending(serde_json::Value),
+    /// resolved against the marketplace ledger before retrying. The
+    /// detail is shared with the log record that journalled it.
+    Pending(Arc<serde_json::Value>),
     /// The purchase definitely happened.
-    Committed(serde_json::Value),
+    Committed(Arc<serde_json::Value>),
     /// The purchase definitely did not happen.
     Aborted(String),
 }
@@ -100,8 +107,9 @@ pub struct DurableState {
     /// Purchase intents keyed by intent id.
     pub intents: BTreeMap<String, IntentState>,
     /// State deltas of delta-policy agents in log order: `(agent raw id,
-    /// delta)`. Cleared at checkpoints (the snapshot capsule absorbs
-    /// them).
+    /// delta)`. An agent's deltas are cleared by the checkpoint that
+    /// re-captures its capsule (which absorbs them) and carried forward
+    /// by the others.
     pub deltas: Vec<(u64, Arc<serde_json::Value>)>,
 }
 
@@ -131,11 +139,11 @@ impl DurableState {
                 // replay: a re-logged intent after a commit is a no-op)
                 self.intents
                     .entry(intent.clone())
-                    .or_insert_with(|| IntentState::Pending(detail.clone()));
+                    .or_insert_with(|| IntentState::Pending(Arc::clone(detail)));
             }
             LogRecord::PurchaseCommit { intent, detail } => {
                 self.intents
-                    .insert(intent.clone(), IntentState::Committed(detail.clone()));
+                    .insert(intent.clone(), IntentState::Committed(Arc::clone(detail)));
             }
             LogRecord::PurchaseAbort { intent, reason } => {
                 // commit wins over a racing abort record on replay; a
@@ -180,6 +188,8 @@ pub struct DurableCounters {
     pub purchases_aborted: u64,
     /// State deltas logged (batched and forced).
     pub profile_deltas_logged: u64,
+    /// Encoded bytes of the capsules captured at checkpoints.
+    pub checkpoint_capture_bytes: u64,
 }
 
 impl DurableCounters {
@@ -191,6 +201,7 @@ impl DurableCounters {
         m.purchases_committed += self.purchases_committed;
         m.purchases_aborted += self.purchases_aborted;
         m.profile_deltas_logged += self.profile_deltas_logged;
+        m.checkpoint_capture_bytes += self.checkpoint_capture_bytes;
     }
 }
 
@@ -202,6 +213,28 @@ pub struct Recovered {
     pub state: DurableState,
     /// WAL records replayed over the snapshot.
     pub replayed: usize,
+}
+
+/// Encoded-byte tallies of one agent's durable record, read by the
+/// checkpoint rule ([`DurableStore::needs_capture`]). Derived state:
+/// rebuilt from the materialized state on replay, never serialised.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Encoded length of the agent's capsule, measured once: when a
+    /// checkpoint captures it, or else at the first checkpoint that asks.
+    baseline: Option<usize>,
+    /// Encoded length of the deltas carried since that capsule, each
+    /// measured when it is logged.
+    deltas: usize,
+}
+
+/// The byte tallies of every agent with carried deltas in `state`.
+fn tallies_of(state: &DurableState) -> BTreeMap<u64, Tally> {
+    let mut tallies: BTreeMap<u64, Tally> = BTreeMap::new();
+    for (agent, delta) in &state.deltas {
+        tallies.entry(*agent).or_default().deltas += encoded_len_of(delta);
+    }
+    tallies
 }
 
 /// Real-file persistence side-car for a [`DurableStore`]: the WAL is
@@ -226,6 +259,8 @@ pub struct DurableStore {
     /// Materialized view of snapshot + full WAL (what a crash-free
     /// reader sees).
     state: DurableState,
+    /// Byte tallies of capsules and carried deltas, per agent.
+    tallies: BTreeMap<u64, Tally>,
     since_checkpoint: usize,
     counters: DurableCounters,
     /// Real-file mirror; `None` = purely simulated stable storage.
@@ -242,6 +277,7 @@ impl Clone for DurableStore {
             wal: self.wal.clone(),
             synced: self.synced,
             state: self.state.clone(),
+            tallies: self.tallies.clone(),
             since_checkpoint: self.since_checkpoint,
             counters: self.counters,
             file: None,
@@ -258,6 +294,7 @@ impl DurableStore {
             wal: Wal::new(),
             synced: 0,
             state: DurableState::default(),
+            tallies: BTreeMap::new(),
             since_checkpoint: 0,
             counters: DurableCounters::default(),
             file: None,
@@ -293,6 +330,7 @@ impl DurableStore {
             snapshot,
             wal,
             synced,
+            tallies: tallies_of(&recovered.state),
             state: recovered.state,
             since_checkpoint: synced,
             counters: DurableCounters::default(),
@@ -340,6 +378,7 @@ impl DurableStore {
 
     fn append(&mut self, record: LogRecord, force_sync: bool) -> Result<()> {
         self.state.apply(&record);
+        self.tally(&record);
         if let Some(f) = self.file.as_mut() {
             f.wal.append(&record)?;
         }
@@ -350,6 +389,28 @@ impl DurableStore {
             self.sync()?;
         }
         Ok(())
+    }
+
+    /// Keep the byte tallies in step with one appended record.
+    fn tally(&mut self, record: &LogRecord) {
+        match record {
+            LogRecord::Capsule { agent, .. } => {
+                // a new capsule is a new baseline; the state keeps the
+                // deltas carried so far, and so does the tally
+                if let Some(t) = self.tallies.get_mut(agent) {
+                    t.baseline = None;
+                }
+            }
+            LogRecord::CapsuleGone { agent } => {
+                self.tallies.remove(agent);
+            }
+            LogRecord::ProfileDelta { agent, delta } => {
+                self.tallies.entry(*agent).or_default().deltas += encoded_len_of(delta);
+            }
+            LogRecord::PurchaseIntent { .. }
+            | LogRecord::PurchaseCommit { .. }
+            | LogRecord::PurchaseAbort { .. } => {}
+        }
     }
 
     /// Force the fsync watermark through every record appended so far, so
@@ -409,6 +470,7 @@ impl DurableStore {
     /// See [`DurableStore::put_capsule`].
     pub fn log_intent(&mut self, intent: String, detail: serde_json::Value) -> Result<()> {
         self.counters.intents_logged += 1;
+        let detail = Arc::new(detail);
         self.append(LogRecord::PurchaseIntent { intent, detail }, true)
     }
 
@@ -419,6 +481,7 @@ impl DurableStore {
     /// See [`DurableStore::put_capsule`].
     pub fn log_commit(&mut self, intent: String, detail: serde_json::Value) -> Result<()> {
         self.counters.purchases_committed += 1;
+        let detail = Arc::new(detail);
         self.append(LogRecord::PurchaseCommit { intent, detail }, true)
     }
 
@@ -460,12 +523,34 @@ impl DurableStore {
         self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every
     }
 
+    /// The checkpoint rule for the delta-journalled, active `agent`:
+    /// re-capture it when the store holds no active capsule for it, or
+    /// when the deltas carried since its capsule encode to at least as
+    /// many bytes as the capsule. Otherwise the checkpoint carries capsule
+    /// and deltas forward: recovery then decodes under twice the capsule's
+    /// bytes for the agent, and capture work per journalled byte stays
+    /// constant.
+    pub fn needs_capture(&mut self, agent: u64) -> bool {
+        let Some(rec) = self.state.capsules.get(&agent) else {
+            return true;
+        };
+        if !rec.active {
+            return true;
+        }
+        let tally = self.tallies.entry(agent).or_default();
+        let baseline = *tally
+            .baseline
+            .get_or_insert_with(|| encoded_len_of(&rec.capsule));
+        tally.deltas >= baseline
+    }
+
     /// Checkpoint: fold `fresh_capsules` (live capsules of delta-policy
-    /// agents, captured by the runtime at the checkpoint boundary) into
-    /// the state, keep it as the new snapshot, truncate the WAL and clear
-    /// the absorbed deltas. The snapshot shares every tree with the live
-    /// state; only a file-backed store encodes it, to write its `.snap`
-    /// file.
+    /// agents the runtime re-captured at the checkpoint boundary, see
+    /// [`DurableStore::needs_capture`]) into the state, keep it as the new
+    /// snapshot, truncate the WAL and clear the absorbed deltas; other
+    /// agents' deltas stay in the snapshot beside their capsules. The
+    /// snapshot shares every tree with the live state; only a file-backed
+    /// store encodes it, to write its `.snap` file.
     ///
     /// # Errors
     ///
@@ -481,6 +566,15 @@ impl DurableStore {
         fresh_capsules: Vec<(u64, serde_json::Value, bool)>,
     ) -> Result<()> {
         for (agent, capsule, active) in fresh_capsules {
+            let bytes = encoded_len_of(&capsule);
+            self.counters.checkpoint_capture_bytes += bytes as u64;
+            self.tallies.insert(
+                agent,
+                Tally {
+                    baseline: Some(bytes),
+                    deltas: 0,
+                },
+            );
             let capsule = Arc::new(capsule);
             self.state
                 .capsules
@@ -519,6 +613,7 @@ impl DurableStore {
             f.wal.reset(&self.wal)?;
         }
         self.state = Self::replay(self.snapshot.as_ref(), &self.wal).state;
+        self.tallies = tallies_of(&self.state);
         Ok(())
     }
 
@@ -654,15 +749,15 @@ mod tests {
         let mut st = DurableState::default();
         st.apply(&LogRecord::PurchaseIntent {
             intent: "1".into(),
-            detail: json!({}),
+            detail: json!({}).into(),
         });
         st.apply(&LogRecord::PurchaseCommit {
             intent: "1".into(),
-            detail: json!({"price": 2.0}),
+            detail: json!({"price": 2.0}).into(),
         });
         st.apply(&LogRecord::PurchaseIntent {
             intent: "1".into(),
-            detail: json!({}),
+            detail: json!({}).into(),
         });
         st.apply(&LogRecord::PurchaseAbort {
             intent: "1".into(),
@@ -712,6 +807,51 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_rule_recaptures_once_deltas_outweigh_the_capsule() {
+        let mut s = DurableStore::new(cfg(1));
+        let capsule = json!({"state": "0123456789"}); // 22 bytes
+        s.put_capsule(5, capsule, true).unwrap();
+        assert!(!s.needs_capture(5), "no deltas yet");
+        s.log_delta(5, json!({"d": 1})).unwrap(); // 7 bytes
+        s.log_delta(5, json!({"d": 2})).unwrap();
+        assert!(!s.needs_capture(5), "14 delta bytes < 22 capsule bytes");
+        s.checkpoint(Vec::new()).unwrap();
+        assert_eq!(s.state().deltas_for(5).len(), 2, "carried forward");
+        assert_eq!(s.counters().checkpoint_capture_bytes, 0);
+        s.log_delta(5, json!({"d": 3})).unwrap();
+        assert!(!s.needs_capture(5), "21 < 22");
+        s.log_delta(5, json!({"d": 4})).unwrap();
+        assert!(s.needs_capture(5), "28 >= 22");
+        s.checkpoint(vec![(5, json!({"state": 4}), true)]).unwrap();
+        assert_eq!(s.counters().checkpoint_capture_bytes, 11);
+        assert!(s.state().deltas_for(5).is_empty());
+        assert!(!s.needs_capture(5), "a fresh capture carries nothing");
+        // a deactivated record or no record at all is always re-captured
+        s.put_capsule(6, json!({}), false).unwrap();
+        assert!(s.needs_capture(6));
+        assert!(s.needs_capture(7));
+    }
+
+    #[test]
+    fn tallies_are_rebuilt_on_crash() {
+        let mut s = DurableStore::new(cfg(1));
+        s.put_capsule(5, json!({"state": "0123456789"}), true)
+            .unwrap();
+        s.checkpoint(Vec::new()).unwrap();
+        s.log_delta(5, json!({"d": 1})).unwrap();
+        s.log_delta(5, json!({"d": 2})).unwrap();
+        s.log_delta(5, json!({"d": 3})).unwrap();
+        s.crash().unwrap();
+        assert!(!s.needs_capture(5), "21 carried bytes < 22");
+        s.log_delta(5, json!({"d": 4})).unwrap();
+        assert!(s.needs_capture(5), "the tally survived the crash");
+        s.remove_capsule(5).unwrap();
+        s.put_capsule(5, json!({"state": "0123456789"}), true)
+            .unwrap();
+        assert!(!s.needs_capture(5), "a departure forgets the deltas");
+    }
+
+    #[test]
     fn tree_sharing_journal_record_and_state() {
         let mut s = DurableStore::new(cfg(1));
         s.put_capsule(7, json!({"x": 1}), true).unwrap();
@@ -731,6 +871,30 @@ mod tests {
             capsule,
             &s.recover().state.capsules[&7].capsule
         ));
+    }
+
+    #[test]
+    fn tree_sharing_intent_details() {
+        let mut s = DurableStore::new(cfg(1));
+        s.log_intent("1".into(), json!({"item": 3})).unwrap();
+        s.log_commit("2".into(), json!({"price": 9.5})).unwrap();
+        let detail = |st: &DurableState, id: &str| match &st.intents[id] {
+            IntentState::Pending(d) | IntentState::Committed(d) => Arc::clone(d),
+            IntentState::Aborted(_) => unreachable!("no abort logged"),
+        };
+        assert!(matches!(
+            &s.wal.records()[0],
+            LogRecord::PurchaseIntent { detail: d, .. } if Arc::ptr_eq(d, &detail(s.state(), "1"))
+        ));
+        assert!(matches!(
+            &s.wal.records()[1],
+            LogRecord::PurchaseCommit { detail: d, .. } if Arc::ptr_eq(d, &detail(s.state(), "2"))
+        ));
+        s.checkpoint(Vec::new()).unwrap();
+        let snapshot = s.snapshot.as_ref().unwrap();
+        for id in ["1", "2"] {
+            assert!(Arc::ptr_eq(&detail(snapshot, id), &detail(s.state(), id)));
+        }
     }
 
     #[test]

@@ -1092,7 +1092,8 @@ impl HostCore {
     /// Journal the live capsule of active agent `id`. Capsule-journalled
     /// agents are captured after every callback; delta-journalled agents
     /// only get a baseline capture (their history travels as deltas,
-    /// folded in at checkpoints). An agent's first capsule here — at
+    /// folded into a fresh capture at the checkpoint where they come to
+    /// outweigh it). An agent's first capsule here — at
     /// creation or arrival — is forced: until it is synced, a crash
     /// would lose the agent outright, whatever it already answered.
     fn journal_live_capsule<E: HostEnv>(&mut self, env: &mut E, id: AgentId) {
@@ -1126,21 +1127,20 @@ impl HostCore {
     }
 
     /// Checkpoint the durable store once its journal has grown past the
-    /// configured threshold: fold the live capsules of delta-journalled
-    /// agents into the state, snapshot it, and truncate the WAL. Bounds
-    /// replay cost at recovery time.
+    /// configured threshold: re-capture the delta-journalled agents whose
+    /// carried deltas outweigh their last capsule
+    /// ([`DurableStore::needs_capture`]), snapshot the state, and truncate
+    /// the WAL. Bounds replay cost at recovery time.
     pub(crate) fn maybe_checkpoint<E: HostEnv>(&mut self, env: &mut E) {
-        if !self
-            .durable
-            .as_ref()
-            .is_some_and(DurableStore::should_checkpoint)
-        {
+        let Some(store) = self.durable.as_mut().filter(|s| s.should_checkpoint()) else {
             return;
-        }
+        };
         let mut ids: Vec<AgentId> = self
             .active
             .iter()
-            .filter(|(_, a)| matches!(a.durable_policy(), DurablePolicy::Deltas))
+            .filter(|(id, a)| {
+                matches!(a.durable_policy(), DurablePolicy::Deltas) && store.needs_capture(id.0)
+            })
             .map(|(id, _)| *id)
             .collect();
         ids.sort_unstable();

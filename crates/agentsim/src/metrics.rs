@@ -102,6 +102,10 @@ pub struct Metrics {
     /// Durable-store checkpoints (snapshot + log truncation) taken.
     #[serde(default)]
     pub checkpoints: u64,
+    /// Encoded bytes of the delta-journalled agents' capsules captured at
+    /// checkpoints: the checkpoints' capture work.
+    #[serde(default)]
+    pub checkpoint_capture_bytes: u64,
     /// Host restarts that ran a durable recovery pass.
     #[serde(default)]
     pub hosts_recovered: u64,

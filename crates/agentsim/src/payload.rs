@@ -208,7 +208,7 @@ impl Deserialize for Payload {
 
 /// Byte length of `value.to_string()` without building the string. Each arm
 /// mirrors the corresponding `Display` arm of the serde shim's `Value`.
-fn encoded_len_of(value: &Value) -> usize {
+pub(crate) fn encoded_len_of(value: &Value) -> usize {
     match value {
         Value::Null => 4,
         Value::Bool(b) => {

@@ -15,12 +15,13 @@
 
 use crate::agents::msg::{kinds, PaLoad, PaProfile, PaRecord, PaSimilar, PaSimilarReply};
 use crate::learning::{BehaviorKind, LearnerConfig};
-use crate::profile::Profile;
+use crate::profile::{ConsumerId, Profile};
 use crate::similarity::SimilarityConfig;
 use crate::store::{NeighbourSource, RecommendStore};
 use crate::userdb::{TradeChannel, TransactionRecord, UserDb};
 use agentsim::agent::{Agent, Ctx, DurablePolicy};
 use agentsim::message::Message;
+use ecp::merchandise::Merchandise;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -44,11 +45,39 @@ pub struct MaintenanceConfig {
 
 const MAINTENANCE_TIMER_TAG: u64 = u64::MAX;
 
+/// A PA state change other than a recorded behaviour, journalled on a
+/// durable host. Behaviour records are journalled as the [`PaRecord`]
+/// itself.
+#[derive(Debug, Serialize, Deserialize)]
+enum PaDelta {
+    /// Offers a neighbour query entered into the catalog, in order: each
+    /// was unknown to it or differed from its entry.
+    Offers(Vec<Merchandise>),
+    /// The empty profile entered for a consumer seen for the first time.
+    NewProfile(ConsumerId),
+    /// One maintenance pass, decaying every profile by this factor.
+    Decay(f64),
+}
+
+/// Journal `delta` on a durable host, ahead of the change it describes.
+fn journal<T: Serialize>(ctx: &mut Ctx<'_>, delta: &T) {
+    if !ctx.durable() {
+        return;
+    }
+    match serde_json::to_value(delta) {
+        Ok(delta) => ctx.journal_delta(delta),
+        Err(e) => ctx.note(format!("pa: delta serialize failed: {e}")),
+    }
+}
+
 /// The Profile Agent. Static on the Buyer Agent Server.
 ///
-/// On a durable host it journals every recorded behaviour as a delta, and
-/// the host captures its (large) capsule only at creation and at
-/// checkpoints ([`DurablePolicy::Deltas`]).
+/// On a durable host it journals every state change as a delta — each
+/// recorded behaviour, each catalog entry a query brings, each profile it
+/// creates and each maintenance pass — so its last capsule plus the
+/// deltas logged since equals its live state, and the host captures its
+/// (large) capsule only at creation and at the checkpoints where those
+/// deltas outweigh it ([`DurablePolicy::Deltas`]).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ProfileAgent {
     store: RecommendStore,
@@ -99,24 +128,43 @@ impl ProfileAgent {
     }
 
     /// The consumer's profile, or a fresh one entered into the store.
-    fn load_or_create(&mut self, consumer: crate::profile::ConsumerId) -> Profile {
+    fn load_or_create(&mut self, ctx: &mut Ctx<'_>, consumer: ConsumerId) -> Profile {
         if let Some(p) = self.store.profile(consumer) {
             return p.clone();
         }
+        journal(ctx, &PaDelta::NewProfile(consumer));
         self.store.put_profile(consumer, Profile::default());
         Profile::default()
     }
 
     fn record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
-        if ctx.durable() {
-            // write-ahead: the delta reaches the WAL before the learned
-            // update it describes can be observed by anyone
-            match serde_json::to_value(&rec) {
-                Ok(delta) => ctx.journal_delta(delta),
-                Err(e) => ctx.note(format!("pa: behaviour delta serialize failed: {e}")),
-            }
-        }
+        // write-ahead: the delta reaches the WAL before the learned
+        // update it describes can be observed by anyone
+        journal(ctx, &rec);
         self.apply_record(rec);
+    }
+
+    /// One maintenance pass: decay every profile by `factor`.
+    fn decay(&mut self, factor: f64) {
+        self.store.decay_all_profiles(factor);
+        self.maintenance_passes += 1;
+    }
+
+    /// Re-apply one journalled delta: a [`PaDelta`] or a behaviour record.
+    fn replay(&mut self, delta: &serde_json::Value) -> Result<(), serde::Error> {
+        match PaDelta::deserialize_value(delta) {
+            Ok(PaDelta::Offers(offers)) => {
+                for offer in offers {
+                    self.store.upsert_item(offer);
+                }
+            }
+            Ok(PaDelta::NewProfile(consumer)) => {
+                self.store.put_profile(consumer, Profile::default());
+            }
+            Ok(PaDelta::Decay(factor)) => self.decay(factor),
+            Err(_) => self.apply_record(PaRecord::deserialize_value(delta)?),
+        }
+        Ok(())
     }
 
     fn apply_record(&mut self, rec: PaRecord) {
@@ -146,11 +194,21 @@ impl ProfileAgent {
     }
 
     fn similar(&mut self, ctx: &mut Ctx<'_>, req: &PaSimilar) -> PaSimilarReply {
-        // make the queried merchandise known
+        // make the queried merchandise known; only offers that change the
+        // catalog are entered, and journalled
+        let mut entered = Vec::new();
         for offer in &req.offers {
-            self.store.upsert_item(offer.clone());
+            if self.store.catalog().get(offer.id) != Some(offer) {
+                self.store.upsert_item(offer.clone());
+                if ctx.durable() {
+                    entered.push(offer.clone());
+                }
+            }
         }
-        let profile = self.load_or_create(req.consumer);
+        if !entered.is_empty() {
+            journal(ctx, &PaDelta::Offers(entered));
+        }
+        let profile = self.load_or_create(ctx, req.consumer);
         // load_or_create guarantees the consumer is in the store (and
         // thus the index), so the indexed search answers exactly what
         // the full profile scan would whenever the planner picks an exact
@@ -226,22 +284,19 @@ impl Agent for ProfileAgent {
     }
 
     fn on_recovered(&mut self, ctx: &mut Ctx<'_>, deltas: &[serde_json::Value]) {
-        // Replay every behaviour recorded since the baseline capsule was
-        // captured. apply_record (not record) so the replay does not
-        // re-journal deltas the WAL already holds.
+        // Replay every change journalled since the baseline capsule was
+        // captured, in log order, without re-journalling what the WAL
+        // already holds.
         let mut replayed = 0usize;
         for delta in deltas {
-            match serde_json::from_value::<PaRecord>(delta.clone()) {
-                Ok(rec) => {
-                    self.apply_record(rec);
-                    replayed += 1;
-                }
+            match self.replay(delta) {
+                Ok(()) => replayed += 1,
                 Err(e) => ctx.note(format!("pa: unreadable journalled delta skipped: {e}")),
             }
         }
         if replayed > 0 {
             ctx.note(format!(
-                "pa: recovered, replayed {replayed} journalled behaviour records"
+                "pa: recovered, replayed {replayed} journalled deltas"
             ));
         }
         if let Some(m) = self.maintenance {
@@ -269,8 +324,9 @@ impl Agent for ProfileAgent {
         let Some(m) = self.maintenance else {
             return;
         };
-        self.store.decay_all_profiles(m.decay.clamp(0.0, 1.0));
-        self.maintenance_passes += 1;
+        let factor = m.decay.clamp(0.0, 1.0);
+        journal(ctx, &PaDelta::Decay(factor));
+        self.decay(factor);
         ctx.note(format!(
             "pa maintenance pass {}: decayed all profiles by {:.2}",
             self.maintenance_passes, m.decay
@@ -289,7 +345,7 @@ impl Agent for ProfileAgent {
                     if req.figure == "fig4.2" {
                         ctx.note("fig4.2/step05 pa loads profile from userdb");
                     }
-                    let profile = self.load_or_create(req.consumer);
+                    let profile = self.load_or_create(ctx, req.consumer);
                     let reply = Message::new(kinds::PA_PROFILE)
                         .with_payload(&PaProfile {
                             consumer: req.consumer,
@@ -743,5 +799,153 @@ mod tests {
             serde_json::from_value(s.replies.last().unwrap().1.clone()).unwrap();
         assert!(reply.neighbours.is_empty());
         assert!(reply.profile.is_empty());
+    }
+
+    /// A durable PA recovers to exactly its live state: behaviour
+    /// records, queries that bring new or changed offers, first-seen
+    /// consumers and maintenance passes all come back from its last
+    /// capsule plus the deltas logged since, whatever the checkpoint
+    /// cadence. The first crash follows a maintenance pass, the second
+    /// a query and a load that enter new consumers.
+    #[test]
+    fn durable_pa_recovers_to_its_live_state() {
+        use agentsim::clock::SimDuration;
+        use agentsim::durable::DurabilityConfig;
+
+        for checkpoint_every in [0, 3, 32] {
+            let mut world = SimWorld::new(13);
+            world.enable_durability(DurabilityConfig {
+                checkpoint_every,
+                sync_every: 1,
+            });
+            world.registry_mut().register_serde::<ProfileAgent>(PA_TYPE);
+            world.registry_mut().register_serde::<Sink>("sink");
+            let h = world.add_host("buyer-server");
+            let pa = world
+                .create_agent(
+                    h,
+                    Box::new(
+                        ProfileAgent::new(LearnerConfig::default(), SimilarityConfig::default())
+                            .with_maintenance(MaintenanceConfig {
+                                interval_us: 20_000,
+                                decay: 0.75,
+                            }),
+                    ),
+                )
+                .unwrap();
+            let sink = world.create_agent(h, Box::new(Sink::default())).unwrap();
+            // never run_until_idle: the maintenance cycle re-arms forever
+            let send = |world: &mut SimWorld, kind: &str, payload: serde_json::Value| {
+                let mut msg = Message::new("instr");
+                msg.payload = serde_json::json!({
+                    "__send_to": pa.0,
+                    "kind": kind,
+                    "payload": payload,
+                })
+                .into();
+                world.send_external(sink, msg).unwrap();
+                world.run_for(SimDuration::from_micros(1_000));
+            };
+            for round in 0..5u64 {
+                let record = PaRecord {
+                    consumer: ConsumerId(1 + round % 2),
+                    item: merch(round, &format!("book{round}")),
+                    kind: BehaviorKind::Purchase,
+                    price: None,
+                    at_us: round,
+                };
+                send(
+                    &mut world,
+                    kinds::PA_RECORD,
+                    serde_json::to_value(&record).unwrap(),
+                );
+                // one known offer, one new, one changed
+                let mut changed = merch(round, &format!("book{round}"));
+                changed.list_price = Money::from_units(21 + round);
+                let similar = PaSimilar {
+                    consumer: ConsumerId(10 + round),
+                    offers: vec![merch(0, "book0"), merch(100 + round, "new"), changed],
+                    k_neighbours: 5,
+                };
+                send(
+                    &mut world,
+                    kinds::PA_SIMILAR,
+                    serde_json::to_value(&similar).unwrap(),
+                );
+                let load = PaLoad {
+                    consumer: ConsumerId(20 + round),
+                    figure: String::new(),
+                };
+                send(
+                    &mut world,
+                    kinds::PA_LOAD,
+                    serde_json::to_value(&load).unwrap(),
+                );
+                // past the next maintenance pass
+                world.run_for(SimDuration::from_micros(20_000));
+            }
+            let live = world.snapshot_of(pa).unwrap();
+            let passes = serde_json::from_value::<ProfileAgent>(live.clone())
+                .unwrap()
+                .maintenance_passes();
+            assert!(passes >= 5, "maintenance ran: {passes}");
+            world.crash_host(h).unwrap();
+            world.restart_host(h).unwrap();
+            assert_eq!(
+                world.snapshot_of(pa).unwrap(),
+                live,
+                "checkpoint_every {checkpoint_every}: the PA recovered after a maintenance \
+                 pass differs from the live one"
+            );
+            // a maintenance pass drops empty profiles, so the profiles a
+            // query and a load enter are checked by a crash before the
+            // next pass
+            let similar = PaSimilar {
+                consumer: ConsumerId(98),
+                offers: vec![merch(200, "newer")],
+                k_neighbours: 5,
+            };
+            send(
+                &mut world,
+                kinds::PA_SIMILAR,
+                serde_json::to_value(&similar).unwrap(),
+            );
+            let load = PaLoad {
+                consumer: ConsumerId(99),
+                figure: String::new(),
+            };
+            send(
+                &mut world,
+                kinds::PA_LOAD,
+                serde_json::to_value(&load).unwrap(),
+            );
+            let live = world.snapshot_of(pa).unwrap();
+            world.crash_host(h).unwrap();
+            world.restart_host(h).unwrap();
+            assert_eq!(
+                world.snapshot_of(pa).unwrap(),
+                live,
+                "checkpoint_every {checkpoint_every}: the PA recovered after new consumers \
+                 differs from the live one"
+            );
+        }
+    }
+
+    /// Deltas journalled before the PA journalled anything but behaviour
+    /// records still replay: a bare [`PaRecord`] is a behaviour record.
+    #[test]
+    fn record_shaped_deltas_replay() {
+        let mut pa = ProfileAgent::new(LearnerConfig::default(), SimilarityConfig::default());
+        let record = PaRecord {
+            consumer: ConsumerId(1),
+            item: merch(1, "rustbook"),
+            kind: BehaviorKind::Purchase,
+            price: None,
+            at_us: 0,
+        };
+        pa.replay(&serde_json::to_value(&record).unwrap()).unwrap();
+        assert_eq!(pa.userdb().transaction_count(), 1);
+        assert!(pa.store().profile(ConsumerId(1)).is_some());
+        assert!(pa.replay(&serde_json::json!({"Unknown": 1})).is_err());
     }
 }

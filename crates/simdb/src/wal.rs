@@ -38,15 +38,16 @@ pub enum LogRecord {
         /// Globally unique intent id (stable across retries), as the
         /// journaling agent spells it.
         intent: String,
-        /// Free-form detail (consumer, item, market) for diagnostics.
-        detail: serde_json::Value,
+        /// Free-form detail (consumer, item, market) for diagnostics,
+        /// shared with the durable state that materializes it.
+        detail: Arc<serde_json::Value>,
     },
     /// The purchase identified by `intent` definitely happened.
     PurchaseCommit {
         /// Intent id from the matching [`LogRecord::PurchaseIntent`].
         intent: String,
-        /// Outcome detail (item, price, channel).
-        detail: serde_json::Value,
+        /// Outcome detail (item, price, channel), shared like an intent's.
+        detail: Arc<serde_json::Value>,
     },
     /// The purchase identified by `intent` definitely did not happen.
     PurchaseAbort {
@@ -231,11 +232,11 @@ mod tests {
         });
         wal.append(LogRecord::PurchaseIntent {
             intent: "42".into(),
-            detail: serde_json::json!({"item": 3}),
+            detail: serde_json::json!({"item": 3}).into(),
         });
         wal.append(LogRecord::PurchaseCommit {
             intent: "42".into(),
-            detail: serde_json::json!({"price": 9.5}),
+            detail: serde_json::json!({"price": 9.5}).into(),
         });
         wal.append(LogRecord::PurchaseAbort {
             intent: "43".into(),

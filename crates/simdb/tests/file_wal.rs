@@ -107,7 +107,7 @@ fn record_from(sel: u64, id: u64, x: i64, s: &str) -> LogRecord {
         1 => LogRecord::CapsuleGone { agent: id },
         2 => LogRecord::PurchaseIntent {
             intent: id.to_string(),
-            detail: serde_json::json!({ "item": x }),
+            detail: serde_json::json!({ "item": x }).into(),
         },
         3 => LogRecord::PurchaseAbort {
             intent: id.to_string(),

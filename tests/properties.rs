@@ -1034,6 +1034,70 @@ proptest! {
     }
 }
 
+/// Encoded bytes of `value`: what the checkpoint rule's tallies measure,
+/// recomputed here by the serializer itself.
+fn encoded_bytes(value: &serde_json::Value) -> usize {
+    serde_json::to_string(value).unwrap().len()
+}
+
+proptest! {
+    /// The amortised checkpoint rule bounds what recovery decodes: when
+    /// the runtime re-captures exactly the delta agents the store asks
+    /// for ([`DurableStore::needs_capture`]), then after every
+    /// checkpoint each agent's carried deltas encode to fewer bytes than
+    /// its capsule — for any mix of landings, deltas of any size,
+    /// departures and crashes (which rebuild the tallies from the
+    /// recovered state).
+    #[test]
+    fn checkpoint_rule_keeps_carried_deltas_below_their_capsule(
+        ops in proptest::collection::vec((0u8..8, 0u64..4, 0usize..120), 1..80),
+        sync_every in 1usize..4,
+    ) {
+        let mut store = DurableStore::new(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every,
+        });
+        let body = |n: usize| "x".repeat(n);
+        for (kind, agent, size) in ops {
+            match kind {
+                0 => store
+                    .put_capsule(agent, serde_json::json!({ "s": body(size) }), true)
+                    .unwrap(),
+                1..=3 => store
+                    .log_delta(agent, serde_json::json!({ "d": body(size) }))
+                    .unwrap(),
+                4 => store.remove_capsule(agent).unwrap(),
+                5 => store.crash().unwrap(),
+                _ => {
+                    // the runtime's side: every agent with an active
+                    // capsule is a live delta agent; `size` stands in for
+                    // the size of its live state
+                    let capsules = store.state().capsules.clone();
+                    let fresh = capsules
+                        .iter()
+                        .filter(|(_, rec)| rec.active)
+                        .map(|(a, _)| *a)
+                        .filter(|a| store.needs_capture(*a))
+                        .map(|a| (a, serde_json::json!({ "s": body(size) }), true))
+                        .collect();
+                    store.checkpoint(fresh).unwrap();
+                    let state = store.state();
+                    for (agent, rec) in &state.capsules {
+                        let carried: usize =
+                            state.deltas_for(*agent).iter().map(encoded_bytes).sum();
+                        let baseline = encoded_bytes(&rec.capsule);
+                        prop_assert!(
+                            carried < baseline,
+                            "agent {} carries {} delta bytes over a {}-byte capsule",
+                            agent, carried, baseline
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // --- marketplace delta journaling ---------------------------------------
 
 mod marketplace_replay {

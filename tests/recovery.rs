@@ -934,6 +934,118 @@ fn checkpoints_bound_replay_cost() {
 }
 
 // ---------------------------------------------------------------------
+// amortised checkpoints: a delta-journalled agent is re-captured only
+// once its deltas outweigh its last capsule
+// ---------------------------------------------------------------------
+
+/// A seeded durable checkout run (a PA over 200 residents and 300
+/// listings, then sessions of one query and two buys) takes at least ten
+/// buyer-host checkpoints, and the PA's capsule is re-captured at no more
+/// than two of them: its deltas between checkpoints are a small fraction
+/// of its capsule. Capturing it at every checkpoint would count one
+/// capture per checkpoint here.
+#[test]
+fn checkout_checkpoints_seldom_recapture_the_pa() {
+    use abcrm::core::learning::BehaviorKind;
+    use std::sync::Arc;
+
+    const TOPICS: [&str; 4] = ["rust", "go", "sql", "ml"];
+    let items: Vec<ecp::protocol::Listing> = (1..=300u64)
+        .map(|i| {
+            let topic = TOPICS[(i % 4) as usize];
+            let tag = format!("tag{i}");
+            let name = format!("Item {i}");
+            listing(
+                i,
+                &name,
+                "books",
+                topic,
+                20 + i,
+                &[(topic, 1.0), (&tag, 0.5)],
+            )
+        })
+        .collect();
+    let mut p = Platform::builder(909)
+        .marketplaces(vec![items.clone()])
+        .mba_timeout_us(2_000_000)
+        .bra_retry(BackoffPolicy::new(200_000, 1_600_000, 3))
+        .durability(DurabilityConfig::default())
+        .build();
+    // 200 residents with six behaviours each
+    let history: Vec<_> = (0..1200u64)
+        .map(|e| {
+            let resident = 1 + e % 200;
+            let item = items[((resident * 7 + e) % 300) as usize].item.clone();
+            (ConsumerId(resident), item, BehaviorKind::Browse)
+        })
+        .collect();
+    p.seed_events(&history);
+    let consumers: Vec<ConsumerId> = (1..=8).map(ConsumerId).collect();
+    for &c in &consumers {
+        p.login(c);
+    }
+    let pa = p.pa().0;
+    fn store(p: &Platform) -> &agentsim::durable::DurableStore {
+        p.world()
+            .durable_store(p.buyer_host())
+            .expect("durable buyer host")
+    }
+    let mut wal = store(&p).wal_len();
+    let mut capsule = Arc::clone(&store(&p).state().capsules[&pa].capsule);
+    let (mut checkpoints, mut captures) = (0, 0);
+    for round in 0..12u64 {
+        for (k, &c) in consumers.iter().enumerate() {
+            let topic = TOPICS[(round as usize + k) % 4];
+            p.submit_task(
+                c,
+                ConsumerTask::Query {
+                    keywords: vec![topic.to_string()],
+                    category: None,
+                    max_results: 5,
+                },
+            );
+            for b in 0..2u64 {
+                p.submit_task(
+                    c,
+                    ConsumerTask::Buy {
+                        item: ItemId(1 + (round * 8 + k as u64 * 3 + b) % 300),
+                        market: p.markets()[0],
+                        mode: BuyMode::Direct,
+                    },
+                );
+            }
+        }
+        // a world step runs at most one checkpoint per host, and the
+        // checkpoint is the step's last act: the buyer host checkpointed
+        // in this step iff its non-empty WAL is now empty (no step
+        // appends anywhere near `checkpoint_every` records)
+        while p.world_mut().step() {
+            let s = store(&p);
+            if s.wal_len() == 0 && wal > 0 {
+                checkpoints += 1;
+            }
+            wal = s.wal_len();
+            let now = &s.state().capsules[&pa].capsule;
+            if !Arc::ptr_eq(now, &capsule) {
+                captures += 1;
+                capsule = Arc::clone(now);
+            }
+        }
+        let wave = p.run_and_drain();
+        assert_eq!(
+            wave.len(),
+            consumers.len() * 3,
+            "one reply per task: {wave:?}"
+        );
+    }
+    assert!(checkpoints >= 10, "{checkpoints} buyer-host checkpoints");
+    assert!(
+        captures <= 2,
+        "the PA was captured at {captures} of {checkpoints} checkpoints"
+    );
+}
+
+// ---------------------------------------------------------------------
 // sharded platforms: the same crash-and-recover path at 1, 2 and 4 shards
 // ---------------------------------------------------------------------
 
