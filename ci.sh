@@ -43,7 +43,9 @@ filtered_test() {
 # marketplace state size), and the amortised-checkpoint checks (the
 # store-level rule and its carried-bytes bound, the durable PA's
 # recovery to its live state, and the checkout run that seldom
-# re-captures the PA) 10x (the crash matrix covers the
+# re-captures the PA), and the activation journalling checks (a
+# re-activated PA recovers active with its later deltas; a journalled
+# capsule absorbs the deltas logged before it) 10x (the crash matrix covers the
 # sharded/threaded recovery paths too), then the full E14 recovery
 # series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x — the 32-seed
@@ -90,6 +92,8 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     filtered_test -q --release -p abcrm-core pa::tests::durable_pa_recovers_to_its_live_state
     filtered_test -q --release -p abcrm-core pa::tests::record_shaped_deltas_replay
     filtered_test -q --release --test recovery checkout_checkpoints_seldom_recapture_the_pa
+    filtered_test -q --release --test recovery reactivated_pa_recovers_active_with_its_later_deltas
+    filtered_test -q --release -p agentsim durable::tests::a_journalled_capsule_absorbs_the_deltas
   done
   echo "==> full E14 recovery series"
   cargo bench -p bench --bench recovery
@@ -160,6 +164,15 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# Typed local messages: every payload type the agents send reads back
+# from its held value exactly as from its JSON tree, and a same-host
+# request/reply never builds a tree while a cross-host send keeps its
+# wire size.
+echo "==> typed payload checks (typed ≡ tree, local hops never encode)"
+filtered_test -q --release --test properties typed_payloads_read_back_as_their_trees
+filtered_test -q --release -p agentsim sim::tests::same_host_request_and_reply_never_materialise
+filtered_test -q --release -p agentsim sim::tests::cross_host_messages_materialise_and_keep_their_wire_size
+
 # perfbench is a workspace of its own, so the step above skips it. Its
 # tests run every workload at toy size through the same checks a full
 # run makes: the reply digest and simulated counters repeat, exactly one
@@ -204,6 +217,9 @@ done
 echo "==> ann smoke (exact ≡ oracle + recall floor @ 10^4 users)"
 ANN_USERS=10000 cargo test -q --release --test ann
 cargo bench -p bench --bench query_hot_path -- --assert-no-alloc
+# Local-message alloc gate: a same-host PaSimilarReply hop (send,
+# delivery, payload_as) allocates one clone of the reply plus a constant.
+cargo bench -p bench --bench local_message -- --assert-alloc
 
 echo "==> bench smoke (quick mode; includes telemetry-overhead gate)"
 PLATFORM_BENCH_QUICK=1 cargo bench -p bench --bench platform_throughput

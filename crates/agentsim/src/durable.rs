@@ -107,9 +107,10 @@ pub struct DurableState {
     /// Purchase intents keyed by intent id.
     pub intents: BTreeMap<String, IntentState>,
     /// State deltas of delta-policy agents in log order: `(agent raw id,
-    /// delta)`. An agent's deltas are cleared by the checkpoint that
-    /// re-captures its capsule (which absorbs them) and carried forward
-    /// by the others.
+    /// delta)`. An agent's deltas are cleared by any later capsule of it
+    /// (a checkpoint's re-capture, an activation's or a deactivation's
+    /// journalled capsule), which absorbs them, and carried forward by
+    /// the checkpoints that do not re-capture it.
     pub deltas: Vec<(u64, Arc<serde_json::Value>)>,
 }
 
@@ -122,6 +123,9 @@ impl DurableState {
                 capsule,
                 active,
             } => {
+                // the capsule was captured from the live agent, after every
+                // delta it logged before: it absorbs them
+                self.deltas.retain(|(a, _)| a != agent);
                 self.capsules.insert(
                     *agent,
                     CapsuleRecord {
@@ -394,14 +398,8 @@ impl DurableStore {
     /// Keep the byte tallies in step with one appended record.
     fn tally(&mut self, record: &LogRecord) {
         match record {
-            LogRecord::Capsule { agent, .. } => {
-                // a new capsule is a new baseline; the state keeps the
-                // deltas carried so far, and so does the tally
-                if let Some(t) = self.tallies.get_mut(agent) {
-                    t.baseline = None;
-                }
-            }
-            LogRecord::CapsuleGone { agent } => {
+            LogRecord::Capsule { agent, .. } | LogRecord::CapsuleGone { agent } => {
+                // a new capsule is a new baseline that carries no deltas
                 self.tallies.remove(agent);
             }
             LogRecord::ProfileDelta { agent, delta } => {
@@ -830,6 +828,24 @@ mod tests {
         s.put_capsule(6, json!({}), false).unwrap();
         assert!(s.needs_capture(6));
         assert!(s.needs_capture(7));
+    }
+
+    #[test]
+    fn a_journalled_capsule_absorbs_the_deltas_logged_before_it() {
+        let mut s = DurableStore::new(cfg(1));
+        s.put_capsule(5, json!({"state": "0123456789"}), true)
+            .unwrap();
+        s.log_delta(5, json!({"d": 1})).unwrap();
+        s.log_delta(6, json!({"d": 1})).unwrap();
+        s.put_capsule(5, json!({"state": 1}), false).unwrap();
+        assert!(s.state().deltas_for(5).is_empty(), "absorbed");
+        assert_eq!(s.state().deltas_for(6).len(), 1, "other agents keep theirs");
+        s.put_capsule(5, json!({"state": 1}), true).unwrap();
+        s.log_delta(5, json!({"d": 2})).unwrap();
+        let rec = s.recover();
+        assert!(rec.state.capsules[&5].active);
+        assert_eq!(rec.state.deltas_for(5), vec![json!({"d": 2})]);
+        assert!(!s.needs_capture(5), "7 delta bytes < 11 capsule bytes");
     }
 
     #[test]

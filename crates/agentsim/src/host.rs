@@ -1093,14 +1093,19 @@ impl HostCore {
     /// agents are captured after every callback; delta-journalled agents
     /// only get a baseline capture (their history travels as deltas,
     /// folded into a fresh capture at the checkpoint where they come to
-    /// outweigh it). An agent's first capsule here — at
-    /// creation or arrival — is forced: until it is synced, a crash
-    /// would lose the agent outright, whatever it already answered.
+    /// outweigh it). An agent's first active capsule here — at creation,
+    /// arrival or activation — is forced: until it is synced, a crash
+    /// would lose the agent outright (or restore it deactivated, without
+    /// the deltas logged since), whatever it already answered.
     fn journal_live_capsule<E: HostEnv>(&mut self, env: &mut E, id: AgentId) {
         let Some(store) = self.durable.as_ref() else {
             return;
         };
-        let has_capsule = store.state().capsules.contains_key(&id.0);
+        let has_capsule = store
+            .state()
+            .capsules
+            .get(&id.0)
+            .is_some_and(|rec| rec.active);
         let deltas = self
             .active
             .get(&id)

@@ -75,13 +75,18 @@ impl Message {
         }
     }
 
-    /// Attach a serializable payload.
+    /// Attach a typed payload: a clone of `value`, whose JSON tree is built
+    /// only if the message leaves its host or something else needs it
+    /// (see [`Payload::encode`]).
     ///
     /// # Errors
     ///
     /// Returns the underlying `serde_json` error if `value` cannot be
     /// serialized.
-    pub fn with_payload<T: Serialize>(mut self, value: &T) -> serde_json::Result<Self> {
+    pub fn with_payload<T>(mut self, value: &T) -> serde_json::Result<Self>
+    where
+        T: Serialize + Clone + Send + Sync + 'static,
+    {
         self.payload = Payload::encode(value)?;
         Ok(self)
     }
@@ -101,20 +106,22 @@ impl Message {
         self
     }
 
-    /// Deserialize the payload into a concrete type, by reference — the
-    /// payload tree is not cloned.
+    /// Read the payload as a concrete type: a clone of the value when it
+    /// was attached as a `T`, else a decode of its tree by reference
+    /// ([`Payload::typed`]).
     ///
     /// # Errors
     ///
     /// Returns the underlying `serde_json` error if the payload does not
     /// match `T`.
-    pub fn payload_as<T: DeserializeOwned>(&self) -> serde_json::Result<T> {
+    pub fn payload_as<T: DeserializeOwned + 'static>(&self) -> serde_json::Result<T> {
         self.payload.typed()
     }
 
     /// Approximate on-the-wire size in bytes, used by the network model to
-    /// derive transfer time. The payload's encoded length is computed once
-    /// and cached (shared with every clone of the payload).
+    /// derive the transfer time of a cross-host message. The payload's
+    /// encoded length is computed once and cached (shared with every clone
+    /// of the payload); asking for it builds a typed payload's tree.
     pub fn wire_size(&self) -> usize {
         // kind + payload dominate; fixed header estimated at 32 bytes.
         32 + self.kind.len() + self.payload.encoded_len()
@@ -140,7 +147,7 @@ impl Message {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     struct Quote {
         item: String,
         price: u64,

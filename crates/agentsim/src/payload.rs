@@ -1,37 +1,90 @@
-//! Cheap-to-clone, encode-once message/capsule payloads.
+//! Cheap-to-clone, encode-on-demand message/capsule payloads.
 //!
 //! Every message and every migration capsule used to carry a bare
 //! `serde_json::Value`: reading it cloned the whole tree, cloning the
 //! message deep-copied it, and every `wire_size` call re-serialized it to a
-//! fresh `String`. [`Payload`] shares one immutable value tree behind an
-//! `Arc` and caches its serialized form, so:
+//! fresh `String`. [`Payload`] shares one immutable payload behind an
+//! `Arc`, in one of two forms:
+//!
+//! * **typed** — [`Payload::encode`] keeps a clone of the Rust value it was
+//!   given. Most hops are between agents on one host, where a message is
+//!   never encoded: [`Payload::typed`] of the stored type hands back a
+//!   clone of the value, and no JSON tree is ever built;
+//! * **tree** — `From<Value>` keeps a `serde_json::Value` (journal deltas,
+//!   capsules, forwarded envelopes and projections).
+//!
+//! A typed payload builds its tree lazily, once, shared by every clone,
+//! and only when something needs it: [`Payload::value`] (and `Deref`),
+//! [`Payload::encoded_len`], [`Payload::encoded`], `Serialize`,
+//! `PartialEq`, `Debug`/`Display`, [`Payload::project`] or
+//! [`Payload::typed`] of a type other than the stored one, which decodes
+//! from the tree by reference exactly as a tree payload does. So:
 //!
 //! * `clone` is a reference-count bump (fan-out and routing hops are free);
-//! * [`Payload::typed`] deserializes *by reference* — no tree copy;
 //! * [`Payload::encoded_len`] (which drives `wire_size` and therefore the
-//!   network delay model) is computed once per payload and shared by all
-//!   clones; the full encoding ([`Payload::encoded`]) is materialized as
-//!   [`bytes::Bytes`] only when actual bytes are needed.
+//!   network delay model of cross-host messages) is computed once per
+//!   payload and shared by all clones; the full encoding
+//!   ([`Payload::encoded`]) is materialized as [`bytes::Bytes`] only when
+//!   actual bytes are needed.
 //!
 //! # Determinism invariant
 //!
 //! `encoded_len` must equal `serde_json::to_string(&value).len()` exactly:
-//! transfer delays derive from wire sizes, and the Fig 4.1/4.2/4.3 workflow
-//! traces are byte-identical only if every payload reports the same size as
-//! the pre-cache implementation. The fast length pass below mirrors the
-//! `Value` `Display` impl case by case and is property-tested against it.
+//! transfer delays of cross-host messages and capsules derive from wire
+//! sizes, and the Fig 4.1/4.2/4.3 workflow traces are byte-identical only if
+//! every such payload reports the same size as the pre-cache
+//! implementation. (A same-host delivery costs the local delay whatever its
+//! size, so a local message's length is never asked for.) The fast length
+//! pass below mirrors the `Value` `Display` impl case by case and is
+//! property-tested against it; a typed payload's tree is the one
+//! `serde_json::to_value` would have built at send time.
 
 use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Error, Serialize, Value};
+use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-struct Inner {
-    value: Value,
+/// The Rust value a payload may hold besides (or instead of) its tree.
+trait Typed: Send + Sync {
+    /// Build the JSON tree of the held value.
+    fn tree(&self) -> Value;
+    /// Store a clone of the held value in `slot` when `slot` is an
+    /// `Option<T>` of the held type `T`; leave it alone otherwise.
+    fn clone_into(&self, slot: &mut dyn Any);
+}
+
+/// Held by a tree payload: there is no Rust value.
+impl Typed for () {
+    fn tree(&self) -> Value {
+        Value::Null
+    }
+    fn clone_into(&self, _slot: &mut dyn Any) {}
+}
+
+/// Held by a typed payload: the value [`Payload::encode`] was given.
+struct Held<T>(T);
+
+impl<T: Serialize + Clone + Send + Sync + 'static> Typed for Held<T> {
+    fn tree(&self) -> Value {
+        self.0.serialize_value()
+    }
+    fn clone_into(&self, slot: &mut dyn Any) {
+        if let Some(slot) = slot.downcast_mut::<Option<T>>() {
+            *slot = Some(self.0.clone());
+        }
+    }
+}
+
+struct Inner<H: ?Sized> {
+    /// The tree: set at construction for a tree payload, built on first
+    /// need for a typed one.
+    value: OnceLock<Value>,
     encoded_len: OnceLock<usize>,
     encoded: OnceLock<Bytes>,
+    held: H,
 }
 
 /// An immutable, cheaply cloneable message/capsule payload.
@@ -41,7 +94,7 @@ struct Inner {
 /// value with [`Payload::encode`] or from an existing tree via `From`.
 #[derive(Clone)]
 pub struct Payload {
-    inner: Arc<Inner>,
+    inner: Arc<Inner<dyn Typed>>,
 }
 
 impl Payload {
@@ -51,51 +104,80 @@ impl Payload {
         NULL.get_or_init(|| Payload::from(Value::Null)).clone()
     }
 
-    /// Serialize `value` into a payload.
+    /// A typed payload holding a clone of `value`; its JSON tree is built
+    /// only if something asks for it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns the underlying serialization error, if any.
-    pub fn encode<T: Serialize>(value: &T) -> serde_json::Result<Payload> {
-        Ok(Payload::from(serde_json::to_value(value)?))
+    /// None in practice: the tree, when it is built, comes from the
+    /// infallible `Serialize` of the value. The `Result` keeps the
+    /// signature of an encoder.
+    pub fn encode<T>(value: &T) -> serde_json::Result<Payload>
+    where
+        T: Serialize + Clone + Send + Sync + 'static,
+    {
+        Ok(Payload {
+            inner: Arc::new(Inner {
+                value: OnceLock::new(),
+                encoded_len: OnceLock::new(),
+                encoded: OnceLock::new(),
+                held: Held(value.clone()),
+            }),
+        })
     }
 
-    /// The underlying value tree.
+    /// The underlying value tree, built on first use for a typed payload.
     pub fn value(&self) -> &Value {
-        &self.inner.value
+        self.inner.value.get_or_init(|| self.inner.held.tree())
+    }
+
+    /// Whether the tree exists yet: always for a tree payload; for a typed
+    /// one, once something has needed it. A diagnostic for tests that pin
+    /// which hops encode.
+    pub fn is_materialised(&self) -> bool {
+        self.inner.value.get().is_some()
     }
 
     /// Clone out the underlying value tree (one deep copy; prefer
     /// [`Payload::value`] or [`Payload::typed`] on hot paths).
     pub fn to_value(&self) -> Value {
-        self.inner.value.clone()
+        self.value().clone()
     }
 
     /// Take the underlying value tree out: moved when this is the only
     /// handle to it, cloned otherwise.
-    pub fn into_value(self) -> Value {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => inner.value,
-            Err(shared) => shared.value.clone(),
+    pub fn into_value(mut self) -> Value {
+        match Arc::get_mut(&mut self.inner) {
+            Some(inner) => match inner.value.take() {
+                Some(value) => value,
+                None => inner.held.tree(),
+            },
+            None => self.to_value(),
         }
     }
 
-    /// Deserialize into a concrete type, by reference — the tree is not
-    /// cloned.
+    /// Read the payload as a concrete type: a clone of the held value when
+    /// this is a typed payload of `T`, else a decode of the tree by
+    /// reference (the tree is not cloned).
     ///
     /// # Errors
     ///
     /// Returns the underlying deserialization error if the payload does not
     /// match `T`.
-    pub fn typed<T: DeserializeOwned>(&self) -> serde_json::Result<T> {
-        T::deserialize_value(&self.inner.value)
+    pub fn typed<T: DeserializeOwned + 'static>(&self) -> serde_json::Result<T> {
+        let mut slot: Option<T> = None;
+        self.inner.held.clone_into(&mut slot);
+        match slot {
+            Some(value) => Ok(value),
+            None => T::deserialize_value(self.value()),
+        }
     }
 
     /// Project the object member `key` into its own payload (one subtree
     /// clone — the routing-hop replacement for re-parsing a whole
     /// envelope). Returns the null payload if absent.
     pub fn project(&self, key: &str) -> Payload {
-        match self.inner.value.get(key) {
+        match self.value().get(key) {
             Some(v) => Payload::from(v.clone()),
             None => Payload::null(),
         }
@@ -110,7 +192,7 @@ impl Payload {
         *self
             .inner
             .encoded_len
-            .get_or_init(|| encoded_len_of(&self.inner.value))
+            .get_or_init(|| encoded_len_of(self.value()))
     }
 
     /// The compact JSON encoding, materialized once and shared by all
@@ -118,7 +200,7 @@ impl Payload {
     pub fn encoded(&self) -> Bytes {
         self.inner
             .encoded
-            .get_or_init(|| Bytes::from(self.inner.value.to_string()))
+            .get_or_init(|| Bytes::from(self.value().to_string()))
             .clone()
     }
 
@@ -138,7 +220,7 @@ impl Default for Payload {
 impl Deref for Payload {
     type Target = Value;
     fn deref(&self) -> &Value {
-        &self.inner.value
+        self.value()
     }
 }
 
@@ -146,9 +228,10 @@ impl From<Value> for Payload {
     fn from(value: Value) -> Self {
         Payload {
             inner: Arc::new(Inner {
-                value,
+                value: OnceLock::from(value),
                 encoded_len: OnceLock::new(),
                 encoded: OnceLock::new(),
+                held: (),
             }),
         }
     }
@@ -162,37 +245,37 @@ impl From<&Value> for Payload {
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
-        Payload::ptr_eq(self, other) || self.inner.value == other.inner.value
+        Payload::ptr_eq(self, other) || self.value() == other.value()
     }
 }
 
 impl PartialEq<Value> for Payload {
     fn eq(&self, other: &Value) -> bool {
-        self.inner.value == *other
+        self.value() == other
     }
 }
 
 impl PartialEq<Payload> for Value {
     fn eq(&self, other: &Payload) -> bool {
-        *self == other.inner.value
+        self == other.value()
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.inner.value, f)
+        fmt::Debug::fmt(self.value(), f)
     }
 }
 
 impl fmt::Display for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.inner.value, f)
+        fmt::Display::fmt(self.value(), f)
     }
 }
 
 impl Serialize for Payload {
     fn serialize_value(&self) -> Value {
-        self.inner.value.clone()
+        self.value().clone()
     }
 }
 
@@ -359,6 +442,22 @@ mod tests {
             p.value() as *const Value as usize,
             "typed() must pass the payload's own tree, not a copy"
         );
+    }
+
+    #[test]
+    fn typed_payload_builds_its_tree_once_and_only_on_demand() {
+        let p = Payload::encode(&vec![1u32, 2, 3]).unwrap();
+        let q = p.clone();
+        assert_eq!(p.typed::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
+        assert!(!q.is_materialised(), "a read of the held type is a clone");
+        assert_eq!(q.encoded_len(), "[1,2,3]".len());
+        assert!(p.is_materialised(), "clones share the tree");
+        assert!(std::ptr::eq(p.value(), q.value()));
+        // another type decodes from the tree, as a tree payload does
+        assert_eq!(p.typed::<Vec<u64>>().unwrap(), vec![1, 2, 3]);
+        assert!(p.typed::<String>().is_err());
+        assert_eq!(p, Payload::from(json!([1, 2, 3])));
+        assert_eq!(q.into_value(), json!([1, 2, 3]));
     }
 
     #[test]

@@ -1615,14 +1615,18 @@ impl HostEnv for SimWorld {
                 return;
             }
         };
-        let bytes = msg.wire_size();
         if let Some(chaos_fault) = self.roll_loss(from_host, to_host) {
             self.drop_lost(&msg, chaos_fault);
             return;
         }
-        if from_host != to_host {
-            self.metrics.remote_message_bytes += bytes as u64;
-        }
+        // A same-host delivery costs the local delay whatever its size, so
+        // a local message is never measured (and its payload never encoded).
+        let bytes = if from_host == to_host {
+            0
+        } else {
+            msg.wire_size()
+        };
+        self.metrics.remote_message_bytes += bytes as u64;
         let mut delay = self.topology.delivery_time(from_host, to_host, bytes);
         let Some(chaos) = self.chaos.as_mut() else {
             let at = self.now + delay;
@@ -1812,6 +1816,82 @@ mod tests {
         fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
             ctx.note(format!("arrived at {}", ctx.host()));
         }
+    }
+
+    /// Records, before and after reading each message's payload, whether
+    /// the payload's JSON tree exists; asks a peer and answers requests
+    /// with typed payloads.
+    #[derive(Debug, Default, Serialize, Deserialize)]
+    struct Tracer {
+        built: Vec<bool>,
+    }
+
+    fn words() -> Vec<String> {
+        vec!["typed".into(), "local \"payload\"".into()]
+    }
+
+    impl Agent for Tracer {
+        fn agent_type(&self) -> &'static str {
+            "tracer"
+        }
+        fn snapshot(&self) -> serde_json::Value {
+            serde_json::to_value(self).unwrap()
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            self.built.push(msg.payload.is_materialised());
+            match msg.kind.as_str() {
+                "ask" => {
+                    let peer: u64 = msg.payload_as().unwrap();
+                    let request = Message::new("request").with_payload(&words()).unwrap();
+                    ctx.send(AgentId(peer), request);
+                }
+                "request" => {
+                    let asked: Vec<String> = msg.payload_as().unwrap();
+                    assert_eq!(asked, words());
+                    ctx.reply(&msg, Message::new("reply").with_payload(&asked).unwrap());
+                }
+                _ => assert_eq!(msg.payload_as::<Vec<String>>().unwrap(), words()),
+            }
+            self.built.push(msg.payload.is_materialised());
+        }
+    }
+
+    /// Ask `b` (on `b_host`) from `a` on host `a_host`; the two tracers'
+    /// flags and the world's remote bytes.
+    fn ask_and_answer(same_host: bool) -> (Vec<bool>, Vec<bool>, u64) {
+        let (mut w, a_host, b_host) = world_with_two_hosts();
+        w.registry_mut().register_serde::<Tracer>("tracer");
+        let b_host = if same_host { a_host } else { b_host };
+        let a = w.create_agent(a_host, Box::new(Tracer::default())).unwrap();
+        let b = w.create_agent(b_host, Box::new(Tracer::default())).unwrap();
+        w.send_external(a, Message::new("ask").with_payload(&b.0).unwrap())
+            .unwrap();
+        w.run_until_idle();
+        let flags = |w: &SimWorld, id| {
+            serde_json::from_value::<Tracer>(w.snapshot_of(id).unwrap())
+                .unwrap()
+                .built
+        };
+        (flags(&w, a), flags(&w, b), w.metrics().remote_message_bytes)
+    }
+
+    #[test]
+    fn same_host_request_and_reply_never_materialise_their_payloads() {
+        let (a, b, remote_bytes) = ask_and_answer(true);
+        assert_eq!(a, vec![false; 4], "ask and reply stay typed");
+        assert_eq!(b, vec![false; 2], "the request stays typed");
+        assert_eq!(remote_bytes, 0);
+    }
+
+    #[test]
+    fn cross_host_messages_materialise_and_keep_their_wire_size() {
+        let (a, b, remote_bytes) = ask_and_answer(false);
+        assert_eq!(a, vec![false, false, true, true], "the reply crossed hosts");
+        assert_eq!(b, vec![true, true], "the request crossed hosts");
+        // what a tree payload of the same value reports
+        let tree = Payload::from(serde_json::to_value(words()).unwrap());
+        let wire = |kind: &str| Message::new(kind).carrying(tree.clone()).wire_size() as u64;
+        assert_eq!(remote_bytes, wire("request") + wire("reply"));
     }
 
     fn world_with_two_hosts() -> (SimWorld, HostId, HostId) {

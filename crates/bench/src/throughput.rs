@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One row of a marketplace quote sheet (a payload-heavy message body).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuoteRow {
     /// Item id.
     pub id: u64,
@@ -31,7 +31,7 @@ pub struct QuoteRow {
 }
 
 /// The quote sheet fanned out to every consumer.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuoteSheet {
     /// Originating marketplace.
     pub market: String,

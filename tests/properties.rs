@@ -1139,7 +1139,10 @@ mod marketplace_replay {
         }
     }
 
-    fn message<T: Serialize>(kind: &str, payload: &T) -> Message {
+    fn message<T>(kind: &str, payload: &T) -> Message
+    where
+        T: Serialize + Clone + Send + Sync + 'static,
+    {
         Message::new(kind).with_payload(payload).unwrap()
     }
 
@@ -1260,6 +1263,405 @@ mod marketplace_replay {
             world.restart_host(market_host).unwrap();
             let recovered = world.snapshot_of(market).unwrap();
             prop_assert_eq!(recovered, live);
+        }
+    }
+}
+
+// --- typed payloads ≡ their trees ---------------------------------------
+
+/// A payload built with `Payload::encode` holds the Rust value and builds
+/// its JSON tree only on demand. For every payload type the agents send,
+/// drawn values must read back exactly as the tree-decoded value would,
+/// and once the tree exists it must be the one `to_value` builds, with
+/// the same encoded length and bytes; reading the payload as a `Value` or
+/// as another message type must give what decoding the tree gives.
+mod typed_payloads {
+    use abcrm::agentsim::ids::{AgentId, HostId};
+    use abcrm::agentsim::payload::Payload;
+    use abcrm::core::agents::msg::*;
+    use abcrm::core::learning::BehaviorKind;
+    use abcrm::core::profile::{ConsumerId, Profile};
+    use abcrm::ecp::auction::{AuctionOutcome, BidderId};
+    use abcrm::ecp::merchandise::{CategoryPath, ItemId, Merchandise, Money};
+    use abcrm::ecp::protocol::*;
+    use abcrm::ecp::terms::TermVector;
+    use proptest::prelude::*;
+    use proptest::{TestCaseError, TestRng};
+    use serde::de::DeserializeOwned;
+    use serde::Serialize;
+    use serde_json::Value;
+    use std::fmt::Debug;
+
+    /// Draws message values from one seed.
+    struct Draw(TestRng);
+
+    impl Draw {
+        fn n(&mut self, bound: u64) -> u64 {
+            self.0.below(bound)
+        }
+        fn flip(&mut self) -> bool {
+            self.n(2) == 1
+        }
+        fn f(&mut self) -> f64 {
+            // negative, fractional, integral and tiny weights alike
+            match self.n(4) {
+                0 => self.n(100) as f64,
+                1 => -self.0.unit_f64(),
+                2 => self.0.unit_f64() * 1e-9,
+                _ => self.0.unit_f64() * 1e3,
+            }
+        }
+        fn text(&mut self) -> String {
+            const PARTS: [&str; 6] = ["rust", "Go Book", "quote\"d", "tab\tnew\nline", "ünï ✓", ""];
+            (0..self.n(3))
+                .map(|_| PARTS[self.n(PARTS.len() as u64) as usize])
+                .collect::<Vec<_>>()
+                .join(" ")
+        }
+        fn vec<T>(&mut self, max: u64, mut one: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            (0..self.n(max + 1)).map(|_| one(self)).collect()
+        }
+        fn opt<T>(&mut self, one: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            if self.flip() {
+                Some(one(self))
+            } else {
+                None
+            }
+        }
+        fn money(&mut self) -> Money {
+            Money(self.n(1 << 40))
+        }
+        fn consumer(&mut self) -> ConsumerId {
+            ConsumerId(self.n(u64::MAX))
+        }
+        fn agent(&mut self) -> AgentId {
+            AgentId(self.n(1 << 20))
+        }
+        fn host(&mut self) -> HostId {
+            HostId(self.n(64) as u32)
+        }
+        fn terms(&mut self) -> TermVector {
+            let pairs = self.vec(4, |d| (d.text(), d.f()));
+            TermVector::from_pairs(pairs)
+        }
+        fn category(&mut self) -> CategoryPath {
+            CategoryPath::new(self.text(), self.text())
+        }
+        fn merch(&mut self) -> Merchandise {
+            Merchandise {
+                id: ItemId(self.n(1000)),
+                name: self.text(),
+                category: self.category(),
+                terms: self.terms(),
+                list_price: self.money(),
+                seller: self.n(8) as u32,
+            }
+        }
+        fn profile(&mut self) -> Profile {
+            let mut p = Profile::new();
+            for _ in 0..self.n(3) {
+                let (cat, sub) = (self.text(), self.text());
+                let slice = p.category_mut(&cat);
+                slice.terms = self.terms();
+                *slice.sub_mut(&sub) = self.terms();
+            }
+            p
+        }
+        fn market(&mut self) -> MarketRef {
+            MarketRef {
+                host: self.host(),
+                agent: self.agent(),
+            }
+        }
+        fn intent(&mut self) -> IntentId {
+            IntentId::new(self.agent(), self.n(1 << 30))
+        }
+        fn offer(&mut self) -> Offer {
+            Offer {
+                item: self.merch(),
+                marketplace: self.host(),
+                price: self.money(),
+            }
+        }
+        fn task(&mut self) -> ConsumerTask {
+            match self.n(3) {
+                0 => ConsumerTask::Query {
+                    keywords: self.vec(3, Draw::text),
+                    category: self.opt(Draw::category),
+                    max_results: self.n(20) as usize,
+                },
+                1 => ConsumerTask::Buy {
+                    item: ItemId(self.n(1000)),
+                    market: self.market(),
+                    mode: if self.flip() {
+                        BuyMode::Direct
+                    } else {
+                        BuyMode::Negotiate {
+                            budget: self.money(),
+                            opening_fraction: self.f(),
+                            raise: self.f(),
+                            max_rounds: self.n(10) as u32,
+                        }
+                    },
+                },
+                _ => ConsumerTask::Auction {
+                    item: ItemId(self.n(1000)),
+                    market: self.market(),
+                    limit: self.money(),
+                },
+            }
+        }
+        fn body(&mut self) -> ResponseBody {
+            match self.n(7) {
+                0 => ResponseBody::LoggedIn,
+                1 => ResponseBody::LoggedOut,
+                2 => ResponseBody::Recommendations {
+                    offers: self.vec(3, Draw::offer),
+                    recommendations: self.vec(3, |d| RecommendedItem {
+                        item: d.merch(),
+                        score: d.f(),
+                        reason: d.text(),
+                    }),
+                    degraded: self.flip(),
+                    unreachable_markets: self.vec(2, Draw::market),
+                },
+                3 => ResponseBody::Receipt {
+                    item: self.merch(),
+                    price: self.money(),
+                    channel: self.text(),
+                },
+                4 => ResponseBody::AuctionResult {
+                    item: self.merch(),
+                    won: self.flip(),
+                    price: self.opt(Draw::money),
+                },
+                5 => ResponseBody::Error(self.text()),
+                _ => ResponseBody::Overloaded {
+                    retry_after_us: self.n(u64::MAX),
+                },
+            }
+        }
+        fn mba_result(&mut self) -> MbaResult {
+            match self.n(4) {
+                0 => MbaResult::Offers {
+                    offers: self.vec(3, Draw::offer),
+                    reports: self.vec(2, |d| MarketReport {
+                        market: d.market(),
+                        status: [
+                            MarketStatus::Visited,
+                            MarketStatus::Unreachable,
+                            MarketStatus::NoReply,
+                        ][d.n(3) as usize],
+                    }),
+                },
+                1 => MbaResult::Bought {
+                    item: self.merch(),
+                    price: self.money(),
+                    negotiated: self.flip(),
+                    rounds: self.n(9) as u32,
+                },
+                2 => MbaResult::BuyFailed {
+                    item: ItemId(self.n(1000)),
+                    reason: self.text(),
+                },
+                _ => MbaResult::AuctionDone {
+                    item: self.merch(),
+                    won: self.flip(),
+                    price: self.opt(Draw::money),
+                    bids: self.n(9) as u32,
+                },
+            }
+        }
+        fn confirm(&mut self) -> BuyConfirm {
+            BuyConfirm {
+                item: self.merch(),
+                price: self.money(),
+            }
+        }
+        fn role(&mut self) -> ServerRole {
+            [
+                ServerRole::Marketplace,
+                ServerRole::Seller,
+                ServerRole::BuyerServer,
+            ][self.n(3) as usize]
+        }
+    }
+
+    /// `x` as a typed payload ≡ `x` as a tree payload.
+    fn check<T>(x: &T) -> Result<(), TestCaseError>
+    where
+        T: Serialize + DeserializeOwned + Clone + PartialEq + Debug + Send + Sync + 'static,
+    {
+        let tree = serde_json::to_value(x).unwrap();
+        let text = serde_json::to_string(x).unwrap();
+        let p = Payload::encode(x).unwrap();
+        let typed = p.typed::<T>().unwrap();
+        prop_assert!(
+            !p.is_materialised(),
+            "a read of the held type builds no tree"
+        );
+        prop_assert_eq!(&typed, &T::deserialize_value(&tree).unwrap());
+        prop_assert_eq!(&typed, x);
+        // a read as another type decodes the tree, as a tree payload does
+        prop_assert_eq!(p.typed::<Value>().unwrap(), tree);
+        prop_assert!(p.is_materialised());
+        prop_assert_eq!(p.value(), &tree);
+        prop_assert_eq!(p.encoded_len(), text.len());
+        prop_assert_eq!(&p.encoded()[..], text.as_bytes());
+        let as_tree = Payload::from(tree.clone());
+        prop_assert_eq!(&p, &as_tree);
+        prop_assert_eq!(format!("{p:?}"), format!("{as_tree:?}"));
+        // reading a fresh typed payload as another type materialises it
+        // and gives exactly what the tree gives, error or value
+        let fresh = Payload::encode(x).unwrap();
+        prop_assert_eq!(
+            format!("{:?}", fresh.typed::<PaLoad>()),
+            format!("{:?}", as_tree.typed::<PaLoad>())
+        );
+        prop_assert_eq!(
+            format!("{:?}", fresh.typed::<SessionRequest>()),
+            format!("{:?}", as_tree.typed::<SessionRequest>())
+        );
+        prop_assert_eq!(
+            format!("{:?}", fresh.typed::<MbaResult>()),
+            format!("{:?}", as_tree.typed::<MbaResult>())
+        );
+        prop_assert_eq!(fresh.into_value(), tree);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn typed_payloads_read_back_as_their_trees(seed in 0u64..u64::MAX) {
+            let mut d = Draw(TestRng::seed_from_u64(seed));
+            let d = &mut d;
+            // abcrm_core::agents::msg
+            check(&FrontRequest {
+                consumer: d.consumer(),
+                body: match d.n(3) {
+                    0 => FrontRequestBody::Login,
+                    1 => FrontRequestBody::Logout,
+                    _ => FrontRequestBody::Task(d.task()),
+                },
+            })?;
+            check(&FrontResponse { seq: d.n(1 << 32), consumer: d.consumer(), body: d.body() })?;
+            check(&d.body())?;
+            check(&SessionRequest { consumer: d.consumer() })?;
+            check(&SessionOpen { consumer: d.consumer(), bra: d.agent() })?;
+            check(&FrontTask {
+                consumer: d.consumer(),
+                task: d.task(),
+                blocked_markets: d.vec(2, Draw::market),
+                request: d.n(1 << 32),
+            })?;
+            check(&PaLoad { consumer: d.consumer(), figure: d.text() })?;
+            check(&PaProfile { consumer: d.consumer(), profile: d.profile() })?;
+            check(&PaRecord {
+                consumer: d.consumer(),
+                item: d.merch(),
+                kind: [BehaviorKind::Query, BehaviorKind::Browse, BehaviorKind::Purchase]
+                    [d.n(3) as usize],
+                price: d.opt(Draw::money),
+                at_us: d.n(u64::MAX),
+            })?;
+            check(&PaSimilar {
+                consumer: d.consumer(),
+                offers: d.vec(4, Draw::merch),
+                k_neighbours: d.n(50) as usize,
+            })?;
+            check(&PaSimilarReply {
+                consumer: d.consumer(),
+                profile: d.profile(),
+                neighbours: d.vec(4, |d| (d.consumer(), d.f())),
+                neighbour_preferences: d.vec(4, |d| (d.merch(), d.f())),
+            })?;
+            check(&MbaRegister {
+                mba: d.agent(),
+                bra: d.agent(),
+                consumer: d.consumer(),
+                timeout_us: d.n(1 << 32),
+                figure: d.text(),
+            })?;
+            check(&MbaReturned { mba: d.agent(), bra: d.agent(), reports: Vec::new() })?;
+            check(&d.mba_result())?;
+            check(&BraResponse { consumer: d.consumer(), request: d.n(1 << 32), body: d.body() })?;
+            check(&MbaLost { mba: d.agent(), deadline_us: d.opt(|d| d.n(1 << 40)) })?;
+            check(&EcInfo {
+                marketplaces: d.vec(3, Draw::market),
+                online_consumers: d.n(100) as u32,
+                roaming_mbas: d.n(100) as u32,
+            })?;
+            // ecp::protocol, as a marketplace or the coordinator receives it
+            check(&RegisterServer { role: d.role(), host: d.host(), agent: d.agent(), name: d.text() })?;
+            check(&ListServers { role: d.role() })?;
+            check(&ServerList {
+                servers: d.vec(3, |d| ServerInfo {
+                    role: d.role(),
+                    host: d.host(),
+                    agent: d.agent(),
+                    name: d.text(),
+                }),
+            })?;
+            check(&RequestBuyerServer {
+                host: d.host(),
+                bsma_type: d.text(),
+                config: serde_json::json!({"markets": d.n(9), "name": d.text()}),
+            })?;
+            check(&CatalogSync {
+                seller: d.n(8) as u32,
+                listings: d.vec(3, |d| Listing {
+                    item: d.merch(),
+                    reservation: d.money(),
+                    concession: d.f(),
+                }),
+            })?;
+            check(&QueryRequest {
+                keywords: d.vec(3, Draw::text),
+                category: d.opt(Draw::category),
+                max_results: d.n(20) as usize,
+            })?;
+            check(&QueryResponse { offers: d.vec(3, Draw::offer) })?;
+            check(&BuyRequest { item: ItemId(d.n(1000)), intent: d.intent() })?;
+            check(&d.confirm())?;
+            check(&NegotiateOffer { item: ItemId(d.n(1000)), offer: d.money(), intent: d.intent() })?;
+            check(&NegotiateCounter { item: ItemId(d.n(1000)), ask: d.money() })?;
+            check(&NegotiateAccept { item: d.merch(), price: d.money() })?;
+            check(&AuctionOpen {
+                item: ItemId(d.n(1000)),
+                reserve: d.money(),
+                increment: d.money(),
+                duration_us: d.n(1 << 32),
+                sealed: d.flip(),
+            })?;
+            check(&DutchOpen {
+                item: ItemId(d.n(1000)),
+                start: d.money(),
+                floor: d.money(),
+                decrement: d.money(),
+                tick_us: d.n(1 << 32),
+            })?;
+            check(&AuctionJoin { item: ItemId(d.n(1000)) })?;
+            check(&AuctionStatus {
+                item: ItemId(d.n(1000)),
+                minimum_bid: d.money(),
+                leading_bid: d.opt(Draw::money),
+                open: d.flip(),
+                sealed: d.flip(),
+            })?;
+            check(&AuctionBid { item: ItemId(d.n(1000)), amount: d.money() })?;
+            check(&AuctionClosed {
+                item: d.merch(),
+                outcome: if d.flip() {
+                    AuctionOutcome::Sold { winner: BidderId(d.n(99)), price: d.money() }
+                } else {
+                    AuctionOutcome::Unsold
+                },
+                you_won: d.flip(),
+            })?;
+            check(&LedgerQuery { intent: d.intent() })?;
+            check(&LedgerReply { intent: d.intent(), committed: d.opt(Draw::confirm) })?;
+            check(&TopSellers { k: d.n(10) as usize })?;
+            check(&TopSellersList { items: d.vec(3, |d| (d.merch(), d.n(99) as u32)) })?;
         }
     }
 }

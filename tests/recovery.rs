@@ -35,6 +35,7 @@ use abcrm::core::BackoffPolicy;
 use agentsim::clock::{SimDuration, SimTime};
 use agentsim::durable::DurabilityConfig;
 use agentsim::net::LinkSpec;
+use agentsim::sim::Location;
 use ecp::merchandise::ItemId;
 
 const CONSUMER: ConsumerId = ConsumerId(1);
@@ -1043,6 +1044,78 @@ fn checkout_checkpoints_seldom_recapture_the_pa() {
         captures <= 2,
         "the PA was captured at {captures} of {checkpoints} checkpoints"
     );
+}
+
+/// A durable platform (checkpoints off, so the WAL holds everything)
+/// whose PA is deactivated and activated, then records `before` purchases
+/// before and one purchase after that round trip.
+fn pa_reactivated_then_bought(before: u64) -> Platform {
+    use abcrm::core::agents::msg::{kinds, PaRecord};
+    use abcrm::core::learning::BehaviorKind;
+    use agentsim::message::Message;
+
+    let mut p = Platform::builder(77)
+        .marketplaces(listings())
+        .durability(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 1,
+        })
+        .build();
+    let pa = p.pa();
+    let item = listings()[0][0].item.clone();
+    let purchase = |p: &mut Platform, at_us: u64| {
+        let record = Message::new(kinds::PA_RECORD)
+            .with_payload(&PaRecord {
+                consumer: CONSUMER,
+                item: item.clone(),
+                kind: BehaviorKind::Purchase,
+                price: None,
+                at_us,
+            })
+            .unwrap();
+        p.world_mut().send_external(pa, record).unwrap();
+        p.world_mut().run_until_idle();
+    };
+    for at_us in 0..before {
+        purchase(&mut p, at_us);
+    }
+    p.world_mut().deactivate_agent(pa).unwrap();
+    p.world_mut().run_until_idle();
+    p.world_mut().activate_agent(pa).unwrap();
+    p.world_mut().run_until_idle();
+    purchase(&mut p, before);
+    assert_eq!(
+        p.pa_state().userdb().transaction_count(),
+        before as usize + 1
+    );
+    p
+}
+
+/// An activated delta-journalled agent journals its active capsule:
+/// without it the durable store kept the capsule its deactivation wrote,
+/// recovery restored the PA deactivated and dropped every delta logged
+/// since the activation. The purchase made before the deactivation is in
+/// the journalled capsule and must not be replayed a second time.
+#[test]
+fn reactivated_pa_recovers_active_with_its_later_deltas() {
+    for before in [0u64, 1] {
+        let mut p = pa_reactivated_then_bought(before);
+        let (pa, host) = (p.pa(), p.buyer_host());
+        p.world_mut().crash_host(host).unwrap();
+        p.world_mut().run_for(SimDuration::from_micros(100));
+        p.world_mut().restart_host(host).unwrap();
+        p.world_mut().run_until_idle();
+        assert!(
+            matches!(p.world().location(pa), Some(Location::Active(h)) if h == host),
+            "{before} earlier purchases: the PA must come back active, is {:?}",
+            p.world().location(pa)
+        );
+        assert_eq!(
+            p.pa_state().userdb().transaction_count(),
+            before as usize + 1,
+            "{before} earlier purchases: every purchase recovered exactly once"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
