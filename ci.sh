@@ -22,9 +22,11 @@ filtered_test() {
   fi
 }
 
-# --shard-stress: loop the cross-runtime equivalence suite and the
-# ThreadWorld unit tests 20x to shake out scheduling races in the
-# sharded/threaded paths, then exit. Does not run the normal gate.
+# --shard-stress: loop the cross-runtime equivalence suite (the
+# lifecycle table included, with its case of a timer armed before a
+# crash that must not fire after the restart) and the ThreadWorld unit
+# tests 20x to shake out scheduling races in the sharded/threaded
+# paths, then exit. Does not run the normal gate.
 # --query-stress: hammer the query tier — 10 iterations of the ANN
 # suite at 10^4 consumers plus the query-tier property tests (including
 # the re-rank kernel ≡ vector_similarity properties in core and the
@@ -45,7 +47,9 @@ filtered_test() {
 # recovery to its live state, and the checkout run that seldom
 # re-captures the PA), and the activation journalling checks (a
 # re-activated PA recovers active with its later deltas; a journalled
-# capsule absorbs the deltas logged before it) 10x (the crash matrix covers the
+# capsule absorbs the deltas logged before it), and the timer fence (a
+# PA restored by a restart or a failover runs one maintenance chain; the
+# auctions of a crashed marketplace still close once) 10x (the crash matrix covers the
 # sharded/threaded recovery paths too), then the full E14 recovery
 # series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x — the 32-seed
@@ -94,6 +98,9 @@ if [[ "${1:-}" == "--recovery-stress" ]]; then
     filtered_test -q --release --test recovery checkout_checkpoints_seldom_recapture_the_pa
     filtered_test -q --release --test recovery reactivated_pa_recovers_active_with_its_later_deltas
     filtered_test -q --release -p agentsim durable::tests::a_journalled_capsule_absorbs_the_deltas
+    filtered_test -q --release --test recovery a_restored_pa_runs_one_maintenance_chain
+    filtered_test -q --release --test recovery a_failed_over_pa_runs_one_maintenance_chain
+    filtered_test -q --release -p ecp marketplace::tests::auctions_open_across_a_host_crash_still_close_once
   done
   echo "==> full E14 recovery series"
   cargo bench -p bench --bench recovery

@@ -285,8 +285,6 @@ impl fmt::Display for ChaosPlan {
 /// runtime derives the same vocabulary from a [`ChaosPlan`] instead.
 #[derive(Debug, Default)]
 pub struct ChaosKnobs {
-    /// Probability that a remote message is dropped.
-    pub drop_probability: f64,
     /// Probability that a delivered message is duplicated.
     pub dup_probability: f64,
     /// Hard-partitioned unordered host pairs.
@@ -323,8 +321,7 @@ impl ChaosKnobs {
 
     /// Whether any knob deviates from the quiet default.
     pub fn any_active(&self) -> bool {
-        self.drop_probability > 0.0
-            || self.dup_probability > 0.0
+        self.dup_probability > 0.0
             || !self.partitions.is_empty()
             || !self.crashed.is_empty()
             || !self.hung.is_empty()

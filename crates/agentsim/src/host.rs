@@ -58,6 +58,9 @@ pub(crate) struct Timer {
     pub(crate) trace: Option<TraceCtx>,
     /// Ambient deadline the callback runs under.
     pub(crate) deadline: Option<SimTime>,
+    /// The agent's incarnation when it armed the timer
+    /// ([`HostEnv::incarnation`]); a timer from an earlier one is stale.
+    pub(crate) incarnation: u32,
 }
 
 /// Whether a dispatch from one host to another can leave.
@@ -115,6 +118,10 @@ pub(crate) trait HostEnv {
     fn home_of(&self, id: AgentId) -> Option<HostId>;
     /// Record the home host of `id`.
     fn set_home(&mut self, id: AgentId, home: HostId);
+    /// How many times a recovery pass has restored `id` (0 if never).
+    fn incarnation(&self, id: AgentId) -> u32;
+    /// Count one more restoration of `id`: its pending timers go stale.
+    fn bump_incarnation(&mut self, id: AgentId);
     /// Whether a dispatch from `from` to `dest` can leave.
     fn reach(&self, from: HostId, dest: HostId) -> Reach;
     /// Whether `host` is crashed.
@@ -138,8 +145,6 @@ pub(crate) trait HostEnv {
     /// Deliver a message again through mailbox admission (activation
     /// replay of parked mail).
     fn redeliver(&mut self, host: HostId, msg: Message);
-    /// Deliver a message the mailbox already admitted and just released.
-    fn release(&mut self, msg: Message);
     /// Hand `op` to the core of `host`.
     fn route(&mut self, host: HostId, op: Routed);
     /// Release a callback's emitted payloads to `actor`'s outbox.
@@ -225,27 +230,12 @@ pub(crate) fn dead_letter<E: HostEnv>(env: &mut E, msg: Message, why: &str) {
     env.record(msg.from, format!("dead-letter: {label}"));
 }
 
-/// Admission at delivery time: the delivery leaves the bounded mailbox
-/// (a freed slot may release a deferred message), and work past its
-/// deadline is dropped. Returns the message if it should be handled.
+/// Admission at delivery time: the delivery leaves the bounded mailbox,
+/// and work past its deadline is dropped. Returns the message if it
+/// should be handled.
 pub(crate) fn admit<E: HostEnv>(env: &mut E, msg: Message) -> Option<Message> {
-    let outcome = env.mailbox().map(|mut mb| mb.on_consume(msg.to, msg.id));
-    if let Some(outcome) = outcome {
-        if let Some(released) = outcome.released {
-            env.release(released);
-        }
-        if outcome.tombstoned {
-            env.close_span(
-                msg.trace,
-                SpanEventKind::Shed,
-                "evicted: mailbox overflow (reject-oldest)",
-            );
-            env.record(
-                msg.from,
-                format!("evicted from {}'s mailbox: {}", msg.to, msg.kind),
-            );
-            return None;
-        }
+    if let Some(mut mb) = env.mailbox() {
+        mb.on_consume(msg.to);
     }
     if deadline_expired(msg.deadline, env.now()) {
         env.metrics().deadline_drops += 1;
@@ -465,6 +455,7 @@ impl HostCore {
                         tag,
                         trace,
                         deadline: self.current_deadline,
+                        incarnation: env.incarnation(id),
                     };
                     env.arm_timer(self.id, delay, timer);
                 }
@@ -850,11 +841,15 @@ impl HostCore {
     }
 
     /// Fire a due timer. Timers fire even past the deadline: a watchdog is
-    /// often the very thing that turns an expired request into a reply.
+    /// often the very thing that turns an expired request into a reply. A
+    /// timer armed before its agent was last restored died with the crash
+    /// that lost that incarnation, and never fires.
     pub(crate) fn fire_timer<E: HostEnv>(&mut self, env: &mut E, timer: Timer) {
-        if !self.active.contains_key(&timer.agent) {
-            // Agent gone (disposed, migrated, crashed): the pending-timer
-            // hop still closes.
+        if !self.active.contains_key(&timer.agent)
+            || timer.incarnation != env.incarnation(timer.agent)
+        {
+            // Agent gone (disposed, migrated, crashed) or restored since:
+            // the pending-timer hop still closes.
             env.end_span(timer.trace);
             return;
         }
@@ -867,6 +862,7 @@ impl HostCore {
             tag,
             trace,
             deadline,
+            ..
         } = timer;
         self.current_deadline = deadline;
         self.run_callback(env, agent, trace, "on_timer", move |a, ctx| {
@@ -987,7 +983,9 @@ impl HostCore {
     /// Recovery pass after a restart or failover: replay the durable store,
     /// restore deactivated capsules into the store, rehydrate journalled
     /// active agents and hand each its logged profile deltas via
-    /// [`Agent::on_recovered`]. Crash-looping agents are quarantined.
+    /// [`Agent::on_recovered`]. Crash-looping agents are quarantined. Each
+    /// restored agent starts a new incarnation, so no timer it armed
+    /// before the crash fires, wherever the recovery runs.
     pub(crate) fn recover<E: HostEnv>(&mut self, env: &mut E) {
         let host = self.id;
         let Some(recovered) = self.durable.as_ref().map(DurableStore::recover) else {
@@ -1041,6 +1039,7 @@ impl HostCore {
                 env.set_location(id, Some(Location::Deactivated(host)));
             }
             env.set_home(id, home);
+            env.bump_incarnation(id);
             restored += 1;
         }
         env.metrics().agents_recovered += restored;

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::message::Message;
     pub use crate::metrics::Metrics;
     pub use crate::net::{LinkSpec, Topology};
-    pub use crate::overload::{MailboxConfig, MailboxPolicy};
+    pub use crate::overload::MailboxConfig;
     pub use crate::payload::Payload;
     pub use crate::security::{Authenticator, TravelPermit};
     pub use crate::shard::ShardedSimWorld;

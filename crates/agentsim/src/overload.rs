@@ -1,50 +1,34 @@
 //! Overload protection primitives shared by both runtimes.
 //!
 //! A [`MailboxConfig`] bounds every agent's inbox to `capacity` messages;
-//! [`MailboxPolicy`] decides what happens to traffic past the bound. The
-//! bookkeeping lives in [`MailboxState`], which both the discrete-event
-//! world and the thread-backed world drive through the same two calls:
-//! [`MailboxState::on_enqueue`] when a delivery is scheduled and
-//! [`MailboxState::on_consume`] when it is handed to the agent. Keeping the
-//! state machine runtime-agnostic means the policies behave identically
-//! under deterministic simulation and real concurrency.
+//! a message that arrives at a full mailbox is rejected (the queue keeps
+//! its oldest work). The bookkeeping lives in [`MailboxState`], which a
+//! runtime drives through two calls: [`MailboxState::on_enqueue`] when a
+//! delivery is scheduled and [`MailboxState::on_consume`] when it is
+//! handed to the agent. The discrete-event world enforces a bound; the
+//! thread-backed world only tracks depths, for its stall diagnostics.
 //!
 //! The module also hosts [`remaining_us`], the single definition of
 //! deadline arithmetic (saturating at zero) used by `Ctx`, the runtimes and
 //! the retry clamps in the application layer.
 
 use crate::clock::SimTime;
-use crate::ids::{AgentId, MessageId};
-use crate::message::Message;
+use crate::ids::AgentId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// What to do with a message that arrives at a full mailbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MailboxPolicy {
-    /// Drop the incoming message (the queue keeps its oldest work).
-    #[default]
-    RejectNewest,
-    /// Evict the oldest queued message to make room for the incoming one.
-    RejectOldest,
-    /// Park the incoming message outside the mailbox until a slot frees;
-    /// if it carries a deadline it is dropped once that passes.
-    Block,
-}
+use std::collections::HashMap;
 
 /// Per-agent mailbox bound, applied uniformly to every agent in a world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MailboxConfig {
-    /// Maximum queued (scheduled but not yet handled) messages per agent.
+    /// Maximum queued (scheduled but not yet handled) messages per agent;
+    /// a message past the bound is rejected.
     pub capacity: usize,
-    /// Policy applied once `capacity` is reached.
-    pub policy: MailboxPolicy,
 }
 
 impl MailboxConfig {
-    /// A bound of `capacity` messages with the given full-mailbox policy.
-    pub fn new(capacity: usize, policy: MailboxPolicy) -> Self {
-        MailboxConfig { capacity, policy }
+    /// A bound of `capacity` messages.
+    pub fn new(capacity: usize) -> Self {
+        MailboxConfig { capacity }
     }
 }
 
@@ -53,23 +37,8 @@ impl MailboxConfig {
 pub enum EnqueueVerdict {
     /// Deliver normally.
     Admit,
-    /// Deliver, after the oldest queued message was marked for eviction
-    /// (its in-flight copy is dropped at consume time).
-    AdmitEvictingOldest,
-    /// Drop the incoming message.
+    /// The mailbox is full: drop the incoming message.
     Reject,
-    /// Hold the incoming message in overflow (caller passes it to
-    /// [`MailboxState::defer`]); it is released by a later consume.
-    Defer,
-}
-
-/// Result of consuming a scheduled delivery.
-#[derive(Debug, Default)]
-pub struct ConsumeOutcome {
-    /// The consumed message was evicted by reject-oldest: skip handling.
-    pub tombstoned: bool,
-    /// A deferred message freed by this consume; the caller schedules it.
-    pub released: Option<Message>,
 }
 
 /// Mailbox-depth bookkeeping for one world.
@@ -80,13 +49,6 @@ pub struct ConsumeOutcome {
 pub struct MailboxState {
     config: Option<MailboxConfig>,
     depth: HashMap<AgentId, usize>,
-    /// Queued message ids oldest-first, kept only under reject-oldest.
-    order: HashMap<AgentId, VecDeque<MessageId>>,
-    /// Ids evicted by reject-oldest, per recipient; their scheduled
-    /// copies are dropped at consume time.
-    tombstones: HashMap<AgentId, HashSet<MessageId>>,
-    /// Deferred messages (block policy), oldest first.
-    overflow: HashMap<AgentId, VecDeque<Message>>,
     max_depth_seen: usize,
 }
 
@@ -96,16 +58,8 @@ impl MailboxState {
         MailboxState {
             config,
             depth: HashMap::new(),
-            order: HashMap::new(),
-            tombstones: HashMap::new(),
-            overflow: HashMap::new(),
             max_depth_seen: 0,
         }
-    }
-
-    /// The installed bound, if any.
-    pub fn config(&self) -> Option<MailboxConfig> {
-        self.config
     }
 
     /// Deepest mailbox observed so far (feeds the
@@ -131,77 +85,20 @@ impl MailboxState {
         v
     }
 
-    /// Nonzero overflow (deferred) counts, sorted by agent id.
-    pub fn deferred(&self) -> Vec<(AgentId, usize)> {
-        let mut v: Vec<_> = self
-            .overflow
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(a, q)| (*a, q.len()))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Account a delivery being scheduled for `to` and decide its fate.
-    pub fn on_enqueue(&mut self, to: AgentId, id: MessageId) -> EnqueueVerdict {
-        let Some(config) = self.config else {
-            let d = self.depth.entry(to).or_insert(0);
-            *d += 1;
-            self.max_depth_seen = self.max_depth_seen.max(*d);
-            return EnqueueVerdict::Admit;
-        };
+    /// Account a delivery being scheduled for `to`: admit it and count it
+    /// queued, or reject it if `to`'s mailbox is full.
+    pub fn on_enqueue(&mut self, to: AgentId) -> EnqueueVerdict {
         let d = self.depth.entry(to).or_insert(0);
-        if *d < config.capacity {
-            *d += 1;
-            self.max_depth_seen = self.max_depth_seen.max(*d);
-            if config.policy == MailboxPolicy::RejectOldest {
-                self.order.entry(to).or_default().push_back(id);
-            }
-            return EnqueueVerdict::Admit;
+        if self.config.is_some_and(|c| *d >= c.capacity) {
+            return EnqueueVerdict::Reject;
         }
-        match config.policy {
-            MailboxPolicy::RejectNewest => EnqueueVerdict::Reject,
-            MailboxPolicy::RejectOldest => {
-                let order = self.order.entry(to).or_default();
-                match order.pop_front() {
-                    Some(oldest) => {
-                        self.tombstones.entry(to).or_default().insert(oldest);
-                        order.push_back(id);
-                        EnqueueVerdict::AdmitEvictingOldest
-                    }
-                    // Depth was filled by untracked traffic (shouldn't
-                    // happen in steady state); fail safe by rejecting.
-                    None => EnqueueVerdict::Reject,
-                }
-            }
-            MailboxPolicy::Block => EnqueueVerdict::Defer,
-        }
+        *d += 1;
+        self.max_depth_seen = self.max_depth_seen.max(*d);
+        EnqueueVerdict::Admit
     }
 
-    /// Store a message the bound deferred (verdict was
-    /// [`EnqueueVerdict::Defer`]).
-    pub fn defer(&mut self, msg: Message) {
-        self.overflow.entry(msg.to).or_default().push_back(msg);
-    }
-
-    /// Account a scheduled delivery being consumed. Tombstoned copies must
-    /// be skipped by the caller; a released message must be (re)scheduled.
-    pub fn on_consume(&mut self, to: AgentId, id: MessageId) -> ConsumeOutcome {
-        if self
-            .tombstones
-            .get_mut(&to)
-            .is_some_and(|set| set.remove(&id))
-        {
-            if self.tombstones.get(&to).is_some_and(HashSet::is_empty) {
-                self.tombstones.remove(&to);
-            }
-            // Its slot was handed to the evicting message at enqueue time.
-            return ConsumeOutcome {
-                tombstoned: true,
-                released: None,
-            };
-        }
+    /// Account a scheduled delivery to `to` being consumed.
+    pub fn on_consume(&mut self, to: AgentId) {
         // Decrement without ever materialising an entry: a consume for an
         // agent with no tracked depth (already forgotten, or never
         // enqueued) must not plant a junk zero in the map — over a long
@@ -214,45 +111,11 @@ impl MailboxState {
                 self.depth.remove(&to);
             }
         }
-        if let Some(order) = self.order.get_mut(&to) {
-            if let Some(pos) = order.iter().position(|m| *m == id) {
-                order.remove(pos);
-            }
-            if order.is_empty() {
-                self.order.remove(&to);
-            }
-        }
-        let mut released = None;
-        if let Some(config) = self.config {
-            if self.depth.get(&to).copied().unwrap_or(0) < config.capacity {
-                if let Some(queue) = self.overflow.get_mut(&to) {
-                    if let Some(msg) = queue.pop_front() {
-                        let d = self.depth.entry(to).or_insert(0);
-                        *d += 1;
-                        self.max_depth_seen = self.max_depth_seen.max(*d);
-                        if config.policy == MailboxPolicy::RejectOldest {
-                            self.order.entry(to).or_default().push_back(msg.id);
-                        }
-                        released = Some(msg);
-                    }
-                    if self.overflow.get(&to).is_some_and(VecDeque::is_empty) {
-                        self.overflow.remove(&to);
-                    }
-                }
-            }
-        }
-        ConsumeOutcome {
-            tombstoned: false,
-            released,
-        }
     }
 
     /// Forget all bookkeeping for `agent` (disposed or lost in a crash).
     pub fn forget(&mut self, agent: AgentId) {
         self.depth.remove(&agent);
-        self.order.remove(&agent);
-        self.tombstones.remove(&agent);
-        self.overflow.remove(&agent);
     }
 }
 
@@ -270,111 +133,42 @@ pub fn deadline_expired(deadline: Option<SimTime>, now: SimTime) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::panic)]
-
     use super::*;
-
-    fn msg(id: u64, to: u64) -> Message {
-        let mut m = Message::new("m");
-        m.id = MessageId(id);
-        m.to = AgentId(to);
-        m
-    }
 
     #[test]
     fn untracked_state_admits_everything_and_tracks_depth() {
         let mut mb = MailboxState::new(None);
-        for i in 0..100 {
-            assert_eq!(
-                mb.on_enqueue(AgentId(1), MessageId(i)),
-                EnqueueVerdict::Admit
-            );
+        for _ in 0..100 {
+            assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Admit);
         }
         assert_eq!(mb.depth(AgentId(1)), 100);
         assert_eq!(mb.max_depth_seen(), 100);
-        let out = mb.on_consume(AgentId(1), MessageId(0));
-        assert!(!out.tombstoned);
+        mb.on_consume(AgentId(1));
         assert_eq!(mb.depth(AgentId(1)), 99);
     }
 
     #[test]
     fn reject_newest_drops_past_capacity() {
-        let cfg = MailboxConfig::new(2, MailboxPolicy::RejectNewest);
-        let mut mb = MailboxState::new(Some(cfg));
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(1)),
-            EnqueueVerdict::Admit
-        );
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(2)),
-            EnqueueVerdict::Admit
-        );
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(3)),
-            EnqueueVerdict::Reject
-        );
+        let mut mb = MailboxState::new(Some(MailboxConfig::new(2)));
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Admit);
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Admit);
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Reject);
         assert_eq!(mb.depth(AgentId(1)), 2);
         assert_eq!(mb.max_depth_seen(), 2);
-    }
-
-    #[test]
-    fn reject_oldest_tombstones_the_head() {
-        let cfg = MailboxConfig::new(2, MailboxPolicy::RejectOldest);
-        let mut mb = MailboxState::new(Some(cfg));
-        mb.on_enqueue(AgentId(1), MessageId(1));
-        mb.on_enqueue(AgentId(1), MessageId(2));
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(3)),
-            EnqueueVerdict::AdmitEvictingOldest
-        );
-        // depth never exceeds capacity
-        assert_eq!(mb.depth(AgentId(1)), 2);
-        assert_eq!(mb.max_depth_seen(), 2);
-        // the evicted head is skipped at consume time
-        assert!(mb.on_consume(AgentId(1), MessageId(1)).tombstoned);
-        assert!(!mb.on_consume(AgentId(1), MessageId(2)).tombstoned);
-        assert!(!mb.on_consume(AgentId(1), MessageId(3)).tombstoned);
-        assert_eq!(mb.depth(AgentId(1)), 0);
-    }
-
-    #[test]
-    fn block_defers_and_releases_in_order() {
-        let cfg = MailboxConfig::new(1, MailboxPolicy::Block);
-        let mut mb = MailboxState::new(Some(cfg));
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(1)),
-            EnqueueVerdict::Admit
-        );
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(2)),
-            EnqueueVerdict::Defer
-        );
-        mb.defer(msg(2, 1));
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(3)),
-            EnqueueVerdict::Defer
-        );
-        mb.defer(msg(3, 1));
-        assert_eq!(mb.deferred(), vec![(AgentId(1), 2)]);
-        let out = mb.on_consume(AgentId(1), MessageId(1));
-        let released = out.released.expect("oldest deferred message released");
-        assert_eq!(released.id, MessageId(2));
-        // its slot is occupied again
-        assert_eq!(mb.depth(AgentId(1)), 1);
-        assert_eq!(mb.max_depth_seen(), 1);
     }
 
     #[test]
     fn forget_clears_all_bookkeeping() {
-        let cfg = MailboxConfig::new(1, MailboxPolicy::RejectOldest);
-        let mut mb = MailboxState::new(Some(cfg));
-        mb.on_enqueue(AgentId(1), MessageId(1));
-        mb.on_enqueue(AgentId(1), MessageId(2));
+        let mut mb = MailboxState::new(Some(MailboxConfig::new(1)));
+        mb.on_enqueue(AgentId(1));
+        mb.on_enqueue(AgentId(1));
         mb.forget(AgentId(1));
         assert_eq!(mb.depth(AgentId(1)), 0);
         assert!(mb.depths().is_empty());
-        // the tombstone went with it: a stale consume is a plain miss
-        assert!(!mb.on_consume(AgentId(1), MessageId(1)).tombstoned);
+        // a stale consume of the forgotten delivery is a plain miss
+        mb.on_consume(AgentId(1));
+        assert_eq!(mb.depth(AgentId(1)), 0);
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Admit);
     }
 
     #[test]
@@ -392,44 +186,6 @@ mod tests {
         assert!(deadline_expired(Some(SimTime(100)), SimTime(101)));
     }
 
-    /// Under reject-oldest, an eviction hands the victim's slot to the
-    /// incoming message: across an arbitrarily long storm the depth gauge
-    /// must not move at all, and every eviction must surface as exactly
-    /// one `AdmitEvictingOldest` verdict (the runtimes count one mailbox
-    /// rejection per such verdict).
-    #[test]
-    fn reject_oldest_eviction_nets_zero_depth() {
-        let cfg = MailboxConfig::new(4, MailboxPolicy::RejectOldest);
-        let mut mb = MailboxState::new(Some(cfg));
-        for i in 0..4 {
-            mb.on_enqueue(AgentId(1), MessageId(i));
-        }
-        let full = mb.depth(AgentId(1));
-        let mut evictions = 0;
-        for i in 4..250 {
-            match mb.on_enqueue(AgentId(1), MessageId(i)) {
-                EnqueueVerdict::AdmitEvictingOldest => evictions += 1,
-                v => panic!("storm at capacity must evict, got {v:?}"),
-            }
-            assert_eq!(mb.depth(AgentId(1)), full, "evict+admit must net zero");
-        }
-        assert_eq!(evictions, 246, "exactly one eviction verdict per enqueue");
-        assert_eq!(mb.max_depth_seen(), 4);
-        // Drain: every scheduled id is consumed exactly once; only the
-        // last `capacity` ids survive, all others were tombstoned.
-        let mut delivered = 0;
-        let mut tombstoned = 0;
-        for i in 0..250 {
-            if mb.on_consume(AgentId(1), MessageId(i)).tombstoned {
-                tombstoned += 1;
-            } else {
-                delivered += 1;
-            }
-        }
-        assert_eq!((delivered, tombstoned), (4, 246));
-        assert_eq!(mb.depth(AgentId(1)), 0);
-    }
-
     /// Model-based sweep: random enqueue/consume/forget interleavings
     /// against a reference model. The gauge must track the model's live
     /// count exactly, never exceed capacity, and never underflow (an
@@ -439,96 +195,62 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for seed in 0..16u64 {
-            for policy in [
-                MailboxPolicy::RejectNewest,
-                MailboxPolicy::RejectOldest,
-                MailboxPolicy::Block,
-            ] {
-                let capacity = 3;
-                let cfg = MailboxConfig::new(capacity, policy);
-                let mut mb = MailboxState::new(Some(cfg));
-                let mut rng = StdRng::seed_from_u64(seed);
-                // Scheduled (admitted, unconsumed) deliveries, as the
-                // runtimes would hold them; consumed in random order.
-                let mut scheduled: Vec<(AgentId, MessageId)> = Vec::new();
-                // live[agent] = model's depth: admitted minus consumed
-                // minus pending tombstones.
-                let mut live: HashMap<AgentId, usize> = HashMap::new();
-                let mut next_id = 1u64;
-                for _ in 0..400 {
-                    let agent = AgentId(rng.gen_range(1..4u64));
-                    if rng.gen_bool(0.55) {
-                        let id = MessageId(next_id);
-                        next_id += 1;
-                        match mb.on_enqueue(agent, id) {
-                            EnqueueVerdict::Admit => {
-                                scheduled.push((agent, id));
-                                *live.entry(agent).or_insert(0) += 1;
-                            }
-                            EnqueueVerdict::AdmitEvictingOldest => {
-                                // slot transfer: one in, oldest out
-                                scheduled.push((agent, id));
-                            }
-                            EnqueueVerdict::Reject => {}
-                            EnqueueVerdict::Defer => {
-                                let mut m = Message::new("m");
-                                m.id = id;
-                                m.to = agent;
-                                mb.defer(m);
-                            }
-                        }
-                    } else if !scheduled.is_empty() {
-                        let pick = rng.gen_range(0..scheduled.len());
-                        let (to, id) = scheduled.swap_remove(pick);
-                        let out = mb.on_consume(to, id);
-                        if !out.tombstoned {
-                            *live.entry(to).or_insert(0) -= 1;
-                        }
-                        if let Some(released) = out.released {
-                            *live.entry(released.to).or_insert(0) += 1;
-                            scheduled.push((released.to, released.id));
-                        }
+            let capacity = 3;
+            let mut mb = MailboxState::new(Some(MailboxConfig::new(capacity)));
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Scheduled (admitted, unconsumed) deliveries, as the runtimes
+            // would hold them; consumed in random order.
+            let mut scheduled: Vec<AgentId> = Vec::new();
+            // live[agent] = model's depth: admitted minus consumed.
+            let mut live: HashMap<AgentId, usize> = HashMap::new();
+            for _ in 0..400 {
+                let agent = AgentId(rng.gen_range(1..4u64));
+                if rng.gen_bool(0.55) {
+                    let full = live.get(&agent).copied().unwrap_or(0) >= capacity;
+                    let verdict = mb.on_enqueue(agent);
+                    assert_eq!(
+                        verdict == EnqueueVerdict::Reject,
+                        full,
+                        "only a full mailbox rejects: seed={seed}"
+                    );
+                    if verdict == EnqueueVerdict::Admit {
+                        scheduled.push(agent);
+                        *live.entry(agent).or_insert(0) += 1;
                     }
-                    for a in 1..4u64 {
-                        let d = mb.depth(AgentId(a));
-                        assert!(
-                            d <= capacity,
-                            "depth {d} exceeds capacity (underflow wrap?) \
-                             seed={seed} policy={policy:?}"
-                        );
-                        assert_eq!(
-                            d,
-                            live.get(&AgentId(a)).copied().unwrap_or(0),
-                            "gauge diverged from model: seed={seed} policy={policy:?}"
-                        );
-                    }
+                } else if !scheduled.is_empty() {
+                    let pick = rng.gen_range(0..scheduled.len());
+                    let to = scheduled.swap_remove(pick);
+                    mb.on_consume(to);
+                    *live.entry(to).or_insert(0) -= 1;
                 }
-                // Stale consumes for unknown agents must not disturb
-                // anything (and must not underflow past zero).
-                let before = mb.depths();
-                mb.on_consume(AgentId(99), MessageId(u64::MAX));
-                assert_eq!(mb.depth(AgentId(99)), 0);
-                assert_eq!(mb.depths(), before);
+                for a in 1..4u64 {
+                    let d = mb.depth(AgentId(a));
+                    assert!(
+                        d <= capacity,
+                        "depth {d} exceeds capacity (underflow wrap?) seed={seed}"
+                    );
+                    assert_eq!(
+                        d,
+                        live.get(&AgentId(a)).copied().unwrap_or(0),
+                        "gauge diverged from model: seed={seed}"
+                    );
+                }
             }
+            // Stale consumes for unknown agents must not disturb anything
+            // (and must not underflow past zero).
+            let before = mb.depths();
+            mb.on_consume(AgentId(99));
+            assert_eq!(mb.depth(AgentId(99)), 0);
+            assert_eq!(mb.depths(), before);
         }
     }
 
     #[test]
     fn per_agent_bounds_are_independent() {
-        let cfg = MailboxConfig::new(1, MailboxPolicy::RejectNewest);
-        let mut mb = MailboxState::new(Some(cfg));
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(1)),
-            EnqueueVerdict::Admit
-        );
-        assert_eq!(
-            mb.on_enqueue(AgentId(2), MessageId(2)),
-            EnqueueVerdict::Admit
-        );
-        assert_eq!(
-            mb.on_enqueue(AgentId(1), MessageId(3)),
-            EnqueueVerdict::Reject
-        );
+        let mut mb = MailboxState::new(Some(MailboxConfig::new(1)));
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Admit);
+        assert_eq!(mb.on_enqueue(AgentId(2)), EnqueueVerdict::Admit);
+        assert_eq!(mb.on_enqueue(AgentId(1)), EnqueueVerdict::Reject);
         assert_eq!(mb.depth(AgentId(2)), 1);
     }
 }

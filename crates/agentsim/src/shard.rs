@@ -60,16 +60,11 @@ pub struct ShardedSimWorld {
 }
 
 impl ShardedSimWorld {
-    /// `shards` lock-step worlds with the default epoch window. Shard 0
-    /// is seeded exactly like `SimWorld::new(seed)`; other shards derive
+    /// `shards` lock-step worlds with the default epoch window (also the
+    /// minimum cross-shard latency; see the module docs). Shard 0 is
+    /// seeded exactly like `SimWorld::new(seed)`; other shards derive
     /// disjoint seeds deterministically.
     pub fn new(seed: u64, shards: usize) -> Self {
-        Self::with_window(seed, shards, DEFAULT_WINDOW)
-    }
-
-    /// As [`ShardedSimWorld::new`] with an explicit epoch window (also the
-    /// minimum cross-shard latency; see the module docs).
-    pub fn with_window(seed: u64, shards: usize, window: SimDuration) -> Self {
         let shards = shards.max(1);
         let worlds = (0..shards)
             .map(|k| {
@@ -80,14 +75,14 @@ impl ShardedSimWorld {
                 };
                 let mut w = SimWorld::new(shard_seed);
                 if shards > 1 {
-                    w.enable_boundary(k as u16, window);
+                    w.enable_boundary(k as u16, DEFAULT_WINDOW);
                 }
                 w
             })
             .collect();
         ShardedSimWorld {
             shards: worlds,
-            window,
+            window: DEFAULT_WINDOW,
             owners: HashMap::new(),
             host_owners: HashMap::new(),
         }

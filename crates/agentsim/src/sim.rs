@@ -65,12 +65,7 @@ enum EventKind {
         capsule: AgentCapsule,
         dest: HostId,
     },
-    Timer {
-        agent: AgentId,
-        tag: u64,
-        trace: Option<crate::telemetry::TraceCtx>,
-        deadline: Option<SimTime>,
-    },
+    Timer(Timer),
     /// A lifecycle operation for an agent on another host, handed to that
     /// host's core.
     Routed {
@@ -225,6 +220,8 @@ pub struct SimWorld {
     cores: BTreeMap<HostId, HostCore>,
     locations: HashMap<AgentId, Location>,
     homes: HashMap<AgentId, HostId>,
+    /// Restorations per agent (see [`HostEnv::incarnation`]); absent = 0.
+    incarnations: HashMap<AgentId, u32>,
     topology: Topology,
     registry: AgentRegistry,
     metrics: Metrics,
@@ -280,6 +277,7 @@ impl SimWorld {
             cores: BTreeMap::new(),
             locations: HashMap::new(),
             homes: HashMap::new(),
+            incarnations: HashMap::new(),
             topology,
             registry: AgentRegistry::new(),
             metrics: Metrics::new(),
@@ -482,17 +480,7 @@ impl SimWorld {
             EventKind::Arrive { capsule, dest } => {
                 self.with_core(dest, |core, w| core.land(w, capsule));
             }
-            EventKind::Timer {
-                agent,
-                tag,
-                trace,
-                deadline,
-            } => self.handle_timer(Timer {
-                agent,
-                tag,
-                trace,
-                deadline,
-            }),
+            EventKind::Timer(timer) => self.handle_timer(timer),
             EventKind::Routed { host, op } => {
                 let actor = op.agent();
                 self.with_core(host, |core, w| core.handle(w, actor, op));
@@ -587,11 +575,6 @@ impl SimWorld {
     /// The labelled event trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Mutable trace access (e.g. to clear between bench iterations).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The telemetry sink: request span trees and the metrics registry.
@@ -1063,7 +1046,7 @@ impl SimWorld {
             self.enqueue_deliver(at, msg);
         }
         for timer in timers {
-            self.schedule_timer(self.now, timer);
+            self.schedule_at(self.now, EventKind::Timer(timer));
         }
     }
 
@@ -1298,24 +1281,6 @@ impl SimWorld {
         self.trace.record(self.now, None, label);
     }
 
-    fn schedule_timer(&mut self, at: SimTime, timer: Timer) {
-        let Timer {
-            agent,
-            tag,
-            trace,
-            deadline,
-        } = timer;
-        self.schedule_at(
-            at,
-            EventKind::Timer {
-                agent,
-                tag,
-                trace,
-                deadline,
-            },
-        );
-    }
-
     /// Roll the link's loss for a hop from `from` to `to`: `Some(chaos)`
     /// if the hop is lost, `chaos` telling whether a chaos fault (rather
     /// than the base link) dropped it. Counts the loss.
@@ -1401,17 +1366,8 @@ impl SimWorld {
             self.schedule_deliver(at, key, msg);
             return;
         };
-        match mailbox.on_enqueue(msg.to, msg.id) {
+        match mailbox.on_enqueue(msg.to) {
             EnqueueVerdict::Admit => self.schedule_deliver(at, key, msg),
-            EnqueueVerdict::AdmitEvictingOldest => {
-                self.metrics.mailbox_rejections += 1;
-                self.trace.record(
-                    self.now,
-                    msg.from,
-                    format!("mailbox full at {}: oldest queued message evicted", msg.to),
-                );
-                self.schedule_deliver(at, key, msg);
-            }
             EnqueueVerdict::Reject => {
                 self.metrics.mailbox_rejections += 1;
                 let label = format!("shed: mailbox full at {}", msg.to);
@@ -1421,13 +1377,6 @@ impl SimWorld {
                     msg.from,
                     format!("mailbox full at {}: {} rejected", msg.to, msg.kind),
                 );
-            }
-            EnqueueVerdict::Defer => {
-                let label = format!("mailbox full at {}: delivery deferred", msg.to);
-                self.span_event(msg.trace, SpanEventKind::Note, label);
-                if let Some(mailbox) = self.mailbox.as_mut() {
-                    mailbox.defer(msg);
-                }
             }
         }
         let max_depth = self
@@ -1570,6 +1519,14 @@ impl HostEnv for SimWorld {
         self.homes.insert(id, home);
     }
 
+    fn incarnation(&self, id: AgentId) -> u32 {
+        self.incarnations.get(&id).copied().unwrap_or(0)
+    }
+
+    fn bump_incarnation(&mut self, id: AgentId) {
+        *self.incarnations.entry(id).or_insert(0) += 1;
+    }
+
     fn reach(&self, from: HostId, dest: HostId) -> Reach {
         let down = match (self.hosts.get(&dest), &self.boundary) {
             (Some(h), _) => h.crashed,
@@ -1668,7 +1625,7 @@ impl HostEnv for SimWorld {
     }
 
     fn arm_timer(&mut self, _host: HostId, delay: SimDuration, timer: Timer) {
-        self.schedule_timer(self.now + delay, timer);
+        self.schedule(delay, EventKind::Timer(timer));
     }
 
     /// A local destination gets an arrival event after the link delay; a
@@ -1706,11 +1663,6 @@ impl HostEnv for SimWorld {
     fn redeliver(&mut self, _host: HostId, msg: Message) {
         let at = self.now + self.topology.local_delay();
         self.enqueue_deliver(at, msg);
-    }
-
-    fn release(&mut self, msg: Message) {
-        // Already admitted when it was deferred: schedule it directly.
-        self.schedule_at(self.now, EventKind::Deliver(msg));
     }
 
     fn route(&mut self, host: HostId, op: Routed) {
@@ -2298,12 +2250,13 @@ mod tests {
                     at,
                     shard,
                     seq,
-                    kind: EventKind::Timer {
+                    kind: EventKind::Timer(Timer {
                         agent: AgentId(1),
                         tag: 0,
                         trace: None,
                         deadline: None,
-                    },
+                        incarnation: 0,
+                    }),
                 }));
             }
             let mut popped = Vec::new();
@@ -2337,22 +2290,24 @@ mod tests {
                 w.send_external(id, Message::new("ping")).unwrap();
                 w.schedule(
                     SimDuration::from_micros(1),
-                    EventKind::Timer {
+                    EventKind::Timer(Timer {
                         agent: id,
                         tag: 9,
                         trace: None,
                         deadline: None,
-                    },
+                        incarnation: 0,
+                    }),
                 );
             } else {
                 w.schedule(
                     SimDuration::from_micros(1),
-                    EventKind::Timer {
+                    EventKind::Timer(Timer {
                         agent: id,
                         tag: 9,
                         trace: None,
                         deadline: None,
-                    },
+                        incarnation: 0,
+                    }),
                 );
                 w.send_external(id, Message::new("ping")).unwrap();
             }

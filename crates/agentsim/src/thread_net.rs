@@ -23,10 +23,10 @@ use crate::host::{admit, dead_letter, HostCore, HostEnv, Location, Reach, Routed
 use crate::ids::{AgentId, HostId, MessageId};
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::overload::{EnqueueVerdict, MailboxConfig, MailboxState};
+use crate::overload::MailboxState;
 use crate::payload::Payload;
 use crate::supervise::{RestoreDecision, SupervisionConfig, Supervisor, Verdict};
-use crate::telemetry::{HopKind, SpanEventKind, Telemetry, TraceCtx};
+use crate::telemetry::{HopKind, SpanEventKind, Telemetry};
 use crate::trace::Trace;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -64,6 +64,8 @@ struct Shared {
     routes: Mutex<HashMap<HostId, Sender<Envelope>>>,
     locations: Mutex<HashMap<AgentId, HostId>>,
     homes: Mutex<HashMap<AgentId, HostId>>,
+    /// Restorations per agent (see [`HostEnv::incarnation`]); absent = 0.
+    incarnations: Mutex<HashMap<AgentId, u32>>,
     in_flight: AtomicI64,
     next_agent_id: AtomicU64,
     next_msg_id: AtomicU64,
@@ -82,9 +84,8 @@ struct Shared {
     telemetry: Mutex<Telemetry>,
     /// Fast path: skip telemetry locking entirely until tracing is enabled.
     telemetry_on: AtomicBool,
-    /// Per-agent mailbox bookkeeping. Always present: with no configured
-    /// bound it only tracks depths, which feed the stall diagnostics of
-    /// [`ThreadWorld::run_until_idle`].
+    /// Per-agent mailbox depths, unbounded; they feed the stall
+    /// diagnostics of [`ThreadWorld::run_until_idle`].
     mailbox: Mutex<MailboxState>,
     /// Messages held for deactivated agents, per agent (diagnostics).
     parked: Mutex<HashMap<AgentId, usize>>,
@@ -111,21 +112,6 @@ impl Shared {
         self.telemetry_on.load(Ordering::Relaxed)
     }
 
-    /// Emit an event on the span `tc` names, if any.
-    fn span_event(&self, tc: Option<TraceCtx>, kind: SpanEventKind, label: impl Into<String>) {
-        if let Some(tc) = tc {
-            let now = self.now();
-            self.telemetry.lock().event(tc.span_id, kind, label, now);
-        }
-    }
-
-    /// Close the span `tc` names; returns its sim-time duration in µs.
-    fn end_span(&self, tc: Option<TraceCtx>) -> Option<u64> {
-        let tc = tc?;
-        let now = self.now();
-        self.telemetry.lock().end(tc.span_id, now)
-    }
-
     /// Whether chaos has marked `host` crashed.
     fn crashed(&self, host: HostId) -> bool {
         self.chaos_on.load(Ordering::Relaxed) && self.chaos.lock().crashed.contains(&host)
@@ -143,48 +129,14 @@ impl Shared {
         false
     }
 
-    /// Route a delivery through the bounded mailbox. Every path ending in
-    /// [`Envelope::Deliver`] funnels through here — agent sends, external
-    /// ingress, chaos duplicates and activation replays — so the bound and
-    /// the depth gauge see all traffic.
+    /// Send a delivery, counting it into its recipient's mailbox depth.
+    /// Every path ending in [`Envelope::Deliver`] funnels through here —
+    /// agent sends, external ingress, chaos duplicates and activation
+    /// replays — so the depth gauge sees all traffic.
     fn enqueue_deliver(&self, dest: HostId, msg: Message) -> bool {
-        let verdict = self.mailbox.lock().on_enqueue(msg.to, msg.id);
-        let sent = match verdict {
-            EnqueueVerdict::Admit => self.send_envelope(dest, Envelope::Deliver(msg)),
-            EnqueueVerdict::AdmitEvictingOldest => {
-                self.metrics.lock().mailbox_rejections += 1;
-                self.trace.lock().record(
-                    self.now(),
-                    msg.from,
-                    format!("mailbox full at {}: oldest queued message evicted", msg.to),
-                );
-                self.send_envelope(dest, Envelope::Deliver(msg))
-            }
-            EnqueueVerdict::Reject => {
-                self.metrics.lock().mailbox_rejections += 1;
-                self.span_event(
-                    msg.trace,
-                    SpanEventKind::Shed,
-                    format!("shed: mailbox full at {}", msg.to),
-                );
-                self.end_span(msg.trace);
-                self.trace.lock().record(
-                    self.now(),
-                    msg.from,
-                    format!("mailbox full at {}: {} rejected", msg.to, msg.kind),
-                );
-                true // handled by dropping; the route itself is fine
-            }
-            EnqueueVerdict::Defer => {
-                self.span_event(
-                    msg.trace,
-                    SpanEventKind::Note,
-                    format!("mailbox full at {}: delivery deferred", msg.to),
-                );
-                self.mailbox.lock().defer(msg);
-                true
-            }
-        };
+        // The mailbox has no bound here, so it admits everything.
+        self.mailbox.lock().on_enqueue(msg.to);
+        let sent = self.send_envelope(dest, Envelope::Deliver(msg));
         if self.tracing() {
             let max_depth = self.mailbox.lock().max_depth_seen();
             self.telemetry
@@ -202,7 +154,6 @@ pub struct ThreadWorldBuilder {
     registry: AgentRegistry,
     host_names: Vec<String>,
     telemetry: bool,
-    mailbox: Option<MailboxConfig>,
     durability: Option<DurabilityConfig>,
     supervision: Option<SupervisionConfig>,
 }
@@ -215,7 +166,6 @@ impl ThreadWorldBuilder {
             registry: AgentRegistry::new(),
             host_names: Vec::new(),
             telemetry: false,
-            mailbox: None,
             durability: None,
             supervision: None,
         }
@@ -237,14 +187,6 @@ impl ThreadWorldBuilder {
     /// all supervision counters zero).
     pub fn supervision(&mut self, cfg: SupervisionConfig) -> &mut Self {
         self.supervision = Some(cfg);
-        self
-    }
-
-    /// Bound every agent's mailbox to `config.capacity` queued messages,
-    /// applying `config.policy` past the bound. Off by default (unbounded
-    /// channels, byte-identical to the pre-overload behaviour).
-    pub fn mailbox(&mut self, config: MailboxConfig) -> &mut Self {
-        self.mailbox = Some(config);
         self
     }
 
@@ -283,6 +225,7 @@ impl ThreadWorldBuilder {
             routes: Mutex::new(HashMap::new()),
             locations: Mutex::new(HashMap::new()),
             homes: Mutex::new(HashMap::new()),
+            incarnations: Mutex::new(HashMap::new()),
             in_flight: AtomicI64::new(0),
             next_agent_id: AtomicU64::new(1),
             next_msg_id: AtomicU64::new(1),
@@ -301,7 +244,7 @@ impl ThreadWorldBuilder {
                 t
             }),
             telemetry_on: AtomicBool::new(self.telemetry),
-            mailbox: Mutex::new(MailboxState::new(self.mailbox)),
+            mailbox: Mutex::new(MailboxState::new(None)),
             parked: Mutex::new(HashMap::new()),
             durability: self.durability,
             supervision: self.supervision.map(|cfg| Mutex::new(Supervisor::new(cfg))),
@@ -450,14 +393,6 @@ impl ThreadWorld {
         self.shared
             .send_envelope(host, Envelope::Routed(Routed::Activate(agent)));
         Ok(())
-    }
-
-    /// Chaos: drop each remote message with probability `p` (clamped to
-    /// `[0, 1]`). The DES equivalent is a fault-loss overlay.
-    pub fn set_message_drop_probability(&self, p: f64) {
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        self.shared.chaos.lock().drop_probability = p;
-        self.shared.chaos_on.store(true, Ordering::SeqCst);
     }
 
     /// Chaos: duplicate each delivered message with probability `p`
@@ -619,10 +554,7 @@ impl ThreadWorld {
     }
 
     fn stall_diagnostic(&self) -> StallDiagnostic {
-        let (queued, deferred) = {
-            let mb = self.shared.mailbox.lock();
-            (mb.depths(), mb.deferred())
-        };
+        let queued = self.shared.mailbox.lock().depths();
         let mut parked: Vec<(AgentId, usize)> = self
             .shared
             .parked
@@ -636,7 +568,6 @@ impl ThreadWorld {
             in_flight: self.shared.in_flight.load(Ordering::SeqCst),
             queued,
             parked,
-            deferred,
         }
     }
 
@@ -709,8 +640,6 @@ pub struct StallDiagnostic {
     pub queued: Vec<(AgentId, usize)>,
     /// Messages held for deactivated agents, per agent.
     pub parked: Vec<(AgentId, usize)>,
-    /// Messages deferred by a full blocking mailbox, per agent.
-    pub deferred: Vec<(AgentId, usize)>,
 }
 
 impl fmt::Display for StallDiagnostic {
@@ -725,11 +654,10 @@ impl fmt::Display for StallDiagnostic {
         write!(
             f,
             "thread world failed to quiesce: {} envelopes in flight; \
-             queued: [{}]; parked: [{}]; deferred: [{}]",
+             queued: [{}]; parked: [{}]",
             self.in_flight,
             fmt_depths(&self.queued),
             fmt_depths(&self.parked),
-            fmt_depths(&self.deferred),
         )
     }
 }
@@ -993,6 +921,19 @@ impl HostEnv for Worker {
         self.shared.homes.lock().insert(id, home);
     }
 
+    fn incarnation(&self, id: AgentId) -> u32 {
+        self.shared
+            .incarnations
+            .lock()
+            .get(&id)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn bump_incarnation(&mut self, id: AgentId) {
+        *self.shared.incarnations.lock().entry(id).or_insert(0) += 1;
+    }
+
     fn reach(&self, from: HostId, dest: HostId) -> Reach {
         if !self.shared.routes.lock().contains_key(&dest) {
             Reach::Unknown
@@ -1032,17 +973,11 @@ impl HostEnv for Worker {
         };
         let mut duplicate = false;
         if shared.chaos_on.load(Ordering::Relaxed) {
-            let (blocked, drop_p, dup_p) = {
+            let (blocked, dup_p) = {
                 let knobs = shared.chaos.lock();
-                (
-                    knobs.blocks(from, h),
-                    knobs.drop_probability,
-                    knobs.dup_probability,
-                )
+                (knobs.blocks(from, h), knobs.dup_probability)
             };
-            let dropped = blocked
-                || (h != from && drop_p > 0.0 && shared.chaos_rng.lock().gen::<f64>() < drop_p);
-            if dropped {
+            if blocked {
                 {
                     let mut m = shared.metrics.lock();
                     m.messages_lost += 1;
@@ -1094,16 +1029,6 @@ impl HostEnv for Worker {
 
     fn redeliver(&mut self, host: HostId, msg: Message) {
         self.shared.enqueue_deliver(host, msg);
-    }
-
-    fn release(&mut self, msg: Message) {
-        let dest = self.shared.locations.lock().get(&msg.to).copied();
-        match dest {
-            Some(h) => {
-                self.shared.send_envelope(h, Envelope::Deliver(msg));
-            }
-            None => dead_letter(self, msg, "gone at release"),
-        }
     }
 
     fn route(&mut self, host: HostId, op: Routed) {

@@ -24,7 +24,7 @@ use abcrm_core::breaker::BreakerConfig;
 use abcrm_core::profile::ConsumerId;
 use abcrm_core::server::{listing, Platform};
 use agentsim::clock::SimDuration;
-use agentsim::overload::{MailboxConfig, MailboxPolicy};
+use agentsim::overload::MailboxConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Sustained admission rate the protected run is provisioned for.
@@ -63,11 +63,11 @@ fn build(seed: u64, consumers: u64, protected: bool) -> Platform {
                 min_samples: 4,
                 cooldown_us: 1_000_000,
             })
-            .mailbox(MailboxConfig::new(64, MailboxPolicy::RejectNewest));
+            .mailbox(MailboxConfig::new(64));
     } else {
         // instrumentation-only: a bound this deep never rejects, it just
         // records how far the unprotected queue grows
-        b = b.mailbox(MailboxConfig::new(1_000_000, MailboxPolicy::RejectNewest));
+        b = b.mailbox(MailboxConfig::new(1_000_000));
     }
     let mut p = b.build();
     for c in 1..=consumers {

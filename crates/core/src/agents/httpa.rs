@@ -102,6 +102,13 @@ impl HttpAgent {
         }
     }
 
+    /// How long after admission a task's deadline watchdog fires: the
+    /// deadline plus slack, so the browser always hears back even if the
+    /// request dies mid-pipeline.
+    fn watchdog_us(&self) -> u64 {
+        self.deadline_us + self.deadline_us / 2
+    }
+
     /// Take `request` out of the inflight set, if it is there.
     fn settle(&mut self, request: u64) -> Option<InFlight> {
         let pos = self.inflight.iter().position(|f| f.request == request)?;
@@ -205,9 +212,8 @@ impl Agent for HttpAgent {
                         ctx.note(format!("{fig}/step02 httpa forwards to bsma"));
                         if self.deadline_us > 0 {
                             // Stamp the deadline before the send so every
-                            // downstream hop carries it, and arm a watchdog
-                            // with slack so the browser always hears back
-                            // even if the request dies mid-pipeline.
+                            // downstream hop carries it, and arm the
+                            // watchdog.
                             ctx.set_deadline(
                                 ctx.now() + SimDuration::from_micros(self.deadline_us),
                             );
@@ -216,10 +222,7 @@ impl Agent for HttpAgent {
                                 consumer: req.consumer,
                                 started_us: ctx.now().as_micros(),
                             });
-                            ctx.set_timer(
-                                SimDuration::from_micros(self.deadline_us + self.deadline_us / 2),
-                                request,
-                            );
+                            ctx.set_timer(SimDuration::from_micros(self.watchdog_us()), request);
                         }
                         let route = Message::new(kinds::ROUTE_TASK)
                             .with_payload(&FrontTask {
@@ -261,6 +264,18 @@ impl Agent for HttpAgent {
             other => {
                 ctx.note(format!("httpa: unhandled kind {other}"));
             }
+        }
+    }
+
+    fn on_recovered(&mut self, ctx: &mut Ctx<'_>, _deltas: &[serde_json::Value]) {
+        // The host crashed and came back: the deadline watchdogs died with
+        // it. Re-arm each in-flight request's for the instant it was due.
+        for f in &self.inflight {
+            let due = f.started_us + self.watchdog_us();
+            ctx.set_timer(
+                SimDuration::from_micros(due.saturating_sub(ctx.now().as_micros())),
+                f.request,
+            );
         }
     }
 

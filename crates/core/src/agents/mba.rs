@@ -403,8 +403,8 @@ impl Agent for MobileBuyerAgent {
 
     fn on_recovered(&mut self, ctx: &mut Ctx<'_>, _deltas: &[serde_json::Value]) {
         // Restored on a marketplace host that crashed under it: a request
-        // in flight and its reply died with the host, and whether a timer
-        // armed before the crash still fires depends on the runtime.
+        // in flight, its reply and any timer armed before the crash died
+        // with the host.
         if ctx.host() == self.home {
             return;
         }
@@ -423,15 +423,13 @@ impl Agent for MobileBuyerAgent {
                 // Never buy again: the host may have been down long enough
                 // for the BRA to give this intent up, and the ledger would
                 // take a re-sent buy as fresh. Ask the ledger what the
-                // crash left and carry that home. The pre-crash watchdog
-                // is disarmed, so it cannot report a failure over a sale.
+                // crash left and carry that home.
                 let Some(market) = self.current_market() else {
                     return;
                 };
                 ctx.note(format!(
                     "mba: recovered at marketplace, asking the ledger about intent {intent}"
                 ));
-                self.awaiting_reply = false;
                 let query = Message::new(ecpk::kinds::LEDGER_QUERY)
                     .with_payload(&LedgerQuery { intent: *intent })
                     .expect("ledger query serializes");

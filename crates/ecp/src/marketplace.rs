@@ -111,6 +111,9 @@ struct OpenAuction {
     /// Tick interval for Dutch auctions (None otherwise).
     #[serde(default)]
     tick_us: Option<u64>,
+    /// Sim time an English or sealed auction closes (None for Dutch).
+    #[serde(default)]
+    closes_at_us: Option<u64>,
 }
 
 /// A BRA's latest settled purchase: the ledger keeps one per BRA.
@@ -141,8 +144,11 @@ enum MarketDelta {
         item: u64,
         offer: Money,
     },
-    /// An English or sealed auction opened.
-    Open(AuctionOpen),
+    /// An English or sealed auction opened, to close at `closes_at_us`.
+    Open {
+        open: AuctionOpen,
+        closes_at_us: u64,
+    },
     /// A Dutch auction opened.
     OpenDutch(DutchOpen),
     /// `joiner` joined the auction on `item`.
@@ -269,7 +275,7 @@ impl MarketplaceAgent {
             MarketDelta::Offer { buyer, item, offer } => {
                 self.apply_offer(buyer, item, offer);
             }
-            MarketDelta::Open(open) => self.apply_open(&open),
+            MarketDelta::Open { open, closes_at_us } => self.apply_open(&open, closes_at_us),
             MarketDelta::OpenDutch(open) => self.apply_open_dutch(&open),
             MarketDelta::Join { item, joiner } => {
                 if let Some(entry) = self.auctions.get_mut(&item) {
@@ -335,7 +341,7 @@ impl MarketplaceAgent {
         Some(response)
     }
 
-    fn apply_open(&mut self, open: &AuctionOpen) {
+    fn apply_open(&mut self, open: &AuctionOpen, closes_at_us: u64) {
         let engine = if open.sealed {
             AuctionEngine::Sealed(VickreyAuction::open(open.item, open.reserve))
         } else {
@@ -351,6 +357,7 @@ impl MarketplaceAgent {
                 engine,
                 joiners: BTreeSet::new(),
                 tick_us: None,
+                closes_at_us: Some(closes_at_us),
             },
         );
     }
@@ -368,6 +375,7 @@ impl MarketplaceAgent {
                 engine,
                 joiners: BTreeSet::new(),
                 tick_us: Some(open.tick_us),
+                closes_at_us: None,
             },
         );
     }
@@ -587,7 +595,10 @@ impl MarketplaceAgent {
         }
         if !self.auctions.contains_key(&open.item.0) {
             // one auction per item at a time: a second open only reads
-            let delta = MarketDelta::Open(open);
+            let delta = MarketDelta::Open {
+                open,
+                closes_at_us: ctx.now().as_micros() + open.duration_us,
+            };
             Self::journal(ctx, &delta);
             self.apply(delta);
             ctx.set_timer(SimDuration::from_micros(open.duration_us), open.item.0);
@@ -789,6 +800,17 @@ impl Agent for MarketplaceAgent {
                 "marketplace {}: recovered, replayed {replayed} journalled deltas",
                 self.name
             ));
+        }
+        // The auction timers died with the host: re-arm each open
+        // auction's close for the instant it was due, and a Dutch clock
+        // one tick from now.
+        let now_us = ctx.now().as_micros();
+        for (key, entry) in &self.auctions {
+            if let Some(close) = entry.closes_at_us {
+                ctx.set_timer(SimDuration::from_micros(close.saturating_sub(now_us)), *key);
+            } else if let Some(tick) = entry.tick_us {
+                ctx.set_timer(SimDuration::from_micros(tick), key | DUTCH_TICK_BIT);
+            }
         }
     }
 
@@ -1423,6 +1445,79 @@ mod tests {
         assert_eq!(after.wal_len(), 2, "one delta for the sale");
         assert_eq!(after.synced_len(), 2, "the sale is forced");
         assert_eq!(after.state().deltas_for(f.market.0).len(), 1);
+    }
+
+    /// A crash kills the auction timers with the host; the recovered
+    /// marketplace re-arms them, so an English auction still closes at
+    /// its deadline and a Dutch clock still runs down, each exactly once.
+    #[test]
+    fn auctions_open_across_a_host_crash_still_close_once() {
+        let mut f = fixture_with(Some(agentsim::durable::DurabilityConfig::default()));
+        let Some(agentsim::sim::Location::Active(host)) = f.world.location(f.market) else {
+            panic!("marketplace active");
+        };
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_OPEN,
+            &AuctionOpen {
+                item: ItemId(2),
+                reserve: Money::from_units(10),
+                increment: Money::from_units(1),
+                duration_us: 1_000_000,
+                sealed: false,
+            },
+        );
+        let opened_at = f.world.now();
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_BID,
+            &AuctionBid {
+                item: ItemId(2),
+                amount: Money::from_units(12),
+            },
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::DUTCH_OPEN,
+            &DutchOpen {
+                item: ItemId(1),
+                start: Money::from_units(20),
+                floor: Money::from_units(10),
+                decrement: Money::from_units(5),
+                tick_us: 300_000,
+            },
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_JOIN,
+            &AuctionJoin { item: ItemId(1) },
+        );
+        f.world
+            .run_for(agentsim::clock::SimDuration::from_millis(400));
+        f.world.crash_host(host).unwrap();
+        f.world.restart_host(host).unwrap();
+        f.world.run_until_idle();
+        let closed = probe_state(&f)
+            .kinds_seen
+            .iter()
+            .filter(|k| *k == kinds::AUCTION_CLOSED)
+            .count();
+        assert_eq!(closed, 2, "each auction closes once");
+        let english_close = f
+            .world
+            .trace()
+            .events()
+            .iter()
+            .find(|e| e.label == "auction closed on item-2")
+            .map(|e| e.at)
+            .expect("the english auction closed");
+        assert!(
+            english_close < opened_at + agentsim::clock::SimDuration::from_millis(1_001),
+            "closed at its deadline, not a fresh duration after the restart: {english_close:?}"
+        );
+        let market: MarketplaceAgent =
+            serde_json::from_value(f.world.snapshot_of(f.market).unwrap()).unwrap();
+        assert_eq!(market.units_sold(ItemId(2)), 1);
     }
 
     #[test]

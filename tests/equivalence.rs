@@ -1189,6 +1189,7 @@ mod shard_sweep {
 /// lifecycle counters on both, and the counters the table pins.
 mod cross_runtime_lifecycle {
     use agentsim::agent::{Agent, Ctx};
+    use agentsim::clock::SimDuration;
     use agentsim::durable::DurabilityConfig;
     use agentsim::ids::{AgentId, HostId};
     use agentsim::message::Message;
@@ -1197,7 +1198,7 @@ mod cross_runtime_lifecycle {
     use agentsim::thread_net::ThreadWorldBuilder;
     use agentsim::trace::Trace;
     use serde::{Deserialize, Serialize};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Carries out the lifecycle request each message names.
     #[derive(Debug, Default, Serialize, Deserialize)]
@@ -1221,11 +1222,20 @@ mod cross_runtime_lifecycle {
                 "activate" => ctx.activate(agent),
                 "dispose" => ctx.dispose(agent),
                 "sendto" => ctx.send(agent, Message::new("ping")),
+                "arm" => {
+                    ctx.set_timer(SimDuration::from_millis(300), 0);
+                    ctx.note(format!("{} armed a timer", ctx.self_id()));
+                    // tells the script the timer is armed
+                    ctx.emit(serde_json::json!("armed"));
+                }
                 _ => {}
             }
         }
         fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
             ctx.note(format!("{} arrived at {}", ctx.self_id(), ctx.host()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            ctx.note(format!("{} timer fired", ctx.self_id()));
         }
     }
 
@@ -1244,6 +1254,11 @@ mod cross_runtime_lifecycle {
         Restart(HostId),
         /// Operator-side activation of a stored agent.
         Activate(usize),
+        /// Rover `n` arms a 300 ms timer; the script goes on once it is
+        /// armed, without waiting for it to fire.
+        Arm(usize),
+        /// Crash the host and restart it at once.
+        Bounce(HostId),
     }
 
     struct Case {
@@ -1252,6 +1267,8 @@ mod cross_runtime_lifecycle {
         steps: &'static [Step],
         /// Trace lines that must appear (substring match).
         labels: &'static [&'static str],
+        /// Trace lines that must not appear (substring match).
+        absent: &'static [&'static str],
         /// `(migrations, migrations_rejected, messages_dead_lettered,
         /// deactivations, agents_disposed)`.
         counters: (u64, u64, u64, u64, u64),
@@ -1270,6 +1287,7 @@ mod cross_runtime_lifecycle {
                 Tell(2, "retract", 1, A),
             ],
             labels: &["rover-1 arrived at host-2", "rover-1 arrived at host-1"],
+            absent: &[],
             counters: (2, 0, 0, 0, 0),
         },
         Case {
@@ -1277,6 +1295,7 @@ mod cross_runtime_lifecycle {
             durable: false,
             steps: &[Create(A), Tell(1, "retract", 0, A)],
             labels: &["retract failed: rover-0 not active (None)"],
+            absent: &[],
             counters: (0, 0, 0, 0, 0),
         },
         Case {
@@ -1292,6 +1311,7 @@ mod cross_runtime_lifecycle {
                 Tell(1, "go", 0, A),
             ],
             labels: &["arrival rejected at host-1: authentication failed"],
+            absent: &[],
             counters: (1, 1, 0, 1, 0),
         },
         Case {
@@ -1305,6 +1325,7 @@ mod cross_runtime_lifecycle {
                 Tell(2, "go", 0, B),
             ],
             labels: &["chaos: host-1 restarted", "rover-2 arrived at host-2"],
+            absent: &[],
             counters: (1, 0, 0, 0, 0),
         },
         Case {
@@ -1312,6 +1333,7 @@ mod cross_runtime_lifecycle {
             durable: false,
             steps: &[Create(A), Tell(1, "sendto", 0, A)],
             labels: &["dead-letter: ping to rover-0 (unreachable)"],
+            absent: &[],
             counters: (0, 0, 1, 0, 0),
         },
         Case {
@@ -1325,7 +1347,16 @@ mod cross_runtime_lifecycle {
                 Tell(1, "dispose", 2, A),
             ],
             labels: &["dead-letter: ping to rover-2 (recipient disposed while parked)"],
+            absent: &[],
             counters: (0, 0, 1, 1, 1),
+        },
+        Case {
+            name: "a timer armed before a crash does not fire after the restart",
+            durable: true,
+            steps: &[Create(A), Arm(1), Bounce(A)],
+            labels: &["rover-1 armed a timer", "chaos: host-1 restarted"],
+            absent: &["timer fired"],
+            counters: (0, 0, 0, 0, 0),
         },
         Case {
             name: "lifecycle requests about an agent on another host are ignored",
@@ -1342,6 +1373,7 @@ mod cross_runtime_lifecycle {
                 "activate ignored: rover-2 not stored on host-1",
                 "dispose ignored: rover-2 not on host-1",
             ],
+            absent: &[],
             counters: (0, 0, 0, 0, 0),
         },
     ];
@@ -1417,6 +1449,18 @@ mod cross_runtime_lifecycle {
                 Crash(host) => w.crash_host(host).unwrap(),
                 Restart(host) => w.restart_host(host).unwrap(),
                 Activate(n) => w.activate_agent(rover(&ids, n)).unwrap(),
+                Arm(n) => {
+                    w.send_external(rover(&ids, n), Message::new("arm"))
+                        .unwrap();
+                    while w.take_outbox(rover(&ids, n)).is_empty() {
+                        assert!(w.step(), "{}: the rover never armed", case.name);
+                    }
+                    continue;
+                }
+                Bounce(host) => {
+                    w.crash_host(host).unwrap();
+                    w.restart_host(host).unwrap();
+                }
             }
             w.run_until_idle();
         }
@@ -1443,6 +1487,21 @@ mod cross_runtime_lifecycle {
                 Crash(host) => world.crash_host(host).unwrap(),
                 Restart(host) => world.restart_host(host).unwrap(),
                 Activate(n) => world.activate_agent(rover(&ids, n)).unwrap(),
+                Arm(n) => {
+                    world
+                        .send_external(rover(&ids, n), Message::new("arm"))
+                        .unwrap();
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while world.take_outbox(rover(&ids, n)).is_empty() {
+                        assert!(Instant::now() < deadline, "{}: never armed", case.name);
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    continue;
+                }
+                Bounce(host) => {
+                    world.crash_host(host).unwrap();
+                    world.restart_host(host).unwrap();
+                }
             }
             let status = world.run_until_idle(Duration::from_secs(10));
             assert!(status.is_idle(), "{}: {status}", case.name);
@@ -1457,11 +1516,18 @@ mod cross_runtime_lifecycle {
             let des = run_on_des(case);
             let threads = run_on_threads(case);
             assert_eq!(des, threads, "{}: DES and threads diverge", case.name);
-            for label in case.labels {
-                for (runtime, (labels, _)) in [("DES", &des), ("threads", &threads)] {
+            for (runtime, (labels, _)) in [("DES", &des), ("threads", &threads)] {
+                for label in case.labels {
                     assert!(
                         labels.iter().any(|l| l.contains(label)),
                         "{}: {runtime} misses {label:?} in {labels:?}",
+                        case.name,
+                    );
+                }
+                for label in case.absent {
+                    assert!(
+                        !labels.iter().any(|l| l.contains(label)),
+                        "{}: {runtime} has {label:?} in {labels:?}",
                         case.name,
                     );
                 }

@@ -29,13 +29,18 @@
 //! | mid-profile-update        | after receipt               | PA delta replay            |
 
 use abcrm::core::agents::msg::{BuyMode, ConsumerTask, ResponseBody};
+use abcrm::core::agents::pa::MaintenanceConfig;
+use abcrm::core::agents::{ProfileAgent, PA_TYPE};
+use abcrm::core::learning::LearnerConfig;
 use abcrm::core::profile::ConsumerId;
 use abcrm::core::server::{listing, Platform, ShardedPlatform};
+use abcrm::core::similarity::SimilarityConfig;
 use abcrm::core::BackoffPolicy;
 use agentsim::clock::{SimDuration, SimTime};
 use agentsim::durable::DurabilityConfig;
 use agentsim::net::LinkSpec;
-use agentsim::sim::Location;
+use agentsim::sim::{Location, SimWorld};
+use agentsim::supervise::SupervisionConfig;
 use ecp::merchandise::ItemId;
 
 const CONSUMER: ConsumerId = ConsumerId(1);
@@ -1392,4 +1397,85 @@ fn thread_world_recovers_the_same_outcome_on_a_second_seed() {
     };
     assert_eq!(des_outcome(2222), expected, "DES outcome");
     assert_eq!(thread_outcome(2222), expected, "thread outcome");
+}
+
+// ---------------------------------------------------------------------
+// timers armed before a crash never fire after it
+// ---------------------------------------------------------------------
+
+/// A durable world holding one PA on 1 s maintenance (one pass at 1 s),
+/// crashed at `crash_at`, between 1 s and 2 s.
+fn maintained_pa_crashed_at(crash_at: SimTime, supervised: bool) -> SimWorld {
+    let mut w = SimWorld::new(21);
+    w.enable_durability(DurabilityConfig::default());
+    if supervised {
+        w.enable_supervision(SupervisionConfig::default());
+    }
+    w.registry_mut().register_serde::<ProfileAgent>(PA_TYPE);
+    let host = w.add_host("buyer-server");
+    let pa = ProfileAgent::new(LearnerConfig::default(), SimilarityConfig::default())
+        .with_maintenance(MaintenanceConfig {
+            interval_us: 1_000_000,
+            decay: 0.9,
+        });
+    w.create_agent(host, Box::new(pa)).unwrap();
+    w.run_until(crash_at);
+    w.crash_host(host).unwrap();
+    w
+}
+
+/// When each maintenance pass after `from` ran, in ms.
+fn maintenance_passes_after(w: &SimWorld, from: SimTime) -> Vec<u64> {
+    w.trace()
+        .events()
+        .iter()
+        .filter(|e| e.at > from && e.label.starts_with("pa maintenance pass"))
+        .map(|e| e.at.as_micros() / 1_000)
+        .collect()
+}
+
+/// A PA restored by a restart re-arms its maintenance cycle, and the
+/// timer it armed before the crash stays dead: one chain of passes, one
+/// interval after the restart, so interest decays at the paper's rate.
+#[test]
+fn a_restored_pa_runs_one_maintenance_chain() {
+    let mut w = maintained_pa_crashed_at(SimTime(1_500_000), false);
+    w.run_until(SimTime(1_600_000));
+    let host = w.hosts()[0];
+    w.restart_host(host).unwrap();
+    w.run_until(SimTime(10_050_000));
+    assert_eq!(
+        maintenance_passes_after(&w, SimTime(1_600_000)),
+        (2..10).map(|s| s * 1_000 + 600).collect::<Vec<_>>(),
+        "one chain, from the restart at 1.6 s"
+    );
+}
+
+/// The same on a failover standby: the dead host's timers do not follow
+/// the PA there, so the standby runs only the chain the recovery armed.
+/// The crash comes right after the 1 s pass, so the failover lands
+/// before the pre-crash timer is due at 2 s.
+#[test]
+fn a_failed_over_pa_runs_one_maintenance_chain() {
+    let mut w = maintained_pa_crashed_at(SimTime(1_050_000), true);
+    w.run_until(SimTime(10_050_000));
+    assert_eq!(w.metrics().failovers, 1);
+    let recovered_at = w
+        .trace()
+        .events()
+        .iter()
+        .find(|e| e.label.contains("failed over to"))
+        .map(|e| e.at)
+        .expect("the supervisor failed the host over");
+    let first = recovered_at.as_micros() / 1_000 + 1_000;
+    let expected: Vec<u64> = (0..)
+        .map(|k| first + k * 1_000)
+        .take_while(|ms| *ms <= 10_050)
+        .collect();
+    assert!(expected.len() >= 7, "failover came late: {recovered_at:?}");
+    assert_eq!(
+        maintenance_passes_after(&w, SimTime(1_050_000)),
+        expected,
+        "one chain, from the failover at {recovered_at:?}"
+    );
 }
