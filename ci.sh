@@ -54,7 +54,9 @@ filtered_test() {
 # series. Does not run the normal gate.
 # --resilience-stress: loop the self-healing suite 10x — the 32-seed
 # supervised chaos sweep, the DES ≡ ThreadWorld failover/hang
-# equivalence (real threads + wall-clock leases, the racy part) and the
+# equivalence (real threads + wall-clock leases, the racy part), the
+# lifecycle table (hangs, crashes while hung and stalled timers on both
+# runtimes), the span of a stalled delivery lost in a crash, and the
 # file-WAL torn-tail properties — then the full E15 MTTR/overhead
 # series. Does not run the normal gate.
 if [[ "${1:-}" == "--resilience-stress" ]]; then
@@ -62,6 +64,8 @@ if [[ "${1:-}" == "--resilience-stress" ]]; then
   for i in $(seq 1 10); do
     echo "--- iteration $i/10 ---"
     cargo test -q --release --test resilience
+    filtered_test -q --release --test equivalence lifecycle_cases_agree_across_runtimes
+    filtered_test -q --release --test telemetry a_stalled_delivery_lost_in_a_crash_ends_its_span_at_the_crash
     cargo test -q --release -p simdb --test file_wal
   done
   echo "==> full E15 resilience series"

@@ -291,9 +291,6 @@ pub struct ChaosKnobs {
     pub partitions: HashSet<(HostId, HostId)>,
     /// Currently crashed hosts.
     pub crashed: HashSet<HostId>,
-    /// Currently hung hosts: up and reachable, but deliveries and timers
-    /// addressed to their agents are parked instead of processed.
-    pub hung: HashSet<HostId>,
 }
 
 impl ChaosKnobs {
@@ -317,14 +314,6 @@ impl ChaosKnobs {
         }
         let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
         a != b && self.partitions.contains(&key)
-    }
-
-    /// Whether any knob deviates from the quiet default.
-    pub fn any_active(&self) -> bool {
-        self.dup_probability > 0.0
-            || !self.partitions.is_empty()
-            || !self.crashed.is_empty()
-            || !self.hung.is_empty()
     }
 }
 
@@ -421,21 +410,11 @@ mod tests {
     #[test]
     fn knobs_block_partitioned_pairs_and_crashed_hosts() {
         let mut knobs = ChaosKnobs::default();
-        assert!(!knobs.any_active());
         knobs.partition(HostId(2), HostId(1));
         assert!(knobs.blocks(HostId(2), HostId(1)), "order-insensitive");
         assert!(!knobs.blocks(HostId(1), HostId(3)));
         knobs.crashed.insert(HostId(3));
         assert!(knobs.blocks(HostId(1), HostId(3)));
         assert!(knobs.blocks(HostId(3), HostId(3)), "crashed blocks local");
-        assert!(knobs.any_active());
-        // A hung host stays reachable: it parks work instead of refusing it.
-        let mut hung = ChaosKnobs::default();
-        hung.hung.insert(HostId(4));
-        assert!(
-            !hung.blocks(HostId(1), HostId(4)),
-            "hung hosts accept traffic"
-        );
-        assert!(hung.any_active());
     }
 }

@@ -7,7 +7,8 @@
 //! are the host's policy, written once: running a callback and applying
 //! the actions it queued (with output commit), create/clone, dispatch and
 //! landing, local delivery, timers, deactivate/activate/dispose,
-//! journaling and checkpoints, the crash wipe and the recovery pass.
+//! journaling and checkpoints, and the fault lifecycle: hang and resume
+//! with their stalled work, the crash wipe, restart and the recovery pass.
 //!
 //! A runtime drives a core through a [`HostEnv`]: the clock, randomness,
 //! id allocation, the agent directory, the metric/trace/telemetry sinks,
@@ -29,7 +30,7 @@ use crate::overload::{deadline_expired, MailboxState};
 use crate::payload::Payload;
 use crate::security::{Authenticator, TravelPermit};
 use crate::storage::DeactivatedStore;
-use crate::supervise::RestoreDecision;
+use crate::supervise::{RestoreDecision, Supervisor};
 use crate::telemetry::{HopKind, SpanEventKind, Telemetry, TraceCtx};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
@@ -158,6 +159,9 @@ pub(crate) trait HostEnv {
     fn first_delivery(&mut self, id: MessageId) -> bool;
     /// Supervision's verdict on restoring `id` once more.
     fn restore_decision(&mut self, id: AgentId) -> Option<RestoreDecision>;
+    /// Report a fault observation to supervision, if it is on; the
+    /// closure gets the supervisor and the time in µs.
+    fn supervise(&mut self, observe: impl FnOnce(&mut Supervisor, u64));
     /// Make a newly installed agent known beyond this runtime.
     fn announce(&mut self, _id: AgentId, _host: HostId) {}
     /// Whether `id` was retired in transit and must be dropped on arrival.
@@ -283,6 +287,14 @@ pub(crate) struct HostCore {
     /// Ambient request deadline of the running callback, stamped onto
     /// everything it sends. Same save/restore discipline.
     current_deadline: Option<SimTime>,
+    /// Wedged by a hang fault: the host is up and accepts arrivals, but
+    /// deliveries and timers for its active agents stall into the buffers
+    /// below until [`HostCore::resume`].
+    hung: bool,
+    /// Deliveries that landed while hung, replayed on resume.
+    stalled: Vec<Message>,
+    /// Timers that came due while hung, fired on resume.
+    stalled_timers: Vec<Timer>,
 }
 
 impl HostCore {
@@ -297,6 +309,9 @@ impl HostCore {
             permits: HashMap::new(),
             current_trace: None,
             current_deadline: None,
+            hung: false,
+            stalled: Vec::new(),
+            stalled_timers: Vec::new(),
         }
     }
 
@@ -791,12 +806,19 @@ impl HostCore {
         }
     }
 
-    /// Hand an admitted message to its recipient on this host: run
-    /// `on_message` if it is active, park it if it is deactivated, and
-    /// dead-letter it otherwise.
+    /// Hand an admitted message to its recipient on this host: stall it if
+    /// the recipient is active on a hung host, run `on_message` if it is
+    /// active, park it if it is deactivated, and dead-letter it otherwise.
     pub(crate) fn deliver<E: HostEnv>(&mut self, env: &mut E, msg: Message) {
         let to = msg.to;
-        if self.active.contains_key(&to) {
+        if self.hung && self.active.contains_key(&to) {
+            // A hung host accepts the delivery but never drains it. It
+            // stalls before duplicate suppression, so the replayed copy is
+            // not mistaken for a chaos dupe.
+            let label = format!("stalled: {} hung", self.id);
+            env.span_event(msg.trace, SpanEventKind::Note, label);
+            self.stalled.push(msg);
+        } else if self.active.contains_key(&to) {
             // Receiver-side duplicate suppression: a chaos-injected copy
             // carries the original's id and is dropped here.
             if !env.first_delivery(msg.id) {
@@ -843,8 +865,13 @@ impl HostCore {
     /// Fire a due timer. Timers fire even past the deadline: a watchdog is
     /// often the very thing that turns an expired request into a reply. A
     /// timer armed before its agent was last restored died with the crash
-    /// that lost that incarnation, and never fires.
+    /// that lost that incarnation, and never fires. On a hung host the
+    /// timer of an active agent stalls until [`HostCore::resume`].
     pub(crate) fn fire_timer<E: HostEnv>(&mut self, env: &mut E, timer: Timer) {
+        if self.hung && self.active.contains_key(&timer.agent) {
+            self.stalled_timers.push(timer);
+            return;
+        }
         if !self.active.contains_key(&timer.agent)
             || timer.incarnation != env.incarnation(timer.agent)
         {
@@ -955,10 +982,67 @@ impl HostCore {
         true
     }
 
-    /// Lose everything but the durable store (minus its unsynced tail) and
-    /// the authenticator, which models secrets on stable storage. Returns
-    /// the number of agents lost.
-    pub(crate) fn crash<E: HostEnv>(&mut self, env: &mut E) -> usize {
+    /// Deliveries and timers stalled on this hung host.
+    pub(crate) fn stalled_len(&self) -> usize {
+        self.stalled.len() + self.stalled_timers.len()
+    }
+
+    /// Wedge the host (a hang fault): arrivals still land, but deliveries
+    /// and timers for its active agents stall until [`HostCore::resume`].
+    /// A crashed or already-hung host is left alone.
+    pub(crate) fn hang<E: HostEnv>(&mut self, env: &mut E) {
+        let host = self.id;
+        if self.hung || env.is_down(host) {
+            return;
+        }
+        self.hung = true;
+        env.metrics().hangs_injected += 1;
+        env.record(None, format!("chaos: {host} hung (deliveries stalling)"));
+        env.supervise(|s, now_us| s.observe_hang(host, now_us));
+    }
+
+    /// Clear a hang and replay what stalled: the deliveries back through
+    /// mailbox admission, then the timers at once. `bounced` marks a
+    /// supervisor bounce rather than a healed fault.
+    pub(crate) fn resume<E: HostEnv>(&mut self, env: &mut E, bounced: bool) {
+        let host = self.id;
+        if !self.hung {
+            return;
+        }
+        self.hung = false;
+        let (who, what) = if bounced {
+            ("supervisor", "bounced")
+        } else {
+            ("chaos", "unhung")
+        };
+        let n = self.stalled.len();
+        env.record(
+            None,
+            format!("{who}: {host} {what} ({n} stalled deliveries replayed)"),
+        );
+        env.supervise(|s, _| s.observe_hang_cleared(host));
+        for msg in std::mem::take(&mut self.stalled) {
+            env.redeliver(host, msg);
+        }
+        for timer in std::mem::take(&mut self.stalled_timers) {
+            env.arm_timer(host, SimDuration::default(), timer);
+        }
+    }
+
+    /// Crash the host: lose everything but the durable store (minus its
+    /// unsynced tail) and the authenticator, which models secrets on
+    /// stable storage. Work stalled by a hang is lost with the host.
+    pub(crate) fn crash<E: HostEnv>(&mut self, env: &mut E) {
+        let host = self.id;
+        self.hung = false;
+        let stalled = std::mem::take(&mut self.stalled);
+        env.metrics().messages_lost += stalled.len() as u64;
+        let timers = std::mem::take(&mut self.stalled_timers);
+        let traces = stalled.into_iter().map(|m| m.trace);
+        let why = "dropped: host crashed while hung";
+        for trace in traces.chain(timers.into_iter().map(|t| t.trace)) {
+            env.close_span(trace, SpanEventKind::Chaos, why);
+        }
         let mut lost: Vec<AgentId> = self.active.keys().copied().collect();
         self.active.clear();
         lost.extend(self.store.drain());
@@ -976,8 +1060,29 @@ impl HostCore {
                 mb.forget(id);
             }
         }
-        env.metrics().agents_lost_in_crash += lost.len() as u64;
-        lost.len()
+        {
+            let mut m = env.metrics();
+            m.agents_lost_in_crash += lost.len() as u64;
+            m.host_crashes += 1;
+        }
+        env.record(
+            None,
+            format!("chaos: {host} crashed ({} agents lost)", lost.len()),
+        );
+        env.supervise(|s, now_us| {
+            s.observe_hang_cleared(host);
+            s.observe_crash(host, now_us);
+        });
+    }
+
+    /// Bring the crashed host back: trace the restart and run the
+    /// recovery pass.
+    pub(crate) fn restart<E: HostEnv>(&mut self, env: &mut E) {
+        let host = self.id;
+        env.record(None, format!("chaos: {host} restarted"));
+        self.recover(env);
+        // A scripted heal cancels any pending automatic failover.
+        env.supervise(|s, _| s.observe_restart(host));
     }
 
     /// Recovery pass after a restart or failover: replay the durable store,

@@ -145,7 +145,8 @@ pub struct Metrics {
     #[serde(default)]
     pub leases_expired: u64,
     /// Automatic host recoveries performed by the supervisor (standby
-    /// failover on the DES runtime, worker respawn on the threaded one).
+    /// failover on the DES runtime, a restart in place on the threaded
+    /// one).
     #[serde(default)]
     pub failovers: u64,
     /// Roaming agents re-bound to a new home host by a failover.

@@ -177,14 +177,6 @@ struct Host {
     /// restarted. The authenticator survives (stable-storage semantics),
     /// so genuine returning agents still verify after a restart.
     crashed: bool,
-    /// Wedged by a chaos hang fault: the host is up and accepts arrivals,
-    /// but deliveries and timer callbacks stall into the buffers below
-    /// until the hang heals or the supervisor bounces the host.
-    hung: bool,
-    /// Deliveries that landed while hung, replayed on heal/bounce.
-    stalled: Vec<Message>,
-    /// Timer callbacks that came due while hung, fired on heal/bounce.
-    stalled_timers: Vec<Timer>,
 }
 
 /// Live self-healing state, present after [`SimWorld::enable_supervision`].
@@ -355,11 +347,6 @@ impl SimWorld {
             .and_then(|s| s.failed_over.get(&host).copied())
     }
 
-    /// Whether `host` is currently wedged by a chaos hang fault.
-    pub fn host_hung(&self, host: HostId) -> bool {
-        self.hosts.get(&host).map(|h| h.hung).unwrap_or(false)
-    }
-
     /// Enforce a per-agent bounded mailbox with the given capacity and
     /// full-mailbox policy. Off by default (unbounded, byte-identical to
     /// the pre-overload behaviour).
@@ -385,9 +372,6 @@ impl SimWorld {
             Host {
                 name: name.into(),
                 crashed: false,
-                hung: false,
-                stalled: Vec::new(),
-                stalled_timers: Vec::new(),
             },
         );
         let durable = self.durability.map(DurableStore::new);
@@ -752,29 +736,10 @@ impl SimWorld {
             .hosts
             .get_mut(&host)
             .ok_or(PlatformError::UnknownHost(host))?;
-        if h.crashed {
-            return Ok(());
+        if !h.crashed {
+            h.crashed = true;
+            self.with_core(host, |core, w| core.crash(w));
         }
-        h.crashed = true;
-        // A crash while hung loses the stall buffers with the host.
-        h.hung = false;
-        let stalled_lost = h.stalled.len() as u64;
-        h.stalled.clear();
-        h.stalled_timers.clear();
-        let lost = self.with_core(host, |core, w| core.crash(w)).unwrap_or(0);
-        self.metrics.host_crashes += 1;
-        self.metrics.messages_lost += stalled_lost;
-        self.trace.record(
-            self.now,
-            None,
-            format!("chaos: {host} crashed ({lost} agents lost)"),
-        );
-        let now_us = self.now.as_micros();
-        if let Some(state) = self.supervision.as_mut() {
-            state.supervisor.observe_hang_cleared(host);
-            state.supervisor.observe_crash(host, now_us);
-        }
-        self.arm_supervision();
         Ok(())
     }
 
@@ -795,13 +760,7 @@ impl SimWorld {
             .ok_or(PlatformError::UnknownHost(host))?;
         if h.crashed {
             h.crashed = false;
-            self.trace
-                .record(self.now, None, format!("chaos: {host} restarted"));
-            self.with_core(host, |core, w| core.recover(w));
-            // A scripted/chaos heal cancels any pending automatic failover.
-            if let Some(state) = self.supervision.as_mut() {
-                state.supervisor.observe_restart(host);
-            }
+            self.with_core(host, |core, w| core.restart(w));
         }
         Ok(())
     }
@@ -839,32 +798,12 @@ impl SimWorld {
             None => return,
         };
         for verdict in verdicts {
+            verdict.book(&mut self.metrics, &mut self.trace, self.now);
             match verdict {
-                Verdict::Suspect(host) => {
-                    self.metrics.hosts_suspected += 1;
-                    self.trace.record(
-                        self.now,
-                        None,
-                        format!("supervisor: {host} suspected (missed heartbeat lease)"),
-                    );
-                }
-                Verdict::FailOver(host) => {
-                    self.metrics.leases_expired += 1;
-                    self.trace.record(
-                        self.now,
-                        None,
-                        format!("supervisor: {host} lease expired, starting failover"),
-                    );
-                    self.failover_host(host);
-                }
+                Verdict::Suspect(_) => {}
+                Verdict::FailOver(host) => self.failover_host(host),
                 Verdict::BounceHang(host) => {
-                    self.metrics.hangs_detected += 1;
-                    self.trace.record(
-                        self.now,
-                        None,
-                        format!("supervisor: {host} hung past grace, bouncing"),
-                    );
-                    self.heal_hang(host, true);
+                    self.with_core(host, |core, w| core.resume(w, true));
                 }
             }
         }
@@ -986,68 +925,30 @@ impl SimWorld {
         }
     }
 
-    /// Wedge `host` (chaos hang fault): arrivals still land, but
-    /// deliveries and timer callbacks stall until the hang heals or the
-    /// supervisor bounces the host.
-    fn apply_hang(&mut self, host: HostId) {
-        let Some(h) = self.hosts.get_mut(&host) else {
-            return;
-        };
-        if h.crashed || h.hung {
-            return;
-        }
-        h.hung = true;
-        self.metrics.hangs_injected += 1;
-        self.trace.record(
-            self.now,
-            None,
-            format!("chaos: {host} hung (deliveries stalling)"),
-        );
-        let now_us = self.now.as_micros();
-        if let Some(state) = self.supervision.as_mut() {
-            state.supervisor.observe_hang(host, now_us);
-        }
-        self.arm_supervision();
+    /// Hang `host` (stuck, not dead): it stays up and reachable and
+    /// arrivals still land, but deliveries and timer callbacks for its
+    /// agents stall until [`SimWorld::unhang_host`] or a supervisor
+    /// bounce. A crashed or already-hung host is left alone. A chaos
+    /// plan's [`Fault::Hang`] calls this.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::UnknownHost`] if the host does not exist.
+    pub fn hang_host(&mut self, host: HostId) -> Result<()> {
+        self.with_core(host, |core, w| core.hang(w))
+            .ok_or(PlatformError::UnknownHost(host))
     }
 
-    /// Un-wedge `host` and replay everything that stalled. `bounced`
-    /// marks a supervisor-driven bounce rather than a scripted chaos heal.
-    fn heal_hang(&mut self, host: HostId, bounced: bool) {
-        let (stalled, timers) = {
-            let Some(h) = self.hosts.get_mut(&host) else {
-                return;
-            };
-            if !h.hung {
-                return;
-            }
-            h.hung = false;
-            (
-                std::mem::take(&mut h.stalled),
-                std::mem::take(&mut h.stalled_timers),
-            )
-        };
-        let label = if bounced {
-            format!(
-                "supervisor: {host} bounced ({} stalled deliveries replayed)",
-                stalled.len()
-            )
-        } else {
-            format!(
-                "chaos: {host} unhung ({} stalled deliveries replayed)",
-                stalled.len()
-            )
-        };
-        self.trace.record(self.now, None, label);
-        if let Some(state) = self.supervision.as_mut() {
-            state.supervisor.observe_hang_cleared(host);
-        }
-        for msg in stalled {
-            let at = self.now + self.topology.local_delay();
-            self.enqueue_deliver(at, msg);
-        }
-        for timer in timers {
-            self.schedule_at(self.now, EventKind::Timer(timer));
-        }
+    /// Heal a hang: the stalled deliveries are replayed through mailbox
+    /// admission, then the stalled timers fire. A host that is not hung
+    /// is left alone.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::UnknownHost`] if the host does not exist.
+    pub fn unhang_host(&mut self, host: HostId) -> Result<()> {
+        self.with_core(host, |core, w| core.resume(w, false))
+            .ok_or(PlatformError::UnknownHost(host))
     }
 
     // ------------------------------------------------------------------
@@ -1262,20 +1163,16 @@ impl SimWorld {
                 }
                 return; // restart_host traces for itself
             }
+            // Stalling is enforced at the shard that owns the host; other
+            // shards see nothing (the hung host still accepts traffic, so
+            // there is no routing state to mirror) and get UnknownHost.
             (Fault::Hang { host }, false) => {
-                // Stalling is enforced at the shard that owns the host;
-                // other shards see nothing (the hung host still accepts
-                // traffic, so there is no routing state to mirror).
-                if self.hosts.contains_key(&host) {
-                    self.apply_hang(host);
-                }
-                return; // apply_hang traces for itself
+                let _ = self.hang_host(host);
+                return; // hang_host traces for itself
             }
             (Fault::Hang { host }, true) => {
-                if self.hosts.contains_key(&host) {
-                    self.heal_hang(host, false);
-                }
-                return; // heal_hang traces for itself
+                let _ = self.unhang_host(host);
+                return; // unhang_host traces for itself
             }
         };
         self.trace.record(self.now, None, label);
@@ -1413,16 +1310,6 @@ impl SimWorld {
         };
         let to = msg.to;
         match self.locations.get(&to).copied() {
-            Some(Location::Active(host)) if self.host_hung(host) => {
-                // A hung host accepts the connection but never drains it:
-                // the delivery stalls (before duplicate suppression, so
-                // the replayed copy is not mistaken for a chaos dupe).
-                let label = format!("stalled: {host} hung");
-                self.span_event(msg.trace, SpanEventKind::Note, label);
-                if let Some(h) = self.hosts.get_mut(&host) {
-                    h.stalled.push(msg);
-                }
-            }
             Some(Location::Active(host)) | Some(Location::Deactivated(host)) => {
                 self.with_core(host, |core, w| core.deliver(w, msg));
             }
@@ -1463,14 +1350,7 @@ impl SimWorld {
     fn handle_timer(&mut self, timer: Timer) {
         match self.locations.get(&timer.agent).copied() {
             Some(Location::Active(host)) => {
-                // Wedged scheduler: the callback only fires once the hang
-                // clears (heal or supervisor bounce).
-                match self.hosts.get_mut(&host) {
-                    Some(h) if h.hung => h.stalled_timers.push(timer),
-                    _ => {
-                        self.with_core(host, |core, w| core.fire_timer(w, timer));
-                    }
-                }
+                self.with_core(host, |core, w| core.fire_timer(w, timer));
             }
             _ => {
                 // Agent gone (disposed, migrated, crashed): the
@@ -1685,6 +1565,18 @@ impl HostEnv for SimWorld {
         self.supervision
             .as_mut()
             .map(|s| s.supervisor.note_restore(id))
+    }
+
+    /// An observation that leaves a host watched arms the detector.
+    fn supervise(&mut self, observe: impl FnOnce(&mut Supervisor, u64)) {
+        let now_us = self.now.as_micros();
+        let Some(state) = self.supervision.as_mut() else {
+            return;
+        };
+        observe(&mut state.supervisor, now_us);
+        if state.supervisor.watching() {
+            self.arm_supervision();
+        }
     }
 
     fn announce(&mut self, id: AgentId, host: HostId) {

@@ -6,17 +6,20 @@
 //! detector tick, the threaded world from wall time on a dedicated
 //! supervisor thread. Each runtime reports raw observations (a host
 //! crashed, a host stopped draining its mailbox, a host came back) and
-//! periodically asks for verdicts via [`Supervisor::tick`]; the runtime
-//! then executes the verdicts (re-running the durable replay/rehydrate
-//! path on a standby host, bouncing a hung host, quarantining a
-//! crash-looping agent).
+//! periodically asks for verdicts via [`Supervisor::tick`]. Each verdict
+//! is counted and traced once, here ([`Verdict::book`]); the runtime then
+//! executes it in its own way (the DES fails a dead host over to a
+//! standby, ThreadWorld restarts the worker; both bounce a hung host).
 //!
 //! Determinism: the supervisor holds no randomness and iterates its watch
 //! tables in `BTreeMap` order, so on the DES runtime the same seed and the
 //! same [`SupervisionConfig`] yield the same detection and failover
 //! timeline, event for event.
 
+use crate::clock::SimTime;
 use crate::ids::{AgentId, HostId};
+use crate::metrics::Metrics;
+use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,6 +83,28 @@ pub enum Verdict {
     /// The host is alive but its mailbox has been stalled past the hang
     /// grace: bounce it (clear the wedge, replay the stalled work).
     BounceHang(HostId),
+}
+
+impl Verdict {
+    /// Count the verdict and write its trace line. What the verdict calls
+    /// for is left to the runtime.
+    pub(crate) fn book(self, metrics: &mut Metrics, trace: &mut Trace, now: SimTime) {
+        let (host, what) = match self {
+            Verdict::Suspect(host) => {
+                metrics.hosts_suspected += 1;
+                (host, "suspected (missed heartbeat lease)")
+            }
+            Verdict::FailOver(host) => {
+                metrics.leases_expired += 1;
+                (host, "lease expired, starting failover")
+            }
+            Verdict::BounceHang(host) => {
+                metrics.hangs_detected += 1;
+                (host, "hung past grace, bouncing")
+            }
+        };
+        trace.record(now, None, format!("supervisor: {host} {what}"));
+    }
 }
 
 /// Whether a capsule should be restored by a recovery pass or quarantined

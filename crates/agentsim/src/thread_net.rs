@@ -10,6 +10,15 @@
 //! benchmarks use the DES world because wall-clock interleavings are not
 //! reproducible.
 //!
+//! Faults follow the DES world's lifecycle, written once in `HostCore`: a
+//! crash, restart, hang or resume is an admin envelope that the host's
+//! worker applies in channel order, and the core stalls and replays work,
+//! counts what a crash loses, writes the trace lines and reports to the
+//! supervisor. Only the crashed flag lives at runtime level, because other
+//! hosts read it to refuse traffic. The supervisor thread books its
+//! verdicts like the DES does; it answers an expired lease by restarting
+//! the host in place instead of failing over to a standby.
+//!
 //! Unsupported relative to the DES world: link latency/loss modelling
 //! (channels deliver as fast as the OS schedules) — timers are honoured via
 //! real `thread::sleep`.
@@ -53,9 +62,13 @@ enum Envelope {
     /// Chaos: the host restarted — trace it and run the durable recovery
     /// pass (a no-op without durability).
     AdminRestart,
-    /// Chaos: the host's hang cleared (heal or supervisor bounce) — replay
-    /// every stalled envelope.
-    AdminResume,
+    /// Chaos: wedge the host; its deliveries and timers stall.
+    AdminHang,
+    /// The host's hang cleared (`bounced`: by the supervisor) — replay
+    /// the stalled work.
+    AdminResume {
+        bounced: bool,
+    },
     Shutdown,
 }
 
@@ -92,8 +105,8 @@ struct Shared {
     /// Durability configuration; each host's worker carries its own
     /// [`DurableStore`]. `None` = durability off.
     durability: Option<DurabilityConfig>,
-    /// Self-healing supervision policy engine, shared between the API
-    /// surface (crash/hang observations) and the dedicated supervisor
+    /// Self-healing supervision policy engine, shared between the host
+    /// workers (crash/hang observations) and the dedicated supervisor
     /// thread. `None` = supervision off (no extra thread, zero cost).
     supervision: Option<Mutex<Supervisor>>,
     /// Tells the supervisor thread to exit at shutdown.
@@ -426,20 +439,9 @@ impl ThreadWorld {
         if !self.hosts.contains(&host) {
             return Err(PlatformError::UnknownHost(host));
         }
-        {
-            let mut knobs = self.shared.chaos.lock();
-            knobs.crashed.insert(host);
-            // A crash supersedes a hang: the stall buffers die with the
-            // host's state (AdminCrash drops them).
-            knobs.hung.remove(&host);
-        }
         self.shared.chaos_on.store(true, Ordering::SeqCst);
-        self.shared.send_envelope(host, Envelope::AdminCrash);
-        if let Some(sup) = &self.shared.supervision {
-            let now_us = self.shared.now().as_micros();
-            let mut s = sup.lock();
-            s.observe_hang_cleared(host);
-            s.observe_crash(host, now_us);
+        if self.shared.chaos.lock().crashed.insert(host) {
+            self.shared.send_envelope(host, Envelope::AdminCrash);
         }
         Ok(())
     }
@@ -457,79 +459,42 @@ impl ThreadWorld {
         if !self.hosts.contains(&host) {
             return Err(PlatformError::UnknownHost(host));
         }
-        let was_crashed = self.shared.chaos.lock().crashed.remove(&host);
-        if was_crashed {
-            // A scripted heal cancels any pending automatic failover.
-            if let Some(sup) = &self.shared.supervision {
-                sup.lock().observe_restart(host);
-            }
+        if self.shared.chaos.lock().crashed.remove(&host) {
             self.shared.send_envelope(host, Envelope::AdminRestart);
         }
         Ok(())
     }
 
     /// Chaos: wedge `host` — it stays reachable and accepts arrivals, but
-    /// deliveries and timer callbacks stall (staying in flight) until
-    /// [`ThreadWorld::unhang_host`] or a supervisor bounce. The DES
-    /// equivalent is [`crate::chaos::Fault::Hang`].
+    /// deliveries and timer callbacks for its agents stall (staying in
+    /// flight) until [`ThreadWorld::unhang_host`] or a supervisor bounce.
+    /// The hang takes effect in channel order: work already queued to the
+    /// host ahead of it still runs.
     ///
     /// # Errors
     ///
     /// [`PlatformError::UnknownHost`] if the host does not exist.
     pub fn hang_host(&self, host: HostId) -> Result<()> {
-        if !self.hosts.contains(&host) {
-            return Err(PlatformError::UnknownHost(host));
-        }
-        let newly = {
-            let mut knobs = self.shared.chaos.lock();
-            !knobs.crashed.contains(&host) && knobs.hung.insert(host)
-        };
-        if newly {
-            self.shared.chaos_on.store(true, Ordering::SeqCst);
-            self.shared.metrics.lock().hangs_injected += 1;
-            self.shared.trace.lock().record(
-                self.shared.now(),
-                None,
-                format!("chaos: {host} hung (deliveries stalling)"),
-            );
-            if let Some(sup) = &self.shared.supervision {
-                let now_us = self.shared.now().as_micros();
-                sup.lock().observe_hang(host, now_us);
-            }
-        }
-        Ok(())
+        self.admin(host, Envelope::AdminHang)
     }
 
     /// Heal a hang installed by [`ThreadWorld::hang_host`]: the host's
-    /// stalled envelopes are replayed in order.
+    /// stalled deliveries are replayed, then its stalled timers fire.
     ///
     /// # Errors
     ///
     /// [`PlatformError::UnknownHost`] if the host does not exist.
     pub fn unhang_host(&self, host: HostId) -> Result<()> {
+        self.admin(host, Envelope::AdminResume { bounced: false })
+    }
+
+    /// Queue an operator envelope behind the host's pending work.
+    fn admin(&self, host: HostId, env: Envelope) -> Result<()> {
         if !self.hosts.contains(&host) {
             return Err(PlatformError::UnknownHost(host));
         }
-        // Clear the knob before sending the resume so the replayed
-        // envelopes are not parked again.
-        let was_hung = self.shared.chaos.lock().hung.remove(&host);
-        if was_hung {
-            self.shared.trace.lock().record(
-                self.shared.now(),
-                None,
-                format!("chaos: {host} unhung (stalled deliveries replaying)"),
-            );
-            if let Some(sup) = &self.shared.supervision {
-                sup.lock().observe_hang_cleared(host);
-            }
-            self.shared.send_envelope(host, Envelope::AdminResume);
-        }
+        self.shared.send_envelope(host, env);
         Ok(())
-    }
-
-    /// Whether `host` is currently wedged by a hang fault.
-    pub fn host_hung(&self, host: HostId) -> bool {
-        self.shared.chaos.lock().hung.contains(&host)
     }
 
     /// Block until no envelopes are in flight (the world is quiescent) or
@@ -674,10 +639,6 @@ struct Worker {
     /// Message ids already delivered here; chaos-injected duplicates are
     /// suppressed against this set.
     seen: HashSet<MessageId>,
-    /// Envelopes parked while the host is hung; each still holds an
-    /// in-flight slot so `run_until_idle` blocks through the hang. Drained
-    /// (replayed) by [`Envelope::AdminResume`], dropped by a crash.
-    stalled: Vec<Envelope>,
 }
 
 const ID_BATCH: u64 = 1 << 16;
@@ -692,24 +653,28 @@ fn host_loop(id: HostId, seed: u64, rx: Receiver<Envelope>, shared: Arc<Shared>)
         id_cursor: 0,
         id_end: 0,
         seen: HashSet::new(),
-        stalled: Vec::new(),
     };
     while let Ok(env) = rx.recv() {
         if matches!(env, Envelope::Shutdown) {
             break;
         }
+        let stalled = core.stalled_len() as i64;
         w.handle(&mut core, env);
         core.maybe_checkpoint(&mut w);
-        w.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        // Work that stalls on a hung host keeps its envelope's in-flight
+        // slot, so `run_until_idle` blocks through the hang; a replay
+        // (which sends afresh) or a crash releases it.
+        let held = core.stalled_len() as i64 - stalled;
+        w.shared.in_flight.fetch_add(held - 1, Ordering::SeqCst);
     }
 }
 
-/// Dedicated supervisor thread: runs the failure detector over wall time
-/// and executes its verdicts — automatic restart of crashed hosts (the
-/// worker never died, so a worker respawn is an
-/// [`Envelope::AdminRestart`] recovery pass), bouncing of hung hosts, and
-/// the suspected-host bookkeeping in between. Exits when
-/// [`Shared::supervisor_stop`] is raised at shutdown.
+/// Dedicated supervisor thread: runs the failure detector over wall time,
+/// books each verdict ([`Verdict::book`]) and executes it — a crashed
+/// host is restarted in place (the worker never died, so its failover is
+/// an [`Envelope::AdminRestart`] recovery pass) and a hung host is
+/// bounced. Exits when [`Shared::supervisor_stop`] is raised at
+/// shutdown.
 fn supervisor_loop(shared: Arc<Shared>) {
     let poll = {
         let Some(sup) = shared.supervision.as_ref() else {
@@ -733,48 +698,22 @@ fn supervisor_loop(shared: Arc<Shared>) {
             sup.lock().tick(now_us)
         };
         for verdict in verdicts {
+            let now = shared.now();
+            verdict.book(&mut shared.metrics.lock(), &mut shared.trace.lock(), now);
             match verdict {
-                Verdict::Suspect(host) => {
-                    shared.metrics.lock().hosts_suspected += 1;
-                    shared.trace.lock().record(
-                        shared.now(),
-                        None,
-                        format!("supervisor: {host} suspected (missed heartbeat lease)"),
-                    );
-                }
+                Verdict::Suspect(_) => {}
                 Verdict::FailOver(host) => {
                     // Re-check under the knob lock: a manual restart may
                     // have raced the verdict.
-                    let still_down = shared.chaos.lock().crashed.remove(&host);
-                    if !still_down {
-                        continue;
-                    }
-                    {
-                        let mut m = shared.metrics.lock();
-                        m.leases_expired += 1;
-                        m.failovers += 1;
-                    }
-                    shared.trace.lock().record(
-                        shared.now(),
-                        None,
-                        format!("supervisor: {host} lease expired, failing over (worker respawn)"),
-                    );
-                    if shared.durability.is_some() {
-                        shared.send_envelope(host, Envelope::AdminRestart);
+                    if shared.chaos.lock().crashed.remove(&host) {
+                        shared.metrics.lock().failovers += 1;
+                        if shared.durability.is_some() {
+                            shared.send_envelope(host, Envelope::AdminRestart);
+                        }
                     }
                 }
                 Verdict::BounceHang(host) => {
-                    let still_hung = shared.chaos.lock().hung.remove(&host);
-                    if !still_hung {
-                        continue;
-                    }
-                    shared.metrics.lock().hangs_detected += 1;
-                    shared.trace.lock().record(
-                        shared.now(),
-                        None,
-                        format!("supervisor: {host} hung past grace, bouncing"),
-                    );
-                    shared.send_envelope(host, Envelope::AdminResume);
+                    shared.send_envelope(host, Envelope::AdminResume { bounced: true });
                 }
             }
         }
@@ -783,29 +722,14 @@ fn supervisor_loop(shared: Arc<Shared>) {
 
 impl Worker {
     fn handle(&mut self, core: &mut HostCore, env: Envelope) {
-        let shared = Arc::clone(&self.shared);
-        let chaos_on = shared.chaos_on.load(Ordering::Relaxed);
-        // A hung host accepts the connection but never drains it:
-        // deliveries and timer callbacks park in the stall buffer. The
-        // extra in-flight slot cancels the decrement in `host_loop`, so the
-        // envelope counts as pending until a heal or supervisor bounce
-        // replays it.
-        if chaos_on
-            && matches!(env, Envelope::Deliver(_) | Envelope::Timer(_))
-            && shared.chaos.lock().hung.contains(&self.host)
-        {
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            self.stalled.push(env);
-            return;
-        }
         match env {
             Envelope::Deliver(msg) => {
                 let Some(msg) = admit(self, msg) else {
                     return;
                 };
-                if shared.crashed(self.host) {
+                if self.shared.crashed(self.host) {
                     {
-                        let mut m = shared.metrics.lock();
+                        let mut m = self.shared.metrics.lock();
                         m.messages_lost += 1;
                         m.chaos_drops += 1;
                     }
@@ -823,49 +747,11 @@ impl Worker {
             Envelope::Routed(op) => core.handle(self, op.agent(), op),
             Envelope::AdminCrash => {
                 self.seen.clear();
-                // A crash while hung loses the stall buffer with the host;
-                // release the in-flight slots the parked envelopes held.
-                let stalled = std::mem::take(&mut self.stalled);
-                if !stalled.is_empty() {
-                    let lost = stalled
-                        .iter()
-                        .filter(|env| matches!(env, Envelope::Deliver(_)))
-                        .count();
-                    shared.metrics.lock().messages_lost += lost as u64;
-                    shared
-                        .in_flight
-                        .fetch_sub(stalled.len() as i64, Ordering::SeqCst);
-                }
-                let lost = core.crash(self);
-                shared.metrics.lock().host_crashes += 1;
-                self.record(
-                    None,
-                    format!("chaos: {} crashed ({lost} agents lost)", self.host),
-                );
+                core.crash(self);
             }
-            Envelope::AdminRestart => {
-                self.record(None, format!("chaos: {} restarted", self.host));
-                core.recover(self);
-            }
-            Envelope::AdminResume => {
-                let stalled = std::mem::take(&mut self.stalled);
-                if !stalled.is_empty() {
-                    self.record(
-                        None,
-                        format!(
-                            "chaos: {} resumed ({} stalled envelopes replayed)",
-                            self.host,
-                            stalled.len()
-                        ),
-                    );
-                }
-                for env in stalled {
-                    // Replay through the normal path (a re-park if the host
-                    // hung again keeps the slot; otherwise release it).
-                    self.handle(core, env);
-                    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
+            Envelope::AdminRestart => core.restart(self),
+            Envelope::AdminHang => core.hang(self),
+            Envelope::AdminResume { bounced } => core.resume(self, bounced),
             Envelope::Shutdown => {}
         }
     }
@@ -1066,6 +952,12 @@ impl HostEnv for Worker {
             .supervision
             .as_ref()
             .map(|s| s.lock().note_restore(id))
+    }
+
+    fn supervise(&mut self, observe: impl FnOnce(&mut Supervisor, u64)) {
+        if let Some(sup) = &self.shared.supervision {
+            observe(&mut sup.lock(), self.shared.now().as_micros());
+        }
     }
 }
 

@@ -1184,9 +1184,10 @@ mod shard_sweep {
 
 /// DES ≡ threaded runtime on the host lifecycle itself: create, dispatch,
 /// return authentication, retract, deactivate/activate/dispose, parked
-/// mail and dead letters. Both runtimes run agents through the same host
-/// kernel, so each scripted case must leave the same trace lines and
-/// lifecycle counters on both, and the counters the table pins.
+/// mail, dead letters, crashes, restarts and hangs. Both runtimes run
+/// agents and faults through the same host kernel, so each scripted case
+/// must leave the same trace lines and lifecycle and fault counters on
+/// both, and the counters the table pins.
 mod cross_runtime_lifecycle {
     use agentsim::agent::{Agent, Ctx};
     use agentsim::clock::SimDuration;
@@ -1195,7 +1196,7 @@ mod cross_runtime_lifecycle {
     use agentsim::message::Message;
     use agentsim::metrics::Metrics;
     use agentsim::sim::SimWorld;
-    use agentsim::thread_net::ThreadWorldBuilder;
+    use agentsim::thread_net::{DrainStatus, ThreadWorldBuilder};
     use agentsim::trace::Trace;
     use serde::{Deserialize, Serialize};
     use std::time::{Duration, Instant};
@@ -1259,6 +1260,11 @@ mod cross_runtime_lifecycle {
         Arm(usize),
         /// Crash the host and restart it at once.
         Bounce(HostId),
+        Hang(HostId),
+        Unhang(HostId),
+        /// Let a rover timer armed 300 ms ago come due (the DES settles
+        /// past it anyway).
+        Pause,
     }
 
     struct Case {
@@ -1376,6 +1382,47 @@ mod cross_runtime_lifecycle {
             absent: &[],
             counters: (0, 0, 0, 0, 0),
         },
+        Case {
+            name: "a delivery to a hung host stalls and replays on unhang",
+            durable: false,
+            steps: &[Create(A), Hang(A), Tell(1, "sendto", 0, A), Unhang(A)],
+            labels: &[
+                "chaos: host-1 hung (deliveries stalling)",
+                "chaos: host-1 unhung (1 stalled deliveries replayed)",
+                "dead-letter: ping to rover-0 (unreachable)",
+            ],
+            absent: &[],
+            counters: (0, 0, 1, 0, 0),
+        },
+        Case {
+            name: "a crash while hung loses the stalled delivery",
+            durable: false,
+            steps: &[
+                Create(A),
+                Hang(A),
+                Tell(1, "sendto", 0, A),
+                Crash(A),
+                Restart(A),
+            ],
+            labels: &[
+                "chaos: host-1 hung (deliveries stalling)",
+                "chaos: host-1 crashed (1 agents lost)",
+                "chaos: host-1 restarted",
+            ],
+            absent: &["dead-letter", "unhung"],
+            counters: (0, 0, 0, 0, 0),
+        },
+        Case {
+            name: "a timer that comes due while hung fires once after unhang",
+            durable: false,
+            steps: &[Create(A), Arm(1), Hang(A), Pause, Unhang(A)],
+            labels: &[
+                "chaos: host-1 unhung (0 stalled deliveries replayed)",
+                "rover-1 timer fired",
+            ],
+            absent: &[],
+            counters: (0, 0, 0, 0, 0),
+        },
     ];
 
     /// The id of an agent that never existed.
@@ -1414,8 +1461,8 @@ mod cross_runtime_lifecycle {
     }
 
     /// Every trace line with agent ids renamed, sorted, plus the compared
-    /// counters including the migration bytes.
-    fn observe(trace: &Trace, m: &Metrics, ids: &[AgentId]) -> (Vec<String>, [u64; 7]) {
+    /// counters including the migration bytes and the fault counters.
+    fn observe(trace: &Trace, m: &Metrics, ids: &[AgentId]) -> (Vec<String>, [u64; 11]) {
         let mut labels: Vec<String> = trace.labels().into_iter().map(|l| rename(l, ids)).collect();
         labels.sort();
         let counters = [
@@ -1426,11 +1473,17 @@ mod cross_runtime_lifecycle {
             m.agents_disposed,
             m.activations,
             m.migration_bytes,
+            m.messages_lost,
+            m.host_crashes,
+            m.hangs_injected,
+            m.timers_fired,
         ];
         (labels, counters)
     }
 
-    fn run_on_des(case: &Case) -> (Vec<String>, [u64; 7]) {
+    /// The DES settles by running until idle after each step: a hang
+    /// never blocks it, and it lets pending timers come due.
+    fn run_on_des(case: &Case) -> (Vec<String>, [u64; 11]) {
         let mut w = SimWorld::new(5);
         w.registry_mut().register_serde::<Rover>("rover");
         w.add_host("a");
@@ -1461,13 +1514,19 @@ mod cross_runtime_lifecycle {
                     w.crash_host(host).unwrap();
                     w.restart_host(host).unwrap();
                 }
+                Hang(host) => w.hang_host(host).unwrap(),
+                Unhang(host) => w.unhang_host(host).unwrap(),
+                Pause => {}
             }
             w.run_until_idle();
         }
         observe(w.trace(), w.metrics(), &ids)
     }
 
-    fn run_on_threads(case: &Case) -> (Vec<String>, [u64; 7]) {
+    /// Threads settle by waiting for idle after each step. While a host is
+    /// hung, stalled work keeps the world busy, so they wait instead until
+    /// every sent delivery has been admitted (stalled or handled).
+    fn run_on_threads(case: &Case) -> (Vec<String>, [u64; 11]) {
         let mut builder = ThreadWorldBuilder::new(5);
         builder.register_serde::<Rover>("rover");
         builder.add_host("a");
@@ -1477,6 +1536,7 @@ mod cross_runtime_lifecycle {
         }
         let world = builder.start();
         let mut ids = Vec::new();
+        let mut hung = Vec::new();
         for step in case.steps {
             match *step {
                 Create(host) => ids.push(world.create_agent(host, Box::new(Rover)).unwrap()),
@@ -1484,7 +1544,10 @@ mod cross_runtime_lifecycle {
                     let msg = tell(&ids, kind, target, host);
                     world.send_external(rover(&ids, n), msg).unwrap();
                 }
-                Crash(host) => world.crash_host(host).unwrap(),
+                Crash(host) => {
+                    world.crash_host(host).unwrap();
+                    hung.retain(|h| *h != host);
+                }
                 Restart(host) => world.restart_host(host).unwrap(),
                 Activate(n) => world.activate_agent(rover(&ids, n)).unwrap(),
                 Arm(n) => {
@@ -1502,9 +1565,31 @@ mod cross_runtime_lifecycle {
                     world.crash_host(host).unwrap();
                     world.restart_host(host).unwrap();
                 }
+                Hang(host) => {
+                    world.hang_host(host).unwrap();
+                    hung.push(host);
+                }
+                Unhang(host) => {
+                    world.unhang_host(host).unwrap();
+                    hung.retain(|h| *h != host);
+                }
+                Pause => std::thread::sleep(Duration::from_millis(400)),
             }
-            let status = world.run_until_idle(Duration::from_secs(10));
-            assert!(status.is_idle(), "{}: {status}", case.name);
+            if hung.is_empty() {
+                let status = world.run_until_idle(Duration::from_secs(10));
+                assert!(status.is_idle(), "{}: {status}", case.name);
+                continue;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                match world.run_until_idle(Duration::ZERO) {
+                    DrainStatus::TimedOut(d) if !d.queued.is_empty() => {
+                        assert!(Instant::now() < deadline, "{}: {d}", case.name);
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    _ => break,
+                }
+            }
         }
         let (metrics, trace) = world.shutdown();
         observe(&trace, &metrics, &ids)

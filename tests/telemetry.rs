@@ -17,7 +17,10 @@
 //!    (same hop structure, same kinds and names) for the same query
 //!    workflow;
 //! 5. dead-lettered messages are annotated on their hop span and
-//!    tallied per message kind in the registry.
+//!    tallied per message kind in the registry;
+//! 6. a delivery stalled on a hung host that then crashes is lost with
+//!    the host: its hop span ends at the crash with a chaos event, on
+//!    both runtimes.
 
 use abcrm::core::agents::msg::ConsumerTask;
 use abcrm::core::profile::ConsumerId;
@@ -513,5 +516,104 @@ mod runtime_isomorphism {
             des, threads,
             "span trees diverge between the DES and threaded runtimes"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// stalled work lost in a crash closes its hop at the crash
+// ---------------------------------------------------------------------
+
+mod crash_while_hung {
+    use agentsim::agent::{Agent, Ctx};
+    use agentsim::chaos::{ChaosEvent, ChaosPlan, Fault};
+    use agentsim::clock::SimDuration;
+    use agentsim::message::Message;
+    use agentsim::sim::SimWorld;
+    use agentsim::telemetry::{HopKind, SpanEventKind, Telemetry};
+    use agentsim::thread_net::{DrainStatus, ThreadWorldBuilder};
+    use serde::{Deserialize, Serialize};
+    use std::time::{Duration, Instant};
+
+    #[derive(Debug, Default, Serialize, Deserialize)]
+    struct Sink;
+
+    impl Agent for Sink {
+        fn agent_type(&self) -> &'static str {
+            "sink"
+        }
+        fn snapshot(&self) -> serde_json::Value {
+            serde_json::json!(null)
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    /// The request's one message hop ends at the chaos event that dropped
+    /// it (the threaded clock is read twice, so allow it 1 ms), not at
+    /// the quiescence that follows much later.
+    fn assert_hop_ends_at_the_crash(t: &Telemetry, runtime: &str) {
+        let hop = t
+            .spans()
+            .iter()
+            .find(|s| s.kind == HopKind::Message)
+            .unwrap_or_else(|| panic!("{runtime}: no message hop"));
+        let event = hop
+            .events
+            .iter()
+            .find(|e| e.kind == SpanEventKind::Chaos)
+            .unwrap_or_else(|| panic!("{runtime}: the lost hop has no chaos event: {hop:?}"));
+        assert!(event.label.contains("crashed"), "{runtime}: {event:?}");
+        let end = hop.end.expect("closed").as_micros();
+        let at = event.at.as_micros();
+        assert!(
+            (at..at + 1_000).contains(&end),
+            "{runtime}: the hop ends at {end} µs, not at the crash ({at} µs)"
+        );
+    }
+
+    #[test]
+    fn a_stalled_delivery_lost_in_a_crash_ends_its_span_at_the_crash() {
+        let mut w = SimWorld::new(3);
+        w.registry_mut().register_serde::<Sink>("sink");
+        w.enable_telemetry();
+        let host = w.add_host("a");
+        let sink = w.create_agent(host, Box::new(Sink)).unwrap();
+        let mut plan = ChaosPlan::quiet(3);
+        plan.events.push(ChaosEvent {
+            at_us: 0,
+            heal_after_us: 1_000_000,
+            fault: Fault::Hang { host },
+        });
+        w.install_chaos(&plan);
+        w.send_external(sink, Message::new("ping")).unwrap();
+        w.run_for(SimDuration::from_millis(10));
+        w.crash_host(host).unwrap();
+        w.run_until_idle();
+        // Quiescence, which closes any open span, comes at the heal (1 s).
+        assert_eq!(w.now().as_micros(), 1_000_000);
+        assert_hop_ends_at_the_crash(w.telemetry(), "DES");
+
+        let mut builder = ThreadWorldBuilder::new(3);
+        builder.register_serde::<Sink>("sink");
+        builder.enable_telemetry();
+        let host = builder.add_host("a");
+        let world = builder.start();
+        let sink = world.create_agent(host, Box::new(Sink)).unwrap();
+        assert!(world.run_until_idle(Duration::from_secs(5)).is_idle());
+        world.hang_host(host).unwrap();
+        world.send_external(sink, Message::new("ping")).unwrap();
+        // Crash only once the delivery was admitted, and so stalled.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while let DrainStatus::TimedOut(d) = world.run_until_idle(Duration::ZERO) {
+            if d.queued.is_empty() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the delivery never stalled: {d}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        world.crash_host(host).unwrap();
+        assert!(world.run_until_idle(Duration::from_secs(5)).is_idle());
+        std::thread::sleep(Duration::from_millis(20));
+        let (_, _, t) = world.shutdown_with_telemetry();
+        assert_hop_ends_at_the_crash(&t, "threads");
     }
 }
